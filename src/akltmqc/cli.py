@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +107,6 @@ class RunConfig:
     ps: tuple[float, ...] = ()
     sizes: tuple[tuple[int, int], ...] = ()
     level: str = "full"
-    jobs: int = 1
 
     def validate(self) -> None:
         needs_seed = {"sample", "route", "run", "percolate"}
@@ -127,8 +125,6 @@ class RunConfig:
             raise UsageError("run needs a pinned termination (x, y or z)")
         if self.trials < 1:
             raise UsageError("trials must be positive")
-        if self.jobs < 1:
-            raise UsageError("jobs must be positive")
         if self.spacing is not None and self.spacing < 1:
             raise UsageError("spacing must be positive")
         if self.subcommand == "percolate":
@@ -219,26 +215,22 @@ def cmd_sample(cfg: RunConfig) -> int:
     lattice = build_lattice(cfg.rows, cfg.cols)
     term = _term_object(cfg.term)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-
-    def one(idx: int) -> dict:
-        assignment = stage1_sample(lattice, term, cfg.mode, children[idx])
+    samples = []
+    for idx, child in enumerate(children):
+        try:
+            assignment = stage1_sample(lattice, term, cfg.mode, child)
+        except LatticeSizeError as exc:
+            return _fail("validation", "lattice-size", str(exc))
         bonds = sorted(
             [list(b.a), list(b.b)] for b in matched_bonds(lattice, assignment)
         )
-        return {
-            "trial": idx,
-            "axes": _axes_grid(lattice, assignment),
-            "matched": bonds,
-        }
-
-    try:
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                samples = list(pool.map(one, range(cfg.trials)))
-        else:
-            samples = [one(i) for i in range(cfg.trials)]
-    except LatticeSizeError as exc:
-        return _fail("validation", "lattice-size", str(exc))
+        samples.append(
+            {
+                "trial": idx,
+                "axes": _axes_grid(lattice, assignment),
+                "matched": bonds,
+            }
+        )
     artifact = {
         "format_version": FORMAT_VERSION,
         "kind": "sample",
@@ -325,9 +317,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_percolate(cfg: RunConfig) -> int:
-    rows = spanning_sweep(
-        list(cfg.sizes), list(cfg.ps), cfg.trials, cfg.seed, jobs=cfg.jobs
-    )
+    rows = spanning_sweep(list(cfg.sizes), list(cfg.ps), cfg.trials, cfg.seed)
     lines = ["p,rows,cols,trials,fraction,stderr,format_version"]
     for row in rows:
         lines.append(
@@ -345,7 +335,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         if cfg.level == "fast" and criterion in SLOW_CRITERIA:
             lines.append(f"SKIP {criterion:2d} {name}")
             continue
-        result = fn(jobs=cfg.jobs)
+        result = fn()
         flag = "PASS" if result["passed"] else "FAIL"
         failures += not result["passed"]
         lines.append(f"{flag} {criterion:2d} {name}: {result['detail']}")
@@ -366,7 +356,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 # appends to the detail, so only failing output varies.
 
 
-def check_povm_completeness(jobs: int = 1) -> dict:
+def check_povm_completeness() -> dict:
     total = np.zeros((4, 4), dtype=complex)
     for axis in AXES:
         m = povm_element(axis)
@@ -379,7 +369,7 @@ def check_povm_completeness(jobs: int = 1) -> dict:
     }
 
 
-def check_reduced_density(jobs: int = 1) -> dict:
+def check_reduced_density() -> dict:
     lattice = build_lattice(2, 3)
     worst = 0.0
     for site in lattice.sites():
@@ -401,7 +391,7 @@ def _widget_matrix(kind, mu, nu, theta, b, c):
     return np.einsum("lrv,v->lr", t, vec)
 
 
-def check_widget_identities(jobs: int = 1) -> dict:
+def check_widget_identities() -> dict:
     budget = 10.0
     start = time.monotonic()
     angles = [k * math.pi / 4.0 + 0.1 for k in range(8)]
@@ -446,7 +436,7 @@ def _expected_cnot(b_top, b_bot, sx, sz):
     return ups @ _CNOT4
 
 
-def check_cnot_assembly(jobs: int = 1) -> dict:
+def check_cnot_assembly() -> dict:
     profiles = [("z", "x"), ("x", "z"), ("y", "x"), ("z", "y")]
     worst = 0.0
     cases = 0
@@ -487,7 +477,7 @@ def _folded_bit(nu0, c0, sx, sz):
     return c0 ^ sx
 
 
-def check_renormalization(jobs: int = 1) -> dict:
+def check_renormalization() -> dict:
     worst = 0.0
     # chains of 1..4 widgets against the folded-label formula, both the
     # delivered-ket and delivered-bra orientation
@@ -669,7 +659,7 @@ def e2e_fixtures():
     return [identity, rot, cnot]
 
 
-def check_end_to_end(jobs: int = 1) -> dict:
+def check_end_to_end() -> dict:
     budget = 300.0
     start = time.monotonic()
     worst = 0.0
@@ -701,7 +691,7 @@ def check_end_to_end(jobs: int = 1) -> dict:
     return {"criterion": 6, "passed": passed, "detail": detail}
 
 
-def check_stage1_statistics(jobs: int = 1) -> dict:
+def check_stage1_statistics() -> dict:
     worst_marginal = 0.0
     worst_bond = 0.0
     for rows, cols in ((2, 3), (2, 4), (3, 4)):
@@ -735,17 +725,17 @@ def check_stage1_statistics(jobs: int = 1) -> dict:
     }
 
 
-def check_percolation(jobs: int = 1) -> dict:
+def check_percolation() -> dict:
     budget = 120.0
     start = time.monotonic()
     trials = 2000
     p = 2.0 / 3.0
-    f_small, e_small = spanning_probability(12, 24, p, trials, 1812, jobs=jobs)
-    f_large, e_large = spanning_probability(24, 48, p, trials, 2448, jobs=jobs)
+    f_small, e_small = spanning_probability(12, 24, p, trials, 1812)
+    f_large, e_large = spanning_probability(24, 48, p, trials, 2448)
     sigma = math.hypot(e_small, e_large)
     gap = (f_large - f_small) / sigma if sigma > 0 else 0.0
     ps = [0.60 + 0.01 * k for k in range(11)]
-    crossing = crossing_estimate((12, 24), (24, 48), ps, trials, 65, jobs=jobs)
+    crossing = crossing_estimate((12, 24), (24, 48), ps, trials, 65)
     elapsed = time.monotonic() - start
     passed = (
         gap >= 3.0
@@ -763,7 +753,7 @@ def check_percolation(jobs: int = 1) -> dict:
     return {"criterion": 8, "passed": passed, "detail": detail}
 
 
-def check_hamiltonian(jobs: int = 1) -> dict:
+def check_hamiltonian() -> dict:
     c, d, proj_res = affine_constants()
     dev_c = abs(c - 160.0 / 27.0)
     dev_d = abs(d + 55.0 / 108.0)
@@ -792,7 +782,7 @@ def check_hamiltonian(jobs: int = 1) -> dict:
     }
 
 
-def check_correlation_decay(jobs: int = 1) -> dict:
+def check_correlation_decay() -> dict:
     lattice = build_lattice(2, 6)
     values = []
     for dist in (1, 2, 3):
@@ -854,7 +844,6 @@ def _build_parser() -> _Parser:
         "--term", choices=("x", "y", "z", "traced"), default="traced"
     )
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("route", help="backbone embedding for a circuit")
     common(p, circuit=True)
@@ -871,12 +860,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--size", required=True, help="comma-separated ROWSxCOLS")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--level", choices=("fast", "full"), default="full")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     return parser
 
@@ -893,7 +880,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "term",
         "spacing",
         "level",
-        "jobs",
     ):
         if hasattr(args, field_name):
             setattr(cfg, field_name, getattr(args, field_name))

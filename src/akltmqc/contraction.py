@@ -245,29 +245,6 @@ def build_state(
     return sv
 
 
-def build_open_state(lattice: HexLattice) -> tuple[np.ndarray, list]:
-    """Dense state with dangling edges kept as trailing qubit axes.
-
-    Returns (array with one size-4 axis per site then one size-2 axis per
-    dangling edge, list of (site, leg) edge keys in axis order). Intended
-    for small-lattice cross-checks of the traced path.
-    """
-    n_edges = len(lattice.dangling())
-    if lattice.n_sites > DENSE_SITE_CAP or 2 * lattice.n_sites + n_edges > 26:
-        raise LatticeSizeError("open-edge dense state too large")
-    acc, keys = _contract_sweep(
-        lattice,
-        lambda s: (site_tensor(lattice.kind(s)), ("p",)),
-        lambda s, leg: None,
-    )
-    phys = [i for i, k in enumerate(keys) if k[0] == "p"]
-    edges = [i for i, k in enumerate(keys) if k[0] == "v"]
-    phys.sort(key=lambda i: lattice.site_index(keys[i][1]))
-    acc = np.transpose(acc, phys + edges)
-    edge_keys = [(keys[i][1], keys[i][2]) for i in edges]
-    return acc, edge_keys
-
-
 # -- double-layer (traced or pinned) -----------------------------------------
 
 

@@ -176,16 +176,6 @@ def build_lattice(rows: int, cols: int) -> HexLattice:
     return HexLattice(rows, cols)
 
 
-def incident(lattice: HexLattice, site: Site) -> tuple[SiteKind, list[tuple[Bond, Leg]]]:
-    """Site kind plus every attached bond labelled by its local direction."""
-    if not lattice.contains(site):
-        raise ValueError(f"site {site} not on lattice")
-    pairs = [
-        (Bond.make(site, nb), leg) for leg, nb in lattice.incident(site)
-    ]
-    return lattice.kind(site), pairs
-
-
 def ket_role(kind: SiteKind, leg: Leg) -> bool:
     """True when the leg carries a ket index (LEFT always, VERT on Bot).
 

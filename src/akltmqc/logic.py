@@ -467,49 +467,6 @@ def _fold_branch(
     return nu, cbar, (ctx.sums[0], ctx.sums[1]), ctx
 
 
-def renormalize_cluster(
-    lattice: HexLattice,
-    assignment: AxisAssignment,
-    cluster,
-    root: Site,
-    outcomes,
-    term: BoundaryTermination | None = None,
-    interior: frozenset[Site] = frozenset(),
-) -> tuple[int, str, tuple[int, int]]:
-    """Fold the matched branch hanging off ``root`` into the bit it hands
-    back.
-
-    ``cluster`` carries the matched bonds (anything with ``.bonds``);
-    ``outcomes`` maps every branch site and every standard neighbour the
-    branch leans on to its measured outcome. Returns the delivered bit, the
-    frame it is delivered in, and the branch's accumulated (X, Z) exponent
-    sums. Chains flip the running bit per site, a bifurcation folds its
-    smaller child into the reference, and a closed loop collapses with its
-    X exponents cancelling.
-    """
-    cluster_adj: dict[Site, set[Site]] = {}
-    for bond in cluster.bonds:
-        cluster_adj.setdefault(bond.a, set()).add(bond.b)
-        cluster_adj.setdefault(bond.b, set()).add(bond.a)
-    block = frozenset(interior | {root})
-    heads = [n for n in sorted(cluster_adj.get(root, ())) if n not in block]
-    if len(heads) != 1:
-        raise ProtocolError(
-            f"root {root} anchors {len(heads)} branches, needs exactly 1"
-        )
-    nu, cbar, sums, _ = _fold_branch(
-        lattice,
-        assignment,
-        cluster_adj,
-        heads[0],
-        root,
-        block,
-        term,
-        outcomes.__getitem__,
-    )
-    return cbar, nu, sums
-
-
 # -- measurement plans ----------------------------------------------------------
 
 

@@ -17,22 +17,12 @@ normal remedy is a fresh stage-one sample, not an exception.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lattice import Bond, HexLattice, Leg, Site, SiteKind, build_lattice
 from .sampler import AxisAssignment
-
-try:
-    from . import _spanning as _spanning_impl
-
-    SPANNING_BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on the build
-    from . import _spanning_py as _spanning_impl
-
-    SPANNING_BACKEND = "python"
 
 FORMAT_VERSION = 1
 DEFAULT_SPACING = 4
@@ -53,6 +43,14 @@ class Cluster:
     sites: frozenset[Site]
 
 
+def _find(parent, x):
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def find_clusters(
     lattice: HexLattice,
     matched: frozenset[Bond],
@@ -66,24 +64,17 @@ def find_clusters(
     """
     assignment.validate(lattice)
     parent: dict[Site, Site] = {}
-
-    def find(s: Site) -> Site:
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
     for b in matched:
         parent.setdefault(b.a, b.a)
         parent.setdefault(b.b, b.b)
-        ra, rb = find(b.a), find(b.b)
+        ra, rb = _find(parent, b.a), _find(parent, b.b)
         if ra != rb:
             # union by row-major minimum so the root is the first site
             lo, hi = sorted((ra, rb))
             parent[hi] = lo
     groups: dict[Site, list[Bond]] = {}
     for b in matched:
-        groups.setdefault(find(b.a), []).append(b)
+        groups.setdefault(_find(parent, b.a), []).append(b)
     clusters = []
     for cid, root in enumerate(sorted(groups)):
         bonds = groups[root]
@@ -799,21 +790,77 @@ def _component_count(lattice: HexLattice, region: set[Site]) -> int:
 
 def _component_count_graph(nodes, edges) -> int:
     parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in edges:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
-    return len({find(n) for n in parent})
+    return len({_find(parent, n) for n in parent})
 
 
 # -- percolation --------------------------------------------------------------
+
+
+def _span_thresholds(
+    rows: int, cols: int, trials: int, rng_seed, p_max: float
+) -> np.ndarray:
+    """Per-trial spanning thresholds of the brick-wall patch.
+
+    Each trial draws one uniform ``u`` per bond from its own spawned seed;
+    the bond is occupied at ``p`` when ``u < p``. Bonds are added in
+    increasing ``u`` until occupied bonds connect the left and right
+    columns, and the ``u`` of the bond that joined them is the threshold:
+    the trial spans at ``p`` exactly when its threshold is below ``p``
+    (Newman & Ziff, PRL 85, 4104, 2000). The sweep stops at ``p_max``,
+    leaving +inf for trials that have not spanned below it; a one-column
+    patch spans before any bond is added and gets -inf.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    lat = build_lattice(rows, cols)
+    if cols == 1:
+        return np.full(trials, -np.inf)
+    bonds = lat.bonds()
+    bond_a = [lat.site_index(b.a) for b in bonds]
+    bond_b = [lat.site_index(b.b) for b in bonds]
+    # Each edge column starts as one tree rooted at its top site. The
+    # smaller root wins every union, so site 0 stays the left edge's root;
+    # ``right`` follows the right edge's root, and the edges meet when it
+    # reaches 0.
+    base = list(range(rows * cols))
+    for r in range(1, rows):
+        base[r * cols] = 0
+        base[r * cols + cols - 1] = cols - 1
+    out = np.full(trials, np.inf)
+    for t, child in enumerate(np.random.SeedSequence(rng_seed).spawn(trials)):
+        u = np.random.default_rng(child).random(len(bonds))
+        below = np.flatnonzero(u < p_max)
+        parent = base.copy()
+        right = cols - 1
+        for k in below[np.argsort(u[below])].tolist():
+            ra, rb = _find(parent, bond_a[k]), _find(parent, bond_b[k])
+            if ra == rb:
+                continue
+            lo, hi = (ra, rb) if ra < rb else (rb, ra)
+            parent[hi] = lo
+            if hi == right:
+                right = lo
+            if right == 0:
+                out[t] = u[k]
+                break
+    return out
+
+
+def _check_occupation(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"occupation probability {p} outside [0, 1]")
+
+
+def _span_fraction(thresholds: np.ndarray, p: float) -> tuple[float, float]:
+    """Fraction of trials spanning at ``p`` and its binomial stderr."""
+    trials = len(thresholds)
+    fraction = int(np.count_nonzero(thresholds < p)) / trials
+    stderr = float(np.sqrt(fraction * (1.0 - fraction) / trials))
+    return fraction, stderr
 
 
 def spanning_probability(
@@ -822,48 +869,19 @@ def spanning_probability(
     p: float,
     trials: int,
     rng_seed,
-    jobs: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo left-right spanning fraction and its binomial stderr.
 
     Bonds of the brick-wall patch are occupied independently with
     probability ``p``; a trial spans when occupied bonds connect the left
-    and right columns. Each trial draws from its own spawned seed, so the
-    estimate is reproducible and independent of ``jobs``. ``rng_seed`` may
-    be an int or a sequence of ints.
+    and right columns. Each trial draws its bonds from its own spawned
+    seed, so the estimate is reproducible. ``rng_seed`` may be an int or a
+    sequence of ints.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"occupation probability {p} outside [0, 1]")
-    lat = build_lattice(rows, cols)
-    bonds = lat.bonds()
-    bond_a = np.array([lat.site_index(b.a) for b in bonds], dtype=np.int32)
-    bond_b = np.array([lat.site_index(b.b) for b in bonds], dtype=np.int32)
-    left = np.arange(0, rows * cols, cols, dtype=np.int32)
-    right = left + np.int32(cols - 1)
-    children = np.random.SeedSequence(rng_seed).spawn(trials)
-
-    def run(chunk) -> int:
-        occ = np.empty((len(chunk), len(bonds)), dtype=np.uint8)
-        for i, child in enumerate(chunk):
-            occ[i] = np.random.default_rng(child).random(len(bonds)) < p
-        return int(
-            _spanning_impl.count_spans(
-                rows * cols, bond_a, bond_b, occ, left, right
-            )
-        )
-
-    if jobs <= 1:
-        hits = run(children)
-    else:
-        step = -(-trials // jobs)
-        chunks = [children[i : i + step] for i in range(0, trials, step)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            hits = sum(pool.map(run, chunks))
-    fraction = hits / trials
-    stderr = float(np.sqrt(fraction * (1.0 - fraction) / trials))
-    return fraction, stderr
+    _check_occupation(p)
+    return _span_fraction(
+        _span_thresholds(rows, cols, trials, rng_seed, p), p
+    )
 
 
 def spanning_sweep(
@@ -871,15 +889,21 @@ def spanning_sweep(
     ps: list[float],
     trials: int,
     rng_seed: int,
-    jobs: int = 1,
 ) -> list[dict]:
-    """Fractions over a (size, p) grid; rows ready for CSV emission."""
+    """Fractions over a (size, p) grid; rows ready for CSV emission.
+
+    Every p of one size is read off the same trials, seeded
+    ``[rng_seed, size index]``, so the fractions never decrease in p.
+    """
+    for p in ps:
+        _check_occupation(p)
     out = []
     for si, (rows, cols) in enumerate(sizes):
-        for pi, p in enumerate(ps):
-            frac, err = spanning_probability(
-                rows, cols, p, trials, [rng_seed, si, pi], jobs=jobs
-            )
+        thresholds = _span_thresholds(
+            rows, cols, trials, [rng_seed, si], max(ps, default=0.0)
+        )
+        for p in ps:
+            frac, err = _span_fraction(thresholds, p)
             out.append(
                 {
                     "p": p,
@@ -899,14 +923,13 @@ def crossing_estimate(
     ps: list[float],
     trials: int,
     rng_seed: int,
-    jobs: int = 1,
 ) -> float | None:
     """p where the two sizes' spanning curves cross (linear interpolation).
 
     Below the transition the larger patch spans less often, above it more,
     so the sign flip of (small - large) brackets the critical point.
     """
-    rows = spanning_sweep([small, large], ps, trials, rng_seed, jobs=jobs)
+    rows = spanning_sweep([small, large], ps, trials, rng_seed)
     half = len(ps)
     diff = [rows[i]["fraction"] - rows[half + i]["fraction"] for i in range(half)]
     for i in range(half - 1):

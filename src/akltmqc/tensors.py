@@ -136,10 +136,6 @@ def physical_basis(axis: str) -> np.ndarray:
     return lift_qubit(_U2[axis])
 
 
-def physical_ket(axis: str, alpha_index: int) -> np.ndarray:
-    return physical_basis(axis)[:, alpha_index]
-
-
 # -- site tensors ---------------------------------------------------------
 
 
@@ -234,14 +230,6 @@ def comp_covector(mu: str, nu: str, theta: float, b: int) -> np.ndarray:
     return (s * np.exp(1j * theta) * f * top + bot) / _SQ2
 
 
-complementary_covector = comp_covector
-
-
-def comp_basis_ket(mu: str, nu: str, theta: float, b: int) -> np.ndarray:
-    """Ket of the complementary basis state (conjugate of the covector)."""
-    return np.conj(comp_covector(mu, nu, theta, b))
-
-
 def measured_tensor(kind: SiteKind, row: np.ndarray) -> np.ndarray:
     """Contract a physical row vector against the site tensor.
 
@@ -265,56 +253,6 @@ def contract_leg(
         raise ValueError(f"{leg.value} leg of {kind.name} site needs a {want}")
     axis_pos = {Leg.LEFT: 0, Leg.RIGHT: 1, Leg.VERT: 2}[leg]
     return np.tensordot(tensor3, vec.vector, axes=([axis_pos], [0]))
-
-
-@dataclass(frozen=True, eq=False)
-class SiteTensor:
-    """A (4, 2, 2, 2) site tensor family tagged with its kind and axis."""
-
-    kind: SiteKind
-    axis: str
-    array: np.ndarray
-
-
-_ALPHA_INDEX = {
-    "+3/2": 0, "+1/2": 1, "-1/2": 2, "-3/2": 3,
-    1.5: 0, 0.5: 1, -0.5: 2, -1.5: 3,
-}
-
-
-def local_family(kind: SiteKind, axis: str) -> SiteTensor:
-    return SiteTensor(kind, axis, site_family(kind, axis))
-
-
-def local_tensor(kind: SiteKind, axis: str, alpha) -> np.ndarray:
-    """One physical component of the site tensor, shape (left, right, vert).
-
-    ``alpha`` is the spin label along ``axis``: one of +-3/2, +-1/2 (as
-    floats) or the strings "+3/2", "+1/2", "-1/2", "-3/2".
-    """
-    if alpha not in _ALPHA_INDEX:
-        raise ValueError(f"unknown spin label {alpha!r}")
-    return site_family(kind, axis)[_ALPHA_INDEX[alpha]].copy()
-
-
-def partial_contract(
-    tensor: SiteTensor, associate_outcome: VirtualVec, side: str = "vertical"
-) -> np.ndarray:
-    """Family with the vertical leg closed by the associate's vector.
-
-    Returns shape (4, 2, 2) over (alpha along the tensor's axis, left,
-    right): the per-outcome 2x2 logical maps of a backbone site.
-    """
-    if side not in ("vertical", Leg.VERT, "vert"):
-        raise ValueError("only vertical partial contraction is supported")
-    want = "ket" if tensor.kind is SiteKind.TOP else "bra"
-    if associate_outcome.role != want:
-        raise ValueError(
-            f"vertical leg of {tensor.kind.name} site needs a {want}"
-        )
-    return np.tensordot(
-        tensor.array, associate_outcome.vector, axes=([3], [0])
-    )
 
 
 # -- comparisons ----------------------------------------------------------

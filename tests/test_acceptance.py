@@ -11,9 +11,9 @@ from akltmqc.cli import ACCEPTANCE_CHECKS
 _BY_ID = {criterion: (name, fn) for criterion, name, fn in ACCEPTANCE_CHECKS}
 
 
-def _run(criterion, jobs=1):
+def _run(criterion):
     name, fn = _BY_ID[criterion]
-    result = fn(jobs=jobs)
+    result = fn()
     flag = "PASS" if result["passed"] else "FAIL"
     line = f"{flag} {criterion:2d} {name}: {result['detail']}"
     print(line)
@@ -49,7 +49,7 @@ def test_criterion_07_stage1_statistics():
 
 
 def test_criterion_08_percolation_transition():
-    _run(8, jobs=4)
+    _run(8)
 
 
 def test_criterion_09_parent_hamiltonian():

@@ -95,15 +95,6 @@ def test_sample_artifact(capsys):
         assert set("".join(rec["axes"])) <= set("xyz")
 
 
-def test_sample_jobs_invariant(tmp_path):
-    base = ["sample", "--lattice", "2x6", "--seed", "8", "--mode", "iid",
-            "--trials", "4"]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(base + ["--jobs", "1", "--out", str(a)]) == 0
-    assert cli.main(base + ["--jobs", "3", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_route_artifact(capsys, identity_circuit):
     code = cli.main(
         ["route", "--lattice", "2x4", "--circuit", identity_circuit,
@@ -148,6 +139,16 @@ def test_unroutable_circuit_is_protocol_error(capsys, cnot_circuit):
     assert err["error"] == "protocol"
 
 
+def test_removed_flag_is_validation_error(capsys):
+    code = cli.main(
+        ["percolate", "--p", "0.5", "--size", "4x8", "--trials", "10",
+         "--seed", "3", "--jobs", "2"]
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["reason"]) == ("validation", "bad-arguments")
+
+
 def test_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
     code = cli.main(
@@ -160,10 +161,8 @@ def test_out_dir_env(tmp_path, monkeypatch):
 
 def test_verify_line_format(capsys, monkeypatch):
     stub = [
-        (1, "alpha", lambda jobs=1: {"criterion": 1, "passed": True,
-                                     "detail": "ok"}),
-        (8, "beta", lambda jobs=1: {"criterion": 8, "passed": True,
-                                    "detail": "ok"}),
+        (1, "alpha", lambda: {"criterion": 1, "passed": True, "detail": "ok"}),
+        (8, "beta", lambda: {"criterion": 8, "passed": True, "detail": "ok"}),
     ]
     monkeypatch.setattr(cli, "ACCEPTANCE_CHECKS", stub)
     assert cli.main(["verify", "--level", "full"]) == 0
@@ -179,8 +178,8 @@ def test_verify_line_format(capsys, monkeypatch):
 
 def test_verify_failure_exits_two(capsys, monkeypatch):
     stub = [
-        (1, "alpha", lambda jobs=1: {"criterion": 1, "passed": False,
-                                     "detail": "broken"}),
+        (1, "alpha", lambda: {"criterion": 1, "passed": False,
+                              "detail": "broken"}),
     ]
     monkeypatch.setattr(cli, "ACCEPTANCE_CHECKS", stub)
     assert cli.main(["verify", "--level", "full"]) == 2

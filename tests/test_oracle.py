@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from akltmqc.contraction import BoundaryTermination
+from akltmqc.contraction import BoundaryTermination, build_state
 from akltmqc.lattice import build_lattice
 from akltmqc.logic import CNOT, CircuitSpec, Init, Readout, Rx, Rz
 from akltmqc.oracle import (
@@ -16,8 +16,9 @@ from akltmqc.oracle import (
     spin_operators,
     tv_distance,
     two_point_correlation,
+    vbs_state,
 )
-from akltmqc.tensors import AXES
+from akltmqc.tensors import AXES, residual_up_to_scale
 
 
 def test_spin_commutators():
@@ -75,6 +76,16 @@ def test_ground_state_frustration_free(axis):
     lat = build_lattice(2, 3)
     res = hamiltonian_pair_check(lat, BoundaryTermination(axis=axis))
     assert res < 1e-10
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2), (1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("axis", AXES)
+def test_vbs_state_matches_contraction(rows, cols, axis):
+    lattice = build_lattice(rows, cols)
+    term = BoundaryTermination(axis=axis)
+    found = vbs_state(lattice, term)
+    target = build_state(lattice, term).amplitudes
+    assert residual_up_to_scale(found, target) < 1e-12
 
 
 def test_reference_identity():

@@ -1,3 +1,6 @@
+from collections import deque
+
+import numpy as np
 import pytest
 
 from akltmqc.lattice import build_lattice
@@ -10,6 +13,7 @@ from akltmqc.router import (
     flag_off_limits,
     route_backbone,
     spanning_probability,
+    spanning_sweep,
 )
 from akltmqc.sampler import AxisAssignment, matched_bonds
 
@@ -127,39 +131,67 @@ def test_spanning_extremes():
     assert frac == 0.0
 
 
-def test_spanning_jobs_invariant():
-    a = spanning_probability(8, 16, 0.62, 120, 17, jobs=1)
-    b = spanning_probability(8, 16, 0.62, 120, 17, jobs=3)
-    assert a == b
-
-
 def test_spanning_monotone_in_p():
     lo, _ = spanning_probability(8, 16, 0.45, 300, 99)
     hi, _ = spanning_probability(8, 16, 0.85, 300, 99)
     assert lo < hi
 
 
-def test_spanning_backend_parity():
-    import numpy as np
+def _bfs_spans(lat, occupied_bonds) -> bool:
+    """Do the occupied bonds join column 0 to the last column?"""
+    adj = {}
+    for b in occupied_bonds:
+        adj.setdefault(b.a, []).append(b.b)
+        adj.setdefault(b.b, []).append(b.a)
+    seen = {(r, 0) for r in range(lat.rows)}
+    queue = deque(seen)
+    while queue:
+        cur = queue.popleft()
+        if cur[1] == lat.cols - 1:
+            return True
+        for nb in adj.get(cur, ()):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return False
 
-    from akltmqc import _spanning_py
 
-    try:
-        from akltmqc import _spanning as compiled
-    except ImportError:
-        pytest.skip("compiled spanning kernel not built")
-    lat = build_lattice(6, 12)
+@pytest.mark.parametrize("rows,cols", [(3, 6), (4, 8)])
+def test_span_counts_match_direct_occupancy(rows, cols):
+    # the sweep seeds size index 0 with [seed, 0]
+    trials, seed, ps = 60, 23, [0.0, 0.3, 0.55, 0.65, 0.8, 1.0]
+    lat = build_lattice(rows, cols)
     bonds = lat.bonds()
-    bond_a = np.array([lat.site_index(b.a) for b in bonds], dtype=np.int32)
-    bond_b = np.array([lat.site_index(b.b) for b in bonds], dtype=np.int32)
-    left = np.arange(0, 72, 12, dtype=np.int32)
-    right = left + np.int32(11)
-    occ = (
-        np.random.default_rng(31).random((200, len(bonds))) < 0.64
-    ).astype(np.uint8)
-    a = _spanning_py.count_spans(72, bond_a, bond_b, occ, left, right)
-    b = compiled.count_spans(72, bond_a, bond_b, occ, left, right)
-    assert a == b
+    draws = [
+        np.random.default_rng(child).random(len(bonds))
+        for child in np.random.SeedSequence([seed, 0]).spawn(trials)
+    ]
+    sweep = spanning_sweep([(rows, cols)], ps, trials, seed)
+    for p, row in zip(ps, sweep):
+        hits = sum(
+            _bfs_spans(lat, [b for b, x in zip(bonds, u) if x < p])
+            for u in draws
+        )
+        frac, err = spanning_probability(rows, cols, p, trials, [seed, 0])
+        assert frac == hits / trials
+        assert err == np.sqrt(frac * (1.0 - frac) / trials)
+        assert (row["fraction"], row["stderr"]) == (frac, err)
+
+
+def test_sweep_fractions_monotone_in_p():
+    ps = [0.0, 0.2, 0.5, 0.6, 0.65, 0.7, 0.9, 1.0]
+    rows = spanning_sweep([(3, 6), (6, 12)], ps, 80, 5)
+    for size in ((3, 6), (6, 12)):
+        fracs = [r["fraction"] for r in rows if (r["rows"], r["cols"]) == size]
+        assert fracs == sorted(fracs)
+        assert fracs[0] == 0.0 and fracs[-1] == 1.0
+
+
+def test_single_column_spans_at_every_p():
+    for p in (0.0, 0.4, 1.0):
+        assert spanning_probability(3, 1, p, 5, 2) == (1.0, 0.0)
+    rows = spanning_sweep([(2, 1)], [0.0, 0.5, 1.0], 4, 9)
+    assert [r["fraction"] for r in rows] == [1.0, 1.0, 1.0]
 
 
 def test_crossing_estimate_brackets():

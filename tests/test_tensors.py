@@ -13,6 +13,8 @@ from akltmqc.tensors import (
     povm_element,
     residual_up_to_scale,
     rotation,
+    site_family,
+    site_family_rotated,
     site_tensor,
     standard_covector,
     virtual_bra,
@@ -80,6 +82,14 @@ def test_lift_qubit_homomorphism():
 def test_site_tensor_shape():
     for kind in (SiteKind.TOP, SiteKind.BOT):
         assert site_tensor(kind).shape == (4, 2, 2, 2)
+
+
+@pytest.mark.parametrize("kind", [SiteKind.TOP, SiteKind.BOT])
+@pytest.mark.parametrize("axis", AXES)
+def test_site_family_equals_physical_rotation(kind, axis):
+    np.testing.assert_allclose(
+        site_family(kind, axis), site_family_rotated(kind, axis), atol=1e-13
+    )
 
 
 def test_measured_tensor_contracts_physical_index():
