@@ -25,7 +25,7 @@ from .contraction import (
     pattern_probability,
     reduced_density,
 )
-from .lattice import HexLattice, Leg, SiteKind, build_lattice
+from .lattice import MAX_SITES, HexLattice, Leg, SiteKind, build_lattice
 from .logic import (
     CNOT,
     CircuitSpec,
@@ -112,9 +112,18 @@ class RunConfig:
         needs_seed = {"sample", "route", "run", "percolate"}
         if self.subcommand in needs_seed and self.seed is None:
             raise UsageError(f"{self.subcommand} requires --seed")
+        if self.seed is not None and self.seed < 0:
+            raise UsageError(f"seed {self.seed} is negative")
+        sizes = list(self.sizes)
         if self.subcommand in {"sample", "route", "run"}:
-            if self.rows < 1 or self.cols < 1:
+            sizes.append((self.rows, self.cols))
+        for rows, cols in sizes:
+            if rows < 1 or cols < 1:
                 raise UsageError("lattice dimensions must be positive")
+            if rows * cols > MAX_SITES:
+                raise UsageError(
+                    f"lattice {rows}x{cols} exceeds {MAX_SITES} sites"
+                )
         if self.subcommand in {"route", "run"} and not self.circuit_path:
             raise UsageError(f"{self.subcommand} requires --circuit")
         if self.mode not in ("exact", "iid"):

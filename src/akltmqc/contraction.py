@@ -13,6 +13,19 @@ closed in one of two ways:
   partners for adjacent sites, which is what the gate protocol relies on
   at the patch boundary.
 
+Probabilities, reduced densities and correlations contract the double
+layer <psi| prod effects |psi> for either closure. Sequential measurement
+runs on an engine, chosen once by :func:`measurement_engine`:
+:class:`TracedEngine` for ``term=None`` (one fresh double-layer
+contraction per weight) and :class:`DenseEngine` for a pinned termination
+(the dense state; :func:`build_state` enforces its site cap). Both take
+the same *actions* on a site: a Kraus operator (shape (4, 4); the site
+stays) or a projective row (shape (4,)). A Kraus operator K has effect
+K^dagger K, a row r has effect |r><r| (``np.outer(np.conj(r), r)``).
+Both engines provide ``weight()``, ``effect_weight(site, action)``,
+``effect_weights(site, actions)``, ``apply_op(site, op)``,
+``project(site, row)`` and the non-mutating ``branch(site, action)``.
+
 Amplitude layout: one axis of dimension 4 per site, ordered by
 ``lattice.site_index``; index values 0..3 are the physical basis states
 [+3/2, +1/2, -1/2, -3/2] along z.
@@ -26,6 +39,7 @@ import numpy as np
 
 from .lattice import HexLattice, Leg, Site, ket_role
 from .tensors import (
+    AXES,
     VirtualVec,
     comp_covector,
     povm_element,
@@ -92,30 +106,15 @@ class BoundaryTermination:
 
 
 @dataclass(frozen=True)
-class Unmeasured:
-    pass
-
-
-@dataclass(frozen=True)
 class Polarized:
     axis: str
 
 
-@dataclass(frozen=True)
-class Projected:
-    """Projective outcome with covector ``row``; when ``polarized_axis``
-    is set the polarizing operator for that axis is applied first."""
-
-    row: tuple[complex, complex, complex, complex]
-    polarized_axis: str | None = None
-
-
-PatternEntry = Unmeasured | Polarized | Projected
-
-
 @dataclass
 class MeasurementPattern:
-    entries: dict[Site, PatternEntry] = field(default_factory=dict)
+    """Polarizing outcomes on some sites; the other sites are traced out."""
+
+    entries: dict[Site, Polarized] = field(default_factory=dict)
 
     def validate(self, lattice: HexLattice) -> None:
         for site in self.entries:
@@ -123,28 +122,19 @@ class MeasurementPattern:
                 raise ValueError(f"pattern site {site} not on lattice")
 
 
-def projected_standard(axis: str, c: int, polarized: bool = True) -> Projected:
-    row = standard_covector(axis, c)
-    return Projected(tuple(row), axis if polarized else None)
+# -- actions ------------------------------------------------------------------
 
 
-def projected_complementary(
-    mu: str, nu: str, theta: float, b: int, polarized: bool = True
-) -> Projected:
-    row = comp_covector(mu, nu, theta, b)
-    return Projected(tuple(row), mu if polarized else None)
+def _effect(action: np.ndarray) -> np.ndarray:
+    """|r><r| for a projective row r, K^dagger K for a Kraus operator K."""
+    if np.ndim(action) == 1:
+        return np.outer(np.conj(action), action)
+    return action.conj().T @ action
 
 
-def _effect(entry: PatternEntry) -> np.ndarray:
-    if isinstance(entry, Unmeasured):
-        return _ID4
-    if isinstance(entry, Polarized):
-        m = povm_element(entry.axis)
-        return m.conj().T @ m
-    row = np.asarray(entry.row, dtype=complex)
-    if entry.polarized_axis is not None:
-        row = row @ povm_element(entry.polarized_axis)
-    return np.outer(np.conj(row), row)
+def _as_op(action: np.ndarray) -> np.ndarray:
+    """The action as an operator: a row r acts as the projector |r><r|."""
+    return _effect(action) if np.ndim(action) == 1 else action
 
 
 # -- network sweep ----------------------------------------------------------
@@ -298,32 +288,6 @@ def _layer_value(
 # -- probabilities ----------------------------------------------------------
 
 
-def _dense_probability(lattice, term, pattern) -> float:
-    state = build_state(lattice, term)
-    psi = state.tensor()
-    work = psi
-    for site, entry in pattern.entries.items():
-        if isinstance(entry, Unmeasured):
-            continue
-        ax = lattice.site_index(site)
-        work = np.moveaxis(
-            np.tensordot(_effect(entry), work, axes=([1], [ax])), 0, ax
-        )
-    num = float(np.real(np.vdot(psi, work)))
-    return _clamp_probability(num / (state.norm**2))
-
-
-def _layer_probability(lattice, term, pattern) -> float:
-    effects = {
-        site: _effect(entry)
-        for site, entry in pattern.entries.items()
-        if not isinstance(entry, Unmeasured)
-    }
-    num = _layer_value(lattice, term, effects)
-    den = _layer_value(lattice, term, {})
-    return _clamp_probability(num / den)
-
-
 def pattern_probability(
     lattice: HexLattice,
     term: BoundaryTermination | None,
@@ -332,9 +296,13 @@ def pattern_probability(
     """Probability of the pattern's outcomes; unmeasured sites (and, with
     ``term=None``, the boundary edge qubits) are traced out."""
     pattern.validate(lattice)
-    if term is not None and lattice.n_sites <= DENSE_SITE_CAP:
-        return _dense_probability(lattice, term, pattern)
-    return _layer_probability(lattice, term, pattern)
+    effects = {
+        site: _effect(povm_element(entry.axis))
+        for site, entry in pattern.entries.items()
+    }
+    num = _layer_value(lattice, term, effects)
+    den = _layer_value(lattice, term, {})
+    return _clamp_probability(num / den)
 
 
 def reduced_density(
@@ -345,14 +313,7 @@ def reduced_density(
     """Single-site density matrix of the normalized state."""
     if not lattice.contains(site):
         raise ValueError(f"site {site} not on lattice")
-    if term is not None and lattice.n_sites <= DENSE_SITE_CAP:
-        state = build_state(lattice, term)
-        ax = lattice.site_index(site)
-        psi = np.moveaxis(state.tensor(), ax, 0).reshape(4, -1)
-        rho = psi @ psi.conj().T
-    else:
-        t = _layer_value(lattice, term, {}, open_site=site)
-        rho = t.T.copy()
+    rho = _layer_value(lattice, term, {}, open_site=site).T.copy()
     rho /= np.trace(rho).real
     return rho
 
@@ -368,15 +329,10 @@ class DenseEngine:
     """
 
     def __init__(
-        self,
-        lattice: HexLattice,
-        term: BoundaryTermination | None = None,
-        state: StateVector | None = None,
+        self, lattice: HexLattice, term: BoundaryTermination | None = None
     ):
         self.lattice = lattice
-        if state is None:
-            state = build_state(lattice, term)
-        self._amps = state.tensor().copy()
+        self._amps = build_state(lattice, term).tensor()
         self._sites: list[Site] = sorted(
             lattice.sites(), key=lattice.site_index
         )
@@ -391,61 +347,46 @@ class DenseEngine:
         except ValueError:
             raise KeyError(f"site {site} already projected out") from None
 
-    def copy(self) -> "DenseEngine":
-        new = object.__new__(DenseEngine)
-        new.lattice = self.lattice
-        new._amps = self._amps.copy()
-        new._sites = list(self._sites)
-        return new
+    def _acted(
+        self, site: Site, action: np.ndarray
+    ) -> tuple[np.ndarray, list[Site]]:
+        """(amplitudes, live sites) after ``action`` on ``site``."""
+        ax = self._axis(site)
+        action = np.asarray(action, dtype=complex)
+        if action.ndim == 1:
+            amps = np.tensordot(action, self._amps, axes=([0], [ax]))
+            return amps, self._sites[:ax] + self._sites[ax + 1 :]
+        amps = np.moveaxis(
+            np.tensordot(action, self._amps, axes=([1], [ax])), 0, ax
+        )
+        return amps, list(self._sites)
 
     def weight(self) -> float:
         return float(np.real(np.vdot(self._amps, self._amps)))
 
-    def effect_weight(self, site: Site, effect: np.ndarray) -> float:
-        """<psi| E_site |psi> (unnormalized)."""
-        return self.effect_weights(site, [effect])[0]
+    def effect_weight(self, site: Site, action: np.ndarray) -> float:
+        """<psi| E_site |psi> (unnormalized) for the action's effect E."""
+        return self.effect_weights(site, [action])[0]
 
     def effect_weights(
-        self, site: Site, effects: list[np.ndarray]
+        self, site: Site, actions: list[np.ndarray]
     ) -> list[float]:
-        """Batched effect_weight; one axis shuffle for all effects."""
+        """Batched effect_weight; one axis shuffle for all actions."""
         m = np.moveaxis(self._amps, self._axis(site), 0).reshape(4, -1)
-        return [float(np.real(np.vdot(m, e @ m))) for e in effects]
-
-    def expectation(self, ops: dict[Site, np.ndarray]) -> float:
-        """Normalized <psi| prod ops |psi> (ops on distinct sites)."""
-        work = self._amps
-        for site, op in ops.items():
-            ax = self._axis(site)
-            work = np.moveaxis(
-                np.tensordot(op, work, axes=([1], [ax])), 0, ax
-            )
-        val = np.vdot(self._amps, work) / self.weight()
-        return float(np.real(val))
+        return [float(np.real(np.vdot(m, _effect(a) @ m))) for a in actions]
 
     def apply_op(self, site: Site, op: np.ndarray) -> None:
-        ax = self._axis(site)
-        self._amps = np.moveaxis(
-            np.tensordot(op, self._amps, axes=([1], [ax])), 0, ax
-        )
+        self._amps, self._sites = self._acted(site, op)
 
     def project(self, site: Site, row: np.ndarray) -> None:
         """Apply a rank-1 outcome <row| and drop the site axis."""
-        ax = self._axis(site)
-        self._amps = np.tensordot(
-            np.asarray(row, dtype=complex), self._amps, axes=([0], [ax])
-        )
-        self._sites.pop(ax)
+        self._amps, self._sites = self._acted(site, row)
 
-    def branch(self, site: Site, row: np.ndarray) -> "DenseEngine":
-        """Non-mutating project; shares no state with self."""
+    def branch(self, site: Site, action: np.ndarray) -> "DenseEngine":
+        """Non-mutating apply_op or project; shares no state with self."""
         new = object.__new__(DenseEngine)
         new.lattice = self.lattice
-        ax = self._axis(site)
-        new._amps = np.tensordot(
-            np.asarray(row, dtype=complex), self._amps, axes=([0], [ax])
-        )
-        new._sites = [s for s in self._sites if s != site]
+        new._amps, new._sites = self._acted(site, action)
         return new
 
 
@@ -475,8 +416,32 @@ class TracedEngine:
     def op_weight(self, site: Site, op: np.ndarray) -> float:
         return _layer_value(self.lattice, None, self._effects(site, op))
 
-    def apply(self, site: Site, op: np.ndarray) -> None:
+    def effect_weight(self, site: Site, action: np.ndarray) -> float:
+        return self.op_weight(site, _as_op(action))
+
+    def effect_weights(
+        self, site: Site, actions: list[np.ndarray]
+    ) -> list[float]:
+        return [self.effect_weight(site, a) for a in actions]
+
+    def apply_op(self, site: Site, op: np.ndarray) -> None:
         self._ops[site] = op @ self._ops.get(site, _ID4)
+
+    def project(self, site: Site, row: np.ndarray) -> None:
+        self.apply_op(site, _as_op(row))
+
+    def branch(self, site: Site, action: np.ndarray) -> "TracedEngine":
+        new = TracedEngine(self.lattice)
+        new._ops = dict(self._ops)
+        new.apply_op(site, _as_op(action))
+        return new
+
+
+def measurement_engine(
+    lattice: HexLattice, term: BoundaryTermination | None
+) -> DenseEngine | TracedEngine:
+    """The engine for ``term``: traced edges or the dense pinned state."""
+    return TracedEngine(lattice) if term is None else DenseEngine(lattice, term)
 
 
 # -- chain-rule sampling ------------------------------------------------------
@@ -512,24 +477,9 @@ class MeasurementRecord:
     seed: int
     steps: list[StepOutcome] = field(default_factory=list)
 
-    def axis_assignment(self) -> dict[Site, str]:
-        return {
-            s.site: str(s.outcome)
-            for s in self.steps
-            if s.kind == "polarize"
-        }
-
-    def bit(self, site: Site) -> int:
-        for s in self.steps:
-            if s.site == site and s.kind != "polarize":
-                return int(s.outcome)
-        raise KeyError(f"no projective outcome recorded for {site}")
-
 
 def _step_alternatives(step: PlanStep) -> list[tuple[str | int, np.ndarray]]:
-    """(label, single-site operation) choices for one step."""
-    from .tensors import AXES
-
+    """(label, action) choices for one step."""
     if step.kind == "polarize":
         return [(ax, povm_element(ax)) for ax in AXES]
     if step.kind == "standard":
@@ -558,31 +508,11 @@ def chain_rule_sample(
     samples within that ground state.
     """
     rng = np.random.default_rng(rng_seed)
-    pinned = term is not None and lattice.n_sites <= DENSE_SITE_CAP
-    if term is not None and not pinned:
-        raise LatticeSizeError("pinned sampling needs the dense path")
-    engine = DenseEngine(lattice, term) if pinned else TracedEngine(lattice)
+    engine = measurement_engine(lattice, term)
     record = MeasurementRecord(seed=rng_seed)
     for step in plan:
         alts = _step_alternatives(step)
-        if pinned:
-            effects = [
-                action @ action
-                if step.kind == "polarize"
-                else np.outer(np.conj(action), action)
-                for _, action in alts
-            ]
-            weights = engine.effect_weights(step.site, effects)
-        else:
-            weights = [
-                engine.op_weight(
-                    step.site,
-                    action
-                    if step.kind == "polarize"
-                    else np.outer(np.conj(action), action),
-                )
-                for _, action in alts
-            ]
+        weights = engine.effect_weights(step.site, [a for _, a in alts])
         # each alternative set is complete on the current support, so the
         # weights sum to the state weight
         total = sum(weights)
@@ -594,18 +524,10 @@ def chain_rule_sample(
             raise ProbabilityConsistencyError("no outcome has weight")
         pick = int(rng.choice(len(alts), p=[p / norm for p in probs]))
         label, action = alts[pick]
-        if pinned:
-            if step.kind == "polarize":
-                engine.apply_op(step.site, action)
-            else:
-                engine.project(step.site, action)
+        if step.kind == "polarize":
+            engine.apply_op(step.site, action)
         else:
-            op = (
-                action
-                if step.kind == "polarize"
-                else np.outer(np.conj(action), action)
-            )
-            engine.apply(step.site, op)
+            engine.project(step.site, action)
         record.steps.append(
             StepOutcome(step.site, step.kind, label, probs[pick])
         )

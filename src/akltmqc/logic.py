@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contraction import (
-    DENSE_SITE_CAP,
     BoundaryTermination,
     DenseEngine,
-    LatticeSizeError,
     StepOutcome,
+    measurement_engine,
 )
-from .lattice import HexLattice, Leg, Site, SiteKind
+from .lattice import HexLattice, Leg, Site
 from .router import (
     DEFAULT_SPACING,
     Backbone,
@@ -39,7 +38,7 @@ from .router import (
     route_backbone,
 )
 from .sampler import AxisAssignment, SampleMode, matched_bonds, stage1_sample
-from .tensors import AXES, comp_covector, povm_element, standard_covector
+from .tensors import comp_covector, povm_element, standard_covector
 
 FORMAT_VERSION = 1
 MAX_ROUTE_ATTEMPTS = 256
@@ -526,12 +525,6 @@ class MeasurementPlan:
     readout_sites: dict[int, Site]
     wires: int
 
-    def plan_site(self, site: Site) -> PlanSite:
-        for ps in self.order:
-            if ps.site == site:
-                return ps
-        raise KeyError(site)
-
     def interior_sites(self) -> frozenset[Site]:
         return frozenset(
             ps.site for ps in self.order if ps.kind == "complementary"
@@ -983,15 +976,6 @@ class RunRecord:
     steps: list[StepOutcome]
     readouts: dict[int, int]
 
-    def bit(self, site: Site) -> int:
-        for step in self.steps:
-            if step.site == site:
-                return step.outcome
-        raise KeyError(site)
-
-    def outcomes(self) -> dict[Site, int]:
-        return {step.site: step.outcome for step in self.steps}
-
 
 def interpret_readout(
     record: RunRecord, frame: ByproductFrame
@@ -1110,11 +1094,7 @@ def _polarized_engine(
     assignment: AxisAssignment,
     term: BoundaryTermination,
 ) -> DenseEngine:
-    if lattice.rows * lattice.cols > DENSE_SITE_CAP:
-        raise LatticeSizeError(
-            f"exact protocol runs cap at {DENSE_SITE_CAP} sites"
-        )
-    engine = DenseEngine(lattice, term)
+    engine = measurement_engine(lattice, term)
     for site in lattice.sites():
         engine.apply_op(site, povm_element(assignment[site]))
     return engine
@@ -1154,12 +1134,7 @@ def _drive(
         else:
             rows = _site_rows(ps, _runtime_angle(ps, frame))
             w0 = engine.weight()
-            e = [
-                max(
-                    engine.effect_weight(ps.site, np.outer(np.conj(r), r)), 0.0
-                )
-                for r in rows
-            ]
+            e = [max(engine.effect_weight(ps.site, r), 0.0) for r in rows]
             total = e[0] + e[1]
             if not total > 0.0 or not np.isfinite(total) or w0 <= 0.0:
                 raise ProtocolError(f"degenerate weights at {ps.site}")
@@ -1241,12 +1216,7 @@ def protocol_branches(
         if w0 <= 0.0:
             return
         for b in (0, 1):
-            e = max(
-                engine.effect_weight(
-                    ps.site, np.outer(np.conj(rows[b]), rows[b])
-                ),
-                0.0,
-            )
+            e = max(engine.effect_weight(ps.site, rows[b]), 0.0)
             p = prob * (e / w0)
             if p <= min_probability:
                 continue

@@ -8,7 +8,6 @@ evidence, not tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -16,16 +15,15 @@ import numpy as np
 
 from .contraction import (
     BoundaryTermination,
-    DenseEngine,
     LatticeSizeError,
     PlanStep,
-    TracedEngine,
     _layer_value,
     _step_alternatives,
     build_state,
+    measurement_engine,
 )
 from .lattice import HexLattice, Leg, Site, ket_role
-from .tensors import AXES, PAULI_Y, _sym_isometry, rotation
+from .tensors import AXES, _sym_isometry, rotation
 
 if TYPE_CHECKING:
     from .logic import CircuitSpec
@@ -179,21 +177,6 @@ def hamiltonian_pair_check(
 # -- reference logical simulation ---------------------------------------------
 
 
-@dataclass
-class LogicalState:
-    """Dense state over w logical wires, wire 0 = slowest axis."""
-
-    wires: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.wires > 3:
-            raise ValueError("reference simulator supports at most 3 wires")
-        n = np.linalg.norm(self.amplitudes)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError("logical state must be normalized")
-
-
 def _apply_1q(state: np.ndarray, wires: int, wire: int, u: np.ndarray):
     t = state.reshape((2,) * wires)
     t = np.moveaxis(np.tensordot(u, t, axes=([1], [wire])), 0, wire)
@@ -257,10 +240,7 @@ def brute_force_joint(
         count *= len(_step_alternatives(step))
         if count > BRANCH_CAP:
             raise ValueError(f"branch count exceeds cap {BRANCH_CAP}")
-    pinned = term is not None
-    if pinned and lattice.n_sites > 12:
-        raise LatticeSizeError("pinned enumeration needs the dense path")
-    engine = DenseEngine(lattice, term) if pinned else TracedEngine(lattice)
+    engine = measurement_engine(lattice, term)
     total = engine.weight()
     out: dict[tuple, float] = {}
 
@@ -270,21 +250,7 @@ def brute_force_joint(
             return
         step = plan[depth]
         for label, action in _step_alternatives(step):
-            if pinned:
-                if step.kind == "polarize":
-                    child = eng.copy()
-                    child.apply_op(step.site, action)
-                else:
-                    child = eng.branch(step.site, action)
-            else:
-                child = TracedEngine(lattice)
-                child._ops = dict(eng._ops)
-                op = (
-                    action
-                    if step.kind == "polarize"
-                    else np.outer(np.conj(action), action)
-                )
-                child.apply(step.site, op)
+            child = eng.branch(step.site, action)
             recurse(child, depth + 1, prefix + (label,))
 
     recurse(engine, 0, ())
@@ -314,18 +280,11 @@ def two_point_correlation(
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
     s = spin_operators()[AXES.index(axis)]
-    if term is not None:
-        eng = DenseEngine(lattice, term)
-        if site_i == site_j:
-            mean = eng.expectation({site_i: s})
-            return eng.expectation({site_i: s @ s}) - mean**2
-        joint = eng.expectation({site_i: s, site_j: s})
-        return joint - eng.expectation({site_i: s}) * eng.expectation({site_j: s})
-    z = _layer_value(lattice, None, {})
+    z = _layer_value(lattice, term, {})
     if site_i == site_j:
-        mean = _layer_value(lattice, None, {site_i: s}) / z
-        return _layer_value(lattice, None, {site_i: s @ s}) / z - mean**2
-    joint = _layer_value(lattice, None, {site_i: s, site_j: s}) / z
-    mi = _layer_value(lattice, None, {site_i: s}) / z
-    mj = _layer_value(lattice, None, {site_j: s}) / z
+        mean = _layer_value(lattice, term, {site_i: s}) / z
+        return _layer_value(lattice, term, {site_i: s @ s}) / z - mean**2
+    joint = _layer_value(lattice, term, {site_i: s, site_j: s}) / z
+    mi = _layer_value(lattice, term, {site_i: s}) / z
+    mj = _layer_value(lattice, term, {site_j: s}) / z
     return joint - mi * mj

@@ -17,7 +17,7 @@ normal remedy is a fresh stage-one sample, not an exception.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -22,13 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Leg, SiteKind, ket_role
+from .lattice import SiteKind
 
 AXES = ("x", "y", "z")
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _SQ2 = np.sqrt(2.0)
@@ -63,11 +61,6 @@ COMP_PHASE = {
     ("y", "z"): 1.0,
     ("y", "x"): -1.0j,
 }
-
-
-def virtual_basis(axis: str) -> np.ndarray:
-    """Columns are the ket components of |0 axis>, |1 axis>."""
-    return _U2[axis]
 
 
 @dataclass(frozen=True)
@@ -237,22 +230,6 @@ def measured_tensor(kind: SiteKind, row: np.ndarray) -> np.ndarray:
     a projective outcome <phi| after the polarizing step.
     """
     return np.einsum("a,alrv->lrv", row, site_tensor(kind))
-
-
-def contract_leg(
-    tensor3: np.ndarray, kind: SiteKind, leg: Leg, vec: VirtualVec
-) -> np.ndarray:
-    """Close one virtual leg of a (2, 2, 2) tensor with a ket or bra.
-
-    The receiving leg must have the complementary role: ket legs accept
-    bras and bra legs accept kets. Remaining legs keep (left, right, vert)
-    order in the returned 2x2 matrix.
-    """
-    want = "bra" if ket_role(kind, leg) else "ket"
-    if vec.role != want:
-        raise ValueError(f"{leg.value} leg of {kind.name} site needs a {want}")
-    axis_pos = {Leg.LEFT: 0, Leg.RIGHT: 1, Leg.VERT: 2}[leg]
-    return np.tensordot(tensor3, vec.vector, axes=([axis_pos], [0]))
 
 
 # -- comparisons ----------------------------------------------------------

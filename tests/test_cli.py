@@ -184,3 +184,34 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ACCEPTANCE_CHECKS", stub)
     assert cli.main(["verify", "--level", "full"]) == 2
     assert "FAIL  1 alpha: broken" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["percolate", "--p", "0.5", "--size", "0x4", "--seed", "1"],
+        ["percolate", "--p", "0.5", "--size", "4x8,3x0", "--seed", "1"],
+        ["percolate", "--p", "0.5", "--size", "2000x1000", "--seed", "1"],
+        ["sample", "--lattice", "2000x1000", "--mode", "iid", "--seed", "1"],
+        ["sample", "--lattice", "2x4", "--mode", "iid", "--seed", "-1"],
+        ["percolate", "--p", "0.5", "--size", "4x8", "--seed", "-1"],
+    ],
+)
+def test_out_of_range_input_is_validation_error(capsys, argv):
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["reason"]) == ("validation", "bad-arguments")
+
+
+@pytest.mark.parametrize("command", ["sample", "run"])
+def test_exact_over_dense_cap_is_lattice_size_error(
+    capsys, identity_circuit, command
+):
+    argv = [command, "--lattice", "3x5", "--seed", "1", "--mode", "exact"]
+    if command == "sample":
+        argv += ["--term", "x"]
+    else:
+        argv += ["--circuit", identity_circuit]
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["reason"]) == ("validation", "lattice-size")

@@ -8,12 +8,14 @@ from akltmqc.contraction import (
     MeasurementPattern,
     PlanStep,
     Polarized,
+    build_state,
     chain_rule_sample,
     pattern_probability,
     reduced_density,
 )
 from akltmqc.lattice import Leg, build_lattice
-from akltmqc.tensors import AXES, virtual_ket
+from akltmqc.oracle import spin_operators, two_point_correlation
+from akltmqc.tensors import AXES, povm_element, virtual_ket
 
 
 @pytest.mark.parametrize("term", [None, BoundaryTermination(axis="z")])
@@ -116,3 +118,61 @@ def test_termination_override_role_checked():
     )
     with pytest.raises(ValueError):
         term.vec_for(lat, (0, 1), Leg.VERT)
+
+
+def _dense_expectation(lat, psi, ops):
+    """<psi| prod ops |psi> / <psi|psi> straight from the amplitudes."""
+    work = psi
+    for site, op in ops.items():
+        ax = lat.site_index(site)
+        work = np.moveaxis(np.tensordot(op, work, axes=([1], [ax])), 0, ax)
+    return float(np.real(np.vdot(psi, work) / np.vdot(psi, psi)))
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_pinned_layer_matches_dense_reference(axis):
+    # pinned probabilities, densities and correlations against the dense
+    # pinned state, computed here from the amplitudes of build_state
+    lat = build_lattice(2, 3)
+    term = BoundaryTermination(axis=axis)
+    psi = build_state(lat, term).tensor()
+    sites = list(lat.sites())
+
+    def effect(a):
+        m = povm_element(a)
+        return m.conj().T @ m
+
+    patterns = [{s: a} for s in sites for a in AXES]
+    patterns += [
+        {b.a: a, b.b: c} for b in lat.bonds() for a in AXES for c in AXES
+    ]
+    patterns.append({s: AXES[i % 3] for i, s in enumerate(sites)})
+    for pat in patterns:
+        entries = {s: Polarized(a) for s, a in pat.items()}
+        got = pattern_probability(lat, term, MeasurementPattern(entries))
+        effects = {s: effect(a) for s, a in pat.items()}
+        want = _dense_expectation(lat, psi, effects)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    for site in sites:
+        m = np.moveaxis(psi, lat.site_index(site), 0).reshape(4, -1)
+        want = m @ m.conj().T
+        want /= np.trace(want).real
+        np.testing.assert_allclose(
+            reduced_density(lat, term, site), want, rtol=0, atol=1e-12
+        )
+
+    spins = dict(zip(AXES, spin_operators()))
+    for a in AXES:
+        s = spins[a]
+        for i, j in [((0, 0), (0, 0)), ((0, 1), (0, 2)), ((0, 0), (1, 2))]:
+            if i == j:
+                mean = _dense_expectation(lat, psi, {i: s})
+                want = _dense_expectation(lat, psi, {i: s @ s}) - mean**2
+            else:
+                want = _dense_expectation(lat, psi, {i: s, j: s}) - (
+                    _dense_expectation(lat, psi, {i: s})
+                    * _dense_expectation(lat, psi, {j: s})
+                )
+            got = two_point_correlation(lat, term, i, j, a)
+            assert got == pytest.approx(want, abs=1e-12)

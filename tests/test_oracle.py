@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from akltmqc.contraction import BoundaryTermination, build_state
+from akltmqc.contraction import (
+    BoundaryTermination,
+    MeasurementPattern,
+    PlanStep,
+    Polarized,
+    build_state,
+    chain_rule_sample,
+    pattern_probability,
+)
 from akltmqc.lattice import build_lattice
 from akltmqc.logic import CNOT, CircuitSpec, Init, Readout, Rx, Rz
 from akltmqc.oracle import (
     affine_constants,
+    brute_force_joint,
     coupling_polynomial,
     hamiltonian_pair_check,
     pair_coupling,
@@ -135,3 +144,29 @@ def test_correlation_symmetric_and_isotropic():
         two_point_correlation(lat, None, (0, 1), (0, 2), ax) for ax in AXES
     ]
     assert max(vals) - min(vals) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "rows,cols,axis",
+    [(2, 2, None), (2, 3, None), (1, 3, "x"), (2, 2, "y"), (2, 3, "z")],
+)
+def test_brute_force_joint_matches_sampler_and_patterns(rows, cols, axis):
+    lat = build_lattice(rows, cols)
+    term = None if axis is None else BoundaryTermination(axis=axis)
+    sites = list(lat.sites())
+    plan = [PlanStep(s, "polarize") for s in sites]
+    joint = brute_force_joint(lat, term, plan)
+    assert len(joint) == 3 ** len(sites)
+    assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
+    for seed in range(5):
+        rec = chain_rule_sample(lat, term, plan, seed)
+        key = tuple(str(step.outcome) for step in rec.steps)
+        prod = math.prod(step.probability for step in rec.steps)
+        assert prod == pytest.approx(joint[key], abs=1e-12)
+    for key, p in joint.items():
+        pattern = MeasurementPattern(
+            {s: Polarized(a) for s, a in zip(sites, key)}
+        )
+        assert pattern_probability(lat, term, pattern) == pytest.approx(
+            p, abs=1e-12
+        )
