@@ -189,10 +189,13 @@ def _write_out(text: str, out: str | None) -> None:
         if base:
             path = os.path.join(base, path)
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from None
 
 
 def _json_text(obj) -> str:

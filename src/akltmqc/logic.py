@@ -10,13 +10,19 @@ corrected boundary bit at the left end of each wire.
 
 Compilation failures, like routing failures, are values: the caller's
 remedy is a fresh stage-one sample.
+
+Stage 2 has one runtime and one step. ``_Runtime`` holds what a walk over
+a plan reads: it gives each site's two outcome rows, sign-adapted to the
+frame, and settles each completed event into the frame. ``_step`` turns
+one site's two effect weights into outcome probabilities. ``_drive``
+samples one path with them; ``protocol_branches`` enumerates every path.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from .router import (
     find_clusters,
     flag_off_limits,
     route_backbone,
+    spacing_failure,
 )
 from .sampler import AxisAssignment, SampleMode, matched_bonds, stage1_sample
 from .tensors import comp_covector, povm_element, standard_covector
@@ -278,7 +285,6 @@ class _FoldCtx:
     nu_map: dict[Site, str]
     assoc_sites: list[Site]
     member_sites: list[Site]
-    sums: list[int]  # [sum ax, sum az]
 
 
 def _stem_inputs(ctx: _FoldCtx, site: Site) -> list[tuple[str, int, Site | None]]:
@@ -377,8 +383,6 @@ def _fold_site(
     nu_p, c_p = partner
     ctx.nu_map[site] = nu_p
     dax, daz = byproduct_indices(ctx.mu, ctx.bit_of(site), c_p)
-    ctx.sums[0] ^= dax
-    ctx.sums[1] ^= daz
     nu_r, c_r = running
     return nu_r, c_r ^ _running_flip(nu_r, dax, daz)
 
@@ -421,8 +425,6 @@ def _fold_cycle(
         dax, daz = byproduct_indices(ctx.mu, ctx.bit_of(k), c_p)
         sx ^= dax
         sz ^= daz
-    ctx.sums[0] ^= sx
-    ctx.sums[1] ^= sz
     nu0 = "x" if ctx.mu == "z" else "z"
     ctx.nu_map[zeroth] = nu0
     acc = sz if ctx.mu == "z" else sx
@@ -448,7 +450,7 @@ def _fold_branch(
     interior: frozenset[Site],
     term: BoundaryTermination | None,
     bit_of,
-) -> tuple[str, int, tuple[int, int], _FoldCtx]:
+) -> tuple[str, int, _FoldCtx]:
     ctx = _FoldCtx(
         lattice=lattice,
         assignment=assignment,
@@ -460,10 +462,9 @@ def _fold_branch(
         nu_map={},
         assoc_sites=[],
         member_sites=[],
-        sums=[0, 0],
     )
     nu, cbar = _fold_site(ctx, first, root, set())
-    return nu, cbar, (ctx.sums[0], ctx.sums[1]), ctx
+    return nu, cbar, ctx
 
 
 # -- measurement plans ----------------------------------------------------------
@@ -626,6 +627,10 @@ def compile_plan(
         finalize.append(fin)
 
     def resolve(s: Site) -> tuple[Reference, list[Site]] | CompileFailure:
+        """Record the reference feeding widget ``s`` and emit its sources.
+
+        Returns the reference and every site its bit is read from.
+        """
         free = [
             leg
             for leg in Leg
@@ -652,49 +657,53 @@ def compile_plan(
                     "rank-deficient",
                     f"boundary frame at {s} matches its axis {mu}",
                 )
-            return Reference("termination", axis, bit=bit), []
-        if assignment[n] != mu:
+            ref, ref_sites = Reference("termination", axis, bit=bit), []
+        elif assignment[n] != mu:
             if n in extensions or (
                 n in placed and placed[n].kind == "complementary"
             ):
                 return CompileFailure(
                     "associate-clash", f"{s} leans on interior site {n}"
                 )
-            return Reference("associate", assignment[n], site=n), [n]
-        if n in extensions:
-            return CompileFailure(
-                "branch-clash", f"cluster at {n} already folded elsewhere"
-            )
-        try:
-            nu, _, _, ctx = _fold_branch(
-                lattice,
-                assignment,
-                cluster_adj,
-                n,
-                s,
-                frozenset(backbone_set | extensions),
-                term,
-                lambda _s: 0,
-            )
-        except ProtocolError as exc:
-            return CompileFailure("branch-fold", str(exc))
-        extensions.update(ctx.member_sites)
-        ref_sites: list[Site] = []
-        for a in ctx.assoc_sites:
-            emit(PlanSite(a, "standard", assignment[a], role="associate"))
-            ref_sites.append(a)
-        for e in ctx.member_sites:
-            emit(
-                PlanSite(
-                    e,
-                    "complementary",
-                    mu,
-                    partner_axis=ctx.nu_map[e],
-                    role="extension",
+            emit(PlanSite(n, "standard", assignment[n], role="associate"))
+            ref, ref_sites = Reference("associate", assignment[n], site=n), [n]
+        else:
+            if n in extensions:
+                return CompileFailure(
+                    "branch-clash", f"cluster at {n} already folded elsewhere"
                 )
-            )
-            ref_sites.append(e)
-        return Reference("branch", nu, first=n), ref_sites
+            try:
+                nu, _, ctx = _fold_branch(
+                    lattice,
+                    assignment,
+                    cluster_adj,
+                    n,
+                    s,
+                    frozenset(backbone_set | extensions),
+                    term,
+                    lambda _s: 0,
+                )
+            except ProtocolError as exc:
+                return CompileFailure("branch-fold", str(exc))
+            extensions.update(ctx.member_sites)
+            ref_sites = []
+            for a in ctx.assoc_sites:
+                emit(PlanSite(a, "standard", assignment[a], role="associate"))
+                ref_sites.append(a)
+            for e in ctx.member_sites:
+                emit(
+                    PlanSite(
+                        e,
+                        "complementary",
+                        mu,
+                        partner_axis=ctx.nu_map[e],
+                        role="extension",
+                    )
+                )
+                ref_sites.append(e)
+            ref = Reference("branch", nu, first=n)
+        reference[s] = ref
+        return ref, ref_sites
 
     def emit_widget(
         s: Site,
@@ -707,13 +716,6 @@ def compile_plan(
         if isinstance(res, CompileFailure):
             return res
         ref, ref_sites = res
-        if ref.kind == "associate":
-            emit(
-                PlanSite(
-                    ref.site, "standard", assignment[ref.site], role="associate"
-                )
-            )
-        reference[s] = ref
         if theta != 0.0:
             depends[s] = frozenset(cones[w])
         ev = len(events)
@@ -736,59 +738,77 @@ def compile_plan(
         return None
 
     pos = [0] * circuit.wires
+
+    def walk(
+        w: int,
+        stop,
+        blocked: str,
+        missing: CompileFailure,
+        detail: str | None = None,
+        fill=None,
+    ) -> int | CompileFailure:
+        """Advance wire ``w`` past its next site where ``stop`` holds.
+
+        Every site passed on the way is handed to ``fill`` (a fiducial
+        identity widget by default); a junction passed fails with reason
+        ``blocked``. Returns the stop site's index on the wire.
+        """
+        path = wires[w]
+        for i in range(pos[w], len(path)):
+            s = path[i]
+            if stop(s):
+                pos[w] = i + 1
+                return i
+            if s in junction_kind:
+                return CompileFailure(blocked, detail or f"wire {w} at {s}")
+            bad = emit_widget(s, w) if fill is None else fill(s)
+            if bad is not None:
+                return bad
+        return missing
+
+    def axis_site(axis: str):
+        return lambda s: s not in junction_kind and assignment[s] == axis
+
     jcount = 0
     for gidx, gate in enumerate(circuit.gates):
         if isinstance(gate, Init):
-            w, path = gate.wire, wires[gate.wire]
-            i, found = pos[w], None
-            while i < len(path):
-                s = path[i]
-                if s in junction_kind:
-                    return CompileFailure(
-                        "junction-before-input", f"wire {w} at {s}"
-                    )
-                if assignment[s] == "z":
-                    found = i
-                    break
-                emit(PlanSite(s, "standard", assignment[s], role="pre", wire=w))
-                i += 1
-            if found is None:
-                return CompileFailure("no-input-site", f"wire {w}")
-            s = path[found]
+            w = gate.wire
+            found = walk(
+                w,
+                axis_site("z"),
+                "junction-before-input",
+                CompileFailure("no-input-site", f"wire {w}"),
+                fill=lambda s: emit(
+                    PlanSite(s, "standard", assignment[s], role="pre", wire=w)
+                ),
+            )
+            if isinstance(found, CompileFailure):
+                return found
+            s = wires[w][found]
             ev = len(events)
             events.append(FrameEvent("init", (s,), wire=w, gate=gidx))
             emit(PlanSite(s, "standard", "z", role="init", wire=w), fin=ev)
             init_sites[w] = s
             cones[w] = {s}
-            pos[w] = found + 1
         elif isinstance(gate, (Rz, Rx)):
-            w, path = gate.wire, wires[gate.wire]
+            w = gate.wire
             axis = "z" if isinstance(gate, Rz) else "x"
-            i, done = pos[w], False
-            while i < len(path):
-                s = path[i]
-                if s in junction_kind:
-                    return CompileFailure(
-                        "rotation-blocked",
-                        f"wire {w} hits a junction before a {axis} site",
-                    )
-                if assignment[s] == axis:
-                    bad = emit_widget(
-                        s, w, theta=gate.theta, gate=gidx, role="rotation"
-                    )
-                    if bad is not None:
-                        return bad
-                    pos[w] = i + 1
-                    done = True
-                    break
-                bad = emit_widget(s, w)
-                if bad is not None:
-                    return bad
-                i += 1
-            if not done:
-                return CompileFailure(
+            found = walk(
+                w,
+                axis_site(axis),
+                "rotation-blocked",
+                CompileFailure(
                     "wire-exhausted", f"wire {w} lacks a free {axis} site"
-                )
+                ),
+                detail=f"wire {w} hits a junction before a {axis} site",
+            )
+            if isinstance(found, CompileFailure):
+                return found
+            bad = emit_widget(
+                wires[w][found], w, theta=gate.theta, gate=gidx, role="rotation"
+            )
+            if bad is not None:
+                return bad
         elif isinstance(gate, CNOT):
             jp = backbone.junctions[jcount]
             jcount += 1
@@ -796,27 +816,17 @@ def compile_plan(
                 (gate.control, jp.control),
                 (gate.target, jp.target),
             ):
-                path = wires[w]
-                i, hit = pos[w], False
-                while i < len(path):
-                    s = path[i]
-                    if s == stop:
-                        hit = True
-                        break
-                    if s in junction_kind:
-                        return CompileFailure(
-                            "junction-misordered", f"wire {w} at {s}"
-                        )
-                    bad = emit_widget(s, w)
-                    if bad is not None:
-                        return bad
-                    i += 1
-                if not hit:
-                    return CompileFailure(
+                found = walk(
+                    w,
+                    lambda s: s == stop,
+                    "junction-misordered",
+                    CompileFailure(
                         "junction-misordered",
                         f"junction {stop} not ahead on wire {w}",
-                    )
-                pos[w] = i + 1
+                    ),
+                )
+                if isinstance(found, CompileFailure):
+                    return found
             if assignment[jp.control] != "z" or assignment[jp.target] != "x":
                 return CompileFailure(
                     "junction-axes", f"{jp.control} / {jp.target}"
@@ -828,16 +838,6 @@ def compile_plan(
                 if isinstance(res, CompileFailure):
                     return res
                 ref, ref_sites = res
-                if ref.kind == "associate":
-                    emit(
-                        PlanSite(
-                            ref.site,
-                            "standard",
-                            assignment[ref.site],
-                            role="associate",
-                        )
-                    )
-                reference[k] = ref
                 link_refs.extend(ref_sites)
                 link_sites.append(
                     PlanSite(
@@ -891,22 +891,14 @@ def compile_plan(
             cones[gate.target] = set(shared)
         else:  # Readout
             w, path = gate.wire, wires[gate.wire]
-            i, found = pos[w], None
-            while i < len(path):
-                s = path[i]
-                if s in junction_kind:
-                    return CompileFailure(
-                        "junction-after-gates", f"wire {w} at {s}"
-                    )
-                if assignment[s] == "z":
-                    found = i
-                    break
-                bad = emit_widget(s, w)
-                if bad is not None:
-                    return bad
-                i += 1
-            if found is None:
-                return CompileFailure("no-readout-site", f"wire {w}")
+            found = walk(
+                w,
+                axis_site("z"),
+                "junction-after-gates",
+                CompileFailure("no-readout-site", f"wire {w}"),
+            )
+            if isinstance(found, CompileFailure):
+                return found
             s = path[found]
             # the readout outcome must stay free: a z-axis neighbour or a
             # z-pinned dangling leg copies or forces it, collapsing the
@@ -933,7 +925,6 @@ def compile_plan(
             readout_sites[w] = s
             for t in path[found + 1 :]:
                 emit(PlanSite(t, "standard", assignment[t], role="post", wire=w))
-            pos[w] = len(path)
 
     sea = [
         PlanSite(s, "standard", assignment[s], role="sea")
@@ -978,115 +969,123 @@ class RunRecord:
 
 
 def interpret_readout(
-    record: RunRecord, frame: ByproductFrame
+    readouts: dict[int, int], frame: ByproductFrame
 ) -> LogicalOutcome:
     """Boundary bit per wire is the flipped readout; X exponent corrects it."""
     raw = []
     corrected = []
-    for w in sorted(record.readouts):
-        c = record.readouts[w] ^ 1
+    for w in sorted(readouts):
+        c = readouts[w] ^ 1
         raw.append(c)
         corrected.append(c ^ frame.ax[w])
     return LogicalOutcome(tuple(raw), tuple(corrected))
 
 
-def _runtime_angle(ps: PlanSite, frame: ByproductFrame) -> float:
-    if ps.kind != "complementary" or ps.theta == 0.0:
-        return ps.theta if ps.kind == "complementary" else 0.0
-    return adapt_angle(ps.theta, frame, ps.axis, ps.wire)
+@dataclass(frozen=True)
+class _Runtime:
+    """What stage 2 reads while it walks a plan, built once per walk."""
 
+    lattice: HexLattice
+    assignment: AxisAssignment
+    plan: MeasurementPlan
+    circuit: CircuitSpec
+    term: BoundaryTermination
+    cluster_adj: dict[Site, set[Site]] = field(init=False)
+    interior: frozenset[Site] = field(init=False)
 
-def _site_rows(ps: PlanSite, angle: float) -> list[np.ndarray]:
-    if ps.kind == "standard":
-        return [standard_covector(ps.axis, b) for b in (0, 1)]
-    return [
-        comp_covector(ps.axis, ps.partner_axis, angle, b) for b in (0, 1)
-    ]
+    def __post_init__(self):
+        adj = _matched_adjacency(self.lattice, self.assignment)
+        object.__setattr__(self, "cluster_adj", adj)
+        object.__setattr__(self, "interior", self.plan.interior_sites())
 
-
-def _reference_bit(
-    site: Site,
-    ref: Reference,
-    lattice: HexLattice,
-    assignment: AxisAssignment,
-    term: BoundaryTermination | None,
-    cluster_adj: dict[Site, set[Site]],
-    interior: frozenset[Site],
-    outcomes: dict[Site, int],
-) -> int:
-    if ref.kind == "associate":
-        return outcomes[ref.site]
-    if ref.kind == "termination":
-        return ref.bit
-    nu, cbar, _, _ = _fold_branch(
-        lattice,
-        assignment,
-        cluster_adj,
-        ref.first,
-        site,
-        interior,
-        term,
-        outcomes.__getitem__,
-    )
-    if nu != ref.axis:
-        raise ProtocolError(
-            f"branch at {site} folded into frame {nu}, plan says {ref.axis}"
+    def rows(self, ps: PlanSite, frame: ByproductFrame) -> list[np.ndarray]:
+        """The two outcome rows of ``ps``; rotations adapt to ``frame``."""
+        if ps.kind == "standard":
+            return [standard_covector(ps.axis, b) for b in (0, 1)]
+        angle = (
+            adapt_angle(ps.theta, frame, ps.axis, ps.wire) if ps.theta else 0.0
         )
-    return cbar
+        return [
+            comp_covector(ps.axis, ps.partner_axis, angle, b) for b in (0, 1)
+        ]
+
+    def settle(
+        self, idx: int, outcomes: dict[Site, int], frame: ByproductFrame
+    ) -> int | None:
+        """Fold the event completed by ``plan.order[idx]`` into ``frame``.
+
+        Returns that event's index, or None when the site completes none.
+        """
+        fin = self.plan.finalize[idx]
+        if fin is None:
+            return None
+        ev = self.plan.events[fin]
+
+        def exponents(s: Site) -> tuple[int, int]:
+            ref = self.plan.reference[s]
+            if ref.kind == "associate":
+                c = outcomes[ref.site]
+            elif ref.kind == "termination":
+                c = ref.bit
+            else:
+                nu, c, _ = _fold_branch(
+                    self.lattice,
+                    self.assignment,
+                    self.cluster_adj,
+                    ref.first,
+                    s,
+                    self.interior,
+                    self.term,
+                    outcomes.__getitem__,
+                )
+                if nu != ref.axis:
+                    raise ProtocolError(
+                        f"branch at {s} folded into frame {nu}, "
+                        f"plan says {ref.axis}"
+                    )
+            return byproduct_indices(self.assignment[s], outcomes[s], c)
+
+        if ev.kind == "init":
+            frame.ax[ev.wire] = outcomes[ev.sites[0]] & 1
+            frame.az[ev.wire] = 0
+        elif ev.kind == "widget":
+            frame.update(ev.wire, *exponents(ev.sites[0]))
+        elif ev.kind == "cnot":
+            top, bot = ev.sites[0], ev.sites[-1]
+            sx = sz = 0
+            for k in ev.sites[1:-1]:
+                dax, daz = exponents(k)
+                sx ^= dax
+                sz ^= daz
+            gate = self.circuit.gates[ev.gate]
+            q1 = outcomes[top] ^ sz ^ 1
+            q2 = outcomes[bot] ^ sx ^ 1
+            # propagate the running frame through the new CNOT, then compose
+            # the junction's own byproduct
+            frame.az[gate.control] ^= frame.az[gate.target]
+            frame.ax[gate.target] ^= frame.ax[gate.control]
+            frame.ax[gate.control] ^= 1
+            frame.az[gate.control] ^= q1
+            frame.ax[gate.target] ^= q2
+            frame.az[gate.target] ^= 1
+        # readout events leave the frame alone
+        return fin
 
 
-def _apply_event(
-    ev: FrameEvent,
-    plan: MeasurementPlan,
-    circuit: CircuitSpec,
-    lattice: HexLattice,
-    assignment: AxisAssignment,
-    term: BoundaryTermination | None,
-    cluster_adj: dict[Site, set[Site]],
-    interior: frozenset[Site],
-    outcomes: dict[Site, int],
-    frame: ByproductFrame,
-) -> None:
-    """Fold one completed event's outcomes into the byproduct frame."""
+def _step(
+    engine: DenseEngine, site: Site, rows: list[np.ndarray]
+) -> tuple[float, float]:
+    """Outcome probabilities (p0, p1) of measuring ``site`` in ``rows``.
 
-    def ref_bit(s: Site) -> int:
-        return _reference_bit(
-            s,
-            plan.reference[s],
-            lattice,
-            assignment,
-            term,
-            cluster_adj,
-            interior,
-            outcomes,
-        )
-
-    if ev.kind == "init":
-        frame.ax[ev.wire] = outcomes[ev.sites[0]] & 1
-        frame.az[ev.wire] = 0
-    elif ev.kind == "widget":
-        s = ev.sites[0]
-        dax, daz = byproduct_indices(assignment[s], outcomes[s], ref_bit(s))
-        frame.update(ev.wire, dax, daz)
-    elif ev.kind == "cnot":
-        top, bot = ev.sites[0], ev.sites[-1]
-        sx = sz = 0
-        for k in ev.sites[1:-1]:
-            dax, daz = byproduct_indices(assignment[k], outcomes[k], ref_bit(k))
-            sx ^= dax
-            sz ^= daz
-        gate = circuit.gates[ev.gate]
-        q1 = outcomes[top] ^ sz ^ 1
-        q2 = outcomes[bot] ^ sx ^ 1
-        # propagate the running frame through the new CNOT, then compose
-        # the junction's own byproduct
-        frame.az[gate.control] ^= frame.az[gate.target]
-        frame.ax[gate.target] ^= frame.ax[gate.control]
-        frame.ax[gate.control] ^= 1
-        frame.az[gate.control] ^= q1
-        frame.ax[gate.target] ^= q2
-        frame.az[gate.target] ^= 1
-    # readout events leave the frame alone
+    After polarization both rows span the site's +-3/2 subspace, so their
+    two effect weights sum to the state's weight.
+    """
+    e0, e1 = (max(e, 0.0) for e in engine.effect_weights(site, rows))
+    total = e0 + e1
+    if not total > 0.0 or not math.isfinite(total):
+        raise ProtocolError(f"degenerate weights at {site}")
+    p0 = e0 / total
+    return p0, 1.0 - p0
 
 
 def _polarized_engine(
@@ -1117,8 +1116,7 @@ def _drive(
     size, but the coins carry no circuit information, so only the
     bookkeeping, not the logical statistics, is faithful.
     """
-    cluster_adj = _matched_adjacency(lattice, assignment)
-    interior = plan.interior_sites()
+    rt = _Runtime(lattice, assignment, plan, circuit, term)
     engine = (
         _polarized_engine(lattice, assignment, term)
         if mode is SampleMode.EXACT
@@ -1128,39 +1126,21 @@ def _drive(
     outcomes: dict[Site, int] = {}
     steps: list[StepOutcome] = []
     snapshots: list[dict] = []
-    for ps, fin in zip(plan.order, plan.finalize):
+    for idx, ps in enumerate(plan.order):
         if engine is None:
             b, p = int(rng.integers(0, 2)), 0.5
         else:
-            rows = _site_rows(ps, _runtime_angle(ps, frame))
-            w0 = engine.weight()
-            e = [max(engine.effect_weight(ps.site, r), 0.0) for r in rows]
-            total = e[0] + e[1]
-            if not total > 0.0 or not np.isfinite(total) or w0 <= 0.0:
-                raise ProtocolError(f"degenerate weights at {ps.site}")
-            p0 = e[0] / total
-            b = 0 if rng.random() < p0 else 1
-            p = p0 if b == 0 else 1.0 - p0
+            rows = rt.rows(ps, frame)
+            probs = _step(engine, ps.site, rows)
+            b = 0 if rng.random() < probs[0] else 1
+            p = probs[b]
             engine.project(ps.site, rows[b])
         outcomes[ps.site] = b
         steps.append(StepOutcome(ps.site, ps.kind, b, p))
+        fin = rt.settle(idx, outcomes, frame)
         if fin is not None:
-            ev = plan.events[fin]
-            _apply_event(
-                ev,
-                plan,
-                circuit,
-                lattice,
-                assignment,
-                term,
-                cluster_adj,
-                interior,
-                outcomes,
-                frame,
-            )
-            snapshots.append(
-                {"event": fin, "kind": ev.kind, **frame.snapshot()}
-            )
+            kind = plan.events[fin].kind
+            snapshots.append({"event": fin, "kind": kind, **frame.snapshot()})
     readouts = {w: outcomes[s] for w, s in plan.readout_sites.items()}
     return RunRecord(steps, readouts), frame, snapshots
 
@@ -1189,9 +1169,7 @@ def protocol_branches(
     lighter than ``min_probability`` are dropped; the survivors' weights
     still sum to 1 up to that cutoff.
     """
-    cluster_adj = _matched_adjacency(lattice, assignment)
-    interior = plan.interior_sites()
-    base = _polarized_engine(lattice, assignment, term)
+    rt = _Runtime(lattice, assignment, plan, circuit, term)
     out: list[ProtocolBranch] = []
 
     def descend(engine, idx, frame, outcomes, prob):
@@ -1199,47 +1177,34 @@ def protocol_branches(
             readouts = {
                 w: outcomes[s] for w, s in plan.readout_sites.items()
             }
-            record = RunRecord([], readouts)
             out.append(
                 ProtocolBranch(
                     tuple(sorted(outcomes.items())),
                     prob,
                     frame,
-                    interpret_readout(record, frame),
+                    interpret_readout(readouts, frame),
                 )
             )
             return
         ps = plan.order[idx]
-        fin = plan.finalize[idx]
-        rows = _site_rows(ps, _runtime_angle(ps, frame))
-        w0 = engine.weight()
-        if w0 <= 0.0:
-            return
-        for b in (0, 1):
-            e = max(engine.effect_weight(ps.site, rows[b]), 0.0)
-            p = prob * (e / w0)
+        rows = rt.rows(ps, frame)
+        for b, pb in enumerate(_step(engine, ps.site, rows)):
+            p = prob * pb
             if p <= min_probability:
                 continue
-            child = engine.branch(ps.site, rows[b])
-            sub_out = dict(outcomes)
-            sub_out[ps.site] = b
+            sub_out = {**outcomes, ps.site: b}
             sub_frame = frame.copy()
-            if fin is not None:
-                _apply_event(
-                    plan.events[fin],
-                    plan,
-                    circuit,
-                    lattice,
-                    assignment,
-                    term,
-                    cluster_adj,
-                    interior,
-                    sub_out,
-                    sub_frame,
-                )
+            rt.settle(idx, sub_out, sub_frame)
+            child = engine.branch(ps.site, rows[b])
             descend(child, idx + 1, sub_frame, sub_out, p)
 
-    descend(base, 0, ByproductFrame.zero(plan.wires), {}, 1.0)
+    descend(
+        _polarized_engine(lattice, assignment, term),
+        0,
+        ByproductFrame.zero(plan.wires),
+        {},
+        1.0,
+    )
     return out
 
 
@@ -1366,12 +1331,20 @@ def run_protocol(
 
     Each attempt draws a fresh stage-one sample from its own child seed, so
     results are reproducible from ``rng_seed`` alone. A ``term`` of None
-    pins the boundary to the default z frame.
+    pins the boundary to the default z frame. Wires that cannot fit the
+    patch at ``spacing`` fail before any sample is drawn.
     """
     mode = SampleMode(mode)
     circuit.validate()
     if term is None:
         term = BoundaryTermination()
+    if spacing is None:
+        spacing = auto_spacing(lattice, circuit)
+    unfit = spacing_failure(lattice, circuit.wires, spacing)
+    if unfit is not None:
+        raise ProtocolError(
+            f"no embedding fits the patch: {unfit.reason}: {unfit.detail}"
+        )
     root_ss = np.random.SeedSequence(rng_seed)
     last = "no attempt ran"
     for attempt, child in enumerate(root_ss.spawn(retries), start=1):
@@ -1394,7 +1367,7 @@ def run_protocol(
             np.random.default_rng(seed2),
         )
         return ProtocolResult(
-            outcome=interpret_readout(record, frame),
+            outcome=interpret_readout(record.readouts, frame),
             record=record,
             frames=snaps,
             frame=frame,

@@ -359,6 +359,24 @@ def _link_path(
     return None
 
 
+def spacing_failure(
+    lattice: HexLattice, n_wires: int, spacing: int
+) -> RoutingFailure | None:
+    """Why ``n_wires`` bands ``spacing`` rows apart cannot fit, or None.
+
+    The answer depends on the patch shape alone, not on any sample.
+    """
+    if spacing < 1:
+        return RoutingFailure("spacing-violation", "spacing must be >= 1")
+    if (n_wires - 1) * spacing > lattice.rows - 1:
+        return RoutingFailure(
+            "spacing-violation",
+            f"{n_wires} wires at spacing {spacing} need "
+            f"{(n_wires - 1) * spacing + 1} rows, lattice has {lattice.rows}",
+        )
+    return None
+
+
 def route_backbone(
     lattice: HexLattice,
     assignment: AxisAssignment,
@@ -378,15 +396,10 @@ def route_backbone(
     from .logic import CNOT  # deferred: logic builds on this module
 
     assignment.validate(lattice)
-    if spacing < 1:
-        return RoutingFailure("spacing-violation", "spacing must be >= 1")
+    unfit = spacing_failure(lattice, circuit.wires, spacing)
+    if unfit is not None:
+        return unfit
     n_wires = circuit.wires
-    if (n_wires - 1) * spacing > lattice.rows - 1:
-        return RoutingFailure(
-            "spacing-violation",
-            f"{n_wires} wires at spacing {spacing} need "
-            f"{(n_wires - 1) * spacing + 1} rows, lattice has {lattice.rows}",
-        )
     owner = {s: c.id for c in clusters for s in c.sites}
     oversized = {
         c.id for c in clusters if len(c.sites) > RENORM_SITE_CAP

@@ -215,3 +215,36 @@ def test_exact_over_dense_cap_is_lattice_size_error(
     assert cli.main(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["reason"]) == ("validation", "lattice-size")
+
+
+@pytest.mark.parametrize("leaf", [None, "x.csv"])
+def test_unwritable_out_is_validation_error(capsys, tmp_path, leaf):
+    # a directory cannot be opened for writing, nor a path through a file
+    out = tmp_path
+    if leaf is not None:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / leaf
+    code = cli.main(
+        ["percolate", "--p", "1.0", "--size", "4x8", "--trials", "10",
+         "--seed", "3", "--out", str(out)]
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["reason"]) == ("validation", "bad-arguments")
+
+
+def test_unfit_circuit_is_protocol_error(capsys, tmp_path):
+    path = tmp_path / "three.json"
+    gates = [{"gate": "init", "wire": w} for w in range(3)]
+    gates += [{"gate": "readout", "wire": w} for w in range(3)]
+    path.write_text(
+        json.dumps({"format_version": 1, "wires": 3, "gates": gates})
+    )
+    code = cli.main(
+        ["run", "--lattice", "2x4", "--circuit", str(path), "--seed", "1",
+         "--mode", "exact"]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["reason"]) == ("protocol", "no-embedding")
+    assert "spacing-violation" in err["detail"]

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from akltmqc import logic
 from akltmqc.contraction import BoundaryTermination
 from akltmqc.lattice import Leg, build_lattice
 from akltmqc.logic import (
@@ -205,3 +206,36 @@ def test_result_json_shape():
         assert key in data
     assert data["mode"] == "exact"
     json.dumps(data)  # fully serializable
+
+
+ROTATION = CircuitSpec(1, (Init(0), Rz(0, math.pi / 4), Readout(0)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("circuit", [IDENTITY, ROTATION], ids=["id", "rz"])
+def test_sampled_run_is_a_branch(circuit, seed):
+    # the sampling walk and the enumerating walk must agree on the path the
+    # run took: its probability, frame and corrected readout
+    lat = build_lattice(2, 4)
+    term = BoundaryTermination(axis="x")
+    res = run_protocol(lat, term, circuit, rng_seed=seed)
+    branches = protocol_branches(lat, res.assignment, res.plan, circuit, term)
+    taken = tuple(sorted((s.site, s.outcome) for s in res.record.steps))
+    [branch] = [b for b in branches if b.outcomes == taken]
+    want = math.prod(s.probability for s in res.record.steps)
+    assert branch.probability == pytest.approx(want, rel=0, abs=1e-12)
+    assert branch.frame == res.frame
+    assert branch.logical == res.outcome
+
+
+def test_unfit_circuit_fails_before_sampling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(logic, "stage1_sample", lambda *a: calls.append(a))
+    three = CircuitSpec(
+        3, (Init(0), Init(1), Init(2), Readout(0), Readout(1), Readout(2))
+    )
+    with pytest.raises(ProtocolError, match="spacing-violation"):
+        run_protocol(
+            build_lattice(2, 4), BoundaryTermination(axis="x"), three, rng_seed=1
+        )
+    assert calls == []
