@@ -26,13 +26,27 @@ Both engines provide ``weight()``, ``effect_weight(site, action)``,
 ``effect_weights(site, actions)``, ``apply_op(site, op)``,
 ``project(site, row)`` and the non-mutating ``branch(site, action)``.
 
-Amplitude layout: one axis of dimension 4 per site, ordered by
-``lattice.site_index``; index values 0..3 are the physical basis states
-[+3/2, +1/2, -1/2, -3/2] along z.
+Amplitude layout: :func:`build_state` gives one axis of dimension 4 per
+site, ordered by ``lattice.site_index``; index values 0..3 are the
+physical basis states [+3/2, +1/2, -1/2, -3/2] along z.
+:class:`DenseEngine` keeps the same site order but stores each live site
+s in the columns of a (4, d) isometry B_s, so the physical state is
+(prod_s B_s) applied to its amplitudes. B_s is the identity (d = 4) until
+an operator acts on s; then it becomes the (4, 2) block
+``physical_basis(axis)[:, [0, 3]]`` of the +-3/2 states along ``axis``
+when that subspace holds the operator's range (``povm_element(axis)``
+does, with stored factor sqrt(2/3) I_2), and the identity otherwise. A
+polarized site's axis therefore has dimension 2, index values 0 and 1
+being +3/2 and -3/2 along its axis, and stage 2 runs on 2^n amplitudes.
+Actions map through B_s: a row r acts as the row r B_s (the axis is
+removed), a Kraus operator K as B'^dagger K B_s with B' the site's new
+basis, and an effect E is weighed as tr(B_s^dagger E B_s G) with G the
+site's d x d Gram matrix of the amplitudes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +56,7 @@ from .tensors import (
     AXES,
     VirtualVec,
     comp_covector,
+    physical_basis,
     povm_element,
     site_tensor,
     standard_covector,
@@ -137,6 +152,42 @@ def _as_op(action: np.ndarray) -> np.ndarray:
     return _effect(action) if np.ndim(action) == 1 else action
 
 
+_RANGE_TOL = 1e-12
+# amplitudes per block where a pass works through a large array in pieces
+_BLOCK = 1 << 16
+
+
+def _range_basis(m: np.ndarray) -> np.ndarray:
+    """A (4, d) isometry whose span holds the columns of ``m``: the +-3/2
+    pair of an axis (the range of ``povm_element(axis)``, and the support of
+    every stage-2 row on a site polarized along it) if it does, else the
+    identity."""
+    scale = np.abs(m).max()
+    for axis in AXES:
+        basis = physical_basis(axis)[:, [0, 3]]
+        if np.abs(m - basis @ (basis.conj().T @ m)).max() <= _RANGE_TOL * scale:
+            return basis
+    return _ID4
+
+
+def _gram(amps: np.ndarray) -> np.ndarray:
+    """G[j, k] = sum of conj(amps[l, j, r]) amps[l, k, r] over l and r.
+
+    Accumulated block by block, so no temporary grows with the state.
+    """
+    n_before, d, n_after = amps.shape
+    width = max(1, _BLOCK // d)
+    step_before = max(1, width // n_after)
+    step_after = min(n_after, width)
+    gram = np.zeros((d, d), dtype=complex)
+    for i in range(0, n_before, step_before):
+        for j in range(0, n_after, step_after):
+            block = amps[i : i + step_before, :, j : j + step_after]
+            block = block.transpose(1, 0, 2).reshape(d, -1)
+            gram += np.conj(block) @ block.T
+    return gram
+
+
 # -- network sweep ----------------------------------------------------------
 
 
@@ -150,6 +201,26 @@ def _sweep_order(lattice: HexLattice) -> list[Site]:
         f"lattice {lattice.rows}x{lattice.cols}: neither dimension within "
         f"strip cap {STRIP_WIDTH_CAP}"
     )
+
+
+def _sliced_tensordot(acc, t, acc_pos, t_pos):
+    """``np.tensordot(acc, t, (acc_pos, t_pos))`` written one slice of acc's
+    open first axis at a time, so the transposed copy of acc that the
+    product needs is one slice, not the whole (possibly state-sized) array.
+    """
+    if 0 in acc_pos or acc.size < _BLOCK:
+        return np.tensordot(acc, t, axes=(acc_pos, t_pos))
+    free = [i for i in range(1, acc.ndim) if i not in acc_pos]
+    t_free = [i for i in range(t.ndim) if i not in t_pos]
+    k = math.prod(acc.shape[i] for i in acc_pos)
+    tm = t.transpose(list(t_pos) + t_free).reshape(k, -1)
+    shape = [acc.shape[i] for i in [0, *free]] + [t.shape[i] for i in t_free]
+    out = np.empty(shape, dtype=np.result_type(acc, t))
+    order = [i - 1 for i in free + list(acc_pos)]
+    for i in range(acc.shape[0]):
+        block = acc[i].transpose(order).reshape(-1, k)
+        np.dot(block, tm, out=out[i].reshape(block.shape[0], -1))
+    return out
 
 
 def _contract_sweep(lattice, tensor_for, close_for):
@@ -183,7 +254,7 @@ def _contract_sweep(lattice, tensor_for, close_for):
             if nb_key in keys:
                 acc_pos.append(keys.index(nb_key))
                 t_pos.append(tkeys.index(("v", site, leg)))
-        acc = np.tensordot(acc, t, axes=(acc_pos, t_pos))
+        acc = _sliced_tensordot(acc, t, acc_pos, t_pos)
         keys = [k for i, k in enumerate(keys) if i not in set(acc_pos)]
         keys += [k for i, k in enumerate(tkeys) if i not in set(t_pos)]
     return acc, keys
@@ -322,10 +393,12 @@ def reduced_density(
 
 
 class DenseEngine:
-    """Mutable dense pinned-edge state with shrink-on-project.
+    """Mutable dense pinned-edge state, stored per site in a reduced basis.
 
-    Projecting a site removes its axis, so long measurement sequences get
-    cheaper as they go. Protocol enumeration runs on this engine.
+    Each live site keeps a (4, d) isometry B_s, the identity until the
+    site is polarized and the +-3/2 columns of its axis basis afterwards,
+    so every polarization halves the state and every projection removes
+    the site's index. Protocol enumeration runs on this engine.
     """
 
     def __init__(
@@ -336,30 +409,35 @@ class DenseEngine:
         self._sites: list[Site] = sorted(
             lattice.sites(), key=lattice.site_index
         )
+        self._bases: dict[Site, np.ndarray] = {s: _ID4 for s in self._sites}
 
     @property
     def live_sites(self) -> tuple[Site, ...]:
         return tuple(self._sites)
 
-    def _axis(self, site: Site) -> int:
+    def _split(self, site: Site) -> tuple[int, np.ndarray]:
+        """(axis, amplitudes viewed as (before, site, after))."""
         try:
-            return self._sites.index(site)
+            ax = self._sites.index(site)
         except ValueError:
             raise KeyError(f"site {site} already projected out") from None
+        shape = self._amps.shape
+        return ax, self._amps.reshape(math.prod(shape[:ax]), shape[ax], -1)
 
-    def _acted(
-        self, site: Site, action: np.ndarray
-    ) -> tuple[np.ndarray, list[Site]]:
-        """(amplitudes, live sites) after ``action`` on ``site``."""
-        ax = self._axis(site)
-        action = np.asarray(action, dtype=complex)
-        if action.ndim == 1:
-            amps = np.tensordot(action, self._amps, axes=([0], [ax]))
-            return amps, self._sites[:ax] + self._sites[ax + 1 :]
-        amps = np.moveaxis(
-            np.tensordot(action, self._amps, axes=([1], [ax])), 0, ax
-        )
-        return amps, list(self._sites)
+    def _acted(self, site: Site, action: np.ndarray) -> tuple:
+        """(amplitudes, live sites, bases) after ``action`` on ``site``."""
+        ax, amps = self._split(site)
+        shape = list(self._amps.shape)
+        m = np.asarray(action, dtype=complex) @ self._bases[site]
+        bases = dict(self._bases)
+        if m.ndim == 1:
+            del shape[ax], bases[site]
+            sites = self._sites[:ax] + self._sites[ax + 1 :]
+            return (m @ amps).reshape(shape), sites, bases
+        bases[site] = new = _range_basis(m)
+        shape[ax] = new.shape[1]
+        amps = np.matmul(new.conj().T @ m, amps)
+        return amps.reshape(shape), list(self._sites), bases
 
     def weight(self) -> float:
         return float(np.real(np.vdot(self._amps, self._amps)))
@@ -371,22 +449,27 @@ class DenseEngine:
     def effect_weights(
         self, site: Site, actions: list[np.ndarray]
     ) -> list[float]:
-        """Batched effect_weight; one axis shuffle for all actions."""
-        m = np.moveaxis(self._amps, self._axis(site), 0).reshape(4, -1)
-        return [float(np.real(np.vdot(m, _effect(a) @ m))) for a in actions]
+        """Batched effect_weight: tr(B^dagger E B G) from one Gram pass."""
+        _, amps = self._split(site)
+        basis = self._bases[site]
+        gram = _gram(amps)
+        return [
+            float(np.real(np.sum(_effect(np.asarray(a) @ basis) * gram)))
+            for a in actions
+        ]
 
     def apply_op(self, site: Site, op: np.ndarray) -> None:
-        self._amps, self._sites = self._acted(site, op)
+        self._amps, self._sites, self._bases = self._acted(site, op)
 
     def project(self, site: Site, row: np.ndarray) -> None:
         """Apply a rank-1 outcome <row| and drop the site axis."""
-        self._amps, self._sites = self._acted(site, row)
+        self._amps, self._sites, self._bases = self._acted(site, row)
 
     def branch(self, site: Site, action: np.ndarray) -> "DenseEngine":
         """Non-mutating apply_op or project; shares no state with self."""
         new = object.__new__(DenseEngine)
         new.lattice = self.lattice
-        new._amps, new._sites = self._acted(site, action)
+        new._amps, new._sites, new._bases = self._acted(site, action)
         return new
 
 
@@ -474,8 +557,13 @@ class StepOutcome:
 
 @dataclass
 class MeasurementRecord:
+    """The sampled steps, and the engine left after the last of them."""
+
     seed: int
     steps: list[StepOutcome] = field(default_factory=list)
+    engine: DenseEngine | TracedEngine | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def _step_alternatives(step: PlanStep) -> list[tuple[str | int, np.ndarray]]:
@@ -509,7 +597,7 @@ def chain_rule_sample(
     """
     rng = np.random.default_rng(rng_seed)
     engine = measurement_engine(lattice, term)
-    record = MeasurementRecord(seed=rng_seed)
+    record = MeasurementRecord(seed=rng_seed, engine=engine)
     for step in plan:
         alts = _step_alternatives(step)
         weights = engine.effect_weights(step.site, [a for _, a in alts])

@@ -15,13 +15,15 @@ Stage 2 has one runtime and one step. ``_Runtime`` holds what a walk over
 a plan reads: it gives each site's two outcome rows, sign-adapted to the
 frame, and settles each completed event into the frame. ``_step`` turns
 one site's two effect weights into outcome probabilities. ``_drive``
-samples one path with them; ``protocol_branches`` enumerates every path.
+samples one path with them, on the polarized state stage 1 hands over;
+``protocol_branches`` polarizes its given axes itself and enumerates every
+path.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1105,23 +1107,19 @@ def _drive(
     plan: MeasurementPlan,
     circuit: CircuitSpec,
     term: BoundaryTermination,
-    mode: SampleMode,
+    engine: DenseEngine | None,
     rng: np.random.Generator,
 ) -> tuple[RunRecord, ByproductFrame, list[dict]]:
     """Measure every site in plan order, tracking the frame event by event.
 
-    Exact mode draws each outcome from the true conditional distribution,
-    so the corrected readouts follow the logical circuit. Iid mode flips
-    fair coins instead: it exercises the full control flow at any lattice
-    size, but the coins carry no circuit information, so only the
+    With an ``engine`` (exact mode: stage 1's polarized state) each
+    outcome is drawn from the true conditional distribution, so the
+    corrected readouts follow the logical circuit. Without one (iid mode)
+    fair coins decide instead: they exercise the full control flow at any
+    lattice size, but carry no circuit information, so only the
     bookkeeping, not the logical statistics, is faithful.
     """
     rt = _Runtime(lattice, assignment, plan, circuit, term)
-    engine = (
-        _polarized_engine(lattice, assignment, term)
-        if mode is SampleMode.EXACT
-        else None
-    )
     frame = ByproductFrame.zero(plan.wires)
     outcomes: dict[Site, int] = {}
     steps: list[StepOutcome] = []
@@ -1259,6 +1257,7 @@ class ProtocolResult:
     backbone: Backbone
     plan: MeasurementPlan
     attempts: int
+    attempt_failures: dict[str, int]
     seed: int
     mode: SampleMode
 
@@ -1268,6 +1267,7 @@ class ProtocolResult:
             "seed": self.seed,
             "mode": self.mode.value,
             "attempts": self.attempts,
+            "attempt_failures": dict(sorted(self.attempt_failures.items())),
             "rows": lattice.rows,
             "cols": lattice.cols,
             "assignment": self.assignment.to_json(lattice),
@@ -1330,9 +1330,11 @@ def run_protocol(
     """Sample axis patterns until one routes, then run the full protocol.
 
     Each attempt draws a fresh stage-one sample from its own child seed, so
-    results are reproducible from ``rng_seed`` alone. A ``term`` of None
-    pins the boundary to the default z frame. Wires that cannot fit the
-    patch at ``spacing`` fail before any sample is drawn.
+    results are reproducible from ``rng_seed`` alone; every rejected
+    attempt counts its failure reason. In exact mode stage 2 continues on
+    the polarized state stage 1 sampled from. A ``term`` of None pins the
+    boundary to the default z frame. Wires that cannot fit the patch at
+    ``spacing`` fail before any sample is drawn.
     """
     mode = SampleMode(mode)
     circuit.validate()
@@ -1347,14 +1349,18 @@ def run_protocol(
         )
     root_ss = np.random.SeedSequence(rng_seed)
     last = "no attempt ran"
+    failures: Counter[str] = Counter()
     for attempt, child in enumerate(root_ss.spawn(retries), start=1):
         s1, s2 = child.spawn(2)
         seed1 = int(s1.generate_state(1, np.uint64)[0])
         seed2 = int(s2.generate_state(1, np.uint64)[0])
-        assignment = stage1_sample(lattice, term, mode, seed1)
+        assignment, engine = stage1_sample(
+            lattice, term, mode, seed1, with_engine=True
+        )
         prepared = prepare_protocol(lattice, assignment, circuit, term, spacing)
         if isinstance(prepared, (RoutingFailure, CompileFailure)):
             last = f"{prepared.reason}: {prepared.detail}"
+            failures[prepared.reason] += 1
             continue
         backbone, plan = prepared
         record, frame, snaps = _drive(
@@ -1363,7 +1369,7 @@ def run_protocol(
             plan,
             circuit,
             term,
-            mode,
+            engine,
             np.random.default_rng(seed2),
         )
         return ProtocolResult(
@@ -1375,9 +1381,13 @@ def run_protocol(
             backbone=backbone,
             plan=plan,
             attempts=attempt,
+            attempt_failures=dict(failures),
             seed=rng_seed,
             mode=mode,
         )
+    histogram = ", ".join(f"{r} {n}" for r, n in sorted(failures.items()))
+    histogram = histogram or "none"
     raise ProtocolError(
-        f"no working embedding in {retries} attempts; last failure {last}"
+        f"no working embedding in {retries} attempts; last failure {last}; "
+        f"failures by reason: {histogram}"
     )

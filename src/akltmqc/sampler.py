@@ -14,7 +14,13 @@ from enum import Enum
 
 import numpy as np
 
-from .contraction import BoundaryTermination, PlanStep, chain_rule_sample
+from .contraction import (
+    BoundaryTermination,
+    DenseEngine,
+    PlanStep,
+    TracedEngine,
+    chain_rule_sample,
+)
 from .lattice import Bond, HexLattice, Site
 from .tensors import AXES
 
@@ -70,19 +76,32 @@ def stage1_sample(
     term: BoundaryTermination | None,
     mode: SampleMode | str,
     rng_seed: int,
-) -> AxisAssignment:
-    """Polarize every site and return the sampled axes."""
+    with_engine: bool = False,
+) -> (
+    AxisAssignment
+    | tuple[AxisAssignment, DenseEngine | TracedEngine | None]
+):
+    """Polarize every site and return the sampled axes.
+
+    With ``with_engine``, return (axes, engine): the measurement engine
+    holding the polarized state the axes were drawn from, which stage 2
+    continues on (None in iid mode, where no state is kept).
+    """
     mode = SampleMode(mode)
     if mode is SampleMode.IID:
         rng = np.random.default_rng(rng_seed)
         sites = list(lattice.sites())
         draws = rng.integers(0, 3, size=len(sites))
-        return AxisAssignment({s: AXES[d] for s, d in zip(sites, draws)})
-    plan = [PlanStep(site, "polarize") for site in lattice.sites()]
-    record = chain_rule_sample(lattice, term, plan, rng_seed)
-    return AxisAssignment(
-        {s.site: str(s.outcome) for s in record.steps}
-    )
+        assignment = AxisAssignment({s: AXES[d] for s, d in zip(sites, draws)})
+        engine = None
+    else:
+        plan = [PlanStep(site, "polarize") for site in lattice.sites()]
+        record = chain_rule_sample(lattice, term, plan, rng_seed)
+        assignment = AxisAssignment(
+            {s.site: str(s.outcome) for s in record.steps}
+        )
+        engine = record.engine
+    return (assignment, engine) if with_engine else assignment
 
 
 def matched_bonds(

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from akltmqc.contraction import (
     DENSE_SITE_CAP,
     BoundaryTermination,
+    DenseEngine,
     LatticeSizeError,
     MeasurementPattern,
     PlanStep,
@@ -107,6 +110,33 @@ def test_pinned_sampling_respects_dense_cap():
     plan = [PlanStep(s, "polarize") for s in lat.sites()]
     with pytest.raises(LatticeSizeError):
         chain_rule_sample(lat, BoundaryTermination(axis="z"), plan, 1)
+
+
+def test_effect_weights_allocate_at_most_one_state():
+    lat = build_lattice(2, 5)
+    engine = DenseEngine(lat, BoundaryTermination(axis="x"))
+    state_bytes = 16 * 4**lat.n_sites
+    povms = [povm_element(a) for a in AXES]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        weights = engine.effect_weights((1, 2), povms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= state_bytes
+    assert sum(weights) == pytest.approx(engine.weight(), rel=1e-12)
+
+
+def test_polarized_sites_keep_their_pair():
+    # every polarization halves the stored state: 4^n -> 2^n amplitudes
+    lat = build_lattice(2, 4)
+    engine = DenseEngine(lat, BoundaryTermination(axis="x"))
+    before = engine.weight()
+    for i, site in enumerate(lat.sites()):
+        engine.apply_op(site, povm_element(AXES[i % 3]))
+    assert engine._amps.size == 2**lat.n_sites
+    assert 0.0 < engine.weight() < before
 
 
 def test_termination_override_role_checked():

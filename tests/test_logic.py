@@ -1,10 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from akltmqc import logic
-from akltmqc.contraction import BoundaryTermination
+from akltmqc import contraction, logic
+from akltmqc.cli import e2e_fixtures
+from akltmqc.contraction import (
+    BoundaryTermination,
+    PlanStep,
+    build_state,
+    chain_rule_sample,
+)
 from akltmqc.lattice import Leg, build_lattice
 from akltmqc.logic import (
     CNOT,
@@ -239,3 +246,147 @@ def test_unfit_circuit_fails_before_sampling(monkeypatch):
             build_lattice(2, 4), BoundaryTermination(axis="x"), three, rng_seed=1
         )
     assert calls == []
+
+
+def test_attempt_histogram_counts_rejected_attempts():
+    lat = build_lattice(2, 4)
+    first = run_protocol(lat, BoundaryTermination(axis="x"), IDENTITY, rng_seed=11)
+    assert first.attempts == 1
+    assert first.to_json(lat)["attempt_failures"] == {}
+    res = run_protocol(lat, BoundaryTermination(axis="x"), IDENTITY, rng_seed=4)
+    hist = res.to_json(lat)["attempt_failures"]
+    assert list(hist) == sorted(hist)
+    assert sum(hist.values()) == res.attempts - 1 > 1
+
+
+def test_exhausted_retries_report_the_histogram():
+    lat = build_lattice(2, 3)
+    circ = CircuitSpec(
+        2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
+    )
+    with pytest.raises(ProtocolError) as err:
+        run_protocol(lat, BoundaryTermination(axis="x"), circ,
+                     rng_seed=1, mode="iid", retries=8)
+    detail = str(err.value)
+    assert detail.startswith("no working embedding in 8 attempts; last failure ")
+    assert detail.endswith("; failures by reason: no-junction-column 8")
+
+
+def test_stage2_continues_on_the_stage1_state(monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build_state(*args)
+
+    monkeypatch.setattr(contraction, "build_state", counted)
+    lat = build_lattice(2, 4)
+    res = run_protocol(lat, BoundaryTermination(axis="x"), IDENTITY, rng_seed=3)
+    assert res.attempts > 1
+    assert len(builds) == res.attempts
+
+
+# -- the reduced engine against the 4^n reference ---------------------------
+
+
+class _DenseReference:
+    """4^n engine: full 4x4 operators and rows on build_state amplitudes."""
+
+    def __init__(self, lattice, term):
+        self.psi = build_state(lattice, term).tensor()
+        self.sites = sorted(lattice.sites(), key=lattice.site_index)
+
+    def _acted(self, site, action):
+        ax = self.sites.index(site)
+        if np.ndim(action) == 1:
+            psi = np.tensordot(action, self.psi, axes=([0], [ax]))
+            return psi, self.sites[:ax] + self.sites[ax + 1 :]
+        psi = np.tensordot(action, self.psi, axes=([1], [ax]))
+        return np.moveaxis(psi, 0, ax), self.sites
+
+    def effect_weights(self, site, actions):
+        out = []
+        for a in actions:
+            if np.ndim(a) == 1:
+                psi, _ = self._acted(site, a)
+                out.append(float(np.real(np.vdot(psi, psi))))
+            else:
+                psi, _ = self._acted(site, a.conj().T @ a)
+                out.append(float(np.real(np.vdot(self.psi, psi))))
+        return out
+
+    def apply_op(self, site, op):
+        self.psi, self.sites = self._acted(site, op)
+
+    project = apply_op
+
+    def branch(self, site, action):
+        new = object.__new__(_DenseReference)
+        new.psi, new.sites = self._acted(site, action)
+        return new
+
+
+def _use_reference(monkeypatch):
+    """Route stage 1 and protocol_branches through the 4^n reference."""
+    monkeypatch.setattr(contraction, "measurement_engine", _DenseReference)
+    monkeypatch.setattr(logic, "measurement_engine", _DenseReference)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chain_rule_matches_dense_reference(monkeypatch, seed):
+    lat = build_lattice(2, 4)
+    term = BoundaryTermination(axis="x")
+    plan = [PlanStep(s, "polarize") for s in lat.sites()]
+    plan += [
+        PlanStep((0, 1), "standard", "z"),
+        PlanStep((1, 2), "complementary", "x", "y", 0.3),
+        PlanStep((0, 3), "standard", "y"),
+    ]
+    fast = chain_rule_sample(lat, term, plan, seed)
+    _use_reference(monkeypatch)
+    slow = chain_rule_sample(lat, term, plan, seed)
+    assert [s.outcome for s in fast.steps] == [s.outcome for s in slow.steps]
+    for a, b in zip(fast.steps, slow.steps):
+        assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("circuit", [IDENTITY, ROTATION], ids=["id", "rz"])
+def test_exact_run_matches_dense_reference(monkeypatch, circuit, seed):
+    lat = build_lattice(2, 4)
+    term = BoundaryTermination(axis="x")
+    fast = run_protocol(lat, term, circuit, rng_seed=seed)
+    _use_reference(monkeypatch)
+    slow = run_protocol(lat, term, circuit, rng_seed=seed)
+    assert fast.assignment == slow.assignment
+    assert fast.frames == slow.frames
+    assert fast.outcome == slow.outcome
+    for a, b in zip(fast.record.steps, slow.record.steps, strict=True):
+        assert (a.site, a.outcome) == (b.site, b.outcome)
+        assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
+
+
+def _branch_cases():
+    name, lat, asg, term, circuit, spacing = e2e_fixtures()[0]
+    assert name == "identity"
+    cases = [(lat, asg, term, circuit, spacing)]
+    lat = build_lattice(2, 4)
+    term = BoundaryTermination(axis="x")
+    for circuit in (IDENTITY, ROTATION):
+        for seed in (1, 2, 3):
+            asg = run_protocol(lat, term, circuit, rng_seed=seed).assignment
+            cases.append((lat, asg, term, circuit, None))
+    return cases
+
+
+def test_branch_tables_match_dense_reference(monkeypatch):
+    for lat, asg, term, circuit, spacing in _branch_cases():
+        _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
+        fast = protocol_branches(lat, asg, plan, circuit, term)
+        with monkeypatch.context() as m:
+            _use_reference(m)
+            slow = protocol_branches(lat, asg, plan, circuit, term)
+        assert [b.outcomes for b in fast] == [b.outcomes for b in slow]
+        for a, b in zip(fast, slow):
+            assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
+            assert (a.frame, a.logical) == (b.frame, b.logical)
