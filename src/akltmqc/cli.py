@@ -7,6 +7,7 @@ failure (including failing verify checks).
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -394,13 +395,16 @@ def check_reduced_density() -> dict:
     }
 
 
+@functools.lru_cache(maxsize=None)
 def _widget_matrix(kind, mu, nu, theta, b, c):
     t = measured_tensor(kind, comp_covector(mu, nu, theta, b))
     if kind is SiteKind.TOP:
         vec = virtual_ket(nu, c).vector
     else:
         vec = virtual_bra(nu, c ^ 1).vector
-    return np.einsum("lrv,v->lr", t, vec)
+    out = np.einsum("lrv,v->lr", t, vec)
+    out.setflags(write=False)  # cached: shared by every caller
+    return out
 
 
 def check_widget_identities() -> dict:

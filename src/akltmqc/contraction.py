@@ -13,41 +13,44 @@ closed in one of two ways:
   partners for adjacent sites, which is what the gate protocol relies on
   at the patch boundary.
 
-Probabilities, reduced densities and correlations contract the double
-layer <psi| prod effects |psi> for either closure. Sequential measurement
-runs on an engine, chosen once by :func:`measurement_engine`:
-:class:`TracedEngine` for ``term=None`` (one fresh double-layer
-contraction per weight) and :class:`DenseEngine` for a pinned termination
-(the dense state; :func:`build_state` enforces its site cap). Both take
-the same *actions* on a site: a Kraus operator (shape (4, 4); the site
-stays) or a projective row (shape (4,)). A Kraus operator K has effect
-K^dagger K, a row r has effect |r><r| (``np.outer(np.conj(r), r)``).
-Both engines provide ``weight()``, ``effect_weight(site, action)``,
-``effect_weights(site, actions)``, ``apply_op(site, op)``,
-``project(site, row)`` and the non-mutating ``branch(site, action)``.
+Probabilities, reduced densities, correlations and stage 1 contract the
+double layer <psi| prod effects |psi> for either closure, so they reach
+any strip of at most ``STRIP_WIDTH_CAP`` rows (or columns).
+:class:`TracedEngine` is the layer engine for sequential measurement:
+it keeps one operator per measured site and contracts the double layer
+afresh for every weight, for a traced or a pinned ``term``.
 
-Amplitude layout: :func:`build_state` gives one axis of dimension 4 per
-site, ordered by ``lattice.site_index``; index values 0..3 are the
-physical basis states [+3/2, +1/2, -1/2, -3/2] along z.
-:class:`DenseEngine` keeps the same site order but stores each live site
-s in the columns of a (4, d) isometry B_s, so the physical state is
-(prod_s B_s) applied to its amplitudes. B_s is the identity (d = 4) until
-an operator acts on s; then it becomes the (4, 2) block
-``physical_basis(axis)[:, [0, 3]]`` of the +-3/2 states along ``axis``
-when that subspace holds the operator's range (``povm_element(axis)``
-does, with stored factor sqrt(2/3) I_2), and the identity otherwise. A
-polarized site's axis therefore has dimension 2, index values 0 and 1
-being +3/2 and -3/2 along its axis, and stage 2 runs on 2^n amplitudes.
-Actions map through B_s: a row r acts as the row r B_s (the axis is
-removed), a Kraus operator K as B'^dagger K B_s with B' the site's new
-basis, and an effect E is weighed as tr(B_s^dagger E B_s G) with G the
-site's d x d Gram matrix of the amplitudes.
+Stage 2 runs on :class:`DenseEngine`, the pinned state with every site
+polarized onto the +-3/2 pair of its sampled axis. It is contracted
+straight from reduced site tensors: site s is stored in the columns of
+the (4, 2) isometry B_s = ``physical_basis(axis)[:, [0, 3]]``, with
+tensor sqrt(2/3) B_s^dagger A_s (the factor of ``povm_element``), so the
+state has 2^n amplitudes, one axis per site in sweep order, index values
+0 and 1 being +3/2 and -3/2 along the site's axis. It is capped at
+``QUBIT_SITE_CAP`` sites. :func:`build_state` is the 4^n oracle the tests
+compare against, capped at ``DENSE_SITE_CAP``; its amplitudes have one
+axis of dimension 4 per site, ordered by ``lattice.site_index``, index
+values 0..3 being the physical basis states [+3/2, +1/2, -1/2, -3/2]
+along z.
+
+Both engines take the same *actions* on a site: a Kraus operator (shape
+(4, 4); the site stays) or a projective row (shape (4,)). A Kraus
+operator K has effect K^dagger K, a row r has effect |r><r|
+(``np.outer(np.conj(r), r)``). Both provide ``weight()``,
+``effect_weight(site, action)``, ``effect_weights(site, actions)``,
+``apply_op(site, op)``, ``project(site, row)`` and the non-mutating
+``branch(site, action)``. On :class:`DenseEngine` actions map through
+B_s: a row r acts as the row r B_s (the axis is removed), a Kraus
+operator K as B_s^dagger K B_s, and an effect E is weighed as
+tr(B_s^dagger E B_s G) with G the site's 2 x 2 Gram matrix of the
+amplitudes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,7 +67,11 @@ from .tensors import (
     virtual_ket,
 )
 
-DENSE_SITE_CAP = 12
+if TYPE_CHECKING:
+    from .sampler import AxisAssignment
+
+DENSE_SITE_CAP = 12  # build_state: 4^n amplitudes
+QUBIT_SITE_CAP = 24  # DenseEngine: 2^n amplitudes
 STRIP_WIDTH_CAP = 4
 NEGATIVE_PROB_FLOOR = -1e-9
 
@@ -74,6 +81,13 @@ _TRACED_PAIR = np.eye(2, dtype=complex).reshape(-1)  # identity closure
 
 class LatticeSizeError(ValueError):
     """Requested lattice exceeds the exact-contraction caps."""
+
+
+def check_site_cap(lattice: HexLattice, cap: int, what: str) -> None:
+    if lattice.n_sites > cap:
+        raise LatticeSizeError(
+            f"{lattice.n_sites} sites exceeds {what} cap {cap}"
+        )
 
 
 class ProbabilityConsistencyError(RuntimeError):
@@ -152,22 +166,8 @@ def _as_op(action: np.ndarray) -> np.ndarray:
     return _effect(action) if np.ndim(action) == 1 else action
 
 
-_RANGE_TOL = 1e-12
 # amplitudes per block where a pass works through a large array in pieces
 _BLOCK = 1 << 16
-
-
-def _range_basis(m: np.ndarray) -> np.ndarray:
-    """A (4, d) isometry whose span holds the columns of ``m``: the +-3/2
-    pair of an axis (the range of ``povm_element(axis)``, and the support of
-    every stage-2 row on a site polarized along it) if it does, else the
-    identity."""
-    scale = np.abs(m).max()
-    for axis in AXES:
-        basis = physical_basis(axis)[:, [0, 3]]
-        if np.abs(m - basis @ (basis.conj().T @ m)).max() <= _RANGE_TOL * scale:
-            return basis
-    return _ID4
 
 
 def _gram(amps: np.ndarray) -> np.ndarray:
@@ -279,16 +279,13 @@ class StateVector:
 def build_state(
     lattice: HexLattice, term: BoundaryTermination | None = None
 ) -> StateVector:
-    """Contract the network into a dense state with pinned edges.
+    """Contract the network into the dense 4^n state with pinned edges.
 
     The result is an (unnormalized) ground state for any termination
     choice; it is NOT the state the measurement statistics refer to (see
-    the module docstring).
+    the module docstring). Only oracles and tests use it.
     """
-    if lattice.n_sites > DENSE_SITE_CAP:
-        raise LatticeSizeError(
-            f"{lattice.n_sites} sites exceeds dense cap {DENSE_SITE_CAP}"
-        )
+    check_site_cap(lattice, DENSE_SITE_CAP, "dense")
     term = term or BoundaryTermination()
 
     def close(site, leg):
@@ -393,23 +390,37 @@ def reduced_density(
 
 
 class DenseEngine:
-    """Mutable dense pinned-edge state, stored per site in a reduced basis.
+    """Mutable pinned-edge state with every site polarized: 2^n amplitudes.
 
-    Each live site keeps a (4, d) isometry B_s, the identity until the
-    site is polarized and the +-3/2 columns of its axis basis afterwards,
-    so every polarization halves the state and every projection removes
-    the site's index. Protocol enumeration runs on this engine.
+    Built from ``assignment`` (site -> axis): each site keeps the (4, 2)
+    isometry B_s of its axis pair, every action is compressed to that
+    pair, and every projection removes the site's index. Stage 2 and its
+    branch enumeration run on this engine.
     """
 
     def __init__(
-        self, lattice: HexLattice, term: BoundaryTermination | None = None
+        self,
+        lattice: HexLattice,
+        assignment: AxisAssignment,
+        term: BoundaryTermination,
     ):
+        check_site_cap(lattice, QUBIT_SITE_CAP, "qubit")
         self.lattice = lattice
-        self._amps = build_state(lattice, term).tensor()
-        self._sites: list[Site] = sorted(
-            lattice.sites(), key=lattice.site_index
-        )
-        self._bases: dict[Site, np.ndarray] = {s: _ID4 for s in self._sites}
+        self._bases = {
+            s: physical_basis(assignment[s])[:, [0, 3]] for s in lattice.sites()
+        }
+        scale = math.sqrt(2.0 / 3.0)
+
+        def tensor_for(site):
+            a = site_tensor(lattice.kind(site))
+            t = np.tensordot(self._bases[site].conj().T, a, axes=([1], [0]))
+            return scale * t, ("p",)
+
+        def close(site, leg):
+            return term.vec_for(lattice, site, leg).vector
+
+        self._amps, keys = _contract_sweep(lattice, tensor_for, close)
+        self._sites: list[Site] = [k[1] for k in keys]
 
     @property
     def live_sites(self) -> tuple[Site, ...]:
@@ -425,19 +436,16 @@ class DenseEngine:
         return ax, self._amps.reshape(math.prod(shape[:ax]), shape[ax], -1)
 
     def _acted(self, site: Site, action: np.ndarray) -> tuple:
-        """(amplitudes, live sites, bases) after ``action`` on ``site``."""
+        """(amplitudes, live sites) after ``action`` on ``site``."""
         ax, amps = self._split(site)
         shape = list(self._amps.shape)
-        m = np.asarray(action, dtype=complex) @ self._bases[site]
-        bases = dict(self._bases)
-        if m.ndim == 1:
-            del shape[ax], bases[site]
+        basis = self._bases[site]
+        if np.ndim(action) == 1:
+            del shape[ax]
             sites = self._sites[:ax] + self._sites[ax + 1 :]
-            return (m @ amps).reshape(shape), sites, bases
-        bases[site] = new = _range_basis(m)
-        shape[ax] = new.shape[1]
-        amps = np.matmul(new.conj().T @ m, amps)
-        return amps.reshape(shape), list(self._sites), bases
+            return (np.asarray(action) @ basis @ amps).reshape(shape), sites
+        op = basis.conj().T @ action @ basis
+        return np.matmul(op, amps).reshape(shape), self._sites
 
     def weight(self) -> float:
         return float(np.real(np.vdot(self._amps, self._amps)))
@@ -459,29 +467,34 @@ class DenseEngine:
         ]
 
     def apply_op(self, site: Site, op: np.ndarray) -> None:
-        self._amps, self._sites, self._bases = self._acted(site, op)
+        """Apply B_s^dagger op B_s: ``op`` compressed to the site's pair."""
+        self._amps, self._sites = self._acted(site, op)
 
     def project(self, site: Site, row: np.ndarray) -> None:
         """Apply a rank-1 outcome <row| and drop the site axis."""
-        self._amps, self._sites, self._bases = self._acted(site, row)
+        self._amps, self._sites = self._acted(site, row)
 
     def branch(self, site: Site, action: np.ndarray) -> "DenseEngine":
-        """Non-mutating apply_op or project; shares no state with self."""
+        """Non-mutating apply_op or project; shares no amplitudes with self."""
         new = object.__new__(DenseEngine)
-        new.lattice = self.lattice
-        new._amps, new._sites, new._bases = self._acted(site, action)
+        new.lattice, new._bases = self.lattice, self._bases
+        new._amps, new._sites = self._acted(site, action)
         return new
 
 
 class TracedEngine:
-    """Sequential-measurement engine on the traced-edge state.
+    """Sequential-measurement engine on the double layer.
 
     Keeps one accumulated operator per measured site; every weight is a
-    fresh double-layer contraction, so no state vector is ever formed.
+    fresh double-layer contraction closed by ``term`` (traced edges for
+    None, else pinned), so no state vector is ever formed.
     """
 
-    def __init__(self, lattice: HexLattice):
+    def __init__(
+        self, lattice: HexLattice, term: BoundaryTermination | None = None
+    ):
         self.lattice = lattice
+        self.term = term
         self._ops: dict[Site, np.ndarray] = {}
 
     def _effects(self, site=None, extra=None) -> dict[Site, np.ndarray]:
@@ -494,10 +507,10 @@ class TracedEngine:
         return eff
 
     def weight(self) -> float:
-        return _layer_value(self.lattice, None, self._effects())
+        return _layer_value(self.lattice, self.term, self._effects())
 
     def op_weight(self, site: Site, op: np.ndarray) -> float:
-        return _layer_value(self.lattice, None, self._effects(site, op))
+        return _layer_value(self.lattice, self.term, self._effects(site, op))
 
     def effect_weight(self, site: Site, action: np.ndarray) -> float:
         return self.op_weight(site, _as_op(action))
@@ -514,17 +527,10 @@ class TracedEngine:
         self.apply_op(site, _as_op(row))
 
     def branch(self, site: Site, action: np.ndarray) -> "TracedEngine":
-        new = TracedEngine(self.lattice)
+        new = TracedEngine(self.lattice, self.term)
         new._ops = dict(self._ops)
         new.apply_op(site, _as_op(action))
         return new
-
-
-def measurement_engine(
-    lattice: HexLattice, term: BoundaryTermination | None
-) -> DenseEngine | TracedEngine:
-    """The engine for ``term``: traced edges or the dense pinned state."""
-    return TracedEngine(lattice) if term is None else DenseEngine(lattice, term)
 
 
 # -- chain-rule sampling ------------------------------------------------------
@@ -557,13 +563,8 @@ class StepOutcome:
 
 @dataclass
 class MeasurementRecord:
-    """The sampled steps, and the engine left after the last of them."""
-
     seed: int
     steps: list[StepOutcome] = field(default_factory=list)
-    engine: DenseEngine | TracedEngine | None = field(
-        default=None, compare=False, repr=False
-    )
 
 
 def _step_alternatives(step: PlanStep) -> list[tuple[str | int, np.ndarray]]:
@@ -593,11 +594,11 @@ def chain_rule_sample(
     """Sample all plan steps in order from exact nested conditionals.
 
     ``term=None`` samples the traced-edge statistics; a pinned termination
-    samples within that ground state.
+    samples within that ground state. Both run on the layer engine.
     """
     rng = np.random.default_rng(rng_seed)
-    engine = measurement_engine(lattice, term)
-    record = MeasurementRecord(seed=rng_seed, engine=engine)
+    engine = TracedEngine(lattice, term)
+    record = MeasurementRecord(seed=rng_seed)
     for step in plan:
         alts = _step_alternatives(step)
         weights = engine.effect_weights(step.site, [a for _, a in alts])

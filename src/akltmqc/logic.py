@@ -14,10 +14,10 @@ remedy is a fresh stage-one sample.
 Stage 2 has one runtime and one step. ``_Runtime`` holds what a walk over
 a plan reads: it gives each site's two outcome rows, sign-adapted to the
 frame, and settles each completed event into the frame. ``_step`` turns
-one site's two effect weights into outcome probabilities. ``_drive``
-samples one path with them, on the polarized state stage 1 hands over;
-``protocol_branches`` polarizes its given axes itself and enumerates every
-path.
+one site's two effect weights into outcome probabilities on the qubit
+state of a routed axis pattern (:class:`DenseEngine`, built once per
+walk). ``_drive`` samples one path with them; ``protocol_branches``
+enumerates every path.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contraction import (
+    QUBIT_SITE_CAP,
     BoundaryTermination,
     DenseEngine,
     StepOutcome,
-    measurement_engine,
+    check_site_cap,
 )
 from .lattice import HexLattice, Leg, Site
 from .router import (
@@ -47,7 +48,7 @@ from .router import (
     spacing_failure,
 )
 from .sampler import AxisAssignment, SampleMode, matched_bonds, stage1_sample
-from .tensors import comp_covector, povm_element, standard_covector
+from .tensors import comp_covector, standard_covector
 
 FORMAT_VERSION = 1
 MAX_ROUTE_ATTEMPTS = 256
@@ -1090,17 +1091,6 @@ def _step(
     return p0, 1.0 - p0
 
 
-def _polarized_engine(
-    lattice: HexLattice,
-    assignment: AxisAssignment,
-    term: BoundaryTermination,
-) -> DenseEngine:
-    engine = measurement_engine(lattice, term)
-    for site in lattice.sites():
-        engine.apply_op(site, povm_element(assignment[site]))
-    return engine
-
-
 def _drive(
     lattice: HexLattice,
     assignment: AxisAssignment,
@@ -1112,7 +1102,7 @@ def _drive(
 ) -> tuple[RunRecord, ByproductFrame, list[dict]]:
     """Measure every site in plan order, tracking the frame event by event.
 
-    With an ``engine`` (exact mode: stage 1's polarized state) each
+    With an ``engine`` (exact mode: the qubit state of ``assignment``) each
     outcome is drawn from the true conditional distribution, so the
     corrected readouts follow the logical circuit. Without one (iid mode)
     fair coins decide instead: they exercise the full control flow at any
@@ -1197,7 +1187,7 @@ def protocol_branches(
             descend(child, idx + 1, sub_frame, sub_out, p)
 
     descend(
-        _polarized_engine(lattice, assignment, term),
+        DenseEngine(lattice, assignment, term),
         0,
         ByproductFrame.zero(plan.wires),
         {},
@@ -1331,13 +1321,16 @@ def run_protocol(
 
     Each attempt draws a fresh stage-one sample from its own child seed, so
     results are reproducible from ``rng_seed`` alone; every rejected
-    attempt counts its failure reason. In exact mode stage 2 continues on
-    the polarized state stage 1 sampled from. A ``term`` of None pins the
-    boundary to the default z frame. Wires that cannot fit the patch at
-    ``spacing`` fail before any sample is drawn.
+    attempt counts its failure reason. In exact mode stage 1 samples on the
+    double layer and stage 2 runs on the qubit state of the routed axes,
+    built once. A ``term`` of None pins the boundary to the default z
+    frame. An exact run beyond ``QUBIT_SITE_CAP`` sites, and wires that
+    cannot fit the patch at ``spacing``, fail before any sample is drawn.
     """
     mode = SampleMode(mode)
     circuit.validate()
+    if mode is SampleMode.EXACT:
+        check_site_cap(lattice, QUBIT_SITE_CAP, "qubit")
     if term is None:
         term = BoundaryTermination()
     if spacing is None:
@@ -1354,15 +1347,15 @@ def run_protocol(
         s1, s2 = child.spawn(2)
         seed1 = int(s1.generate_state(1, np.uint64)[0])
         seed2 = int(s2.generate_state(1, np.uint64)[0])
-        assignment, engine = stage1_sample(
-            lattice, term, mode, seed1, with_engine=True
-        )
+        assignment = stage1_sample(lattice, term, mode, seed1)
         prepared = prepare_protocol(lattice, assignment, circuit, term, spacing)
         if isinstance(prepared, (RoutingFailure, CompileFailure)):
             last = f"{prepared.reason}: {prepared.detail}"
             failures[prepared.reason] += 1
             continue
         backbone, plan = prepared
+        exact = mode is SampleMode.EXACT
+        engine = DenseEngine(lattice, assignment, term) if exact else None
         record, frame, snaps = _drive(
             lattice,
             assignment,

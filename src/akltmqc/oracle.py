@@ -17,10 +17,10 @@ from .contraction import (
     BoundaryTermination,
     LatticeSizeError,
     PlanStep,
+    TracedEngine,
     _layer_value,
     _step_alternatives,
     build_state,
-    measurement_engine,
 )
 from .lattice import HexLattice, Leg, Site, ket_role
 from .tensors import AXES, _sym_isometry, rotation
@@ -232,7 +232,7 @@ def brute_force_joint(
 ) -> dict[tuple, float]:
     """Full joint distribution over the plan's outcome tuples.
 
-    Every branch is enumerated; probabilities come from exact engine
+    Every branch is enumerated; probabilities come from exact double-layer
     weights, so the values sum to 1 up to round-off.
     """
     count = 1
@@ -240,7 +240,7 @@ def brute_force_joint(
         count *= len(_step_alternatives(step))
         if count > BRANCH_CAP:
             raise ValueError(f"branch count exceeds cap {BRANCH_CAP}")
-    engine = measurement_engine(lattice, term)
+    engine = TracedEngine(lattice, term)
     total = engine.weight()
     out: dict[tuple, float] = {}
 

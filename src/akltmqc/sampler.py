@@ -1,7 +1,7 @@
 """Stage 1 of the protocol: the polarizing round and matched bonds.
 
 Exact mode draws the axis of every site from the true joint distribution
-by chain-rule sampling on the contraction engines; IID mode draws axes
+by chain-rule sampling on the double layer; IID mode draws axes
 uniformly and independently, the approximation used for large-lattice
 routing studies (single-site marginals are exactly uniform; only weak
 inter-site correlations are dropped).
@@ -14,13 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .contraction import (
-    BoundaryTermination,
-    DenseEngine,
-    PlanStep,
-    TracedEngine,
-    chain_rule_sample,
-)
+from .contraction import BoundaryTermination, PlanStep, chain_rule_sample
 from .lattice import Bond, HexLattice, Site
 from .tensors import AXES
 
@@ -76,32 +70,17 @@ def stage1_sample(
     term: BoundaryTermination | None,
     mode: SampleMode | str,
     rng_seed: int,
-    with_engine: bool = False,
-) -> (
-    AxisAssignment
-    | tuple[AxisAssignment, DenseEngine | TracedEngine | None]
-):
-    """Polarize every site and return the sampled axes.
-
-    With ``with_engine``, return (axes, engine): the measurement engine
-    holding the polarized state the axes were drawn from, which stage 2
-    continues on (None in iid mode, where no state is kept).
-    """
+) -> AxisAssignment:
+    """Polarize every site and return the sampled axes."""
     mode = SampleMode(mode)
     if mode is SampleMode.IID:
         rng = np.random.default_rng(rng_seed)
         sites = list(lattice.sites())
         draws = rng.integers(0, 3, size=len(sites))
-        assignment = AxisAssignment({s: AXES[d] for s, d in zip(sites, draws)})
-        engine = None
-    else:
-        plan = [PlanStep(site, "polarize") for site in lattice.sites()]
-        record = chain_rule_sample(lattice, term, plan, rng_seed)
-        assignment = AxisAssignment(
-            {s.site: str(s.outcome) for s in record.steps}
-        )
-        engine = record.engine
-    return (assignment, engine) if with_engine else assignment
+        return AxisAssignment({s: AXES[d] for s, d in zip(sites, draws)})
+    plan = [PlanStep(site, "polarize") for site in lattice.sites()]
+    record = chain_rule_sample(lattice, term, plan, rng_seed)
+    return AxisAssignment({s.site: str(s.outcome) for s in record.steps})
 
 
 def matched_bonds(

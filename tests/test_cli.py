@@ -207,7 +207,7 @@ def test_out_of_range_input_is_validation_error(capsys, argv):
 def test_exact_over_dense_cap_is_lattice_size_error(
     capsys, identity_circuit, command
 ):
-    argv = [command, "--lattice", "3x5", "--seed", "1", "--mode", "exact"]
+    argv = [command, "--lattice", "5x5", "--seed", "1", "--mode", "exact"]
     if command == "sample":
         argv += ["--term", "x"]
     else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from akltmqc.contraction import (
-    DENSE_SITE_CAP,
+    STRIP_WIDTH_CAP,
     BoundaryTermination,
     DenseEngine,
     LatticeSizeError,
@@ -18,6 +18,7 @@ from akltmqc.contraction import (
 )
 from akltmqc.lattice import Leg, build_lattice
 from akltmqc.oracle import spin_operators, two_point_correlation
+from akltmqc.sampler import stage1_sample
 from akltmqc.tensors import AXES, povm_element, virtual_ket
 
 
@@ -104,18 +105,19 @@ def test_chain_rule_first_step_matches_marginal():
     assert step.probability == pytest.approx(direct, abs=1e-10)
 
 
-def test_pinned_sampling_respects_dense_cap():
-    lat = build_lattice(3, 5)
-    assert lat.n_sites > DENSE_SITE_CAP
+def test_pinned_sampling_respects_strip_cap():
+    lat = build_lattice(5, 5)
+    assert min(lat.rows, lat.cols) > STRIP_WIDTH_CAP
     plan = [PlanStep(s, "polarize") for s in lat.sites()]
     with pytest.raises(LatticeSizeError):
         chain_rule_sample(lat, BoundaryTermination(axis="z"), plan, 1)
 
 
 def test_effect_weights_allocate_at_most_one_state():
-    lat = build_lattice(2, 5)
-    engine = DenseEngine(lat, BoundaryTermination(axis="x"))
-    state_bytes = 16 * 4**lat.n_sites
+    lat = build_lattice(3, 6)
+    term = BoundaryTermination(axis="x")
+    engine = DenseEngine(lat, stage1_sample(lat, term, "exact", 1), term)
+    state_bytes = 16 * 2**lat.n_sites
     povms = [povm_element(a) for a in AXES]
     tracemalloc.start()
     try:
@@ -125,18 +127,23 @@ def test_effect_weights_allocate_at_most_one_state():
     finally:
         tracemalloc.stop()
     assert peak - base <= state_bytes
-    assert sum(weights) == pytest.approx(engine.weight(), rel=1e-12)
+    assert sum(weights) / engine.weight() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_polarized_sites_keep_their_pair():
-    # every polarization halves the stored state: 4^n -> 2^n amplitudes
+    # one qubit per site; an operator acts compressed to the site's pair,
+    # where its axis's POVM element is sqrt(2/3) I_2
     lat = build_lattice(2, 4)
-    engine = DenseEngine(lat, BoundaryTermination(axis="x"))
-    before = engine.weight()
-    for i, site in enumerate(lat.sites()):
-        engine.apply_op(site, povm_element(AXES[i % 3]))
+    term = BoundaryTermination(axis="x")
+    asg = stage1_sample(lat, term, "exact", 1)
+    engine = DenseEngine(lat, asg, term)
     assert engine._amps.size == 2**lat.n_sites
-    assert 0.0 < engine.weight() < before
+    before = engine.weight()
+    for site in lat.sites():
+        engine.apply_op(site, povm_element(asg[site]))
+    assert engine._amps.size == 2**lat.n_sites
+    ratio = engine.weight() / before
+    assert ratio == pytest.approx((2.0 / 3.0) ** lat.n_sites, rel=1e-12)
 
 
 def test_termination_override_role_checked():

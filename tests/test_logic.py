@@ -7,7 +7,11 @@ import pytest
 from akltmqc import contraction, logic
 from akltmqc.cli import e2e_fixtures
 from akltmqc.contraction import (
+    DENSE_SITE_CAP,
+    QUBIT_SITE_CAP,
     BoundaryTermination,
+    DenseEngine,
+    LatticeSizeError,
     PlanStep,
     build_state,
     chain_rule_sample,
@@ -32,8 +36,8 @@ from akltmqc.logic import (
     run_protocol,
 )
 from akltmqc.oracle import reference_circuit_sim, tv_distance
-from akltmqc.sampler import AxisAssignment
-from akltmqc.tensors import virtual_bra
+from akltmqc.sampler import AxisAssignment, stage1_sample
+from akltmqc.tensors import physical_basis, povm_element, virtual_bra
 
 
 def _fixture(rows_axes):
@@ -272,28 +276,77 @@ def test_exhausted_retries_report_the_histogram():
     assert detail.endswith("; failures by reason: no-junction-column 8")
 
 
-def test_stage2_continues_on_the_stage1_state(monkeypatch):
-    builds = []
+def test_exact_run_builds_one_qubit_state(monkeypatch):
+    builds, engines = [], []
 
-    def counted(*args):
+    def counted_build(*args):
         builds.append(args)
         return build_state(*args)
 
-    monkeypatch.setattr(contraction, "build_state", counted)
+    def counted_engine(*args):
+        engines.append(args)
+        return DenseEngine(*args)
+
+    monkeypatch.setattr(contraction, "build_state", counted_build)
+    monkeypatch.setattr(logic, "DenseEngine", counted_engine)
     lat = build_lattice(2, 4)
     res = run_protocol(lat, BoundaryTermination(axis="x"), IDENTITY, rng_seed=3)
     assert res.attempts > 1
-    assert len(builds) == res.attempts
+    assert builds == []
+    assert len(engines) == 1
 
 
-# -- the reduced engine against the 4^n reference ---------------------------
+def test_exact_run_beyond_the_dense_cap():
+    lat = build_lattice(4, 5)
+    assert DENSE_SITE_CAP < lat.n_sites <= QUBIT_SITE_CAP
+    res = run_protocol(lat, BoundaryTermination(axis="x"), IDENTITY, rng_seed=3)
+    assert res.attempts > 1
+    assert reference_circuit_sim(IDENTITY)[res.outcome.corrected] > 0.0
+
+
+def test_exact_run_over_the_qubit_cap_fails_before_sampling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(logic, "stage1_sample", lambda *a: calls.append(a))
+    with pytest.raises(LatticeSizeError):
+        run_protocol(
+            build_lattice(5, 5), BoundaryTermination(axis="x"), IDENTITY, 1
+        )
+    assert calls == []
+
+
+# -- the fast engines against the 4^n reference -----------------------------
+
+
+def _polarized_reference(lattice, assignment, term, keep_pair=False):
+    """build_state amplitudes with povm_element applied site by site; with
+    ``keep_pair`` each site is then written in its +-3/2 pair."""
+    psi = build_state(lattice, term).tensor()
+    for site in lattice.sites():
+        ax = lattice.site_index(site)
+        op = povm_element(assignment[site])
+        if keep_pair:
+            op = physical_basis(assignment[site])[:, [0, 3]].conj().T @ op
+        psi = np.moveaxis(np.tensordot(op, psi, axes=([1], [ax])), 0, ax)
+    return psi
 
 
 class _DenseReference:
-    """4^n engine: full 4x4 operators and rows on build_state amplitudes."""
+    """4^n engine: full 4x4 operators and rows on build_state amplitudes.
 
-    def __init__(self, lattice, term):
-        self.psi = build_state(lattice, term).tensor()
+    Stands in for the layer engine, built as (lattice, term), and for the
+    qubit engine, built as (lattice, assignment, term) and then polarized.
+    Every construction is logged in ``built``.
+    """
+
+    built: list[str] = []
+
+    def __init__(self, lattice, *args):
+        if len(args) == 1:
+            self.psi = build_state(lattice, args[0]).tensor()
+            self.built.append("layer")
+        else:
+            self.psi = _polarized_reference(lattice, *args)
+            self.built.append("qubit")
         self.sites = sorted(lattice.sites(), key=lattice.site_index)
 
     def _acted(self, site, action):
@@ -327,9 +380,33 @@ class _DenseReference:
 
 
 def _use_reference(monkeypatch):
-    """Route stage 1 and protocol_branches through the 4^n reference."""
-    monkeypatch.setattr(contraction, "measurement_engine", _DenseReference)
-    monkeypatch.setattr(logic, "measurement_engine", _DenseReference)
+    """Route stage 1 and stage 2 through the 4^n reference; returns the log
+    of reference constructions, emptied first."""
+    monkeypatch.setattr(contraction, "TracedEngine", _DenseReference)
+    monkeypatch.setattr(logic, "DenseEngine", _DenseReference)
+    monkeypatch.setattr(_DenseReference, "built", [])
+    return _DenseReference.built
+
+
+def _qubit_case(name):
+    """A criterion-6 fixture, or an x-pinned stage-1 sample of that size."""
+    for fixture, lat, asg, term, _, _ in e2e_fixtures():
+        if fixture == name:
+            return lat, asg, term
+    term = BoundaryTermination(axis="x")
+    lat = build_lattice(*map(int, name.split("x")))
+    return lat, stage1_sample(lat, term, "exact", 1), term
+
+
+@pytest.mark.parametrize("name", ["identity", "rot", "cnot", "2x5", "3x4"])
+def test_qubit_state_matches_polarized_dense_state(name):
+    lat, asg, term = _qubit_case(name)
+    engine = DenseEngine(lat, asg, term)
+    want = _polarized_reference(lat, asg, term, keep_pair=True)
+    want = np.transpose(want, [lat.site_index(s) for s in engine.live_sites])
+    scale = np.abs(want).max()
+    assert scale > 0.0
+    assert np.abs(engine._amps - want).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -343,8 +420,9 @@ def test_chain_rule_matches_dense_reference(monkeypatch, seed):
         PlanStep((0, 3), "standard", "y"),
     ]
     fast = chain_rule_sample(lat, term, plan, seed)
-    _use_reference(monkeypatch)
+    built = _use_reference(monkeypatch)
     slow = chain_rule_sample(lat, term, plan, seed)
+    assert built == ["layer"]
     assert [s.outcome for s in fast.steps] == [s.outcome for s in slow.steps]
     for a, b in zip(fast.steps, slow.steps):
         assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
@@ -356,8 +434,9 @@ def test_exact_run_matches_dense_reference(monkeypatch, circuit, seed):
     lat = build_lattice(2, 4)
     term = BoundaryTermination(axis="x")
     fast = run_protocol(lat, term, circuit, rng_seed=seed)
-    _use_reference(monkeypatch)
+    built = _use_reference(monkeypatch)
     slow = run_protocol(lat, term, circuit, rng_seed=seed)
+    assert built == ["layer"] * slow.attempts + ["qubit"]
     assert fast.assignment == slow.assignment
     assert fast.frames == slow.frames
     assert fast.outcome == slow.outcome
@@ -384,8 +463,9 @@ def test_branch_tables_match_dense_reference(monkeypatch):
         _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
         fast = protocol_branches(lat, asg, plan, circuit, term)
         with monkeypatch.context() as m:
-            _use_reference(m)
+            built = _use_reference(m)
             slow = protocol_branches(lat, asg, plan, circuit, term)
+        assert built == ["qubit"]
         assert [b.outcomes for b in fast] == [b.outcomes for b in slow]
         for a, b in zip(fast, slow):
             assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
