@@ -15,10 +15,14 @@ closed in one of two ways:
 
 Probabilities, reduced densities, correlations and stage 1 contract the
 double layer <psi| prod effects |psi> for either closure, so they reach
-any strip of at most ``STRIP_WIDTH_CAP`` rows (or columns).
-:class:`TracedEngine` is the layer engine for sequential measurement:
-it keeps one operator per measured site and contracts the double layer
-afresh for every weight, for a traced or a pinned ``term``.
+any strip of at most ``STRIP_WIDTH_CAP`` rows (or columns). The sweep
+runs line by line: a line is a column of a strip of at most that many
+rows, else a row. Probabilities, densities and correlations are one-shot
+contractions (:func:`_layer_value`). :class:`TracedEngine` is the layer
+engine for sequential measurement, for a traced or a pinned ``term``: it
+keeps one operator per measured site and caches the left and right
+environments of every line, so a chain-rule step contracts about two
+lines instead of the whole strip.
 
 Stage 2 runs on :class:`DenseEngine`, the pinned state with every site
 polarized onto the +-3/2 pair of its sampled axis. It is contracted
@@ -48,8 +52,10 @@ amplitudes.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -191,14 +197,18 @@ def _gram(amps: np.ndarray) -> np.ndarray:
 # -- network sweep ----------------------------------------------------------
 
 
-def _sweep_order(lattice: HexLattice) -> list[Site]:
-    """Site order keeping the open-leg frontier within one line of sites."""
-    if lattice.rows <= STRIP_WIDTH_CAP:
-        return [(r, c) for c in range(lattice.cols) for r in range(lattice.rows)]
-    if lattice.cols <= STRIP_WIDTH_CAP:
-        return [(r, c) for r in range(lattice.rows) for c in range(lattice.cols)]
+def _sweep_lines(lattice: HexLattice) -> list[list[Site]]:
+    """The sweep's lines, in order: the columns of a strip of at most
+    ``STRIP_WIDTH_CAP`` rows, else the rows of a strip of at most
+    ``STRIP_WIDTH_CAP`` columns. Bonds join sites of one line or of adjacent
+    lines, so the open-leg frontier stays within one line of sites."""
+    rows, cols = lattice.rows, lattice.cols
+    if rows <= STRIP_WIDTH_CAP:
+        return [[(r, c) for r in range(rows)] for c in range(cols)]
+    if cols <= STRIP_WIDTH_CAP:
+        return [[(r, c) for c in range(cols)] for r in range(rows)]
     raise LatticeSizeError(
-        f"lattice {lattice.rows}x{lattice.cols}: neither dimension within "
+        f"lattice {rows}x{cols}: neither dimension within "
         f"strip cap {STRIP_WIDTH_CAP}"
     )
 
@@ -223,40 +233,75 @@ def _sliced_tensordot(acc, t, acc_pos, t_pos):
     return out
 
 
-def _contract_sweep(lattice, tensor_for, close_for):
+def _join(lattice, a, a_keys, b, b_keys):
+    """Contract every bond between an open leg of ``a`` and one of ``b``.
+
+    Keys name axes: ("v", site, leg) is an open virtual leg, anything else
+    a site-local axis. Returns (array, keys), a's remaining axes first.
+    """
+    a_pos, b_pos = [], []
+    for j, key in enumerate(b_keys):
+        if key[0] != "v":
+            continue
+        _, site, leg = key
+        nb = lattice.neighbor(site, leg)
+        if nb is None:
+            continue
+        nb_key = ("v", nb, lattice.leg_between(nb, site))
+        if nb_key in a_keys:
+            a_pos.append(a_keys.index(nb_key))
+            b_pos.append(j)
+    out = _sliced_tensordot(a, b, a_pos, b_pos)
+    keys = [k for i, k in enumerate(a_keys) if i not in a_pos]
+    keys += [k for j, k in enumerate(b_keys) if j not in b_pos]
+    return out, keys
+
+
+def _closed_tensor(lattice, site, tensor_for, close_for):
+    """(tensor, keys) of one site, its dangling legs closed by close_for."""
+    t, extra_names = tensor_for(site)
+    keys = [(name, site) for name in extra_names]
+    keys += [("v", site, leg) for leg in Leg]
+    for leg in Leg:
+        if lattice.neighbor(site, leg) is None:
+            vec = close_for(site, leg)
+            if vec is None:
+                continue
+            pos = keys.index(("v", site, leg))
+            t = np.tensordot(t, vec, axes=([pos], [0]))
+            keys.pop(pos)
+    return t, keys
+
+
+def _contract_sweep(lattice, tensor_for, close_for, sites=None, start=None):
     """Generic single-pass network contraction.
 
     ``tensor_for(site)`` returns (tensor, extra_names); the tensor's axes
     are the named extra site-local axes first, then (left, right, vert).
     ``close_for(site, leg)`` returns the vector closing a dangling leg, or
-    None to keep it as an open output axis. Returns (array, keys).
+    None to keep it as an open output axis. ``sites`` (default: every site,
+    line by line) are absorbed in order onto ``start``, an (array, keys)
+    pair from an earlier sweep (default: the empty network), so a sweep can
+    resume from a stored environment. A site whose vertical partner comes
+    next is first contracted with it, so the pair meets the accumulator as
+    one tensor and no intermediate outgrows the final result on the last
+    line. Returns (array, keys).
     """
-    acc = np.ones((), dtype=complex)
-    keys: list[tuple] = []
-    for site in _sweep_order(lattice):
-        t, extra_names = tensor_for(site)
-        tkeys = [(name, site) for name in extra_names]
-        tkeys += [("v", site, leg) for leg in (Leg.LEFT, Leg.RIGHT, Leg.VERT)]
-        for leg in (Leg.LEFT, Leg.RIGHT, Leg.VERT):
-            if lattice.neighbor(site, leg) is None:
-                vec = close_for(site, leg)
-                if vec is None:
-                    continue
-                pos = tkeys.index(("v", site, leg))
-                t = np.tensordot(t, vec, axes=([pos], [0]))
-                tkeys.pop(pos)
-        acc_pos, t_pos = [], []
-        for leg in (Leg.LEFT, Leg.RIGHT, Leg.VERT):
-            nb = lattice.neighbor(site, leg)
-            if nb is None:
-                continue
-            nb_key = ("v", nb, lattice.leg_between(nb, site))
-            if nb_key in keys:
-                acc_pos.append(keys.index(nb_key))
-                t_pos.append(tkeys.index(("v", site, leg)))
-        acc = _sliced_tensordot(acc, t, acc_pos, t_pos)
-        keys = [k for i, k in enumerate(keys) if i not in set(acc_pos)]
-        keys += [k for i, k in enumerate(tkeys) if i not in set(t_pos)]
+    acc, keys = start or (np.ones((), dtype=complex), [])
+    if sites is None:
+        sites = [s for line in _sweep_lines(lattice) for s in line]
+    i = 0
+    while i < len(sites):
+        t, tkeys = _closed_tensor(lattice, sites[i], tensor_for, close_for)
+        if (
+            i + 1 < len(sites)
+            and lattice.neighbor(sites[i], Leg.VERT) == sites[i + 1]
+        ):
+            i += 1
+            pair = _closed_tensor(lattice, sites[i], tensor_for, close_for)
+            t, tkeys = _join(lattice, t, tkeys, *pair)
+        acc, keys = _join(lattice, acc, keys, t, tkeys)
+        i += 1
     return acc, keys
 
 
@@ -313,9 +358,66 @@ def _double_tensor(kind, effect: np.ndarray) -> np.ndarray:
     return d.reshape(4, 4, 4)
 
 
+@lru_cache(maxsize=None)
+def _unmeasured_layer(kind) -> np.ndarray:
+    """The double tensor of an unmeasured site, the same for its kind."""
+    d = _double_tensor(kind, _ID4)
+    d.setflags(write=False)  # cached: shared by every contraction
+    return d
+
+
+@lru_cache(maxsize=None)
+def _open_layer(kind) -> np.ndarray:
+    """Double tensor with the bra/ket physical indices left open."""
+    a = site_tensor(kind)
+    d = np.einsum("aLRV,blrv->abLlRrVv", np.conj(a), a).reshape(4, 4, 4, 4, 4)
+    d.setflags(write=False)  # cached: shared by every contraction
+    return d
+
+
 def _pair_vec(vec: VirtualVec) -> np.ndarray:
     v = vec.vector
     return np.kron(np.conj(v), v)
+
+
+def _layer_closure(lattice: HexLattice, term: BoundaryTermination | None):
+    """close_for of the double layer: identity pairs for traced edges,
+    else the pair of each edge's pinned vector."""
+
+    def close(site, leg):
+        if term is None:
+            return _TRACED_PAIR
+        return _pair_vec(term.vec_for(lattice, site, leg))
+
+    return close
+
+
+def _layer_tensors(
+    lattice: HexLattice,
+    effects: dict[Site, np.ndarray],
+    open_site: Site | None = None,
+):
+    """tensor_for of the double layer: each site carries its effect (the
+    identity where it has none); ``open_site`` keeps its bra/ket physical
+    indices open as the extra axes ("ra", "rb")."""
+
+    def tensor_for(site):
+        kind = lattice.kind(site)
+        if site == open_site:
+            return _open_layer(kind), ("ra", "rb")
+        if site in effects:
+            return _double_tensor(kind, effects[site]), ()
+        return _unmeasured_layer(kind), ()
+
+    return tensor_for
+
+
+def _real(value) -> float:
+    """A double-layer value, which must be real up to round-off."""
+    val = complex(value)
+    if abs(val.imag) > 1e-9 * max(abs(val.real), 1.0):
+        raise ProbabilityConsistencyError(f"non-real value {val}")
+    return float(val.real)
 
 
 def _layer_value(
@@ -324,31 +426,19 @@ def _layer_value(
     effects: dict[Site, np.ndarray],
     open_site: Site | None = None,
 ) -> np.ndarray | float:
-    """Contract <psi| prod effects |psi> on the double layer.
+    """Contract <psi| prod effects |psi> on the double layer, in one pass.
 
     With ``open_site`` set, that site's bra/ket physical indices are left
     open and the (4, 4) result T satisfies <psi|E|psi> = sum E[a,b] T[a,b].
     """
-
-    def close(site, leg):
-        if term is None:
-            return _TRACED_PAIR
-        return _pair_vec(term.vec_for(lattice, site, leg))
-
-    def tensor_for(site):
-        if site == open_site:
-            a = site_tensor(lattice.kind(site))
-            d = np.einsum("aLRV,blrv->abLlRrVv", np.conj(a), a)
-            return d.reshape(4, 4, 4, 4, 4), ("ra", "rb")
-        return _double_tensor(lattice.kind(site), effects.get(site, _ID4)), ()
-
-    acc, keys = _contract_sweep(lattice, tensor_for, close)
+    acc, keys = _contract_sweep(
+        lattice,
+        _layer_tensors(lattice, effects, open_site),
+        _layer_closure(lattice, term),
+    )
     if open_site is None:
         assert not keys
-        val = complex(acc)
-        if abs(val.imag) > 1e-9 * max(abs(val.real), 1.0):
-            raise ProbabilityConsistencyError(f"non-real value {val}")
-        return float(val.real)
+        return _real(acc)
     assert [k[0] for k in keys] == ["ra", "rb"]
     return acc
 
@@ -485,9 +575,19 @@ class DenseEngine:
 class TracedEngine:
     """Sequential-measurement engine on the double layer.
 
-    Keeps one accumulated operator per measured site; every weight is a
-    fresh double-layer contraction closed by ``term`` (traced edges for
-    None, else pinned), so no state vector is ever formed.
+    Keeps one accumulated operator per measured site, closed by ``term``
+    (traced edges for None, else pinned), so no state vector is ever
+    formed. Over the sweep's lines (``_sweep_lines``) it caches left and
+    right environments: ``_left[k]`` is lines 0..k-1 contracted, with open
+    legs into line k, and ``_right[k]`` is the lines after k (the
+    environment reuse of Ferris & Vidal, PRB 85, 165146, 2012).
+    ``apply_op`` drops only the environments that contain the site's line;
+    a missing one is rebuilt, one line at a time, from the nearest one
+    still cached. A weight at a site contracts the site's line once, with
+    the site's bra/ket indices open, between its two environments, and
+    reads every alternative off the resulting (4, 4) tensor, so a step in
+    sweep order costs about two lines. :func:`_layer_value` is the one-shot
+    contraction the tests compare against.
     """
 
     def __init__(
@@ -495,22 +595,53 @@ class TracedEngine:
     ):
         self.lattice = lattice
         self.term = term
+        self._lines = _sweep_lines(lattice)
+        self._line_of = {
+            s: k for k, line in enumerate(self._lines) for s in line
+        }
+        self._close = _layer_closure(lattice, term)
         self._ops: dict[Site, np.ndarray] = {}
+        self._effects: dict[Site, np.ndarray] = {}
+        empty = (np.ones((), dtype=complex), [])
+        self._left: dict[int, tuple] = {0: empty}
+        self._right: dict[int, tuple] = {len(self._lines) - 1: empty}
 
-    def _effects(self, site=None, extra=None) -> dict[Site, np.ndarray]:
-        eff = {}
-        for s, op in self._ops.items():
-            o = op if s != site else extra @ op
-            eff[s] = o.conj().T @ o
-        if site is not None and site not in self._ops:
-            eff[site] = extra.conj().T @ extra
-        return eff
+    def _absorb(self, k: int, env: tuple, open_site: Site | None = None):
+        """``env`` with line k contracted onto it."""
+        tensor_for = _layer_tensors(self.lattice, self._effects, open_site)
+        acc, keys = _contract_sweep(
+            self.lattice, tensor_for, self._close, self._lines[k], env
+        )
+        acc.setflags(write=False)  # environments are shared by branches
+        return acc, keys
+
+    def _left_env(self, k: int) -> tuple:
+        j = max(i for i in self._left if i <= k)
+        for i in range(j, k):
+            self._left[i + 1] = self._absorb(i, self._left[i])
+        return self._left[k]
+
+    def _right_env(self, k: int) -> tuple:
+        j = min(i for i in self._right if i >= k)
+        for i in range(j, k, -1):
+            self._right[i - 1] = self._absorb(i, self._right[i])
+        return self._right[k]
+
+    def _open_tensor(self, site: Site) -> np.ndarray:
+        """T with <psi|E_site|psi> = sum E[a,b] T[a,b], the site's own
+        operator left out."""
+        k = self._line_of[site]
+        acc, keys = self._absorb(k, self._left_env(k), open_site=site)
+        t, keys = _join(self.lattice, acc, keys, *self._right_env(k))
+        assert [key[0] for key in keys] == ["ra", "rb"]
+        return t
 
     def weight(self) -> float:
-        return _layer_value(self.lattice, self.term, self._effects())
+        return _real(self._left_env(len(self._lines))[0])
 
     def op_weight(self, site: Site, op: np.ndarray) -> float:
-        return _layer_value(self.lattice, self.term, self._effects(site, op))
+        """Weight after ``op`` on ``site``, on top of its operator so far."""
+        return self.effect_weights(site, [op])[0]
 
     def effect_weight(self, site: Site, action: np.ndarray) -> float:
         return self.op_weight(site, _as_op(action))
@@ -518,17 +649,32 @@ class TracedEngine:
     def effect_weights(
         self, site: Site, actions: list[np.ndarray]
     ) -> list[float]:
-        return [self.effect_weight(site, a) for a in actions]
+        """Batched effect_weight from one line contraction: with T from
+        ``_open_tensor`` and O the site's accumulated operator, action A
+        weighs sum((M^dagger M) * T) for M = A O."""
+        t = self._open_tensor(site)
+        o = self._ops.get(site, _ID4)
+        return [_real(np.sum(_effect(_as_op(a) @ o) * t)) for a in actions]
 
     def apply_op(self, site: Site, op: np.ndarray) -> None:
-        self._ops[site] = op @ self._ops.get(site, _ID4)
+        o = op @ self._ops.get(site, _ID4)
+        self._ops[site] = o
+        self._effects[site] = o.conj().T @ o
+        k = self._line_of[site]
+        for j in [j for j in self._left if j > k]:
+            del self._left[j]
+        for j in [j for j in self._right if j < k]:
+            del self._right[j]
 
     def project(self, site: Site, row: np.ndarray) -> None:
         self.apply_op(site, _as_op(row))
 
     def branch(self, site: Site, action: np.ndarray) -> "TracedEngine":
-        new = TracedEngine(self.lattice, self.term)
-        new._ops = dict(self._ops)
+        """Non-mutating apply_op; the copy has its own operator and cache
+        dicts and shares the read-only environment arrays."""
+        new = copy.copy(self)
+        new._ops, new._effects = dict(self._ops), dict(self._effects)
+        new._left, new._right = dict(self._left), dict(self._right)
         new.apply_op(site, _as_op(action))
         return new
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from akltmqc import contraction
 from akltmqc.contraction import (
     STRIP_WIDTH_CAP,
     BoundaryTermination,
@@ -11,6 +12,9 @@ from akltmqc.contraction import (
     MeasurementPattern,
     PlanStep,
     Polarized,
+    TracedEngine,
+    _as_op,
+    _layer_value,
     build_state,
     chain_rule_sample,
     pattern_probability,
@@ -19,7 +23,7 @@ from akltmqc.contraction import (
 from akltmqc.lattice import Leg, build_lattice
 from akltmqc.oracle import spin_operators, two_point_correlation
 from akltmqc.sampler import stage1_sample
-from akltmqc.tensors import AXES, povm_element, virtual_ket
+from akltmqc.tensors import AXES, povm_element, standard_covector, virtual_ket
 
 
 @pytest.mark.parametrize("term", [None, BoundaryTermination(axis="z")])
@@ -213,3 +217,186 @@ def test_pinned_layer_matches_dense_reference(axis):
                 )
             got = two_point_correlation(lat, term, i, j, a)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+# -- cached layer environments against the one-shot contraction ---------------
+
+
+class _LayerReference:
+    """The layer engine without environments: every weight is a fresh
+    one-shot ``_layer_value`` of the whole double layer."""
+
+    def __init__(self, lattice, term=None):
+        self.lattice, self.term = lattice, term
+        self.ops = {}
+
+    def _value(self, ops):
+        effects = {s: o.conj().T @ o for s, o in ops.items()}
+        return _layer_value(self.lattice, self.term, effects)
+
+    def weight(self):
+        return self._value(self.ops)
+
+    def effect_weights(self, site, actions):
+        out = []
+        for a in actions:
+            ops = dict(self.ops)
+            ops[site] = _as_op(a) @ ops.get(site, np.eye(4))
+            out.append(self._value(ops))
+        return out
+
+    def apply_op(self, site, op):
+        self.ops[site] = op @ self.ops.get(site, np.eye(4))
+
+    def project(self, site, row):
+        self.apply_op(site, _as_op(row))
+
+    def branch(self, site, action):
+        new = _LayerReference(self.lattice, self.term)
+        new.ops = dict(self.ops)
+        new.apply_op(site, _as_op(action))
+        return new
+
+
+def _random_action(rng):
+    """A generic Kraus operator or projective row; neither zeroes a state."""
+    shape = (4, 4) if rng.random() < 0.6 else (4,)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _assert_weights(engine, reference, site, actions):
+    scale = reference.weight()
+    got = engine.effect_weights(site, actions)
+    want = reference.effect_weights(site, actions)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+LAYER_CASES = [
+    (rows, cols, term)
+    for rows, cols in ((3, 6), (7, 3))
+    for term in (None, BoundaryTermination(axis="x"), BoundaryTermination())
+]
+
+
+def _case_id(value):
+    if isinstance(value, BoundaryTermination):
+        return f"pinned-{value.axis}"
+    return "traced" if value is None else str(value)
+
+
+@pytest.mark.parametrize("rows,cols,term", LAYER_CASES, ids=_case_id)
+def test_cached_engine_matches_one_shot_contraction(rows, cols, term):
+    # operators land at random sites in random order, not sweep order, so
+    # every step invalidates environments on both sides of some line
+    lat = build_lattice(rows, cols)
+    rng = np.random.default_rng(rows * cols)
+    engine, reference = TracedEngine(lat, term), _LayerReference(lat, term)
+    sites = list(lat.sites())
+    povms = [povm_element(a) for a in AXES]
+    for _ in range(12):
+        site = sites[rng.integers(len(sites))]
+        action = _random_action(rng)
+        for eng in (engine, reference):
+            if np.ndim(action) == 1:
+                eng.project(site, action)
+            else:
+                eng.apply_op(site, action)
+        assert engine.weight() == pytest.approx(reference.weight(), rel=1e-12)
+        other = sites[rng.integers(len(sites))]
+        for s in (site, other):
+            _assert_weights(
+                engine, reference, s, povms + [_random_action(rng)]
+            )
+
+
+@pytest.mark.parametrize(
+    "term", [None, BoundaryTermination(axis="x")], ids=_case_id
+)
+def test_branch_leaves_parent_unchanged(term):
+    lat = build_lattice(3, 5)
+    rng = np.random.default_rng(5)
+    engine, reference = TracedEngine(lat, term), _LayerReference(lat, term)
+    for site in [(1, 2), (0, 4), (2, 0)]:
+        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        engine.apply_op(site, op)
+        reference.apply_op(site, op)
+    probes = [(0, 0), (1, 2), (2, 4)]
+    povms = [povm_element(a) for a in AXES]
+    before = [engine.effect_weights(s, povms) for s in probes]
+    left, right = dict(engine._left), dict(engine._right)
+    assert len(left) > 1 and len(right) > 1
+
+    row = standard_covector("x", 1)
+    child = engine.branch((1, 3), row)
+    child_ref = reference.branch((1, 3), row)
+    for s in probes:
+        _assert_weights(child, child_ref, s, povms)
+
+    assert engine._left.keys() == left.keys()
+    assert engine._right.keys() == right.keys()
+    assert all(engine._left[k] is v for k, v in left.items())
+    assert all(engine._right[k] is v for k, v in right.items())
+    assert [engine.effect_weights(s, povms) for s in probes] == before
+    for s in probes:
+        _assert_weights(engine, reference, s, povms)
+
+
+def _records(lat, term, plan, seed, monkeypatch):
+    """chain_rule_sample's record on the layer engine and on the
+    per-weight reference."""
+    got = chain_rule_sample(lat, term, plan, seed)
+    with monkeypatch.context() as m:
+        m.setattr(contraction, "TracedEngine", _LayerReference)
+        want = chain_rule_sample(lat, term, plan, seed)
+    assert [(s.site, s.kind, s.outcome) for s in got.steps] == [
+        (s.site, s.kind, s.outcome) for s in want.steps
+    ]
+    np.testing.assert_allclose(
+        [s.probability for s in got.steps],
+        [s.probability for s in want.steps],
+        rtol=1e-12,
+    )
+    return got
+
+
+@pytest.mark.parametrize(
+    "rows,cols,term",
+    [(3, 5, None), (5, 3, BoundaryTermination(axis="x")), (2, 4, None)],
+    ids=_case_id,
+)
+def test_chain_rule_matches_per_weight_reference(rows, cols, term, monkeypatch):
+    # polarize every site, then read out sites polarized earlier: the
+    # readout weights sit on top of each site's polarizing operator
+    lat = build_lattice(rows, cols)
+    polarize = [PlanStep(s, "polarize") for s in lat.sites()]
+    record = _records(lat, term, polarize, 3, monkeypatch)
+    axes = {s.site: str(s.outcome) for s in record.steps}
+    readout = []
+    for i, site in enumerate(reversed(list(lat.sites()))):
+        if i % 2:
+            readout.append(PlanStep(site, "standard", axis=axes[site]))
+        else:
+            partner = next(a for a in AXES if a != axes[site])
+            readout.append(
+                PlanStep(site, "complementary", axes[site], partner, 0.3 * i)
+            )
+    _records(lat, term, polarize + readout, 3, monkeypatch)
+
+
+def test_qubit_build_stays_within_final_state(monkeypatch):
+    # vertical pairs meet the accumulator as one tensor, so no
+    # intermediate of the 4x5 build outgrows the 2^20-amplitude state
+    lat = build_lattice(4, 5)
+    term = BoundaryTermination(axis="x")
+    sizes = []
+    inner = contraction._sliced_tensordot
+
+    def recorded(acc, t, acc_pos, t_pos):
+        out = inner(acc, t, acc_pos, t_pos)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(contraction, "_sliced_tensordot", recorded)
+    engine = DenseEngine(lat, stage1_sample(lat, term, "iid", 0), term)
+    assert engine._amps.size == 2**20
+    assert max(sizes) <= 2**20
