@@ -21,8 +21,6 @@ import numpy as np
 from .contraction import (
     BoundaryTermination,
     LatticeSizeError,
-    MeasurementPattern,
-    Polarized,
     pattern_probability,
     reduced_density,
 )
@@ -110,9 +108,8 @@ class RunConfig:
     level: str = "full"
 
     def validate(self) -> None:
-        needs_seed = {"sample", "route", "run", "percolate"}
-        if self.subcommand in needs_seed and self.seed is None:
-            raise UsageError(f"{self.subcommand} requires --seed")
+        """Range checks; argparse has already enforced required options
+        and choices."""
         if self.seed is not None and self.seed < 0:
             raise UsageError(f"seed {self.seed} is negative")
         sizes = list(self.sizes)
@@ -125,14 +122,6 @@ class RunConfig:
                 raise UsageError(
                     f"lattice {rows}x{cols} exceeds {MAX_SITES} sites"
                 )
-        if self.subcommand in {"route", "run"} and not self.circuit_path:
-            raise UsageError(f"{self.subcommand} requires --circuit")
-        if self.mode not in ("exact", "iid"):
-            raise UsageError(f"unknown mode {self.mode!r}")
-        if self.term not in ("x", "y", "z", "traced"):
-            raise UsageError(f"unknown termination {self.term!r}")
-        if self.subcommand == "run" and self.term == "traced":
-            raise UsageError("run needs a pinned termination (x, y or z)")
         if self.trials < 1:
             raise UsageError("trials must be positive")
         if self.spacing is not None and self.spacing < 1:
@@ -143,8 +132,6 @@ class RunConfig:
             for p in self.ps:
                 if not 0.0 <= p <= 1.0:
                     raise UsageError(f"occupation {p} outside [0, 1]")
-        if self.level not in ("fast", "full"):
-            raise UsageError(f"unknown level {self.level!r}")
 
 
 # -- parsing helpers ----------------------------------------------------------
@@ -714,19 +701,11 @@ def check_stage1_statistics() -> dict:
         lattice = build_lattice(rows, cols)
         for site in lattice.sites():
             for axis in AXES:
-                p = pattern_probability(
-                    lattice, None, MeasurementPattern({site: Polarized(axis)})
-                )
+                p = pattern_probability(lattice, None, {site: axis})
                 worst_marginal = max(worst_marginal, abs(p - 1.0 / 3.0))
         for bond in lattice.bonds():
             p_match = sum(
-                pattern_probability(
-                    lattice,
-                    None,
-                    MeasurementPattern(
-                        {bond.a: Polarized(a), bond.b: Polarized(a)}
-                    ),
-                )
+                pattern_probability(lattice, None, {bond.a: a, bond.b: a})
                 for a in AXES
             )
             worst_bond = max(worst_bond, abs(p_match - 1.0 / 3.0))

@@ -18,11 +18,14 @@ double layer <psi| prod effects |psi> for either closure, so they reach
 any strip of at most ``STRIP_WIDTH_CAP`` rows (or columns). The sweep
 runs line by line: a line is a column of a strip of at most that many
 rows, else a row. Probabilities, densities and correlations are one-shot
-contractions (:func:`_layer_value`). :class:`TracedEngine` is the layer
-engine for sequential measurement, for a traced or a pinned ``term``: it
-keeps one operator per measured site and caches the left and right
-environments of every line, so a chain-rule step contracts about two
-lines instead of the whole strip.
+contractions (:func:`_layer_value`); :func:`pattern_probability` weighs
+a ``{site: axis}`` dict of polarizing outcomes. :class:`TracedEngine` is
+the layer engine for sequential measurement, for a traced or a pinned
+``term``: it keeps one operator per measured site and caches the left and
+right environments of every line, so a chain-rule step contracts about
+two lines instead of the whole strip. Stage 1 is axes in, axes out:
+:func:`chain_rule_sample` polarizes every site in ``lattice.sites()``
+order on that engine, drawing each axis from its exact conditional.
 
 Stage 2 runs on :class:`DenseEngine`, the pinned state with every site
 polarized onto the +-3/2 pair of its sampled axis. It is contracted
@@ -64,11 +67,9 @@ from .lattice import HexLattice, Leg, Site, ket_role
 from .tensors import (
     AXES,
     VirtualVec,
-    comp_covector,
     physical_basis,
     povm_element,
     site_tensor,
-    standard_covector,
     virtual_bra,
     virtual_ket,
 )
@@ -137,26 +138,6 @@ class BoundaryTermination:
         return vec
 
 
-# -- measurement patterns ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Polarized:
-    axis: str
-
-
-@dataclass
-class MeasurementPattern:
-    """Polarizing outcomes on some sites; the other sites are traced out."""
-
-    entries: dict[Site, Polarized] = field(default_factory=dict)
-
-    def validate(self, lattice: HexLattice) -> None:
-        for site in self.entries:
-            if not lattice.contains(site):
-                raise ValueError(f"pattern site {site} not on lattice")
-
-
 # -- actions ------------------------------------------------------------------
 
 
@@ -214,22 +195,30 @@ def _sweep_lines(lattice: HexLattice) -> list[list[Site]]:
 
 
 def _sliced_tensordot(acc, t, acc_pos, t_pos):
-    """``np.tensordot(acc, t, (acc_pos, t_pos))`` written one slice of acc's
-    open first axis at a time, so the transposed copy of acc that the
-    product needs is one slice, not the whole (possibly state-sized) array.
+    """``np.tensordot(acc, t, (acc_pos, t_pos))`` written one block of acc
+    at a time, a block fixing acc's leading open axes, as many as bring it
+    to about ``_BLOCK`` amplitudes. The transposed copy of acc that the
+    product needs is then one block, not the whole (possibly state-sized)
+    array.
     """
     if 0 in acc_pos or acc.size < _BLOCK:
         return np.tensordot(acc, t, axes=(acc_pos, t_pos))
-    free = [i for i in range(1, acc.ndim) if i not in acc_pos]
+    lead, size = 1, acc.size // acc.shape[0]
+    while size > _BLOCK and lead < acc.ndim and lead not in acc_pos:
+        size //= acc.shape[lead]
+        lead += 1
+    free = [i for i in range(lead, acc.ndim) if i not in acc_pos]
     t_free = [i for i in range(t.ndim) if i not in t_pos]
     k = math.prod(acc.shape[i] for i in acc_pos)
     tm = t.transpose(list(t_pos) + t_free).reshape(k, -1)
-    shape = [acc.shape[i] for i in [0, *free]] + [t.shape[i] for i in t_free]
+    outer = acc.shape[:lead]
+    shape = [*outer, *(acc.shape[i] for i in free)]
+    shape += [t.shape[i] for i in t_free]
     out = np.empty(shape, dtype=np.result_type(acc, t))
-    order = [i - 1 for i in free + list(acc_pos)]
-    for i in range(acc.shape[0]):
-        block = acc[i].transpose(order).reshape(-1, k)
-        np.dot(block, tm, out=out[i].reshape(block.shape[0], -1))
+    order = [i - lead for i in free + list(acc_pos)]
+    for idx in np.ndindex(*outer):
+        block = acc[idx].transpose(order).reshape(-1, k)
+        np.dot(block, tm, out=out[idx].reshape(block.shape[0], -1))
     return out
 
 
@@ -449,15 +438,15 @@ def _layer_value(
 def pattern_probability(
     lattice: HexLattice,
     term: BoundaryTermination | None,
-    pattern: MeasurementPattern,
+    axes: dict[Site, str],
 ) -> float:
-    """Probability of the pattern's outcomes; unmeasured sites (and, with
-    ``term=None``, the boundary edge qubits) are traced out."""
-    pattern.validate(lattice)
-    effects = {
-        site: _effect(povm_element(entry.axis))
-        for site, entry in pattern.entries.items()
-    }
+    """Probability of polarizing each site of ``axes`` along its axis;
+    unmeasured sites (and, with ``term=None``, the boundary edge qubits)
+    are traced out."""
+    for site in axes:
+        if not lattice.contains(site):
+            raise ValueError(f"pattern site {site} not on lattice")
+    effects = {site: _effect(povm_element(ax)) for site, ax in axes.items()}
     num = _layer_value(lattice, term, effects)
     den = _layer_value(lattice, term, {})
     return _clamp_probability(num / den)
@@ -683,23 +672,6 @@ class TracedEngine:
 
 
 @dataclass(frozen=True)
-class PlanStep:
-    """One measurement in a chain-rule plan.
-
-    kind "polarize" samples an axis; "standard" reads out +-3/2 along
-    ``axis``; "complementary" measures the conditioned interior basis with
-    ``axis`` (measured), ``partner_axis`` and ``angle``. Projective steps
-    assume the site's polarizing step came earlier in the plan.
-    """
-
-    site: Site
-    kind: str
-    axis: str | None = None
-    partner_axis: str | None = None
-    angle: float = 0.0
-
-
-@dataclass(frozen=True)
 class StepOutcome:
     site: Site
     kind: str
@@ -707,49 +679,24 @@ class StepOutcome:
     probability: float
 
 
-@dataclass
-class MeasurementRecord:
-    seed: int
-    steps: list[StepOutcome] = field(default_factory=list)
-
-
-def _step_alternatives(step: PlanStep) -> list[tuple[str | int, np.ndarray]]:
-    """(label, action) choices for one step."""
-    if step.kind == "polarize":
-        return [(ax, povm_element(ax)) for ax in AXES]
-    if step.kind == "standard":
-        if step.axis is None:
-            raise ValueError("standard step needs an axis")
-        return [(c, standard_covector(step.axis, c)) for c in (0, 1)]
-    if step.kind == "complementary":
-        if step.axis is None or step.partner_axis is None:
-            raise ValueError("complementary step needs both axes")
-        return [
-            (b, comp_covector(step.axis, step.partner_axis, step.angle, b))
-            for b in (0, 1)
-        ]
-    raise ValueError(f"unknown step kind {step.kind!r}")
-
-
 def chain_rule_sample(
     lattice: HexLattice,
     term: BoundaryTermination | None,
-    plan: list[PlanStep],
     rng_seed: int,
-) -> MeasurementRecord:
-    """Sample all plan steps in order from exact nested conditionals.
+) -> list[StepOutcome]:
+    """Polarize every site, in ``lattice.sites()`` order, along an axis
+    drawn from its exact conditional given the axes drawn before.
 
     ``term=None`` samples the traced-edge statistics; a pinned termination
     samples within that ground state. Both run on the layer engine.
     """
     rng = np.random.default_rng(rng_seed)
     engine = TracedEngine(lattice, term)
-    record = MeasurementRecord(seed=rng_seed)
-    for step in plan:
-        alts = _step_alternatives(step)
-        weights = engine.effect_weights(step.site, [a for _, a in alts])
-        # each alternative set is complete on the current support, so the
-        # weights sum to the state weight
+    povms = [povm_element(ax) for ax in AXES]
+    steps = []
+    for site in lattice.sites():
+        weights = engine.effect_weights(site, povms)
+        # the POVM is complete, so the weights sum to the state weight
         total = sum(weights)
         if total <= 0.0:
             raise ProbabilityConsistencyError("state weight vanished")
@@ -757,13 +704,7 @@ def chain_rule_sample(
         norm = sum(probs)
         if norm <= 0.0:
             raise ProbabilityConsistencyError("no outcome has weight")
-        pick = int(rng.choice(len(alts), p=[p / norm for p in probs]))
-        label, action = alts[pick]
-        if step.kind == "polarize":
-            engine.apply_op(step.site, action)
-        else:
-            engine.project(step.site, action)
-        record.steps.append(
-            StepOutcome(step.site, step.kind, label, probs[pick])
-        )
-    return record
+        pick = int(rng.choice(len(AXES), p=[p / norm for p in probs]))
+        engine.apply_op(site, povms[pick])
+        steps.append(StepOutcome(site, "polarize", AXES[pick], probs[pick]))
+    return steps

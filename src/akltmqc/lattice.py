@@ -40,19 +40,6 @@ class Bond:
 
     a: Site
     b: Site
-    horizontal: bool
-
-    @staticmethod
-    def make(s1: Site, s2: Site) -> "Bond":
-        a, b = sorted((s1, s2))
-        return Bond(a, b, horizontal=a[0] == b[0])
-
-    def other(self, s: Site) -> Site:
-        if s == self.a:
-            return self.b
-        if s == self.b:
-            return self.a
-        raise ValueError(f"site {s} not on bond {self}")
 
 
 class HexLattice:
@@ -111,9 +98,9 @@ class HexLattice:
         for r in range(self.rows):
             for c in range(self.cols):
                 if c + 1 < self.cols:
-                    out.append(Bond.make((r, c), (r, c + 1)))
+                    out.append(Bond((r, c), (r, c + 1)))
                 if r + 1 < self.rows and (r + c) % 2 == 0:
-                    out.append(Bond.make((r, c), (r + 1, c)))
+                    out.append(Bond((r, c), (r + 1, c)))
         return out
 
     def incident(self, site: Site) -> list[tuple[Leg, Site]]:
@@ -136,26 +123,6 @@ class HexLattice:
                 if self.neighbor(site, leg) is None:
                     out.append((site, leg))
         return out
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols}
-
-    @staticmethod
-    def from_json(data: dict) -> "HexLattice":
-        if "rows" not in data or "cols" not in data:
-            raise ValueError("lattice JSON needs rows and cols")
-        lat = HexLattice(int(data["rows"]), int(data["cols"]))
-        if "bonds" in data:
-            # Explicit bond lists are accepted but must match the fixed rule;
-            # diluted lattices are out of scope.
-            given = {
-                Bond.make(tuple(p[0]), tuple(p[1])) for p in data["bonds"]
-            }
-            if given != set(lat.bonds()):
-                raise ValueError("bond override does not match brick-wall rule")
-        return lat
 
     def __repr__(self) -> str:
         return f"HexLattice({self.rows}x{self.cols})"

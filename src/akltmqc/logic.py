@@ -41,6 +41,7 @@ from .router import (
     Backbone,
     RoutingFailure,
     _backbone_adjacency,
+    _matched_adjacency,
     disabled_ids,
     find_clusters,
     flag_off_limits,
@@ -432,16 +433,6 @@ def _fold_cycle(
     ctx.nu_map[zeroth] = nu0
     acc = sz if ctx.mu == "z" else sx
     return nu0, ctx.bit_of(zeroth) ^ acc ^ 1
-
-
-def _matched_adjacency(
-    lattice: HexLattice, assignment: AxisAssignment
-) -> dict[Site, set[Site]]:
-    adj: dict[Site, set[Site]] = {}
-    for bond in matched_bonds(lattice, assignment):
-        adj.setdefault(bond.a, set()).add(bond.b)
-        adj.setdefault(bond.b, set()).add(bond.a)
-    return adj
 
 
 def _fold_branch(

@@ -16,14 +16,12 @@ import numpy as np
 from .contraction import (
     BoundaryTermination,
     LatticeSizeError,
-    PlanStep,
     TracedEngine,
     _layer_value,
-    _step_alternatives,
     build_state,
 )
 from .lattice import HexLattice, Leg, Site, ket_role
-from .tensors import AXES, _sym_isometry, rotation
+from .tensors import AXES, _sym_isometry, povm_element, rotation
 
 if TYPE_CHECKING:
     from .logic import CircuitSpec
@@ -226,32 +224,28 @@ BRANCH_CAP = 10**6
 
 
 def brute_force_joint(
-    lattice: HexLattice,
-    term: BoundaryTermination | None,
-    plan: list[PlanStep],
-) -> dict[tuple, float]:
-    """Full joint distribution over the plan's outcome tuples.
+    lattice: HexLattice, term: BoundaryTermination | None
+) -> dict[tuple[str, ...], float]:
+    """Full joint distribution of the stage-1 axes, keyed by axis tuples in
+    ``lattice.sites()`` order.
 
     Every branch is enumerated; probabilities come from exact double-layer
     weights, so the values sum to 1 up to round-off.
     """
-    count = 1
-    for step in plan:
-        count *= len(_step_alternatives(step))
-        if count > BRANCH_CAP:
-            raise ValueError(f"branch count exceeds cap {BRANCH_CAP}")
+    sites = list(lattice.sites())
+    if 3 ** len(sites) > BRANCH_CAP:
+        raise ValueError(f"branch count exceeds cap {BRANCH_CAP}")
     engine = TracedEngine(lattice, term)
     total = engine.weight()
-    out: dict[tuple, float] = {}
+    povms = [povm_element(ax) for ax in AXES]
+    out: dict[tuple[str, ...], float] = {}
 
     def recurse(eng, depth: int, prefix: tuple):
-        if depth == len(plan):
+        if depth == len(sites):
             out[prefix] = max(eng.weight() / total, 0.0)
             return
-        step = plan[depth]
-        for label, action in _step_alternatives(step):
-            child = eng.branch(step.site, action)
-            recurse(child, depth + 1, prefix + (label,))
+        for ax, povm in zip(AXES, povms):
+            recurse(eng.branch(sites[depth], povm), depth + 1, prefix + (ax,))
 
     recurse(engine, 0, ())
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Bond, HexLattice, Leg, Site, SiteKind, build_lattice
-from .sampler import AxisAssignment
+from .sampler import AxisAssignment, matched_bonds
 
 FORMAT_VERSION = 1
 DEFAULT_SPACING = 4
@@ -484,24 +484,28 @@ def route_backbone(
     return backbone
 
 
+def _adjacency(edges) -> dict[Site, set[Site]]:
+    """Neighbour sets of the graph on the given (a, b) edges."""
+    adj: dict[Site, set[Site]] = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+def _matched_adjacency(
+    lattice: HexLattice, assignment: AxisAssignment
+) -> dict[Site, set[Site]]:
+    """Neighbours along matched bonds: the clusters' graph."""
+    return _adjacency((b.a, b.b) for b in matched_bonds(lattice, assignment))
+
+
 def _backbone_adjacency(
     wires: list[tuple[Site, ...]], junctions: list[JunctionPair]
 ) -> dict[Site, set[Site]]:
     """Neighbours along wire paths, links and junction stem bonds."""
-    adj: dict[Site, set[Site]] = {}
-
-    def connect(a: Site, b: Site) -> None:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    for path in wires:
-        for a, b in zip(path, path[1:]):
-            connect(a, b)
-    for j in junctions:
-        chain = (j.control, *j.link, j.target)
-        for a, b in zip(chain, chain[1:]):
-            connect(a, b)
-    return adj
+    chains = [*wires, *((j.control, *j.link, j.target) for j in junctions)]
+    return _adjacency(e for chain in chains for e in zip(chain, chain[1:]))
 
 
 def _assemble(
@@ -531,11 +535,7 @@ def _assemble(
     adj = _backbone_adjacency(wires, junctions)
     backbone_sites = set(adj)
     cluster_by_id = {c.id: c for c in clusters}
-    cluster_adj: dict[Site, set[Site]] = {}
-    for c in clusters:
-        for b in c.bonds:
-            cluster_adj.setdefault(b.a, set()).add(b.b)
-            cluster_adj.setdefault(b.b, set()).add(b.a)
+    cluster_adj = _matched_adjacency(lattice, assignment)
 
     # phase one: resolve every matched stem into a hanging branch
     extensions: set[Site] = set()
@@ -761,18 +761,18 @@ def audit_backbone(
 
     # the interior-measured region may close only the circuit's own loops
     region = backbone_sites | extensions
-    edges = 0
-    for s in sorted(region):
-        for _, n in lattice.incident(s):
-            if n in region and s < n:
-                edges += 1
-    comp = _component_count(lattice, region)
-    region_rank = edges - len(region) + comp
-    circuit_nodes = circuit.wires
-    circuit_comp = _component_count_graph(
-        range(circuit_nodes), [(g.control, g.target) for g in cnots]
+    edges = [
+        (s, n)
+        for s in sorted(region)
+        for _, n in lattice.incident(s)
+        if n in region and s < n
+    ]
+    region_rank = len(edges) - len(region) + _component_count(region, edges)
+    circuit_edges = [(g.control, g.target) for g in cnots]
+    circuit_rank = (
+        len(cnots) - circuit.wires
+        + _component_count(range(circuit.wires), circuit_edges)
     )
-    circuit_rank = len(cnots) - circuit_nodes + circuit_comp
     if region_rank != circuit_rank:
         problems.append(
             f"interior region closes {region_rank} loops, "
@@ -785,23 +785,8 @@ def audit_backbone(
     return problems
 
 
-def _component_count(lattice: HexLattice, region: set[Site]) -> int:
-    left = set(region)
-    comp = 0
-    while left:
-        comp += 1
-        queue = deque([min(left)])
-        left.discard(queue[0])
-        while queue:
-            cur = queue.popleft()
-            for _, n in lattice.incident(cur):
-                if n in left:
-                    left.discard(n)
-                    queue.append(n)
-    return comp
-
-
-def _component_count_graph(nodes, edges) -> int:
+def _component_count(nodes, edges) -> int:
+    """Connected components of the graph on ``nodes`` with ``edges``."""
     parent = {n: n for n in nodes}
     for a, b in edges:
         ra, rb = _find(parent, a), _find(parent, b)

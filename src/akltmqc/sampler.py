@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .contraction import BoundaryTermination, PlanStep, chain_rule_sample
+from .contraction import BoundaryTermination, chain_rule_sample
 from .lattice import Bond, HexLattice, Site
 from .tensors import AXES
 
@@ -52,18 +52,6 @@ class AxisAssignment:
             ],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "AxisAssignment":
-        grid = data["axes"]
-        axes = {
-            (r, c): str(grid[r][c])
-            for r in range(len(grid))
-            for c in range(len(grid[r]))
-        }
-        out = AxisAssignment(axes)
-        out.validate(HexLattice(int(data["rows"]), int(data["cols"])))
-        return out
-
 
 def stage1_sample(
     lattice: HexLattice,
@@ -78,9 +66,8 @@ def stage1_sample(
         sites = list(lattice.sites())
         draws = rng.integers(0, 3, size=len(sites))
         return AxisAssignment({s: AXES[d] for s, d in zip(sites, draws)})
-    plan = [PlanStep(site, "polarize") for site in lattice.sites()]
-    record = chain_rule_sample(lattice, term, plan, rng_seed)
-    return AxisAssignment({s.site: str(s.outcome) for s in record.steps})
+    steps = chain_rule_sample(lattice, term, rng_seed)
+    return AxisAssignment({s.site: s.outcome for s in steps})
 
 
 def matched_bonds(

@@ -195,6 +195,15 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
         ["sample", "--lattice", "2000x1000", "--mode", "iid", "--seed", "1"],
         ["sample", "--lattice", "2x4", "--mode", "iid", "--seed", "-1"],
         ["percolate", "--p", "0.5", "--size", "4x8", "--seed", "-1"],
+        ["percolate", "--p", "", "--size", "4x4", "--seed", "1"],
+        # required options and choices, enforced by the parser
+        ["percolate", "--p", "0.5", "--size", "4x8"],
+        ["route", "--lattice", "2x4", "--seed", "1"],
+        ["sample", "--lattice", "2x4", "--seed", "1", "--mode", "fast"],
+        ["sample", "--lattice", "2x4", "--seed", "1", "--term", "w"],
+        ["run", "--lattice", "2x4", "--seed", "1", "--circuit", "c.json",
+         "--term", "traced"],
+        ["verify", "--level", "slow"],
     ],
 )
 def test_out_of_range_input_is_validation_error(capsys, argv):

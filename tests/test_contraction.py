@@ -9,9 +9,6 @@ from akltmqc.contraction import (
     BoundaryTermination,
     DenseEngine,
     LatticeSizeError,
-    MeasurementPattern,
-    PlanStep,
-    Polarized,
     TracedEngine,
     _as_op,
     _layer_value,
@@ -31,44 +28,37 @@ def test_single_site_marginals_normalized(term):
     lat = build_lattice(2, 3)
     for site in lat.sites():
         total = sum(
-            pattern_probability(
-                lat, term, MeasurementPattern({site: Polarized(a)})
-            )
-            for a in AXES
+            pattern_probability(lat, term, {site: a}) for a in AXES
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_empty_pattern_is_certain():
     lat = build_lattice(2, 2)
-    p = pattern_probability(lat, None, MeasurementPattern({}))
+    p = pattern_probability(lat, None, {})
     assert p == pytest.approx(1.0, abs=1e-12)
+
+
+def test_off_lattice_pattern_is_rejected():
+    with pytest.raises(ValueError):
+        pattern_probability(build_lattice(2, 2), None, {(2, 0): "x"})
 
 
 def test_traced_marginal_is_uniform():
     lat = build_lattice(2, 4)
     for axis in AXES:
-        p = pattern_probability(
-            lat, None, MeasurementPattern({(1, 2): Polarized(axis)})
-        )
+        p = pattern_probability(lat, None, {(1, 2): axis})
         assert p == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_chain_rule_product_matches_joint():
     # the product of step conditionals must equal the joint pattern weight
     lat = build_lattice(2, 2)
-    plan = [PlanStep(s, "polarize") for s in lat.sites()]
-    rec = chain_rule_sample(lat, None, plan, 11)
+    steps = chain_rule_sample(lat, None, 11)
     prod = 1.0
-    for step in rec.steps:
+    for step in steps:
         prod *= step.probability
-    joint = pattern_probability(
-        lat,
-        None,
-        MeasurementPattern(
-            {s.site: Polarized(str(s.outcome)) for s in rec.steps}
-        ),
-    )
+    joint = pattern_probability(lat, None, {s.site: s.outcome for s in steps})
     assert prod == pytest.approx(joint, abs=1e-12)
 
 
@@ -89,32 +79,26 @@ def test_reduced_density_traced_maximally_mixed():
 
 def test_chain_rule_deterministic():
     lat = build_lattice(2, 3)
-    plan = [PlanStep(s, "polarize") for s in lat.sites()]
-    r1 = chain_rule_sample(lat, None, plan, 42)
-    r2 = chain_rule_sample(lat, None, plan, 42)
-    assert [s.outcome for s in r1.steps] == [s.outcome for s in r2.steps]
-    r3 = chain_rule_sample(lat, None, plan, 43)
-    assert [s.site for s in r3.steps] == [s.site for s in r1.steps]
+    r1 = chain_rule_sample(lat, None, 42)
+    r2 = chain_rule_sample(lat, None, 42)
+    assert [s.outcome for s in r1] == [s.outcome for s in r2]
+    r3 = chain_rule_sample(lat, None, 43)
+    assert [s.site for s in r3] == [s.site for s in r1] == list(lat.sites())
 
 
 def test_chain_rule_first_step_matches_marginal():
     lat = build_lattice(2, 3)
-    first = next(iter(lat.sites()))
-    plan = [PlanStep(first, "polarize")]
-    rec = chain_rule_sample(lat, None, plan, 7)
-    step = rec.steps[0]
-    direct = pattern_probability(
-        lat, None, MeasurementPattern({first: Polarized(str(step.outcome))})
-    )
+    step = chain_rule_sample(lat, None, 7)[0]
+    assert step.site == next(iter(lat.sites()))
+    direct = pattern_probability(lat, None, {step.site: step.outcome})
     assert step.probability == pytest.approx(direct, abs=1e-10)
 
 
 def test_pinned_sampling_respects_strip_cap():
     lat = build_lattice(5, 5)
     assert min(lat.rows, lat.cols) > STRIP_WIDTH_CAP
-    plan = [PlanStep(s, "polarize") for s in lat.sites()]
     with pytest.raises(LatticeSizeError):
-        chain_rule_sample(lat, BoundaryTermination(axis="z"), plan, 1)
+        chain_rule_sample(lat, BoundaryTermination(axis="z"), 1)
 
 
 def test_effect_weights_allocate_at_most_one_state():
@@ -189,8 +173,7 @@ def test_pinned_layer_matches_dense_reference(axis):
     ]
     patterns.append({s: AXES[i % 3] for i, s in enumerate(sites)})
     for pat in patterns:
-        entries = {s: Polarized(a) for s, a in pat.items()}
-        got = pattern_probability(lat, term, MeasurementPattern(entries))
+        got = pattern_probability(lat, term, pat)
         effects = {s: effect(a) for s, a in pat.items()}
         want = _dense_expectation(lat, psi, effects)
         assert got == pytest.approx(want, abs=1e-12)
@@ -341,46 +324,26 @@ def test_branch_leaves_parent_unchanged(term):
         _assert_weights(engine, reference, s, povms)
 
 
-def _records(lat, term, plan, seed, monkeypatch):
-    """chain_rule_sample's record on the layer engine and on the
-    per-weight reference."""
-    got = chain_rule_sample(lat, term, plan, seed)
-    with monkeypatch.context() as m:
-        m.setattr(contraction, "TracedEngine", _LayerReference)
-        want = chain_rule_sample(lat, term, plan, seed)
-    assert [(s.site, s.kind, s.outcome) for s in got.steps] == [
-        (s.site, s.kind, s.outcome) for s in want.steps
-    ]
-    np.testing.assert_allclose(
-        [s.probability for s in got.steps],
-        [s.probability for s in want.steps],
-        rtol=1e-12,
-    )
-    return got
-
-
 @pytest.mark.parametrize(
     "rows,cols,term",
     [(3, 5, None), (5, 3, BoundaryTermination(axis="x")), (2, 4, None)],
     ids=_case_id,
 )
 def test_chain_rule_matches_per_weight_reference(rows, cols, term, monkeypatch):
-    # polarize every site, then read out sites polarized earlier: the
-    # readout weights sit on top of each site's polarizing operator
+    # the chain rule on the layer engine and on the per-weight reference
     lat = build_lattice(rows, cols)
-    polarize = [PlanStep(s, "polarize") for s in lat.sites()]
-    record = _records(lat, term, polarize, 3, monkeypatch)
-    axes = {s.site: str(s.outcome) for s in record.steps}
-    readout = []
-    for i, site in enumerate(reversed(list(lat.sites()))):
-        if i % 2:
-            readout.append(PlanStep(site, "standard", axis=axes[site]))
-        else:
-            partner = next(a for a in AXES if a != axes[site])
-            readout.append(
-                PlanStep(site, "complementary", axes[site], partner, 0.3 * i)
-            )
-    _records(lat, term, polarize + readout, 3, monkeypatch)
+    got = chain_rule_sample(lat, term, 3)
+    with monkeypatch.context() as m:
+        m.setattr(contraction, "TracedEngine", _LayerReference)
+        want = chain_rule_sample(lat, term, 3)
+    assert [(s.site, s.kind, s.outcome) for s in got] == [
+        (s.site, s.kind, s.outcome) for s in want
+    ]
+    np.testing.assert_allclose(
+        [s.probability for s in got],
+        [s.probability for s in want],
+        rtol=1e-12,
+    )
 
 
 def test_qubit_build_stays_within_final_state(monkeypatch):
@@ -400,3 +363,20 @@ def test_qubit_build_stays_within_final_state(monkeypatch):
     engine = DenseEngine(lat, stage1_sample(lat, term, "iid", 0), term)
     assert engine._amps.size == 2**20
     assert max(sizes) <= 2**20
+
+
+def test_qubit_build_peaks_near_two_states():
+    # the last joins hold their input and output state; the transposed
+    # copy the product needs is one block of about _BLOCK amplitudes
+    lat = build_lattice(4, 5)
+    term = BoundaryTermination(axis="x")
+    asg = stage1_sample(lat, term, "iid", 0)
+    state_bytes = 16 * 2**lat.n_sites
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        DenseEngine(lat, asg, term)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2.5 * state_bytes

@@ -53,22 +53,8 @@ def test_site_index_bijection():
     assert seen == set(range(lat.n_sites))
 
 
-def test_bond_other():
-    lat = build_lattice(2, 2)
-    bond = lat.bonds()[0]
-    assert bond.other(bond.a) == bond.b
-    assert bond.other(bond.b) == bond.a
-
-
 def test_contains():
     lat = build_lattice(2, 3)
     assert lat.contains((1, 2))
     assert not lat.contains((2, 0))
     assert not lat.contains((0, -1))
-
-
-def test_json_roundtrip():
-    lat = build_lattice(3, 5)
-    again = type(lat).from_json(lat.to_json())
-    assert again == lat
-    assert list(again.sites()) == list(lat.sites())

@@ -12,7 +12,6 @@ from akltmqc.contraction import (
     BoundaryTermination,
     DenseEngine,
     LatticeSizeError,
-    PlanStep,
     build_state,
     chain_rule_sample,
 )
@@ -413,18 +412,12 @@ def test_qubit_state_matches_polarized_dense_state(name):
 def test_chain_rule_matches_dense_reference(monkeypatch, seed):
     lat = build_lattice(2, 4)
     term = BoundaryTermination(axis="x")
-    plan = [PlanStep(s, "polarize") for s in lat.sites()]
-    plan += [
-        PlanStep((0, 1), "standard", "z"),
-        PlanStep((1, 2), "complementary", "x", "y", 0.3),
-        PlanStep((0, 3), "standard", "y"),
-    ]
-    fast = chain_rule_sample(lat, term, plan, seed)
+    fast = chain_rule_sample(lat, term, seed)
     built = _use_reference(monkeypatch)
-    slow = chain_rule_sample(lat, term, plan, seed)
+    slow = chain_rule_sample(lat, term, seed)
     assert built == ["layer"]
-    assert [s.outcome for s in fast.steps] == [s.outcome for s in slow.steps]
-    for a, b in zip(fast.steps, slow.steps):
+    assert [s.outcome for s in fast] == [s.outcome for s in slow]
+    for a, b in zip(fast, slow):
         assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
 
 

@@ -5,9 +5,6 @@ import pytest
 
 from akltmqc.contraction import (
     BoundaryTermination,
-    MeasurementPattern,
-    PlanStep,
-    Polarized,
     build_state,
     chain_rule_sample,
     pattern_probability,
@@ -154,19 +151,22 @@ def test_brute_force_joint_matches_sampler_and_patterns(rows, cols, axis):
     lat = build_lattice(rows, cols)
     term = None if axis is None else BoundaryTermination(axis=axis)
     sites = list(lat.sites())
-    plan = [PlanStep(s, "polarize") for s in sites]
-    joint = brute_force_joint(lat, term, plan)
+    joint = brute_force_joint(lat, term)
     assert len(joint) == 3 ** len(sites)
     assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
     for seed in range(5):
-        rec = chain_rule_sample(lat, term, plan, seed)
-        key = tuple(str(step.outcome) for step in rec.steps)
-        prod = math.prod(step.probability for step in rec.steps)
+        steps = chain_rule_sample(lat, term, seed)
+        key = tuple(step.outcome for step in steps)
+        prod = math.prod(step.probability for step in steps)
         assert prod == pytest.approx(joint[key], abs=1e-12)
     for key, p in joint.items():
-        pattern = MeasurementPattern(
-            {s: Polarized(a) for s, a in zip(sites, key)}
-        )
-        assert pattern_probability(lat, term, pattern) == pytest.approx(
+        axes = dict(zip(sites, key))
+        assert pattern_probability(lat, term, axes) == pytest.approx(
             p, abs=1e-12
         )
+
+
+def test_brute_force_joint_checks_branch_cap():
+    # 3^15 axis tuples exceed BRANCH_CAP; nothing is enumerated
+    with pytest.raises(ValueError):
+        brute_force_joint(build_lattice(3, 5), None)
