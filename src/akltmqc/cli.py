@@ -58,7 +58,7 @@ from .router import (
     spanning_probability,
     spanning_sweep,
 )
-from .sampler import AxisAssignment, matched_bonds, stage1_sample
+from .sampler import AxisAssignment, matched_bonds, matched_mask, stage1_sample
 from .tensors import (
     AXES,
     comp_covector,
@@ -254,9 +254,9 @@ def cmd_route(cfg: RunConfig) -> int:
         assignment = stage1_sample(lattice, term, cfg.mode, cfg.seed)
     except LatticeSizeError as exc:
         return _fail("validation", "lattice-size", str(exc))
-    matched = matched_bonds(lattice, assignment)
+    matched = matched_mask(lattice, assignment)
     clusters = find_clusters(lattice, matched, assignment)
-    pairs = flag_off_limits(lattice, clusters, matched)
+    pairs = flag_off_limits(lattice, clusters)
     disabled = disabled_ids(pairs)
     spacing = cfg.spacing if cfg.spacing is not None else auto_spacing(
         lattice, circuit

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterator
 
+import numpy as np
+
 MAX_SITES = 1_000_000
 
 
@@ -52,6 +54,7 @@ class HexLattice:
             raise ValueError("lattice too large")
         self.rows = rows
         self.cols = cols
+        self._bond_table: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- geometry ---------------------------------------------------------
 
@@ -80,12 +83,12 @@ class HexLattice:
         """Neighbour reached through ``leg``, or None when the leg dangles."""
         r, c = site
         if leg is Leg.LEFT:
-            n = (r, c - 1)
+            c -= 1
         elif leg is Leg.RIGHT:
-            n = (r, c + 1)
+            c += 1
         else:
-            n = (r + 1, c) if self.kind(site) is SiteKind.TOP else (r - 1, c)
-        return n if self.contains(n) else None
+            r += 1 if (r + c) % 2 == 0 else -1  # Top stems point down
+        return (r, c) if 0 <= r < self.rows and 0 <= c < self.cols else None
 
     def leg_between(self, site: Site, other: Site) -> Leg:
         for leg in Leg:
@@ -93,15 +96,42 @@ class HexLattice:
                 return leg
         raise ValueError(f"{site} and {other} are not neighbours")
 
+    def bond_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Site indices (a, b) of both ends of every bond, built once.
+
+        Bonds run in row-major order of their first site, its horizontal
+        bond before its vertical one; ``a`` is always the smaller index.
+        The arrays are read-only.
+        """
+        if self._bond_table is None:
+            index = np.arange(self.n_sites, dtype=np.intp)
+            r, c = np.divmod(index, self.cols)
+            ends = np.stack([index + 1, index + self.cols], axis=1)
+            present = np.stack(
+                [c + 1 < self.cols, (r + 1 < self.rows) & ((r + c) % 2 == 0)],
+                axis=1,
+            )
+            a = np.broadcast_to(index[:, None], ends.shape)[present]
+            b = ends[present]
+            a.flags.writeable = b.flags.writeable = False
+            self._bond_table = (a, b)
+        return self._bond_table
+
+    def bond_sites(self, picked=slice(None)) -> list[tuple[Site, Site]]:
+        """End sites of the ``picked`` bonds of ``bond_table()``, in order.
+
+        ``picked`` is a boolean mask or an index array; the default takes
+        every bond.
+        """
+        a, b = self.bond_table()
+        cols = self.cols
+        return [
+            (divmod(i, cols), divmod(j, cols))
+            for i, j in zip(a[picked].tolist(), b[picked].tolist())
+        ]
+
     def bonds(self) -> list[Bond]:
-        out = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                if c + 1 < self.cols:
-                    out.append(Bond((r, c), (r, c + 1)))
-                if r + 1 < self.rows and (r + c) % 2 == 0:
-                    out.append(Bond((r, c), (r + 1, c)))
-        return out
+        return [Bond(a, b) for a, b in self.bond_sites()]
 
     def incident(self, site: Site) -> list[tuple[Leg, Site]]:
         """Attached legs as (leg, neighbour) pairs."""

@@ -48,7 +48,7 @@ from .router import (
     route_backbone,
     spacing_failure,
 )
-from .sampler import AxisAssignment, SampleMode, matched_bonds, stage1_sample
+from .sampler import AxisAssignment, SampleMode, matched_mask, stage1_sample
 from .tensors import comp_covector, standard_covector
 
 FORMAT_VERSION = 1
@@ -575,7 +575,8 @@ def compile_plan(
     backbone: Backbone,
     assignment: AxisAssignment,
     circuit: CircuitSpec,
-    term: BoundaryTermination | None = None,
+    term: BoundaryTermination | None,
+    cluster_adj: dict[Site, set[Site]],
 ) -> MeasurementPlan | CompileFailure:
     """Lay the circuit's gates onto the routed backbone, site by site.
 
@@ -584,7 +585,8 @@ def compile_plan(
     take the CNOTs with their fixed complementary bases, and the next
     z-axis site past the last gate takes the readout. Everything between
     becomes a fiducial identity widget; everything off the protocol stays
-    standard. Failures are values, the caller resamples.
+    standard. ``cluster_adj`` is the matched-bond graph of ``assignment``
+    (``Clusters.adjacency``). Failures are values, the caller resamples.
     """
     try:
         circuit.validate()
@@ -597,7 +599,6 @@ def compile_plan(
         junction_kind[j.control] = "control"
         junction_kind[j.target] = "target"
     adj = _backbone_adjacency(list(wires), list(backbone.junctions))
-    cluster_adj = _matched_adjacency(lattice, assignment)
     backbone_set = backbone.backbone_sites()
     extensions: set[Site] = set()
 
@@ -1285,15 +1286,17 @@ def prepare_protocol(
     """
     if spacing is None:
         spacing = auto_spacing(lattice, circuit)
-    matched = matched_bonds(lattice, assignment)
+    matched = matched_mask(lattice, assignment)
     clusters = find_clusters(lattice, matched, assignment)
-    pairs = flag_off_limits(lattice, clusters, matched)
+    pairs = flag_off_limits(lattice, clusters)
     backbone = route_backbone(
         lattice, assignment, clusters, disabled_ids(pairs), circuit, spacing
     )
     if isinstance(backbone, RoutingFailure):
         return backbone
-    plan = compile_plan(lattice, backbone, assignment, circuit, term)
+    plan = compile_plan(
+        lattice, backbone, assignment, circuit, term, clusters.adjacency
+    )
     if isinstance(plan, CompileFailure):
         return plan
     return backbone, plan

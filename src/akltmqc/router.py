@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .lattice import Bond, HexLattice, Leg, Site, SiteKind, build_lattice
-from .sampler import AxisAssignment, matched_bonds
+from .sampler import AxisAssignment, matched_mask
+from .tensors import AXES
 
 FORMAT_VERSION = 1
 DEFAULT_SPACING = 4
@@ -39,8 +41,63 @@ class Cluster:
 
     id: int
     axis: str
-    bonds: frozenset[Bond]
     sites: frozenset[Site]
+
+
+@dataclass(frozen=True, eq=False)
+class Clusters:
+    """The clusters of one axis pattern, labelled by site index.
+
+    ``labels[i]`` is the id of the cluster holding site index ``i``, or -1
+    for a site without a matched bond; ``axes`` and ``sizes`` give each
+    cluster's axis (an index into ``AXES``) and site count. The per-cluster
+    records (``items``, also what iterating yields, in id order) and the
+    matched-bond graph (``adjacency``) are built on first use.
+    """
+
+    lattice: HexLattice
+    matched: np.ndarray
+    labels: np.ndarray
+    axes: np.ndarray
+    sizes: np.ndarray
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __len__(self) -> int:
+        return len(self.axes)
+
+    @cached_property
+    def items(self) -> tuple[Cluster, ...]:
+        """One record per cluster, in id order."""
+        cols = self.lattice.cols
+        groups: list[list[Site]] = [[] for _ in range(len(self))]
+        members = np.flatnonzero(self.labels >= 0)
+        for i, cid in zip(members.tolist(), self.labels[members].tolist()):
+            groups[cid].append(divmod(i, cols))
+        axes = self.axes.tolist()
+        return tuple(
+            Cluster(cid, AXES[axes[cid]], frozenset(group))
+            for cid, group in enumerate(groups)
+        )
+
+    @cached_property
+    def adjacency(self) -> dict[Site, set[Site]]:
+        """Neighbours along matched bonds: the clusters' graph."""
+        return _adjacency(self.lattice.bond_sites(self.matched))
+
+    def owner(self, site: Site) -> int | None:
+        """Id of the cluster holding ``site``, or None."""
+        cid = int(self.labels[self.lattice.site_index(site)])
+        return None if cid < 0 else cid
+
+    def sites_of(self, ids) -> frozenset[Site]:
+        """Every site of the clusters with the given ids."""
+        picked = np.zeros(len(self) + 1, dtype=bool)  # [-1] stays False
+        picked[list(ids)] = True
+        cols = self.lattice.cols
+        members = np.flatnonzero(picked[self.labels])
+        return frozenset(divmod(i, cols) for i in members.tolist())
 
 
 def _find(parent, x):
@@ -53,39 +110,49 @@ def _find(parent, x):
 
 def find_clusters(
     lattice: HexLattice,
-    matched: frozenset[Bond],
+    matched: np.ndarray,
     assignment: AxisAssignment,
-) -> list[Cluster]:
-    """Partition the matched bonds into clusters, id'd in row-major order.
+) -> Clusters:
+    """Label the components of the matched bonds, id'd in row-major order.
 
-    Sites without a matched bond belong to no cluster. Ids count up from 0
-    following the row-major position of each cluster's first site, so the
-    labelling is reproducible for a given assignment.
+    ``matched`` masks ``lattice.bond_table()``. Sites without a matched
+    bond belong to no cluster. A union-find over site indices keeps the
+    smallest index as every root (Hoshen & Kopelman, PRB 14, 3438, 1976),
+    so ids count up from 0 following the row-major position of each
+    cluster's first site and the labelling is reproducible.
     """
-    assignment.validate(lattice)
-    parent: dict[Site, Site] = {}
-    for b in matched:
-        parent.setdefault(b.a, b.a)
-        parent.setdefault(b.b, b.b)
-        ra, rb = _find(parent, b.a), _find(parent, b.b)
-        if ra != rb:
-            # union by row-major minimum so the root is the first site
-            lo, hi = sorted((ra, rb))
+    codes = assignment.codes(lattice)
+    a, b = lattice.bond_table()
+    ends_a, ends_b = a[matched], b[matched]
+    n = lattice.n_sites
+    parent = list(range(n))
+    for i, j in zip(ends_a.tolist(), ends_b.tolist()):
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri != rj:
+            lo, hi = (ri, rj) if ri < rj else (rj, ri)
             parent[hi] = lo
-    groups: dict[Site, list[Bond]] = {}
-    for b in matched:
-        groups.setdefault(_find(parent, b.a), []).append(b)
-    clusters = []
-    for cid, root in enumerate(sorted(groups)):
-        bonds = groups[root]
-        sites = {s for bond in bonds for s in (bond.a, bond.b)}
-        axes = {assignment[s] for s in sites}
-        if len(axes) != 1:
-            raise ValueError(f"cluster at {root} mixes axes {sorted(axes)}")
-        clusters.append(
-            Cluster(cid, axes.pop(), frozenset(bonds), frozenset(sites))
-        )
-    return clusters
+    root = np.array(parent, dtype=np.intp)
+    while True:  # point every site straight at its root
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    clustered = np.zeros(n, dtype=bool)
+    clustered[ends_a] = True
+    clustered[ends_b] = True
+    first = np.flatnonzero(clustered & (root == np.arange(n)))
+    ids = np.full(n, -1, dtype=np.intp)
+    ids[first] = np.arange(len(first))
+    labels = np.where(clustered, ids[root], -1)
+    mixed = clustered & (codes != codes[root])
+    if mixed.any():
+        cid = int(labels[mixed].min())
+        axes = sorted({AXES[k] for k in codes[labels == cid].tolist()})
+        site = divmod(int(first[cid]), lattice.cols)
+        raise ValueError(f"cluster at {site} mixes axes {axes}")
+    labels.flags.writeable = False
+    sizes = np.bincount(labels[clustered], minlength=len(first))
+    return Clusters(lattice, matched, labels, codes[first], sizes)
 
 
 @dataclass(frozen=True)
@@ -102,9 +169,7 @@ class OffLimitsPair:
 
 
 def flag_off_limits(
-    lattice: HexLattice,
-    clusters: list[Cluster],
-    matched: frozenset[Bond],
+    lattice: HexLattice, clusters: Clusters
 ) -> list[OffLimitsPair]:
     """Flag loop-inducing cluster pairs and pick a member of each to disable.
 
@@ -114,24 +179,28 @@ def flag_off_limits(
     every flagged pair ends up with at least one disabled member -- though
     the selection is not guaranteed minimal.
     """
-    owner = {s: c.id for c in clusters for s in c.sites}
-    axis = {c.id: c.axis for c in clusters}
-    size = {c.id: len(c.sites) for c in clusters}
-    joining: dict[tuple[int, int], set[Bond]] = {}
-    for b in lattice.bonds():
-        if b in matched:
-            continue
-        ca, cb = owner.get(b.a), owner.get(b.b)
-        if ca is None or cb is None or ca == cb or axis[ca] == axis[cb]:
-            continue
-        key = (min(ca, cb), max(ca, cb))
-        joining.setdefault(key, set()).add(b)
+    n_clusters = len(clusters)
+    labels, axis = clusters.labels, clusters.axes
+    size = clusters.sizes.tolist()
+    a, b = lattice.bond_table()
+    la, lb = labels[a], labels[b]
+    joins = np.flatnonzero(~clusters.matched & (la >= 0) & (lb >= 0))
+    lo = np.minimum(la[joins], lb[joins])
+    hi = np.maximum(la[joins], lb[joins])
+    apart = axis[lo] != axis[hi]  # also rules out lo == hi
+    # one code per (first, second) pair, ascending in (first, second)
+    joins, key = joins[apart], (lo * n_clusters + hi)[apart]
+    order = np.argsort(key, kind="stable")
+    joins, key = joins[order], key[order]
+    pair_codes, counts = np.unique(key, return_counts=True)
+    flagged = counts >= 2
+    ends = iter(lattice.bond_sites(joins[np.repeat(flagged, counts)]))
     out: list[OffLimitsPair] = []
     down: set[int] = set()
-    for pair in sorted(joining):
-        bonds = joining[pair]
-        if len(bonds) < 2:
-            continue
+    for code, count in zip(
+        pair_codes[flagged].tolist(), counts[flagged].tolist()
+    ):
+        pair = divmod(code, n_clusters)
         if pair[0] in down:
             gone = pair[0]
         elif pair[1] in down:
@@ -139,7 +208,8 @@ def flag_off_limits(
         else:
             gone = min(pair, key=lambda i: (size[i], i))
             down.add(gone)
-        out.append(OffLimitsPair(pair[0], pair[1], frozenset(bonds), gone))
+        bonds = frozenset(Bond(*next(ends)) for _ in range(count))
+        out.append(OffLimitsPair(pair[0], pair[1], bonds, gone))
     return out
 
 
@@ -380,7 +450,7 @@ def spacing_failure(
 def route_backbone(
     lattice: HexLattice,
     assignment: AxisAssignment,
-    clusters: list[Cluster],
+    clusters: Clusters,
     disabled: frozenset[int],
     circuit,
     spacing: int = DEFAULT_SPACING,
@@ -400,16 +470,8 @@ def route_backbone(
     if unfit is not None:
         return unfit
     n_wires = circuit.wires
-    owner = {s: c.id for c in clusters for s in c.sites}
-    oversized = {
-        c.id for c in clusters if len(c.sites) > RENORM_SITE_CAP
-    }
-    blocked = frozenset(
-        s
-        for c in clusters
-        if c.id in disabled or c.id in oversized
-        for s in c.sites
-    )
+    oversized = np.flatnonzero(clusters.sizes > RENORM_SITE_CAP).tolist()
+    blocked = clusters.sites_of(disabled.union(oversized))
 
     wires: list[tuple[Site, ...]] = []
     for w in range(n_wires):
@@ -472,7 +534,7 @@ def route_backbone(
         frontier[tgt] = min(frontier[tgt], bot[1])
 
     backbone = _assemble(
-        lattice, assignment, clusters, owner, wires, junctions, spacing
+        lattice, assignment, clusters, wires, junctions, spacing
     )
     if isinstance(backbone, RoutingFailure):
         return backbone
@@ -497,7 +559,7 @@ def _matched_adjacency(
     lattice: HexLattice, assignment: AxisAssignment
 ) -> dict[Site, set[Site]]:
     """Neighbours along matched bonds: the clusters' graph."""
-    return _adjacency((b.a, b.b) for b in matched_bonds(lattice, assignment))
+    return _adjacency(lattice.bond_sites(matched_mask(lattice, assignment)))
 
 
 def _backbone_adjacency(
@@ -511,8 +573,7 @@ def _backbone_adjacency(
 def _assemble(
     lattice: HexLattice,
     assignment: AxisAssignment,
-    clusters: list[Cluster],
-    owner: dict[Site, int],
+    clusters: Clusters,
     wires: list[tuple[Site, ...]],
     junctions: list[JunctionPair],
     spacing: int,
@@ -534,8 +595,7 @@ def _assemble(
 
     adj = _backbone_adjacency(wires, junctions)
     backbone_sites = set(adj)
-    cluster_by_id = {c.id: c for c in clusters}
-    cluster_adj = _matched_adjacency(lattice, assignment)
+    cluster_adj = clusters.adjacency
 
     # phase one: resolve every matched stem into a hanging branch
     extensions: set[Site] = set()
@@ -592,10 +652,8 @@ def _assemble(
                 "associate-unavailable",
                 f"{n} is interior-measured, cannot anchor {s}",
             )
-        cid = owner.get(n)
-        if cid is not None and any(
-            t in interior for t in cluster_by_id[cid].sites
-        ):
+        cid = clusters.owner(n)
+        if cid is not None and interior & clusters.sites_of([cid]):
             return RoutingFailure(
                 "off-limits-leak",
                 f"{n} sits in a cluster already tied to the backbone",
@@ -641,7 +699,7 @@ def audit_backbone(
     assignment: AxisAssignment,
     backbone: Backbone,
     circuit,
-    clusters: list[Cluster] = (),
+    clusters: Clusters | tuple[Cluster, ...] = (),
     disabled: frozenset[int] = frozenset(),
 ) -> list[str]:
     """Independent invariant check; returns human-readable problems.
@@ -817,9 +875,7 @@ def _span_thresholds(
     lat = build_lattice(rows, cols)
     if cols == 1:
         return np.full(trials, -np.inf)
-    bonds = lat.bonds()
-    bond_a = [lat.site_index(b.a) for b in bonds]
-    bond_b = [lat.site_index(b.b) for b in bonds]
+    bond_a, bond_b = (ends.tolist() for ends in lat.bond_table())
     # Each edge column starts as one tree rooted at its top site. The
     # smaller root wins every union, so site 0 stays the left edge's root;
     # ``right`` follows the right edge's root, and the edges meet when it
@@ -830,7 +886,7 @@ def _span_thresholds(
         base[r * cols + cols - 1] = cols - 1
     out = np.full(trials, np.inf)
     for t, child in enumerate(np.random.SeedSequence(rng_seed).spawn(trials)):
-        u = np.random.default_rng(child).random(len(bonds))
+        u = np.random.default_rng(child).random(len(bond_a))
         below = np.flatnonzero(u < p_max)
         parent = base.copy()
         right = cols - 1

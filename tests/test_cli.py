@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -257,3 +258,29 @@ def test_unfit_circuit_is_protocol_error(capsys, tmp_path):
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["reason"]) == ("protocol", "no-embedding")
     assert "spacing-violation" in err["detail"]
+
+
+# sha256 of each output as written by the parent of the change that moved
+# cluster analysis onto integer site indices (commit 344b753), recorded
+# with `python -m akltmqc.cli run --mode iid ...`: the two artifacts on
+# stdout and the exhausted run's JSON error on stderr.
+PARENT_DIGESTS = [
+    ("20x40", "identity", "out",
+     "6856fec6a3cc4285f9fc15f494020f958d91965a09e0b409c55a785517306b60"),
+    ("8x16", "cnot", "out",
+     "dbbef55645bad0a48643a03943ac5898315aad718a1dad5d396dc74080d12d8f"),
+    ("20x40", "cnot", "err",
+     "756885832bdc8acc95d7c77184c3d9dc65e478bdbadf8ac59beab684ac1f1b48"),
+]
+
+
+@pytest.mark.parametrize("size,circuit,stream,digest", PARENT_DIGESTS)
+def test_iid_run_matches_parent_digest(
+    capsys, request, size, circuit, stream, digest
+):
+    path = request.getfixturevalue(f"{circuit}_circuit")
+    code = cli.main(["run", "--mode", "iid", "--lattice", size, "--seed", "11",
+                     "--circuit", path])
+    assert code == (0 if stream == "out" else 2)
+    text = getattr(capsys.readouterr(), stream)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

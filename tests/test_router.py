@@ -15,7 +15,7 @@ from akltmqc.router import (
     spanning_probability,
     spanning_sweep,
 )
-from akltmqc.sampler import AxisAssignment, matched_bonds
+from akltmqc.sampler import AxisAssignment, matched_mask
 
 
 def _assignment(rows_axes):
@@ -29,7 +29,7 @@ def _assignment(rows_axes):
 
 def test_find_clusters_hand_pattern():
     lat, asg = _assignment(["zzx", "xyy"])
-    matched = matched_bonds(lat, asg)
+    matched = matched_mask(lat, asg)
     clusters = find_clusters(lat, matched, asg)
     got = {(c.axis, frozenset(c.sites)) for c in clusters}
     assert got == {
@@ -41,18 +41,18 @@ def test_find_clusters_hand_pattern():
 
 def test_no_clusters_without_matched_bonds():
     lat, asg = _assignment(["zx", "xz"])
-    matched = matched_bonds(lat, asg)
-    assert not matched
-    assert find_clusters(lat, matched, asg) == []
+    matched = matched_mask(lat, asg)
+    assert not matched.any()
+    assert len(find_clusters(lat, matched, asg)) == 0
 
 
 def test_flag_off_limits_double_join():
     # two clusters of different axis joined by two parallel unmatched
     # bonds; exactly one member must be disabled
     lat, asg = _assignment(["zzz", "xxx"])
-    matched = matched_bonds(lat, asg)
+    matched = matched_mask(lat, asg)
     clusters = find_clusters(lat, matched, asg)
-    pairs = flag_off_limits(lat, clusters, matched)
+    pairs = flag_off_limits(lat, clusters)
     assert len(pairs) == 1
     p = pairs[0]
     assert len(p.bonds) == 2
@@ -62,17 +62,39 @@ def test_flag_off_limits_double_join():
 
 def test_single_join_not_flagged():
     lat, asg = _assignment(["zzy", "xxz"])
-    matched = matched_bonds(lat, asg)
+    matched = matched_mask(lat, asg)
     clusters = find_clusters(lat, matched, asg)
     assert len(clusters) == 2
-    assert flag_off_limits(lat, clusters, matched) == []
+    assert flag_off_limits(lat, clusters) == []
+
+
+@pytest.mark.parametrize(
+    "axes,message",
+    [
+        ({(0, 0): "z", (0, 1): "x", (1, 0): "y"}, "missing sites"),
+        ({(0, 0): "z", (0, 1): "x", (1, 0): "y", (1, 1): "w"}, "unknown axes"),
+    ],
+)
+def test_bad_assignment_rejected_at_every_entry(axes, message):
+    lat, good = _assignment(["zx", "yz"])
+    bad = AxisAssignment(axes)
+    matched = matched_mask(lat, good)
+    clusters = find_clusters(lat, matched, good)
+    circuit = CircuitSpec(1, (Init(0), Readout(0)))
+    for _ in range(2):  # a failed check is not cached as a pass
+        with pytest.raises(ValueError, match=message):
+            matched_mask(lat, bad)
+        with pytest.raises(ValueError, match=message):
+            find_clusters(lat, matched, bad)
+        with pytest.raises(ValueError, match=message):
+            route_backbone(lat, bad, clusters, frozenset(), circuit, spacing=1)
 
 
 def test_route_single_wire():
     lat, asg = _assignment(["yxzxz", "xyxyx"])
     circuit = CircuitSpec(1, (Init(0), Readout(0)))
     bb = route_backbone(
-        lat, asg, find_clusters(lat, matched_bonds(lat, asg), asg),
+        lat, asg, find_clusters(lat, matched_mask(lat, asg), asg),
         frozenset(), circuit, spacing=2,
     )
     assert not isinstance(bb, RoutingFailure)
@@ -88,7 +110,7 @@ def test_route_cnot_pair():
     circuit = CircuitSpec(
         2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
     )
-    matched = matched_bonds(lat, asg)
+    matched = matched_mask(lat, asg)
     clusters = find_clusters(lat, matched, asg)
     bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=2)
     assert not isinstance(bb, RoutingFailure)
@@ -104,7 +126,7 @@ def test_route_failure_reports_reason():
     circuit = CircuitSpec(
         2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
     )
-    matched = matched_bonds(lat, asg)
+    matched = matched_mask(lat, asg)
     clusters = find_clusters(lat, matched, asg)
     bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=1)
     assert isinstance(bb, RoutingFailure)
@@ -115,7 +137,7 @@ def test_backbone_json_grid():
     lat, asg = _assignment(["yxzxz", "xyxyx"])
     circuit = CircuitSpec(1, (Init(0), Readout(0)))
     bb = route_backbone(
-        lat, asg, find_clusters(lat, matched_bonds(lat, asg), asg),
+        lat, asg, find_clusters(lat, matched_mask(lat, asg), asg),
         frozenset(), circuit, spacing=2,
     )
     data = bb.to_json(lat)
