@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -55,13 +56,13 @@ class HexLattice:
         self.rows = rows
         self.cols = cols
         self._bond_table: tuple[np.ndarray, np.ndarray] | None = None
+        self._neighbor_table: tuple[tuple[int, int, int], ...] | None = None
 
     # -- geometry ---------------------------------------------------------
 
     def sites(self) -> Iterator[Site]:
-        for r in range(self.rows):
-            for c in range(self.cols):
-                yield (r, c)
+        """Every site in row-major order."""
+        return product(range(self.rows), range(self.cols))
 
     @property
     def n_sites(self) -> int:
@@ -116,6 +117,33 @@ class HexLattice:
             a.flags.writeable = b.flags.writeable = False
             self._bond_table = (a, b)
         return self._bond_table
+
+    def neighbor_table(self) -> tuple[tuple[int, int, int], ...]:
+        """Site index behind each leg of every site, built once.
+
+        Row ``i`` belongs to site index ``i`` and holds one entry per
+        ``Leg`` in enum order (LEFT, RIGHT, VERT); -1 marks a dangling leg.
+        The rows are tuples so that searches written as Python loops read
+        plain ints, and the table cannot be changed.
+        """
+        if self._neighbor_table is None:
+            index = np.arange(self.n_sites, dtype=np.intp)
+            r, c = np.divmod(index, self.cols)
+            stem = np.where((r + c) % 2 == 0, self.cols, -self.cols)
+            table = np.stack(
+                [
+                    np.where(c > 0, index - 1, -1),
+                    np.where(c + 1 < self.cols, index + 1, -1),
+                    np.where(
+                        (0 <= index + stem) & (index + stem < self.n_sites),
+                        index + stem,
+                        -1,
+                    ),
+                ],
+                axis=1,
+            )
+            self._neighbor_table = tuple(map(tuple, table.tolist()))
+        return self._neighbor_table
 
     def bond_sites(self, picked=slice(None)) -> list[tuple[Site, Site]]:
         """End sites of the ``picked`` bonds of ``bond_table()``, in order.

@@ -41,10 +41,10 @@ from .router import (
     Backbone,
     RoutingFailure,
     _backbone_adjacency,
-    _matched_adjacency,
     disabled_ids,
     find_clusters,
     flag_off_limits,
+    matched_neighbors,
     route_backbone,
     spacing_failure,
 )
@@ -281,7 +281,6 @@ def _running_flip(nu: str, dax: int, daz: int) -> int:
 class _FoldCtx:
     lattice: HexLattice
     assignment: AxisAssignment
-    cluster_adj: dict[Site, set[Site]]
     interior: frozenset[Site]
     term: BoundaryTermination | None
     mu: str
@@ -290,13 +289,19 @@ class _FoldCtx:
     assoc_sites: list[Site]
     member_sites: list[Site]
 
+    def matched(self, site: Site) -> list[Site]:
+        """Neighbours of ``site`` along matched bonds."""
+        codes = self.assignment.codes(self.lattice)
+        return matched_neighbors(self.lattice, codes, site)
+
 
 def _stem_inputs(ctx: _FoldCtx, site: Site) -> list[tuple[str, int, Site | None]]:
     """Standard inputs on this cluster site's unmatched legs, in leg order."""
     out = []
+    matched = ctx.matched(site)
     for leg in Leg:
         n = ctx.lattice.neighbor(site, leg)
-        if n is not None and n in ctx.cluster_adj.get(site, ()):
+        if n is not None and n in matched:
             continue
         if n is None:
             axis, bit = _termination_reference(ctx.lattice, ctx.term, site, leg)
@@ -314,23 +319,23 @@ def _stem_inputs(ctx: _FoldCtx, site: Site) -> list[tuple[str, int, Site | None]
     return out
 
 
-def _component(adj: dict[Site, set[Site]], start: Site, avoid: Site) -> set[Site]:
-    """Connected component of ``start`` in ``adj`` with one node removed."""
+def _component(neighbors, start: Site, avoid: Site) -> set[Site]:
+    """Connected component of ``start`` with one node removed; the graph
+    gives each site's ``neighbors(site)``."""
     comp = {start}
     stack = [start]
     while stack:
         cur = stack.pop()
-        for nb in adj.get(cur, ()):
+        for nb in neighbors(cur):
             if nb != avoid and nb not in comp:
                 comp.add(nb)
                 stack.append(nb)
     return comp
 
 
-def _bfs_path(
-    adj: dict[Site, set[Site]], start: Site, goal: Site, avoid: Site
-) -> list[Site]:
-    """Shortest path start..goal in ``adj`` skipping ``avoid``, sorted ties."""
+def _bfs_path(neighbors, start: Site, goal: Site, avoid: Site) -> list[Site]:
+    """Shortest path start..goal on the graph of ``neighbors(site)``
+    skipping ``avoid``, sorted ties."""
     prev: dict[Site, Site | None] = {start: None}
     queue = deque([start])
     while queue:
@@ -340,7 +345,7 @@ def _bfs_path(
             while prev[path[-1]] is not None:
                 path.append(prev[path[-1]])
             return path[::-1]
-        for nb in sorted(adj.get(cur, ())):
+        for nb in sorted(neighbors(cur)):
             if nb != avoid and nb not in prev:
                 prev[nb] = cur
                 queue.append(nb)
@@ -360,9 +365,9 @@ def _fold_site(
     """
     seen.add(site)
     ctx.member_sites.append(site)
-    children = sorted(n for n in ctx.cluster_adj.get(site, ()) if n != parent)
+    children = sorted(n for n in ctx.matched(site) if n != parent)
     if len(children) == 2:
-        comp = _component(ctx.cluster_adj, children[0], avoid=site)
+        comp = _component(ctx.matched, children[0], avoid=site)
         if children[1] in comp:
             return _fold_cycle(ctx, site, children, seen)
     stems = _stem_inputs(ctx, site)
@@ -404,14 +409,14 @@ def _fold_cycle(
     """
     if ctx.mu == "y":
         raise ProtocolError("matched loops on a y-axis cluster are not folded")
-    cycle = [zeroth] + _bfs_path(ctx.cluster_adj, pair[0], pair[1], zeroth)
+    cycle = [zeroth] + _bfs_path(ctx.matched, pair[0], pair[1], zeroth)
     ring = set(cycle)
     sx = sz = 0
     for i, k in enumerate(cycle[1:], start=1):
         seen.add(k)
         ctx.member_sites.append(k)
         around = {cycle[i - 1], cycle[(i + 1) % len(cycle)]}
-        side = [n for n in ctx.cluster_adj.get(k, ()) if n not in around]
+        side = [n for n in ctx.matched(k) if n not in around]
         if any(n in ring for n in side):
             raise ProtocolError(f"loop site {k} has a chord")
         stems = _stem_inputs(ctx, k)
@@ -438,7 +443,6 @@ def _fold_cycle(
 def _fold_branch(
     lattice: HexLattice,
     assignment: AxisAssignment,
-    cluster_adj: dict[Site, set[Site]],
     first: Site,
     root: Site,
     interior: frozenset[Site],
@@ -448,7 +452,6 @@ def _fold_branch(
     ctx = _FoldCtx(
         lattice=lattice,
         assignment=assignment,
-        cluster_adj=cluster_adj,
         interior=interior,
         term=term,
         mu=assignment[first],
@@ -576,7 +579,6 @@ def compile_plan(
     assignment: AxisAssignment,
     circuit: CircuitSpec,
     term: BoundaryTermination | None,
-    cluster_adj: dict[Site, set[Site]],
 ) -> MeasurementPlan | CompileFailure:
     """Lay the circuit's gates onto the routed backbone, site by site.
 
@@ -585,8 +587,7 @@ def compile_plan(
     take the CNOTs with their fixed complementary bases, and the next
     z-axis site past the last gate takes the readout. Everything between
     becomes a fiducial identity widget; everything off the protocol stays
-    standard. ``cluster_adj`` is the matched-bond graph of ``assignment``
-    (``Clusters.adjacency``). Failures are values, the caller resamples.
+    standard. Failures are values, the caller resamples.
     """
     try:
         circuit.validate()
@@ -671,7 +672,6 @@ def compile_plan(
                 nu, _, ctx = _fold_branch(
                     lattice,
                     assignment,
-                    cluster_adj,
                     n,
                     s,
                     frozenset(backbone_set | extensions),
@@ -985,12 +985,9 @@ class _Runtime:
     plan: MeasurementPlan
     circuit: CircuitSpec
     term: BoundaryTermination
-    cluster_adj: dict[Site, set[Site]] = field(init=False)
     interior: frozenset[Site] = field(init=False)
 
     def __post_init__(self):
-        adj = _matched_adjacency(self.lattice, self.assignment)
-        object.__setattr__(self, "cluster_adj", adj)
         object.__setattr__(self, "interior", self.plan.interior_sites())
 
     def rows(self, ps: PlanSite, frame: ByproductFrame) -> list[np.ndarray]:
@@ -1026,7 +1023,6 @@ class _Runtime:
                 nu, c, _ = _fold_branch(
                     self.lattice,
                     self.assignment,
-                    self.cluster_adj,
                     ref.first,
                     s,
                     self.interior,
@@ -1294,9 +1290,7 @@ def prepare_protocol(
     )
     if isinstance(backbone, RoutingFailure):
         return backbone
-    plan = compile_plan(
-        lattice, backbone, assignment, circuit, term, clusters.adjacency
-    )
+    plan = compile_plan(lattice, backbone, assignment, circuit, term)
     if isinstance(plan, CompileFailure):
         return plan
     return backbone, plan
@@ -1337,10 +1331,13 @@ def run_protocol(
     root_ss = np.random.SeedSequence(rng_seed)
     last = "no attempt ran"
     failures: Counter[str] = Counter()
-    for attempt, child in enumerate(root_ss.spawn(retries), start=1):
-        s1, s2 = child.spawn(2)
+    for attempt in range(1, retries + 1):
+        # Children are spawned one at a time, as needed. That yields the same
+        # children as spawning them all at once, so every attempt keeps its
+        # stage-1 seed and a routed attempt its stage-2 seed.
+        (child,) = root_ss.spawn(1)
+        (s1,) = child.spawn(1)
         seed1 = int(s1.generate_state(1, np.uint64)[0])
-        seed2 = int(s2.generate_state(1, np.uint64)[0])
         assignment = stage1_sample(lattice, term, mode, seed1)
         prepared = prepare_protocol(lattice, assignment, circuit, term, spacing)
         if isinstance(prepared, (RoutingFailure, CompileFailure)):
@@ -1348,6 +1345,8 @@ def run_protocol(
             failures[prepared.reason] += 1
             continue
         backbone, plan = prepared
+        (s2,) = child.spawn(1)
+        seed2 = int(s2.generate_state(1, np.uint64)[0])
         exact = mode is SampleMode.EXACT
         engine = DenseEngine(lattice, assignment, term) if exact else None
         record, frame, snaps = _drive(

@@ -17,17 +17,18 @@ normal remedy is a fresh stage-one sample, not an exception.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .lattice import Bond, HexLattice, Leg, Site, SiteKind, build_lattice
-from .sampler import AxisAssignment, matched_mask
+from .sampler import AxisAssignment
 from .tensors import AXES
 
 FORMAT_VERSION = 1
 DEFAULT_SPACING = 4
+_X, _Z = AXES.index("x"), AXES.index("z")
 # Largest hanging cluster branch the renormalizer will fold.
 RENORM_SITE_CAP = 12
 
@@ -51,8 +52,9 @@ class Clusters:
     ``labels[i]`` is the id of the cluster holding site index ``i``, or -1
     for a site without a matched bond; ``axes`` and ``sizes`` give each
     cluster's axis (an index into ``AXES``) and site count. The per-cluster
-    records (``items``, also what iterating yields, in id order) and the
-    matched-bond graph (``adjacency``) are built on first use.
+    records (``items``, also what iterating yields, in id order) are built
+    on first use. The matched-bond graph is not stored: two neighbours in
+    ``lattice.neighbor_table()`` are matched when their axis codes agree.
     """
 
     lattice: HexLattice
@@ -81,23 +83,10 @@ class Clusters:
             for cid, group in enumerate(groups)
         )
 
-    @cached_property
-    def adjacency(self) -> dict[Site, set[Site]]:
-        """Neighbours along matched bonds: the clusters' graph."""
-        return _adjacency(self.lattice.bond_sites(self.matched))
-
     def owner(self, site: Site) -> int | None:
         """Id of the cluster holding ``site``, or None."""
         cid = int(self.labels[self.lattice.site_index(site)])
         return None if cid < 0 else cid
-
-    def sites_of(self, ids) -> frozenset[Site]:
-        """Every site of the clusters with the given ids."""
-        picked = np.zeros(len(self) + 1, dtype=bool)  # [-1] stays False
-        picked[list(ids)] = True
-        cols = self.lattice.cols
-        members = np.flatnonzero(picked[self.labels])
-        return frozenset(divmod(i, cols) for i in members.tolist())
 
 
 def _find(parent, x):
@@ -116,27 +105,32 @@ def find_clusters(
     """Label the components of the matched bonds, id'd in row-major order.
 
     ``matched`` masks ``lattice.bond_table()``. Sites without a matched
-    bond belong to no cluster. A union-find over site indices keeps the
-    smallest index as every root (Hoshen & Kopelman, PRB 14, 3438, 1976),
-    so ids count up from 0 following the row-major position of each
-    cluster's first site and the labelling is reproducible.
+    bond belong to no cluster. Every site starts as its own root; each
+    round hooks the roots at both ends of every matched bond onto the
+    smaller of the two (``np.minimum.at``), then points every site straight
+    at its root by pointer jumping, until each matched bond joins equal
+    roots. Roots only ever move to smaller indices, so every root is the
+    smallest index of its component (as in Hoshen & Kopelman, PRB 14,
+    3438, 1976): ids count up from 0 following the row-major position of
+    each cluster's first site and the labelling is reproducible.
     """
     codes = assignment.codes(lattice)
     a, b = lattice.bond_table()
     ends_a, ends_b = a[matched], b[matched]
     n = lattice.n_sites
-    parent = list(range(n))
-    for i, j in zip(ends_a.tolist(), ends_b.tolist()):
-        ri, rj = _find(parent, i), _find(parent, j)
-        if ri != rj:
-            lo, hi = (ri, rj) if ri < rj else (rj, ri)
-            parent[hi] = lo
-    root = np.array(parent, dtype=np.intp)
-    while True:  # point every site straight at its root
-        up = root[root]
-        if np.array_equal(up, root):
+    root = np.arange(n, dtype=np.intp)
+    while True:
+        root_a, root_b = root[ends_a], root[ends_b]
+        if np.array_equal(root_a, root_b):
             break
-        root = up
+        lower = np.minimum(root_a, root_b)
+        np.minimum.at(root, root_a, lower)
+        np.minimum.at(root, root_b, lower)
+        while True:  # point every site straight at its root
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
     clustered = np.zeros(n, dtype=bool)
     clustered[ends_a] = True
     clustered[ends_b] = True
@@ -160,12 +154,21 @@ class OffLimitsPair:
     """Two different-axis clusters joined by at least two unmatched bonds.
 
     ``disabled`` names the member chosen to revert to standard readout.
+    ``joins`` holds the joining bonds' indices into ``bond_table()`` of
+    ``lattice``; ``bonds`` turns them into ``Bond``s on first use.
     """
 
     first: int
     second: int
-    bonds: frozenset[Bond]
+    joins: tuple[int, ...]
     disabled: int
+    lattice: HexLattice = field(repr=False, compare=False)
+
+    @cached_property
+    def bonds(self) -> frozenset[Bond]:
+        return frozenset(
+            Bond(a, b) for a, b in self.lattice.bond_sites(list(self.joins))
+        )
 
 
 def flag_off_limits(
@@ -191,25 +194,28 @@ def flag_off_limits(
     # one code per (first, second) pair, ascending in (first, second)
     joins, key = joins[apart], (lo * n_clusters + hi)[apart]
     order = np.argsort(key, kind="stable")
-    joins, key = joins[order], key[order]
-    pair_codes, counts = np.unique(key, return_counts=True)
+    joins, key = joins[order].tolist(), key[order]
+    pair_codes, starts, counts = np.unique(
+        key, return_index=True, return_counts=True
+    )
     flagged = counts >= 2
-    ends = iter(lattice.bond_sites(joins[np.repeat(flagged, counts)]))
     out: list[OffLimitsPair] = []
     down: set[int] = set()
-    for code, count in zip(
-        pair_codes[flagged].tolist(), counts[flagged].tolist()
+    for code, start, count in zip(
+        pair_codes[flagged].tolist(),
+        starts[flagged].tolist(),
+        counts[flagged].tolist(),
     ):
-        pair = divmod(code, n_clusters)
-        if pair[0] in down:
-            gone = pair[0]
-        elif pair[1] in down:
-            gone = pair[1]
+        first, second = divmod(code, n_clusters)
+        if first in down:
+            gone = first
+        elif second in down:
+            gone = second
         else:
-            gone = min(pair, key=lambda i: (size[i], i))
+            gone = second if size[second] < size[first] else first
             down.add(gone)
-        bonds = frozenset(Bond(*next(ends)) for _ in range(count))
-        out.append(OffLimitsPair(pair[0], pair[1], bonds, gone))
+        pair_joins = tuple(joins[start:start + count])
+        out.append(OffLimitsPair(first, second, pair_joins, gone, lattice))
     return out
 
 
@@ -329,103 +335,92 @@ def _band(wire: int, spacing: int, rows: int) -> range:
 
 
 def _wire_path(
-    lattice: HexLattice, band: range, blocked: frozenset[Site]
-) -> tuple[Site, ...] | None:
+    lattice: HexLattice, band: range, blocked: list[bool]
+) -> list[int] | None:
     """Breadth-first right-to-left path inside the band, or None.
 
-    Neighbour order prefers LEFT, so an unobstructed band yields the
-    straight row at the band top and ties resolve reproducibly.
+    Walks site indices on ``lattice.neighbor_table()`` and never enters a
+    ``blocked`` index. Neighbour order prefers LEFT, so an unobstructed
+    band yields the straight row at the band top and ties resolve
+    reproducibly. The path runs from the right edge to the left edge.
     """
+    table = lattice.neighbor_table()
     cols = lattice.cols
-    starts = [(r, cols - 1) for r in band if (r, cols - 1) not in blocked]
-    prev: dict[Site, Site | None] = {s: None for s in starts}
+    lo, hi = band.start * cols, band.stop * cols  # the band's indices
+    starts = [i for i in range(lo + cols - 1, hi, cols) if not blocked[i]]
+    prev = dict.fromkeys(starts, -1)
     queue = deque(starts)
-    goal = None
     while queue:
         cur = queue.popleft()
-        if cur[1] == 0:
-            goal = cur
-            break
-        for leg in (Leg.LEFT, Leg.VERT, Leg.RIGHT):
-            nb = lattice.neighbor(cur, leg)
-            if (
-                nb is None
-                or nb in prev
-                or nb[0] not in band
-                or nb in blocked
-            ):
-                continue
-            prev[nb] = cur
-            queue.append(nb)
-    if goal is None:
-        return None
-    path = [goal]
-    while prev[path[-1]] is not None:
+        if cur % cols == 0:
+            return _trace_back(prev, cur)
+        left, right, vert = table[cur]
+        for nb in (left, vert, right):
+            if lo <= nb < hi and nb not in prev and not blocked[nb]:
+                prev[nb] = cur
+                queue.append(nb)
+    return None
+
+
+def _trace_back(prev: dict[int, int], end: int) -> list[int]:
+    """The breadth-first path from its start (marked -1) to ``end``."""
+    path = [end]
+    while prev[path[-1]] >= 0:
         path.append(prev[path[-1]])
     path.reverse()
-    return tuple(path)
+    return path
 
 
-def _has_free_z(
-    assignment: AxisAssignment,
-    path: tuple[Site, ...],
-    used: set[Site],
-    side: str,
-    col: int,
-) -> bool:
-    """Is there an unclaimed z-axis site on the path strictly beyond col?"""
-    for s in path:
-        if s in used or assignment[s] != "z":
-            continue
-        if side == "right" and s[1] > col:
-            return True
-        if side == "left" and s[1] < col:
-            return True
-    return False
+def _free_z_span(
+    path: list[int], claimed: set[int], code: list[int], cols: int
+) -> tuple[int, int]:
+    """Columns of the leftmost and rightmost unclaimed z-axis path sites.
+
+    A junction at column c needs such a site strictly on either side of
+    it, that is span[0] < c < span[1]; a path with none gives (cols, -1).
+    """
+    free = [i % cols for i in path if code[i] == _Z and i not in claimed]
+    return (min(free), max(free)) if free else (cols, -1)
 
 
 def _link_path(
     lattice: HexLattice,
-    assignment: AxisAssignment,
-    start: Site,
-    forbidden: frozenset[Site],
-    tgt_path: tuple[Site, ...],
-    used: set[Site],
-    frontier_tgt: int,
-) -> tuple[tuple[Site, ...], Site] | None:
+    code: list[int],
+    start: int,
+    forbidden: list[bool],
+    tgt_path: list[int],
+    claimed: set[int],
+    window: tuple[int, int],
+) -> tuple[list[int], int] | None:
     """Staircase from below a control junction down to a usable target site.
 
-    Walks interior sites (never wire, junction or blocked sites); succeeds
-    on reaching a Top-kind site whose stem lands on an unclaimed x-axis
-    Bot-kind site of the target path right of that wire's frontier.
+    Walks interior site indices (``forbidden`` masks wire, link and
+    blocked sites); succeeds on reaching a Top-kind site whose stem lands
+    on an unclaimed x-axis site of the target path in a column c with
+    window[0] < c < window[1].
     """
-    tgt_sites = set(tgt_path)
-    prev: dict[Site, Site | None] = {start: None}
+    table = lattice.neighbor_table()
+    cols = lattice.cols
+    on_target = set(tgt_path)
+    lo, hi = window
+    prev = {start: -1}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        if lattice.kind(cur) is SiteKind.TOP:
-            t = lattice.neighbor(cur, Leg.VERT)
-            if (
-                t is not None
-                and t in tgt_sites
-                and t not in used
-                and assignment[t] == "x"
-                and t[1] < frontier_tgt
-                and _has_free_z(assignment, tgt_path, used, "right", t[1])
-                and _has_free_z(assignment, tgt_path, used, "left", t[1])
-            ):
-                chain = [cur]
-                while prev[chain[-1]] is not None:
-                    chain.append(prev[chain[-1]])
-                chain.reverse()
-                return tuple(chain), t
-        for leg in (Leg.VERT, Leg.LEFT, Leg.RIGHT):
-            nb = lattice.neighbor(cur, leg)
-            if nb is None or nb in prev or nb in forbidden:
-                continue
-            prev[nb] = cur
-            queue.append(nb)
+        left, right, vert = table[cur]
+        r, c = divmod(cur, cols)
+        if (
+            (r + c) % 2 == 0  # Top kind: the stem points down
+            and vert in on_target
+            and vert not in claimed
+            and code[vert] == _X
+            and lo < vert % cols < hi
+        ):
+            return _trace_back(prev, cur), vert
+        for nb in (vert, left, right):
+            if nb >= 0 and nb not in prev and not forbidden[nb]:
+                prev[nb] = cur
+                queue.append(nb)
     return None
 
 
@@ -460,20 +455,28 @@ def route_backbone(
     Wires live in disjoint row bands ``spacing`` rows apart; each CNOT gets
     a junction pair placed greedily from the right, left of every earlier
     junction on the wires it touches. Sites of disabled clusters are
-    obstacles. The result is audited before it is returned, so a Backbone
-    that comes back satisfies the layout invariants.
+    obstacles. Every search walks site indices on the lattice's cached
+    ``neighbor_table()``, with the axis codes and the blocked, wire and
+    claimed sites as index masks; sites become ``Site`` tuples only in the
+    returned Backbone. The result is audited before it is returned, so a
+    Backbone that comes back satisfies the layout invariants.
     """
     from .logic import CNOT  # deferred: logic builds on this module
 
-    assignment.validate(lattice)
+    codes = assignment.codes(lattice)  # validates the assignment
     unfit = spacing_failure(lattice, circuit.wires, spacing)
     if unfit is not None:
         return unfit
     n_wires = circuit.wires
-    oversized = np.flatnonzero(clusters.sizes > RENORM_SITE_CAP).tolist()
-    blocked = clusters.sites_of(disabled.union(oversized))
+    cols = lattice.cols
+    table = lattice.neighbor_table()
+    code = codes.tolist()
+    gone = np.zeros(len(clusters) + 1, dtype=bool)  # [-1]: no cluster
+    gone[list(disabled)] = True
+    gone[:-1] |= clusters.sizes > RENORM_SITE_CAP
+    blocked = gone[clusters.labels].tolist()
 
-    wires: list[tuple[Site, ...]] = []
+    wires: list[list[int]] = []
     for w in range(n_wires):
         path = _wire_path(lattice, _band(w, spacing, lattice.rows), blocked)
         if path is None:
@@ -481,41 +484,46 @@ def route_backbone(
                 "no-percolating-path", f"wire {w} found no right-left path"
             )
         wires.append(path)
-    wire_sites = {s: w for w, path in enumerate(wires) for s in path}
 
-    junctions: list[JunctionPair] = []
-    used: set[Site] = set()  # junction and link sites claimed so far
-    frontier = {w: lattice.cols for w in range(n_wires)}
+    junctions: list[tuple[int, int, list[int]]] = []
+    forbidden = blocked.copy()  # links avoid blocked, wire and link sites
+    for path in wires:
+        for i in path:
+            forbidden[i] = True
+    claimed: set[int] = set()  # junction sites so far
+    frontier = [cols] * n_wires
     for gate in circuit.gates:
         if not isinstance(gate, CNOT):
             continue
         ctl, tgt = gate.control, gate.target
-        forbidden = blocked | set(wire_sites) | used
+        # a junction column c needs lo < c < hi: free z sites of its wire
+        # on both sides, and left of every earlier junction on that wire
+        # (the control's also left of the target wire's)
+        lo, hi = _free_z_span(wires[ctl], claimed, code, cols)
+        hi = min(hi, frontier[ctl], frontier[tgt])
+        tgt_lo, tgt_hi = _free_z_span(wires[tgt], claimed, code, cols)
+        window = (tgt_lo, min(tgt_hi, frontier[tgt]))
         placed = None
-        for s in sorted(wires[ctl], key=lambda t: -t[1]):
+        for s in sorted(wires[ctl], key=lambda i: -(i % cols)):
+            r, c = divmod(s, cols)
             if (
-                s in used
-                or lattice.kind(s) is not SiteKind.TOP
-                or assignment[s] != "z"
-                or s[1] >= frontier[ctl]
-                or s[1] >= frontier[tgt]
+                s in claimed
+                or (r + c) % 2  # Bot kind
+                or code[s] != _Z
+                or not lo < c < hi
             ):
                 continue
-            if not _has_free_z(assignment, wires[ctl], used, "right", s[1]):
-                continue
-            if not _has_free_z(assignment, wires[ctl], used, "left", s[1]):
-                continue
-            below = lattice.neighbor(s, Leg.VERT)
-            if below is None or below in forbidden:
+            _, _, below = table[s]  # the stem, pointing down
+            if below < 0 or forbidden[below]:
                 continue
             hit = _link_path(
                 lattice,
-                assignment,
+                code,
                 below,
                 forbidden,
                 wires[tgt],
-                used,
-                frontier[tgt],
+                claimed,
+                window,
             )
             if hit is not None:
                 placed = (s, hit[1], hit[0])
@@ -526,16 +534,14 @@ def route_backbone(
                 f"no junction pair for CNOT {ctl}->{tgt}",
             )
         top, bot, link = placed
-        junctions.append(JunctionPair(top, bot, link))
-        used.add(top)
-        used.add(bot)
-        used.update(link)
-        frontier[ctl] = min(frontier[ctl], top[1])
-        frontier[tgt] = min(frontier[tgt], bot[1])
+        junctions.append(placed)
+        claimed.update((top, bot))
+        for i in link:
+            forbidden[i] = True
+        frontier[ctl] = min(frontier[ctl], top % cols)
+        frontier[tgt] = min(frontier[tgt], bot % cols)
 
-    backbone = _assemble(
-        lattice, assignment, clusters, wires, junctions, spacing
-    )
+    backbone = _assemble(lattice, code, clusters, wires, junctions, spacing)
     if isinstance(backbone, RoutingFailure):
         return backbone
     problems = audit_backbone(
@@ -555,11 +561,19 @@ def _adjacency(edges) -> dict[Site, set[Site]]:
     return adj
 
 
-def _matched_adjacency(
-    lattice: HexLattice, assignment: AxisAssignment
-) -> dict[Site, set[Site]]:
-    """Neighbours along matched bonds: the clusters' graph."""
-    return _adjacency(lattice.bond_sites(matched_mask(lattice, assignment)))
+def matched_neighbors(
+    lattice: HexLattice, codes: np.ndarray, site: Site
+) -> list[Site]:
+    """Neighbours of ``site`` along matched bonds: those with its axis code.
+
+    ``codes`` is the assignment's ``codes(lattice)``.
+    """
+    i = lattice.site_index(site)
+    return [
+        divmod(n, lattice.cols)
+        for n in lattice.neighbor_table()[i]
+        if n >= 0 and codes[n] == codes[i]
+    ]
 
 
 def _backbone_adjacency(
@@ -572,123 +586,141 @@ def _backbone_adjacency(
 
 def _assemble(
     lattice: HexLattice,
-    assignment: AxisAssignment,
+    code: list[int],
     clusters: Clusters,
-    wires: list[tuple[Site, ...]],
-    junctions: list[JunctionPair],
+    wires: list[list[int]],
+    junctions: list[tuple[int, int, list[int]]],
     spacing: int,
 ) -> Backbone | RoutingFailure:
-    """Attach roles (wire, junction, associate, extension) or report why not."""
-    roles: dict[Site, Role] = {}
-    junction_sites = {j.control for j in junctions} | {
-        j.target for j in junctions
-    }
-    for w, path in enumerate(wires):
-        for s in path:
-            roles[s] = (
-                Degree3Junction(w) if s in junction_sites else Degree2Wire(w)
-            )
-    for j in junctions:
-        ctl_wire = roles[j.control].wire
-        for s in j.link:
-            roles[s] = Degree2Wire(ctl_wire)
+    """Attach roles (wire, junction, associate, extension) or report why not.
 
-    adj = _backbone_adjacency(wires, junctions)
-    backbone_sites = set(adj)
-    cluster_adj = clusters.adjacency
+    Takes the routed site indices: wire paths and (control, target, link)
+    junctions. A neighbour with the same axis code is a matched neighbour.
+    """
+    table = lattice.neighbor_table()
+    cols = lattice.cols
+    roles: dict[Site, Role] = {}
+    junction_sites = {top for top, _, _ in junctions}
+    junction_sites.update(bot for _, bot, _ in junctions)
+    for w, path in enumerate(wires):
+        for i in path:
+            roles[divmod(i, cols)] = (
+                Degree3Junction(w) if i in junction_sites else Degree2Wire(w)
+            )
+    for top, _, link in junctions:
+        ctl_wire = roles[divmod(top, cols)].wire
+        for i in link:
+            roles[divmod(i, cols)] = Degree2Wire(ctl_wire)
+
+    chains = [*wires, *([top, *link, bot] for top, bot, link in junctions)]
+    adj = _adjacency(e for chain in chains for e in zip(chain, chain[1:]))
 
     # phase one: resolve every matched stem into a hanging branch
-    extensions: set[Site] = set()
-    stems: list[tuple[Site, Site]] = []
-    for s in sorted(backbone_sites):
+    extensions: set[int] = set()
+    stems: list[tuple[int, int]] = []
+    for s in sorted(adj):
         if s in junction_sites:
             continue
-        used_legs = {lattice.leg_between(s, nb) for nb in adj[s]}
-        for leg in Leg:
-            if leg in used_legs:
-                continue
-            n = lattice.neighbor(s, leg)
-            if n is None:
-                continue  # boundary termination feeds this widget
-            if n in backbone_sites:
+        for n in table[s]:  # every leg off the routed paths
+            if n < 0 or n in adj[s]:
+                continue  # a dangling leg: the boundary feeds this widget
+            if n in adj:
                 return RoutingFailure(
                     "backbone-adjacency",
-                    f"{s} and {n} touch outside the routed paths",
+                    f"{divmod(s, cols)} and {divmod(n, cols)} touch outside "
+                    "the routed paths",
                 )
-            if assignment[n] != assignment[s]:
+            if code[n] != code[s]:
                 stems.append((s, n))
                 continue
-            branch = _hanging_branch(cluster_adj, n, s, backbone_sites)
+            branch = _hanging_branch(lattice, code, n, s, adj)
             if branch is None:
                 return RoutingFailure(
                     "cluster-loop",
-                    f"cluster branch at {s} reattaches to the backbone",
+                    f"cluster branch at {divmod(s, cols)} reattaches to the "
+                    "backbone",
                 )
             if len(branch) > RENORM_SITE_CAP:
                 return RoutingFailure(
                     "cluster-too-large",
-                    f"branch of {len(branch)} sites at {s}",
+                    f"branch of {len(branch)} sites at {divmod(s, cols)}",
                 )
             extensions.update(branch)
+            role = ClusterExtension(root=divmod(s, cols))
             for e in branch:
-                roles.setdefault(e, ClusterExtension(root=s))
+                roles.setdefault(divmod(e, cols), role)
 
     # phase two: standard associates, for backbone and extension sites alike
-    interior = backbone_sites | extensions
+    interior = adj.keys() | extensions
     for s in sorted(extensions):
-        for leg in Leg:
-            n = lattice.neighbor(s, leg)
-            if n is None or n in cluster_adj.get(s, set()):
+        for n in table[s]:
+            if n < 0 or code[n] == code[s]:
                 continue
             if n in interior:
                 return RoutingFailure(
                     "cluster-loop",
-                    f"extension {s} touches interior site {n}",
+                    f"extension {divmod(s, cols)} touches interior site "
+                    f"{divmod(n, cols)}",
                 )
             stems.append((s, n))
+    labels = clusters.labels.tolist()
+    tied = {labels[i] for i in interior}  # clusters holding interior sites
     for s, n in stems:
         if n in interior:
             return RoutingFailure(
                 "associate-unavailable",
-                f"{n} is interior-measured, cannot anchor {s}",
+                f"{divmod(n, cols)} is interior-measured, cannot anchor "
+                f"{divmod(s, cols)}",
             )
-        cid = clusters.owner(n)
-        if cid is not None and interior & clusters.sites_of([cid]):
+        if labels[n] >= 0 and labels[n] in tied:
             return RoutingFailure(
                 "off-limits-leak",
-                f"{n} sits in a cluster already tied to the backbone",
+                f"{divmod(n, cols)} sits in a cluster already tied to the "
+                "backbone",
             )
-        roles.setdefault(n, Associate(partner=s))
+        roles.setdefault(divmod(n, cols), Associate(partner=divmod(s, cols)))
+
+    def sites(indices) -> tuple[Site, ...]:
+        return tuple(divmod(i, cols) for i in indices)
 
     return Backbone(
         roles=roles,
-        wires=tuple(wires),
-        junctions=tuple(junctions),
+        wires=tuple(sites(path) for path in wires),
+        junctions=tuple(
+            JunctionPair(divmod(top, cols), divmod(bot, cols), sites(link))
+            for top, bot, link in junctions
+        ),
         spacing=spacing,
     )
 
 
 def _hanging_branch(
-    cluster_adj: dict[Site, set[Site]],
-    first: Site,
-    root: Site,
-    backbone_sites: set[Site],
-) -> frozenset[Site] | None:
-    """Matched-graph component behind ``first``, or None if it touches the
-    backbone anywhere besides the root stem (that would close a loop)."""
+    lattice: HexLattice,
+    code: list[int],
+    first: int,
+    root: int,
+    backbone,
+) -> set[int] | None:
+    """Matched component (site indices) behind ``first``, or None if it
+    touches the ``backbone`` sites anywhere besides the root stem (that
+    would close a loop)."""
+    table = lattice.neighbor_table()
+    axis = code[first]
     seen = {first}
     queue = deque([first])
     while queue:
         cur = queue.popleft()
-        for nb in cluster_adj.get(cur, ()):
-            if nb in backbone_sites:
+        for nb in table[cur]:
+            if nb < 0 or code[nb] != axis:
+                continue
+            if nb in backbone:
                 if cur != first or nb != root:
                     return None
                 continue
             if nb not in seen:
                 seen.add(nb)
                 queue.append(nb)
-    return frozenset(seen)
+    return seen
 
 
 # -- audit --------------------------------------------------------------------

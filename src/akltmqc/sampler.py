@@ -9,8 +9,10 @@ inter-site correlations are dropped).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
@@ -27,14 +29,50 @@ class SampleMode(str, Enum):
     IID = "iid"
 
 
+class _CodedAxes(Mapping):
+    """Read-only site -> axis view of a row-major list of ``AXES`` indices."""
+
+    def __init__(self, rows: int, cols: int, codes: list[int]):
+        self._rows, self._cols, self._codes = rows, cols, codes
+
+    def __getitem__(self, site: Site) -> str:
+        r, c = site
+        if not (0 <= r < self._rows and 0 <= c < self._cols):
+            raise KeyError(site)
+        return AXES[self._codes[r * self._cols + c]]
+
+    def __iter__(self):
+        return product(range(self._rows), range(self._cols))
+
+    def __len__(self) -> int:
+        return self._rows * self._cols
+
+
 @dataclass(frozen=True)
 class AxisAssignment:
     """The polarizing axis of every site."""
 
-    axes: dict[Site, str]
+    axes: Mapping[Site, str]
     _codes: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @classmethod
+    def from_codes(
+        cls, lattice: HexLattice, codes: np.ndarray
+    ) -> AxisAssignment:
+        """The assignment whose row-major ``AXES`` indices are ``codes``.
+
+        ``codes`` (one entry 0, 1 or 2 per site) becomes the cached code
+        array for the lattice's shape, and ``axes`` reads each site's axis
+        off it, so neither is rebuilt from the other.
+        """
+        codes = codes.astype(np.int8)
+        codes.flags.writeable = False
+        shape = (lattice.rows, lattice.cols)
+        out = cls(_CodedAxes(*shape, codes.tolist()))
+        out._codes[shape] = codes
+        return out
 
     def __getitem__(self, site: Site) -> str:
         return self.axes[site]
@@ -86,9 +124,8 @@ def stage1_sample(
     mode = SampleMode(mode)
     if mode is SampleMode.IID:
         rng = np.random.default_rng(rng_seed)
-        sites = list(lattice.sites())
-        draws = rng.integers(0, 3, size=len(sites)).tolist()
-        return AxisAssignment({s: AXES[d] for s, d in zip(sites, draws)})
+        draws = rng.integers(0, 3, size=lattice.n_sites)
+        return AxisAssignment.from_codes(lattice, draws)
     steps = chain_rule_sample(lattice, term, rng_seed)
     return AxisAssignment({s.site: s.outcome for s in steps})
 

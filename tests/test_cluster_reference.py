@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from akltmqc.lattice import Bond, build_lattice
-from akltmqc.router import find_clusters, flag_off_limits
+from akltmqc.router import find_clusters, flag_off_limits, matched_neighbors
 from akltmqc.sampler import AxisAssignment, matched_bonds, matched_mask
 from akltmqc.tensors import AXES
 
@@ -122,7 +122,13 @@ def _check_against_reference(lattice, assignment):
         labels[[lattice.site_index(s) for s in sites]] = cid
     assert clusters.labels.tolist() == labels.tolist()
     assert clusters.sizes.tolist() == [len(s) for _, _, s in ref_clusters]
-    assert clusters.adjacency == _ref_adjacency(ref_matched)
+    codes = assignment.codes(lattice)
+    adjacency = {
+        s: set(nbs)
+        for s in lattice.sites()
+        if (nbs := matched_neighbors(lattice, codes, s))
+    }
+    assert adjacency == _ref_adjacency(ref_matched)
     pairs = flag_off_limits(lattice, clusters)
     got = [(p.first, p.second, p.bonds, p.disabled) for p in pairs]
     assert got == ref_pairs

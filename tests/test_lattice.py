@@ -58,3 +58,30 @@ def test_contains():
     assert lat.contains((1, 2))
     assert not lat.contains((2, 0))
     assert not lat.contains((0, -1))
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(1, 1), (1, 7), (7, 1), (2, 3), (5, 6), (20, 40)]
+)
+def test_neighbor_table_matches_neighbor(rows, cols):
+    lat = build_lattice(rows, cols)
+    table = lat.neighbor_table()
+    assert len(table) == lat.n_sites
+    for site in lat.sites():
+        row = table[lat.site_index(site)]
+        assert len(row) == len(Leg)
+        for leg, entry in zip(Leg, row):
+            n = lat.neighbor(site, leg)
+            assert entry == (-1 if n is None else lat.site_index(n))
+
+
+def test_neighbor_table_is_read_only_and_built_once():
+    lat = build_lattice(3, 4)
+    assert lat._neighbor_table is None  # nothing is built up front
+    table = lat.neighbor_table()
+    assert lat.neighbor_table() is table
+    with pytest.raises(TypeError):
+        table[0] = (-1, -1, -1)
+    with pytest.raises(TypeError):
+        table[0][0] = 5
+    assert build_lattice(3, 4).neighbor_table() is not table  # per lattice

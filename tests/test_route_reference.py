@@ -1,0 +1,408 @@
+"""Routing on site indices against the ``Site``-tuple reference.
+
+The reference below is the routing the index path replaced: breadth-first
+searches over ``Site`` tuples with ``HexLattice.neighbor``, frozenset and
+dict membership, the matched-bond graph as a dict of sets, and a
+per-bond union-find for the cluster labels. ``route_backbone`` must return
+the same backbone (``to_json``) or the same failure reason and detail, and
+``find_clusters`` the same labels, on iid patterns of three sizes and on
+exact patterns under x and z pins.
+"""
+
+from collections import Counter, deque
+
+import pytest
+
+from akltmqc.contraction import BoundaryTermination
+from akltmqc.lattice import Leg, SiteKind, build_lattice
+from akltmqc.logic import CNOT, CircuitSpec, Init, Readout, auto_spacing
+from akltmqc.router import (
+    RENORM_SITE_CAP,
+    Associate,
+    Backbone,
+    ClusterExtension,
+    Degree2Wire,
+    Degree3Junction,
+    JunctionPair,
+    RoutingFailure,
+    _backbone_adjacency,
+    _band,
+    audit_backbone,
+    disabled_ids,
+    find_clusters,
+    flag_off_limits,
+    route_backbone,
+    spacing_failure,
+)
+from akltmqc.sampler import matched_mask, stage1_sample
+
+IDENTITY = CircuitSpec(1, (Init(0), Readout(0)))
+ONE_CNOT = CircuitSpec(
+    2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
+)
+
+
+# -- reference ------------------------------------------------------------------
+
+
+def _ref_find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _ref_labels(lattice, matched):
+    """Cluster id per site index (-1 outside clusters), by union-find."""
+    a, b = lattice.bond_table()
+    ends = list(zip(a[matched].tolist(), b[matched].tolist()))
+    parent = list(range(lattice.n_sites))
+    for i, j in ends:
+        ri, rj = _ref_find(parent, i), _ref_find(parent, j)
+        if ri != rj:
+            lo, hi = sorted((ri, rj))
+            parent[hi] = lo
+    clustered = {i for end in ends for i in end}
+    roots = sorted({_ref_find(parent, i) for i in clustered})
+    ids = {root: k for k, root in enumerate(roots)}
+    return [
+        ids[_ref_find(parent, i)] if i in clustered else -1
+        for i in range(lattice.n_sites)
+    ]
+
+
+def _ref_matched_adjacency(lattice, assignment):
+    adj = {}
+    for bond in lattice.bonds():
+        if assignment[bond.a] == assignment[bond.b]:
+            adj.setdefault(bond.a, set()).add(bond.b)
+            adj.setdefault(bond.b, set()).add(bond.a)
+    return adj
+
+
+def _ref_sites_of(clusters, ids):
+    return frozenset(s for c in clusters if c.id in ids for s in c.sites)
+
+
+def _ref_wire_path(lattice, band, blocked):
+    cols = lattice.cols
+    starts = [(r, cols - 1) for r in band if (r, cols - 1) not in blocked]
+    prev = {s: None for s in starts}
+    queue = deque(starts)
+    goal = None
+    while queue:
+        cur = queue.popleft()
+        if cur[1] == 0:
+            goal = cur
+            break
+        for leg in (Leg.LEFT, Leg.VERT, Leg.RIGHT):
+            nb = lattice.neighbor(cur, leg)
+            if nb is None or nb in prev or nb[0] not in band or nb in blocked:
+                continue
+            prev[nb] = cur
+            queue.append(nb)
+    if goal is None:
+        return None
+    path = [goal]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return tuple(path)
+
+
+def _ref_has_free_z(assignment, path, used, side, col):
+    for s in path:
+        if s in used or assignment[s] != "z":
+            continue
+        if side == "right" and s[1] > col:
+            return True
+        if side == "left" and s[1] < col:
+            return True
+    return False
+
+
+def _ref_link_path(
+    lattice, assignment, start, forbidden, tgt_path, used, frontier_tgt
+):
+    tgt_sites = set(tgt_path)
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        if lattice.kind(cur) is SiteKind.TOP:
+            t = lattice.neighbor(cur, Leg.VERT)
+            if (
+                t is not None
+                and t in tgt_sites
+                and t not in used
+                and assignment[t] == "x"
+                and t[1] < frontier_tgt
+                and _ref_has_free_z(assignment, tgt_path, used, "right", t[1])
+                and _ref_has_free_z(assignment, tgt_path, used, "left", t[1])
+            ):
+                chain = [cur]
+                while prev[chain[-1]] is not None:
+                    chain.append(prev[chain[-1]])
+                chain.reverse()
+                return tuple(chain), t
+        for leg in (Leg.VERT, Leg.LEFT, Leg.RIGHT):
+            nb = lattice.neighbor(cur, leg)
+            if nb is None or nb in prev or nb in forbidden:
+                continue
+            prev[nb] = cur
+            queue.append(nb)
+    return None
+
+
+def _ref_hanging_branch(cluster_adj, first, root, backbone_sites):
+    seen = {first}
+    queue = deque([first])
+    while queue:
+        cur = queue.popleft()
+        for nb in cluster_adj.get(cur, ()):
+            if nb in backbone_sites:
+                if cur != first or nb != root:
+                    return None
+                continue
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return frozenset(seen)
+
+
+def _ref_assemble(lattice, assignment, clusters, wires, junctions, spacing):
+    roles = {}
+    junction_sites = {j.control for j in junctions} | {
+        j.target for j in junctions
+    }
+    for w, path in enumerate(wires):
+        for s in path:
+            roles[s] = (
+                Degree3Junction(w) if s in junction_sites else Degree2Wire(w)
+            )
+    for j in junctions:
+        ctl_wire = roles[j.control].wire
+        for s in j.link:
+            roles[s] = Degree2Wire(ctl_wire)
+
+    adj = _backbone_adjacency(wires, junctions)
+    backbone_sites = set(adj)
+    cluster_adj = _ref_matched_adjacency(lattice, assignment)
+
+    extensions = set()
+    stems = []
+    for s in sorted(backbone_sites):
+        if s in junction_sites:
+            continue
+        used_legs = {lattice.leg_between(s, nb) for nb in adj[s]}
+        for leg in Leg:
+            if leg in used_legs:
+                continue
+            n = lattice.neighbor(s, leg)
+            if n is None:
+                continue
+            if n in backbone_sites:
+                return RoutingFailure(
+                    "backbone-adjacency",
+                    f"{s} and {n} touch outside the routed paths",
+                )
+            if assignment[n] != assignment[s]:
+                stems.append((s, n))
+                continue
+            branch = _ref_hanging_branch(cluster_adj, n, s, backbone_sites)
+            if branch is None:
+                return RoutingFailure(
+                    "cluster-loop",
+                    f"cluster branch at {s} reattaches to the backbone",
+                )
+            if len(branch) > RENORM_SITE_CAP:
+                return RoutingFailure(
+                    "cluster-too-large",
+                    f"branch of {len(branch)} sites at {s}",
+                )
+            extensions.update(branch)
+            for e in branch:
+                roles.setdefault(e, ClusterExtension(root=s))
+
+    interior = backbone_sites | extensions
+    for s in sorted(extensions):
+        for leg in Leg:
+            n = lattice.neighbor(s, leg)
+            if n is None or n in cluster_adj.get(s, set()):
+                continue
+            if n in interior:
+                return RoutingFailure(
+                    "cluster-loop",
+                    f"extension {s} touches interior site {n}",
+                )
+            stems.append((s, n))
+    for s, n in stems:
+        if n in interior:
+            return RoutingFailure(
+                "associate-unavailable",
+                f"{n} is interior-measured, cannot anchor {s}",
+            )
+        cid = clusters.owner(n)
+        if cid is not None and interior & _ref_sites_of(clusters, [cid]):
+            return RoutingFailure(
+                "off-limits-leak",
+                f"{n} sits in a cluster already tied to the backbone",
+            )
+        roles.setdefault(n, Associate(partner=s))
+
+    return Backbone(
+        roles=roles,
+        wires=tuple(wires),
+        junctions=tuple(junctions),
+        spacing=spacing,
+    )
+
+
+def _ref_route(lattice, assignment, clusters, disabled, circuit, spacing):
+    unfit = spacing_failure(lattice, circuit.wires, spacing)
+    if unfit is not None:
+        return unfit
+    n_wires = circuit.wires
+    oversized = [c.id for c in clusters if len(c.sites) > RENORM_SITE_CAP]
+    blocked = _ref_sites_of(clusters, disabled.union(oversized))
+
+    wires = []
+    for w in range(n_wires):
+        path = _ref_wire_path(lattice, _band(w, spacing, lattice.rows), blocked)
+        if path is None:
+            return RoutingFailure(
+                "no-percolating-path", f"wire {w} found no right-left path"
+            )
+        wires.append(path)
+    wire_sites = {s: w for w, path in enumerate(wires) for s in path}
+
+    junctions = []
+    used = set()
+    frontier = {w: lattice.cols for w in range(n_wires)}
+    for gate in circuit.gates:
+        if not isinstance(gate, CNOT):
+            continue
+        ctl, tgt = gate.control, gate.target
+        forbidden = blocked | set(wire_sites) | used
+        placed = None
+        for s in sorted(wires[ctl], key=lambda t: -t[1]):
+            if (
+                s in used
+                or lattice.kind(s) is not SiteKind.TOP
+                or assignment[s] != "z"
+                or s[1] >= frontier[ctl]
+                or s[1] >= frontier[tgt]
+            ):
+                continue
+            if not _ref_has_free_z(assignment, wires[ctl], used, "right", s[1]):
+                continue
+            if not _ref_has_free_z(assignment, wires[ctl], used, "left", s[1]):
+                continue
+            below = lattice.neighbor(s, Leg.VERT)
+            if below is None or below in forbidden:
+                continue
+            hit = _ref_link_path(
+                lattice,
+                assignment,
+                below,
+                forbidden,
+                wires[tgt],
+                used,
+                frontier[tgt],
+            )
+            if hit is not None:
+                placed = (s, hit[1], hit[0])
+                break
+        if placed is None:
+            return RoutingFailure(
+                "no-junction-column",
+                f"no junction pair for CNOT {ctl}->{tgt}",
+            )
+        top, bot, link = placed
+        junctions.append(JunctionPair(top, bot, link))
+        used.add(top)
+        used.add(bot)
+        used.update(link)
+        frontier[ctl] = min(frontier[ctl], top[1])
+        frontier[tgt] = min(frontier[tgt], bot[1])
+
+    backbone = _ref_assemble(
+        lattice, assignment, clusters, wires, junctions, spacing
+    )
+    if isinstance(backbone, RoutingFailure):
+        return backbone
+    problems = audit_backbone(
+        lattice, assignment, backbone, circuit, clusters, disabled
+    )
+    if problems:
+        return RoutingFailure("audit", "; ".join(problems[:4]))
+    return backbone
+
+
+# -- comparison -------------------------------------------------------------------
+
+
+def _outcome(lattice, result):
+    if isinstance(result, RoutingFailure):
+        return ("failure", result.reason, result.detail)
+    return ("backbone", result.to_json(lattice))
+
+
+def _check(lattice, assignment, circuit) -> str:
+    """Compare index and reference routing; returns the outcome's reason."""
+    matched = matched_mask(lattice, assignment)
+    clusters = find_clusters(lattice, matched, assignment)
+    assert clusters.labels.tolist() == _ref_labels(lattice, matched)
+    disabled = disabled_ids(flag_off_limits(lattice, clusters))
+    spacing = auto_spacing(lattice, circuit)
+    got = route_backbone(
+        lattice, assignment, clusters, disabled, circuit, spacing
+    )
+    want = _ref_route(lattice, assignment, clusters, disabled, circuit, spacing)
+    assert _outcome(lattice, got) == _outcome(lattice, want)
+    if not isinstance(want, RoutingFailure):
+        assert got == want  # roles included
+    return getattr(want, "reason", "routed")
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 8), (8, 16), (20, 40)])
+@pytest.mark.parametrize(
+    "circuit", [IDENTITY, ONE_CNOT], ids=["identity", "cnot"]
+)
+def test_iid_routes_match_reference(rows, cols, circuit):
+    lattice = build_lattice(rows, cols)
+    reasons = Counter(
+        _check(lattice, stage1_sample(lattice, None, "iid", seed), circuit)
+        for seed in range(200)
+    )
+    assert len(reasons) > 1  # more than one outcome was compared
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 4), (3, 4)])
+@pytest.mark.parametrize("axis", ["x", "z"])
+def test_exact_pinned_routes_match_reference(rows, cols, axis):
+    lattice = build_lattice(rows, cols)
+    term = BoundaryTermination(axis=axis)
+    for seed in range(6):
+        assignment = stage1_sample(lattice, term, "exact", seed)
+        for circuit in (IDENTITY, ONE_CNOT):
+            _check(lattice, assignment, circuit)
+
+
+def test_reference_outcomes_cover_every_stage():
+    # the 4x8 comparisons reach routed backbones and a failure from every
+    # search and check that iid patterns hit in practice
+    lattice = build_lattice(4, 8)
+    reasons = Counter(
+        _check(lattice, stage1_sample(lattice, None, "iid", seed), circuit)
+        for seed in range(200)
+        for circuit in (IDENTITY, ONE_CNOT)
+    )
+    assert set(reasons) >= {
+        "routed",
+        "no-percolating-path",
+        "no-junction-column",
+        "backbone-adjacency",
+        "cluster-loop",
+        "audit",
+    }

@@ -70,3 +70,21 @@ def test_assignment_json_roundtrip():
     asg = stage1_sample(lat, None, "iid", 4)
     data = asg.to_json(lat)
     assert isinstance(data, dict)
+
+
+def test_iid_assignment_keeps_its_draws_as_codes():
+    # the iid draws are the code array; axes read off it agree with a
+    # dict-built assignment of the same axes
+    lat = build_lattice(3, 5)
+    asg = stage1_sample(lat, None, "iid", 8)
+    codes = asg.codes(lat)
+    assert not codes.flags.writeable
+    plain = AxisAssignment({s: asg[s] for s in lat.sites()})
+    assert plain == asg and asg == plain
+    assert plain.codes(lat).tolist() == codes.tolist()
+    assert list(asg.axes) == list(lat.sites())
+    assert len(asg.axes) == lat.n_sites
+    for outside in ((3, 0), (0, 5), (-1, 0)):
+        assert outside not in asg.axes
+    with pytest.raises(ValueError, match="missing sites"):
+        asg.validate(build_lattice(4, 5))
