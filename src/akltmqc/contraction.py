@@ -18,14 +18,20 @@ double layer <psi| prod effects |psi> for either closure, so they reach
 any strip of at most ``STRIP_WIDTH_CAP`` rows (or columns). The sweep
 runs line by line: a line is a column of a strip of at most that many
 rows, else a row. Probabilities, densities and correlations are one-shot
-contractions (:func:`_layer_value`); :func:`pattern_probability` weighs
-a ``{site: axis}`` dict of polarizing outcomes. :class:`TracedEngine` is
+contractions (:func:`_layer_value`) of the generic sweep
+(:func:`_contract_sweep`); :func:`pattern_probability` weighs a
+``{site: axis}`` dict of polarizing outcomes. :class:`TracedEngine` is
 the layer engine for sequential measurement, for a traced or a pinned
-``term``: it keeps one operator per measured site and caches the left and
-right environments of every line, so a chain-rule step contracts about
-two lines instead of the whole strip. Stage 1 is axes in, axes out:
-:func:`chain_rule_sample` polarizes every site in ``lattice.sites()``
-order on that engine, drawing each axis from its exact conditional.
+``term``: it keeps each site's closed double tensor and caches the left
+and right environments of every line (rescaled by powers of two, so that
+strips of any length stay in float range), and a chain-rule step
+contracts a few lines instead of the whole strip. It contracts a line by
+replaying a recorded :class:`_Plan`: the sweep's joins, worked out once
+per line class and role by ``_join``'s own axis matching and kept as
+transposes, reshapes and matrix products (:class:`_Step`). Stage 1 is
+axes in, axes out: :func:`chain_rule_sample` polarizes every site in
+``lattice.sites()`` order on that engine, drawing each axis from its
+exact conditional, read off the engine's ``relative_weights``.
 
 Stage 2 runs on :class:`DenseEngine`, the pinned state with every site
 polarized onto the +-3/2 pair of its sampled axis. It is contracted
@@ -222,11 +228,40 @@ def _sliced_tensordot(acc, t, acc_pos, t_pos):
     return out
 
 
-def _join(lattice, a, a_keys, b, b_keys):
+class _Step:
+    """One recorded join: ``np.tensordot(a, b, (a_pos, b_pos))`` as the
+    transposes, 2-D reshapes and matrix product that tensordot performs,
+    worked out once for the operand shapes, so a replay is bit-identical to
+    the tensordot it stands for."""
+
+    __slots__ = ("a_perm", "a_mat", "b_perm", "b_mat", "shape")
+
+    def __init__(self, a_shape, b_shape, a_pos, b_pos):
+        a_free = [i for i in range(len(a_shape)) if i not in a_pos]
+        b_free = [j for j in range(len(b_shape)) if j not in b_pos]
+        k = math.prod(a_shape[i] for i in a_pos)
+        self.a_perm = (*a_free, *a_pos)
+        self.a_mat = (math.prod(a_shape[i] for i in a_free), k)
+        self.b_perm = (*b_pos, *b_free)
+        self.b_mat = (k, math.prod(b_shape[j] for j in b_free))
+        self.shape = tuple(a_shape[i] for i in a_free) + tuple(
+            b_shape[j] for j in b_free
+        )
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        at = a.transpose(self.a_perm).reshape(self.a_mat)
+        bt = b.transpose(self.b_perm).reshape(self.b_mat)
+        return np.dot(at, bt).reshape(self.shape)
+
+
+def _join(lattice, a, a_keys, b, b_keys, steps=None):
     """Contract every bond between an open leg of ``a`` and one of ``b``.
 
     Keys name axes: ("v", site, leg) is an open virtual leg, anything else
     a site-local axis. Returns (array, keys), a's remaining axes first.
+    With a ``steps`` list the join is recorded there as a :class:`_Step`
+    and computed by it; else large operands go through
+    :func:`_sliced_tensordot`.
     """
     a_pos, b_pos = [], []
     for j, key in enumerate(b_keys):
@@ -240,7 +275,11 @@ def _join(lattice, a, a_keys, b, b_keys):
         if nb_key in a_keys:
             a_pos.append(a_keys.index(nb_key))
             b_pos.append(j)
-    out = _sliced_tensordot(a, b, a_pos, b_pos)
+    if steps is None:
+        out = _sliced_tensordot(a, b, a_pos, b_pos)
+    else:
+        steps.append(_Step(a.shape, b.shape, a_pos, b_pos))
+        out = steps[-1](a, b)
     keys = [k for i, k in enumerate(a_keys) if i not in a_pos]
     keys += [k for j, k in enumerate(b_keys) if j not in b_pos]
     return out, keys
@@ -262,7 +301,26 @@ def _closed_tensor(lattice, site, tensor_for, close_for):
     return t, keys
 
 
-def _contract_sweep(lattice, tensor_for, close_for, sites=None, start=None):
+def _sweep_groups(lattice, sites) -> list[tuple[int, ...]]:
+    """Positions in ``sites`` as the sweep absorbs them: one site, or a
+    site together with its vertical partner when that comes next."""
+    groups, i = [], 0
+    while i < len(sites):
+        if (
+            i + 1 < len(sites)
+            and lattice.neighbor(sites[i], Leg.VERT) == sites[i + 1]
+        ):
+            groups.append((i, i + 1))
+            i += 2
+        else:
+            groups.append((i,))
+            i += 1
+    return groups
+
+
+def _contract_sweep(
+    lattice, tensor_for, close_for, sites=None, start=None, steps=None
+):
     """Generic single-pass network contraction.
 
     ``tensor_for(site)`` returns (tensor, extra_names); the tensor's axes
@@ -274,23 +332,21 @@ def _contract_sweep(lattice, tensor_for, close_for, sites=None, start=None):
     resume from a stored environment. A site whose vertical partner comes
     next is first contracted with it, so the pair meets the accumulator as
     one tensor and no intermediate outgrows the final result on the last
-    line. Returns (array, keys).
+    line. ``steps`` records the joins (see :func:`_join`). Returns
+    (array, keys).
     """
     acc, keys = start or (np.ones((), dtype=complex), [])
     if sites is None:
         sites = [s for line in _sweep_lines(lattice) for s in line]
-    i = 0
-    while i < len(sites):
-        t, tkeys = _closed_tensor(lattice, sites[i], tensor_for, close_for)
-        if (
-            i + 1 < len(sites)
-            and lattice.neighbor(sites[i], Leg.VERT) == sites[i + 1]
-        ):
-            i += 1
-            pair = _closed_tensor(lattice, sites[i], tensor_for, close_for)
-            t, tkeys = _join(lattice, t, tkeys, *pair)
-        acc, keys = _join(lattice, acc, keys, t, tkeys)
-        i += 1
+    for group in _sweep_groups(lattice, sites):
+        first, *rest = (
+            _closed_tensor(lattice, sites[i], tensor_for, close_for)
+            for i in group
+        )
+        t, tkeys = first
+        for pair in rest:
+            t, tkeys = _join(lattice, t, tkeys, *pair, steps)
+        acc, keys = _join(lattice, acc, keys, t, tkeys, steps)
     return acc, keys
 
 
@@ -465,6 +521,73 @@ def reduced_density(
     return rho
 
 
+# -- recorded line plans ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One line contraction of the layer engine, recorded once per line
+    class and role and replayed as plain numpy calls.
+
+    ``program`` holds one entry per group of :func:`_sweep_groups`:
+    (first, last, pair, step), the line positions of the group's first and
+    last site, the step joining a pair (None for a lone site) and the step
+    joining the group onto the accumulator.
+    ``tail`` joins an open line with the right environment. ``keys`` are
+    the result's keys with their sites moved to line 0.
+    """
+
+    program: tuple
+    tail: _Step | None
+    keys: tuple
+
+    @classmethod
+    def from_steps(cls, groups, steps, keys) -> "_Plan":
+        """Group the steps ``_contract_sweep`` recorded, in its order."""
+        it = iter(steps)
+        program = []
+        for group in groups:
+            pair = next(it) if len(group) == 2 else None
+            program.append((group[0], group[-1], pair, next(it)))
+        return cls(tuple(program), next(it, None), tuple(keys))
+
+    def run(self, acc, tensors, right=None) -> np.ndarray:
+        for first, last, pair, step in self.program:
+            t = tensors[first]
+            if pair is not None:
+                t = pair(t, tensors[last])
+            acc = step(acc, t)
+        if self.tail is not None:
+            acc = self.tail(acc, right)
+        return acc
+
+
+# Plans by (line class, role), shared by every engine. A line class fixes
+# the legs of the line's sites and the key order of both environments it
+# meets, so it fixes every join; the count does not grow with the strip.
+_PLANS: dict[tuple, _Plan] = {}
+
+_EMPTY_ENV = (np.ones((), dtype=complex), [], 0)
+_EMPTY_ENV[0].setflags(write=False)
+
+
+def _rescaled(acc: np.ndarray, exp: int) -> tuple[np.ndarray, int]:
+    """(acc * 2^-e, exp + e), e the binary exponent of acc's largest
+    magnitude: a power of two, so the scaling is exact, and the largest
+    magnitude lands in [1/2, 1) instead of drifting out of float range."""
+    _, e = math.frexp(float(np.abs(acc).max()))
+    e = max(e, -1022)  # 2.0 ** -e stays finite
+    return (acc * 2.0**-e if e else acc), exp + e
+
+
+def _ldexp(x: float, exp: int) -> float:
+    """x * 2^exp, infinite where that overflows."""
+    try:
+        return math.ldexp(x, exp)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 # -- measurement engines ------------------------------------------------------
 
 
@@ -569,14 +692,35 @@ class TracedEngine:
     formed. Over the sweep's lines (``_sweep_lines``) it caches left and
     right environments: ``_left[k]`` is lines 0..k-1 contracted, with open
     legs into line k, and ``_right[k]`` is the lines after k (the
-    environment reuse of Ferris & Vidal, PRB 85, 165146, 2012).
-    ``apply_op`` drops only the environments that contain the site's line;
-    a missing one is rebuilt, one line at a time, from the nearest one
-    still cached. A weight at a site contracts the site's line once, with
-    the site's bra/ket indices open, between its two environments, and
-    reads every alternative off the resulting (4, 4) tensor, so a step in
-    sweep order costs about two lines. :func:`_layer_value` is the one-shot
-    contraction the tests compare against.
+    environment reuse of Ferris & Vidal, PRB 85, 165146, 2012). Both cached
+    ranges are contiguous, ``_left`` below ``_left_end`` and ``_right`` from
+    ``_right_start`` on; ``apply_op`` drops only the environments that
+    contain the site's line, and a missing one is rebuilt, one line at a
+    time, from the nearest one still cached. A weight at a site contracts
+    the site's line once, with the site's bra/ket indices open, between its
+    two environments, and reads every alternative off the resulting (4, 4)
+    tensor, so a step costs that line and the environments it invalidated.
+
+    Three caches keep a line contraction down to its numpy calls:
+
+    * each site's closed double tensor (its effect applied, its dangling
+      legs closed by ``term``); ``apply_op`` replaces only that site's;
+    * the recorded :class:`_Plan` of each line class and role in
+      ``_PLANS``: a line's class is its family (orientation and length),
+      its distance from either end (0, 1 or more) and the parity of its
+      index; its role is building the left or the right environment, or
+      opening the site at one position. The first contraction of a class
+      runs ``_join``'s axis matching and records the joins; later ones
+      replay them, bit-identical to the generic sweep;
+    * every cached environment is stored as (array, keys, exp), the array
+      rescaled by a power of two (:func:`_rescaled`) and the exponent
+      tracked, so long strips neither underflow nor overflow.
+      :meth:`relative_weights` gives the weights up to one common power of
+      two; :meth:`weight` and :meth:`effect_weights` scale back to absolute
+      values, exact wherever those can be represented.
+
+    :func:`_layer_value` is the one-shot contraction the tests compare
+    against.
     """
 
     def __init__(
@@ -585,48 +729,132 @@ class TracedEngine:
         self.lattice = lattice
         self.term = term
         self._lines = _sweep_lines(lattice)
-        self._line_of = {
-            s: k for k, line in enumerate(self._lines) for s in line
+        self._place = {
+            s: (k, r)
+            for k, line in enumerate(self._lines)
+            for r, s in enumerate(line)
         }
+        n = len(self._lines)
+        self._by_column = lattice.rows <= STRIP_WIDTH_CAP
+        # a line's class (see the class docstring); distance 1 keeps apart
+        # the lines whose environment on one side is an end line alone
+        family = (self._by_column, len(self._lines[0]))
+        self._class = [
+            (family, min(k, 2), min(n - 1 - k, 2), k % 2) for k in range(n)
+        ]
         self._close = _layer_closure(lattice, term)
         self._ops: dict[Site, np.ndarray] = {}
-        self._effects: dict[Site, np.ndarray] = {}
-        empty = (np.ones((), dtype=complex), [])
-        self._left: dict[int, tuple] = {0: empty}
-        self._right: dict[int, tuple] = {len(self._lines) - 1: empty}
+        self._closed: dict[Site, np.ndarray] = {}  # closed double tensors
+        self._open: dict[Site, np.ndarray] = {}  # the same, bra/ket open
+        self._left: dict[int, tuple] = {0: _EMPTY_ENV}
+        self._right: dict[int, tuple] = {n - 1: _EMPTY_ENV}
+        self._left_end, self._right_start = 1, n - 1
 
-    def _absorb(self, k: int, env: tuple, open_site: Site | None = None):
-        """``env`` with line k contracted onto it."""
-        tensor_for = _layer_tensors(self.lattice, self._effects, open_site)
-        acc, keys = _contract_sweep(
-            self.lattice, tensor_for, self._close, self._lines[k], env
+    # -- site tensors and line contractions -----------------------------------
+
+    def _closed_layer(self, site, effects, open_site=None) -> np.ndarray:
+        t, _ = _closed_tensor(
+            self.lattice,
+            site,
+            _layer_tensors(self.lattice, effects, open_site),
+            self._close,
         )
+        t.setflags(write=False)  # shared by branches
+        return t
+
+    def _site(self, site: Site) -> np.ndarray:
+        """The site's closed double tensor."""
+        t = self._closed.get(site)
+        if t is None:
+            t = self._closed[site] = self._closed_layer(site, {})
+        return t
+
+    def _open_site(self, site: Site) -> np.ndarray:
+        """The site's closed double tensor with its bra/ket indices open
+        (axes "ra", "rb" first); its operator is left out."""
+        t = self._open.get(site)
+        if t is None:
+            t = self._open[site] = self._closed_layer(site, {}, site)
+        return t
+
+    def _shifted(self, keys, d: int) -> list:
+        """``("v", site, leg)`` keys with their sites moved by d lines."""
+        if self._by_column:
+            return [(n, (r, c + d), leg) for n, (r, c), leg in keys]
+        return [(n, (r + d, c), leg) for n, (r, c), leg in keys]
+
+    def _record(self, k: int, role, env: tuple, right) -> _Plan:
+        """Run the generic sweep of line k onto ``env`` once, recording its
+        joins: ``_join`` does the axis matching, here as everywhere. The
+        joins depend on the tensors' keys alone, so unmeasured sites
+        stand in for measured ones."""
+        line = self._lines[k]
+        opened = line[role] if isinstance(role, int) else None
+        steps: list[_Step] = []
+        acc, keys = _contract_sweep(
+            self.lattice,
+            _layer_tensors(self.lattice, {}, opened),
+            self._close,
+            line,
+            env[:2],
+            steps,
+        )
+        if right is not None:
+            _, keys = _join(self.lattice, acc, keys, *right[:2], steps)
+            assert [key[0] for key in keys] == ["ra", "rb"]
+            keys = []
+        groups = _sweep_groups(self.lattice, line)
+        return _Plan.from_steps(groups, steps, self._shifted(keys, -k))
+
+    def _contract_line(self, k: int, role, env: tuple, right=None) -> tuple:
+        """(array, keys) of line k contracted onto ``env`` for ``role``:
+        "left" or "right" builds the next environment on that side; a line
+        position r opens the site there and joins the ``right``
+        environment, leaving the (4, 4) tensor and no keys."""
+        key = (self._class[k], role)
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = _PLANS[key] = self._record(k, role, env, right)
+        tensors = [self._site(s) for s in self._lines[k]]
+        if right is not None:
+            tensors[role] = self._open_site(self._lines[k][role])
+            return plan.run(env[0], tensors, right[0]), []
+        return plan.run(env[0], tensors), self._shifted(plan.keys, k)
+
+    def _absorb(self, k: int, env: tuple, role: str) -> tuple:
+        """``env`` with line k contracted onto it, rescaled."""
+        acc, keys = self._contract_line(k, role, env)
+        acc, exp = _rescaled(acc, env[2])
         acc.setflags(write=False)  # environments are shared by branches
-        return acc, keys
+        return acc, keys, exp
 
     def _left_env(self, k: int) -> tuple:
-        j = max(i for i in self._left if i <= k)
-        for i in range(j, k):
-            self._left[i + 1] = self._absorb(i, self._left[i])
+        while self._left_end <= k:
+            j = self._left_end - 1
+            self._left[j + 1] = self._absorb(j, self._left[j], "left")
+            self._left_end += 1
         return self._left[k]
 
     def _right_env(self, k: int) -> tuple:
-        j = min(i for i in self._right if i >= k)
-        for i in range(j, k, -1):
-            self._right[i - 1] = self._absorb(i, self._right[i])
+        while self._right_start > k:
+            j = self._right_start
+            self._right[j - 1] = self._absorb(j, self._right[j], "right")
+            self._right_start -= 1
         return self._right[k]
 
-    def _open_tensor(self, site: Site) -> np.ndarray:
-        """T with <psi|E_site|psi> = sum E[a,b] T[a,b], the site's own
-        operator left out."""
-        k = self._line_of[site]
-        acc, keys = self._absorb(k, self._left_env(k), open_site=site)
-        t, keys = _join(self.lattice, acc, keys, *self._right_env(k))
-        assert [key[0] for key in keys] == ["ra", "rb"]
-        return t
+    def _open_tensor(self, site: Site) -> tuple[np.ndarray, int]:
+        """(T, exp) with <psi|E_site|psi> = 2^exp sum E[a,b] T[a,b], the
+        site's own operator left out."""
+        k, r = self._place[site]
+        left, right = self._left_env(k), self._right_env(k)
+        t, _ = self._contract_line(k, r, left, right)
+        return t, left[2] + right[2]
+
+    # -- the engine interface -------------------------------------------------
 
     def weight(self) -> float:
-        return _real(self._left_env(len(self._lines))[0])
+        acc, _, exp = self._left_env(len(self._lines))
+        return _ldexp(_real(acc), exp)
 
     def op_weight(self, site: Site, op: np.ndarray) -> float:
         """Weight after ``op`` on ``site``, on top of its operator so far."""
@@ -635,34 +863,50 @@ class TracedEngine:
     def effect_weight(self, site: Site, action: np.ndarray) -> float:
         return self.op_weight(site, _as_op(action))
 
+    def _scaled_weights(self, site: Site, actions) -> tuple[list, int]:
+        """(weights, exp): the effect weights are weights[i] * 2^exp. With
+        T from ``_open_tensor`` and O the site's accumulated operator,
+        action A weighs sum((M^dagger M) * T) for M = A O."""
+        t, exp = self._open_tensor(site)
+        o = self._ops.get(site, _ID4)
+        weights = [_real((_effect(_as_op(a) @ o) * t).sum()) for a in actions]
+        return weights, exp
+
+    def relative_weights(
+        self, site: Site, actions: list[np.ndarray]
+    ) -> list[float]:
+        """The effect weights times one common power of two: their ratios
+        are exact also on strips whose absolute weights leave float
+        range."""
+        return self._scaled_weights(site, actions)[0]
+
     def effect_weights(
         self, site: Site, actions: list[np.ndarray]
     ) -> list[float]:
-        """Batched effect_weight from one line contraction: with T from
-        ``_open_tensor`` and O the site's accumulated operator, action A
-        weighs sum((M^dagger M) * T) for M = A O."""
-        t = self._open_tensor(site)
-        o = self._ops.get(site, _ID4)
-        return [_real(np.sum(_effect(_as_op(a) @ o) * t)) for a in actions]
+        """Batched effect_weight from one line contraction."""
+        weights, exp = self._scaled_weights(site, actions)
+        return [_ldexp(w, exp) for w in weights]
 
     def apply_op(self, site: Site, op: np.ndarray) -> None:
         o = op @ self._ops.get(site, _ID4)
         self._ops[site] = o
-        self._effects[site] = o.conj().T @ o
-        k = self._line_of[site]
-        for j in [j for j in self._left if j > k]:
+        self._closed[site] = self._closed_layer(site, {site: o.conj().T @ o})
+        k = self._place[site][0]
+        for j in range(k + 1, self._left_end):
             del self._left[j]
-        for j in [j for j in self._right if j < k]:
+        for j in range(self._right_start, k):
             del self._right[j]
+        self._left_end = min(self._left_end, k + 1)
+        self._right_start = max(self._right_start, k)
 
     def project(self, site: Site, row: np.ndarray) -> None:
         self.apply_op(site, _as_op(row))
 
     def branch(self, site: Site, action: np.ndarray) -> "TracedEngine":
-        """Non-mutating apply_op; the copy has its own operator and cache
-        dicts and shares the read-only environment arrays."""
+        """Non-mutating apply_op; the copy has its own operator, tensor and
+        environment dicts and shares their read-only arrays."""
         new = copy.copy(self)
-        new._ops, new._effects = dict(self._ops), dict(self._effects)
+        new._ops, new._closed = dict(self._ops), dict(self._closed)
         new._left, new._right = dict(self._left), dict(self._right)
         new.apply_op(site, _as_op(action))
         return new
@@ -695,9 +939,11 @@ def chain_rule_sample(
     povms = [povm_element(ax) for ax in AXES]
     steps = []
     for site in lattice.sites():
-        weights = engine.effect_weights(site, povms)
+        weights = engine.relative_weights(site, povms)
         # the POVM is complete, so the weights sum to the state weight
         total = sum(weights)
+        if not math.isfinite(total):
+            raise ProbabilityConsistencyError(f"state weight {total}")
         if total <= 0.0:
             raise ProbabilityConsistencyError("state weight vanished")
         probs = [_clamp_probability(w / total) for w in weights]

@@ -596,6 +596,9 @@ def _assemble(
 
     Takes the routed site indices: wire paths and (control, target, link)
     junctions. A neighbour with the same axis code is a matched neighbour.
+    A hanging branch needs no size check: its stem bond is matched, so it
+    lies in its root's cluster, and ``route_backbone`` keeps every cluster
+    larger than ``RENORM_SITE_CAP`` off the backbone.
     """
     table = lattice.neighbor_table()
     cols = lattice.cols
@@ -639,11 +642,6 @@ def _assemble(
                     "cluster-loop",
                     f"cluster branch at {divmod(s, cols)} reattaches to the "
                     "backbone",
-                )
-            if len(branch) > RENORM_SITE_CAP:
-                return RoutingFailure(
-                    "cluster-too-large",
-                    f"branch of {len(branch)} sites at {divmod(s, cols)}",
                 )
             extensions.update(branch)
             role = ClusterExtension(root=divmod(s, cols))

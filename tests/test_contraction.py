@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -228,6 +229,8 @@ class _LayerReference:
             out.append(self._value(ops))
         return out
 
+    relative_weights = effect_weights
+
     def apply_op(self, site, op):
         self.ops[site] = op @ self.ops.get(site, np.eye(4))
 
@@ -307,6 +310,7 @@ def test_branch_leaves_parent_unchanged(term):
     povms = [povm_element(a) for a in AXES]
     before = [engine.effect_weights(s, povms) for s in probes]
     left, right = dict(engine._left), dict(engine._right)
+    closed = dict(engine._closed)
     assert len(left) > 1 and len(right) > 1
 
     row = standard_covector("x", 1)
@@ -319,6 +323,10 @@ def test_branch_leaves_parent_unchanged(term):
     assert engine._right.keys() == right.keys()
     assert all(engine._left[k] is v for k, v in left.items())
     assert all(engine._right[k] is v for k, v in right.items())
+    # the child replaced its own copy of the site tensor, not the parent's
+    assert engine._closed.keys() == closed.keys()
+    assert all(engine._closed[k] is v for k, v in closed.items())
+    assert child._closed[(1, 3)] is not closed[(1, 3)]
     assert [engine.effect_weights(s, povms) for s in probes] == before
     for s in probes:
         _assert_weights(engine, reference, s, povms)
@@ -380,3 +388,180 @@ def test_qubit_build_peaks_near_two_states():
     finally:
         tracemalloc.stop()
     assert peak - base <= 2.5 * state_bytes
+
+
+# -- recorded line plans, cached site tensors, rescaled environments ---------
+
+
+def _generic_line(lat, term, effects, k, role, env, right=None):
+    """Line k of the layer engine by the generic sweep: ``_join``'s own
+    axis matching and tensordot, on freshly built site tensors."""
+    line = contraction._sweep_lines(lat)[k]
+    opened = line[role] if isinstance(role, int) else None
+    acc, keys = contraction._contract_sweep(
+        lat,
+        contraction._layer_tensors(lat, effects, opened),
+        contraction._layer_closure(lat, term),
+        line,
+        env[:2],
+    )
+    if right is not None:
+        acc, keys = contraction._join(lat, acc, keys, *right[:2])
+    return acc, keys
+
+
+def _lines_and_roles(engine):
+    """(k, role, env, right) for every line and role of the engine."""
+    for k, line in enumerate(contraction._sweep_lines(engine.lattice)):
+        left, right = engine._left_env(k), engine._right_env(k)
+        yield k, "left", left, None
+        yield k, "right", right, None
+        for r in range(len(line)):
+            yield k, r, left, right
+
+
+PLAN_CASES = [
+    (4, 12, None),
+    (3, 10, None),
+    (12, 4, BoundaryTermination(axis="x")),
+    (2, 6, BoundaryTermination(axis="x")),
+]
+
+
+@pytest.mark.parametrize("rows,cols,term", PLAN_CASES, ids=_case_id)
+def test_replayed_plans_equal_generic_sweep(rows, cols, term, monkeypatch):
+    # plans are recorded on a strip three times as long, so every line of
+    # this one replays a plan recorded elsewhere: the line class, not the
+    # site coordinates, fixes every join
+    monkeypatch.setattr(contraction, "_PLANS", {})
+    by_column = rows <= STRIP_WIDTH_CAP
+    longer = TracedEngine(
+        build_lattice(*((rows, 3 * cols) if by_column else (3 * rows, cols))),
+        term,
+    )
+    for k, role, env, right in _lines_and_roles(longer):
+        longer._contract_line(k, role, env, right)
+    recorded = len(contraction._PLANS)
+
+    lat = build_lattice(rows, cols)
+    engine = TracedEngine(lat, term)
+    rng = np.random.default_rng(rows + cols)
+    sites = list(lat.sites())
+    ops = {}
+    for _ in range(6):
+        site = sites[rng.integers(len(sites))]
+        op = _as_op(_random_action(rng))
+        engine.apply_op(site, op)
+        ops[site] = op @ ops.get(site, np.eye(4))
+    effects = {s: o.conj().T @ o for s, o in ops.items()}
+
+    for k, role, env, right in _lines_and_roles(engine):
+        got, got_keys = engine._contract_line(k, role, env, right)
+        want, keys = _generic_line(lat, term, effects, k, role, env, right)
+        assert np.array_equal(got, want)
+        if right is None:
+            assert got_keys == keys
+        else:
+            assert [key[0] for key in keys] == ["ra", "rb"]
+    assert len(contraction._PLANS) == recorded
+
+
+def test_plan_count_does_not_grow_with_strip_length(monkeypatch):
+    monkeypatch.setattr(contraction, "_PLANS", {})
+    chain_rule_sample(build_lattice(4, 16), None, 1)
+    count = len(contraction._PLANS)
+    # three roles at least (left, right, an open site) per line class
+    assert count >= 3
+    chain_rule_sample(build_lattice(4, 64), None, 1)
+    assert len(contraction._PLANS) == count
+    monkeypatch.setattr(contraction, "_PLANS", {})
+    chain_rule_sample(build_lattice(4, 64), None, 1)
+    assert len(contraction._PLANS) == count
+
+
+def test_apply_op_replaces_only_its_site_tensor():
+    lat = build_lattice(3, 5)
+    term = BoundaryTermination(axis="x")
+    engine = TracedEngine(lat, term)
+    povms = [povm_element(a) for a in AXES]
+    engine.effect_weights((0, 0), povms)  # fills every site's tensor
+    before = dict(engine._closed)
+    assert before.keys() == set(lat.sites())
+
+    site, op = (1, 2), povm_element("y")
+    engine.apply_op(site, op)
+    effect = op.conj().T @ op
+    want, _ = contraction._closed_tensor(
+        lat,
+        site,
+        contraction._layer_tensors(lat, {site: effect}),
+        contraction._layer_closure(lat, term),
+    )
+    assert np.array_equal(engine._closed[site], want)
+    assert all(
+        engine._closed[s] is t for s, t in before.items() if s != site
+    )
+    # the weights read the new tensor
+    reference = _LayerReference(lat, term)
+    reference.apply_op(site, op)
+    _assert_weights(engine, reference, (1, 3), povms)
+    assert engine.weight() == pytest.approx(reference.weight(), rel=1e-12)
+
+
+def test_rescaled_environment_is_exact():
+    rng = np.random.default_rng(2)
+    acc = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+    for scale in (2.0**-900, 1.0, 3.0**500):
+        scaled, exp = contraction._rescaled(acc * scale, 7)
+        assert 0.5 <= np.abs(scaled).max() < 1.0
+        assert np.array_equal(scaled * 2.0 ** (exp - 7), acc * scale)
+    zero, exp = contraction._rescaled(np.zeros(3, dtype=complex), 4)
+    assert exp == 4 and not zero.any()
+
+
+def test_relative_weights_scale_to_effect_weights():
+    lat = build_lattice(4, 12)
+    engine = TracedEngine(lat)
+    povms = [povm_element(a) for a in AXES]
+    for site in [(0, 0), (2, 5), (3, 11)]:
+        rel = engine.relative_weights(site, povms)
+        absolute = engine.effect_weights(site, povms)
+        ratio = absolute[0] / rel[0]
+        assert math.frexp(ratio)[0] == 0.5  # a power of two
+        assert absolute == [w * ratio for w in rel]
+        engine.apply_op(site, povms[0])
+
+
+@pytest.mark.parametrize(
+    "term", [None, BoundaryTermination(axis="x")], ids=_case_id
+)
+def test_long_strip_samples_without_leaving_float_range(term):
+    # without rescaled environments the weights underflow: 4x320 raised
+    # "state weight vanished" on both closures
+    lat = build_lattice(4, 320)
+    steps = chain_rule_sample(lat, term, 3)
+    assert [s.site for s in steps] == list(lat.sites())
+    assert all(s.outcome in AXES for s in steps)
+    assert all(0.0 < s.probability <= 1.0 for s in steps)
+
+
+def test_weight_beyond_float_range_is_infinite():
+    # the unmeasured 4x1024 weight is about 2^2574: the environments hold
+    # it as a mantissa and an exponent, and weight() saturates to inf
+    engine = TracedEngine(build_lattice(4, 1024))
+    assert engine.weight() == math.inf
+    assert math.isfinite(TracedEngine(build_lattice(4, 200)).weight())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weights_raise_before_drawing(bad, monkeypatch):
+    class _Broken:
+        def __init__(self, lattice, term):
+            pass
+
+        def relative_weights(self, site, actions):
+            return [bad, 1.0, 1.0]
+
+    monkeypatch.setattr(contraction, "TracedEngine", _Broken)
+    with pytest.raises(contraction.ProbabilityConsistencyError):
+        chain_rule_sample(build_lattice(2, 2), None, 0)

@@ -367,6 +367,8 @@ class _DenseReference:
                 out.append(float(np.real(np.vdot(self.psi, psi))))
         return out
 
+    relative_weights = effect_weights
+
     def apply_op(self, site, op):
         self.psi, self.sites = self._acted(site, op)
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from akltmqc.lattice import build_lattice
-from akltmqc.logic import CNOT, CircuitSpec, Init, Readout
+from akltmqc.logic import CNOT, CircuitSpec, Init, Readout, auto_spacing
 from akltmqc.router import (
+    RENORM_SITE_CAP,
+    Associate,
+    ClusterExtension,
     RoutingFailure,
     crossing_estimate,
     disabled_ids,
@@ -15,7 +18,7 @@ from akltmqc.router import (
     spanning_probability,
     spanning_sweep,
 )
-from akltmqc.sampler import AxisAssignment, matched_mask
+from akltmqc.sampler import AxisAssignment, matched_mask, stage1_sample
 
 
 def _assignment(rows_axes):
@@ -131,6 +134,46 @@ def test_route_failure_reports_reason():
     bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=1)
     assert isinstance(bb, RoutingFailure)
     assert bb.reason
+
+
+def test_hanging_branches_lie_in_small_root_clusters():
+    # why _assemble needs no size check on a hanging branch: the branch
+    # hangs off its root by a matched stem, so it lies in the root's
+    # cluster, and route_backbone keeps every cluster larger than
+    # RENORM_SITE_CAP off the backbone, so no branch exceeds the cap
+    identity = CircuitSpec(1, (Init(0), Readout(0)))
+    cnot = CircuitSpec(
+        2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
+    )
+    routed = extensions = oversized = 0
+    for rows, cols in ((4, 8), (8, 16), (20, 40)):
+        lat = build_lattice(rows, cols)
+        for seed in range(100):
+            asg = stage1_sample(lat, None, "iid", seed)
+            clusters = find_clusters(lat, matched_mask(lat, asg), asg)
+            oversized += int((clusters.sizes > RENORM_SITE_CAP).sum())
+            disabled = disabled_ids(flag_off_limits(lat, clusters))
+            for circuit in (identity, cnot):
+                bb = route_backbone(
+                    lat, asg, clusters, disabled, circuit,
+                    auto_spacing(lat, circuit),
+                )
+                if isinstance(bb, RoutingFailure):
+                    continue
+                routed += 1
+                label = clusters.labels
+                for site, role in bb.roles.items():
+                    i = lat.site_index(site)
+                    if isinstance(role, Associate):
+                        continue
+                    if isinstance(role, ClusterExtension):
+                        extensions += 1
+                        root = label[lat.site_index(role.root)]
+                        assert label[i] == root >= 0
+                        assert clusters.sizes[root] <= RENORM_SITE_CAP
+                    elif label[i] >= 0:  # a wire or junction site
+                        assert clusters.sizes[label[i]] <= RENORM_SITE_CAP
+    assert routed and extensions and oversized
 
 
 def test_backbone_json_grid():
