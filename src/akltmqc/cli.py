@@ -276,14 +276,16 @@ def cmd_route(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "axes": _axes_grid(lattice, assignment),
         "clusters": [
-            {"id": c.id, "axis": c.axis, "sites": len(c.sites)}
-            for c in clusters
+            {"id": cid, "axis": AXES[axis], "sites": size}
+            for cid, (axis, size) in enumerate(
+                zip(clusters.axes.tolist(), clusters.sizes.tolist())
+            )
         ],
         "off_limits": [
             {
                 "first": p.first,
                 "second": p.second,
-                "joining_bonds": len(p.bonds),
+                "joining_bonds": len(p.joins),
                 "disabled": p.disabled,
             }
             for p in pairs

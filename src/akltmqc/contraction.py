@@ -420,9 +420,12 @@ def _open_layer(kind) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=None)
 def _pair_vec(vec: VirtualVec) -> np.ndarray:
     v = vec.vector
-    return np.kron(np.conj(v), v)
+    pair = np.kron(np.conj(v), v)
+    pair.setflags(write=False)  # cached: shared by every contraction
+    return pair
 
 
 def _layer_closure(lattice: HexLattice, term: BoundaryTermination | None):

@@ -161,18 +161,6 @@ class HexLattice:
     def bonds(self) -> list[Bond]:
         return [Bond(a, b) for a, b in self.bond_sites()]
 
-    def incident(self, site: Site) -> list[tuple[Leg, Site]]:
-        """Attached legs as (leg, neighbour) pairs."""
-        out = []
-        for leg in Leg:
-            n = self.neighbor(site, leg)
-            if n is not None:
-                out.append((leg, n))
-        return out
-
-    def degree(self, site: Site) -> int:
-        return len(self.incident(site))
-
     def dangling(self) -> list[tuple[Site, Leg]]:
         """All (site, leg) pairs whose leg leaves the patch."""
         out = []

@@ -655,19 +655,9 @@ def compile_plan(
                 )
             ref, ref_sites = Reference("termination", axis, bit=bit), []
         elif assignment[n] != mu:
-            if n in extensions or (
-                n in placed and placed[n].kind == "complementary"
-            ):
-                return CompileFailure(
-                    "associate-clash", f"{s} leans on interior site {n}"
-                )
             emit(PlanSite(n, "standard", assignment[n], role="associate"))
             ref, ref_sites = Reference("associate", assignment[n], site=n), [n]
         else:
-            if n in extensions:
-                return CompileFailure(
-                    "branch-clash", f"cluster at {n} already folded elsewhere"
-                )
             try:
                 nu, _, ctx = _fold_branch(
                     lattice,
@@ -735,18 +725,14 @@ def compile_plan(
     pos = [0] * circuit.wires
 
     def walk(
-        w: int,
-        stop,
-        blocked: str,
-        missing: CompileFailure,
-        detail: str | None = None,
-        fill=None,
+        w: int, stop, missing: CompileFailure, fill=None
     ) -> int | CompileFailure:
         """Advance wire ``w`` past its next site where ``stop`` holds.
 
         Every site passed on the way is handed to ``fill`` (a fiducial
-        identity widget by default); a junction passed fails with reason
-        ``blocked``. Returns the stop site's index on the wire.
+        identity widget by default). Passing a junction fails: the wire
+        meets it before the gate that the walk serves, out of circuit
+        order. Returns the stop site's index on the wire.
         """
         path = wires[w]
         for i in range(pos[w], len(path)):
@@ -755,7 +741,10 @@ def compile_plan(
                 pos[w] = i + 1
                 return i
             if s in junction_kind:
-                return CompileFailure(blocked, detail or f"wire {w} at {s}")
+                return CompileFailure(
+                    "junction-misordered",
+                    f"wire {w} meets junction {s} out of circuit order",
+                )
             bad = emit_widget(s, w) if fill is None else fill(s)
             if bad is not None:
                 return bad
@@ -771,7 +760,6 @@ def compile_plan(
             found = walk(
                 w,
                 axis_site("z"),
-                "junction-before-input",
                 CompileFailure("no-input-site", f"wire {w}"),
                 fill=lambda s: emit(
                     PlanSite(s, "standard", assignment[s], role="pre", wire=w)
@@ -791,11 +779,9 @@ def compile_plan(
             found = walk(
                 w,
                 axis_site(axis),
-                "rotation-blocked",
                 CompileFailure(
                     "wire-exhausted", f"wire {w} lacks a free {axis} site"
                 ),
-                detail=f"wire {w} hits a junction before a {axis} site",
             )
             if isinstance(found, CompileFailure):
                 return found
@@ -814,7 +800,6 @@ def compile_plan(
                 found = walk(
                     w,
                     lambda s: s == stop,
-                    "junction-misordered",
                     CompileFailure(
                         "junction-misordered",
                         f"junction {stop} not ahead on wire {w}",
@@ -822,10 +807,6 @@ def compile_plan(
                 )
                 if isinstance(found, CompileFailure):
                     return found
-            if assignment[jp.control] != "z" or assignment[jp.target] != "x":
-                return CompileFailure(
-                    "junction-axes", f"{jp.control} / {jp.target}"
-                )
             link_refs: list[Site] = []
             link_sites: list[PlanSite] = []
             for k in jp.link:
@@ -889,7 +870,6 @@ def compile_plan(
             found = walk(
                 w,
                 axis_site("z"),
-                "junction-after-gates",
                 CompileFailure("no-readout-site", f"wire {w}"),
             )
             if isinstance(found, CompileFailure):
@@ -926,15 +906,9 @@ def compile_plan(
         for s in lattice.sites()
         if s not in placed
     ]
-    order = tuple(sea) + tuple(emitted)
-    fins = tuple([None] * len(sea)) + tuple(finalize)
-    if len(order) != lattice.rows * lattice.cols:
-        return CompileFailure(
-            "coverage", f"{len(order)} plan sites on {lattice.rows * lattice.cols}"
-        )
     return MeasurementPlan(
-        order=order,
-        finalize=fins,
+        order=tuple(sea) + tuple(emitted),
+        finalize=tuple([None] * len(sea)) + tuple(finalize),
         events=tuple(events),
         reference=reference,
         depends=depends,

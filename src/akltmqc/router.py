@@ -10,19 +10,21 @@ band, a vertical staircase link for every CNOT, and per-site bookkeeping
 roles naming where each interior widget gets its reference bit (a standard
 neighbour, the boundary, or a renormalized cluster hanging off the site).
 
-Routing failure is an ordinary return value carrying a diagnostic; the
-normal remedy is a fresh stage-one sample, not an exception.
+Clustering, routing and the independent audit of each routed backbone run
+on integer site indices and ``lattice.neighbor_table()``; sites become
+``Site`` tuples only in the returned Backbone. Routing failure is an
+ordinary return value carrying a diagnostic; the normal remedy is a fresh
+stage-one sample, not an exception.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Bond, HexLattice, Leg, Site, SiteKind, build_lattice
+from .lattice import HexLattice, Leg, Site, build_lattice
 from .sampler import AxisAssignment
 from .tensors import AXES
 
@@ -36,57 +38,24 @@ RENORM_SITE_CAP = 12
 # -- clusters -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """One connected component of the matched-bond graph."""
-
-    id: int
-    axis: str
-    sites: frozenset[Site]
-
-
 @dataclass(frozen=True, eq=False)
 class Clusters:
     """The clusters of one axis pattern, labelled by site index.
 
     ``labels[i]`` is the id of the cluster holding site index ``i``, or -1
     for a site without a matched bond; ``axes`` and ``sizes`` give each
-    cluster's axis (an index into ``AXES``) and site count. The per-cluster
-    records (``items``, also what iterating yields, in id order) are built
-    on first use. The matched-bond graph is not stored: two neighbours in
+    cluster's axis (an index into ``AXES``) and site count, in id order.
+    The matched-bond graph is not stored: two neighbours in
     ``lattice.neighbor_table()`` are matched when their axis codes agree.
     """
 
-    lattice: HexLattice
     matched: np.ndarray
     labels: np.ndarray
     axes: np.ndarray
     sizes: np.ndarray
 
-    def __iter__(self):
-        return iter(self.items)
-
     def __len__(self) -> int:
         return len(self.axes)
-
-    @cached_property
-    def items(self) -> tuple[Cluster, ...]:
-        """One record per cluster, in id order."""
-        cols = self.lattice.cols
-        groups: list[list[Site]] = [[] for _ in range(len(self))]
-        members = np.flatnonzero(self.labels >= 0)
-        for i, cid in zip(members.tolist(), self.labels[members].tolist()):
-            groups[cid].append(divmod(i, cols))
-        axes = self.axes.tolist()
-        return tuple(
-            Cluster(cid, AXES[axes[cid]], frozenset(group))
-            for cid, group in enumerate(groups)
-        )
-
-    def owner(self, site: Site) -> int | None:
-        """Id of the cluster holding ``site``, or None."""
-        cid = int(self.labels[self.lattice.site_index(site)])
-        return None if cid < 0 else cid
 
 
 def _find(parent, x):
@@ -97,6 +66,32 @@ def _find(parent, x):
     return x
 
 
+def _component_roots(n: int, ends_a, ends_b) -> np.ndarray:
+    """Smallest node of each node's component, for nodes 0..n-1 and the
+    edges (ends_a[k], ends_b[k]).
+
+    Every node starts as its own root; each round hooks the roots at both
+    ends of every edge onto the smaller of the two (``np.minimum.at``),
+    then points every node straight at its root by pointer jumping, until
+    each edge joins equal roots. Roots only ever move to smaller indices,
+    so every root is the smallest node of its component (as in Hoshen &
+    Kopelman, PRB 14, 3438, 1976).
+    """
+    root = np.arange(n, dtype=np.intp)
+    while True:
+        root_a, root_b = root[ends_a], root[ends_b]
+        if np.array_equal(root_a, root_b):
+            return root
+        lower = np.minimum(root_a, root_b)
+        np.minimum.at(root, root_a, lower)
+        np.minimum.at(root, root_b, lower)
+        while True:  # point every node straight at its root
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
 def find_clusters(
     lattice: HexLattice,
     matched: np.ndarray,
@@ -105,32 +100,16 @@ def find_clusters(
     """Label the components of the matched bonds, id'd in row-major order.
 
     ``matched`` masks ``lattice.bond_table()``. Sites without a matched
-    bond belong to no cluster. Every site starts as its own root; each
-    round hooks the roots at both ends of every matched bond onto the
-    smaller of the two (``np.minimum.at``), then points every site straight
-    at its root by pointer jumping, until each matched bond joins equal
-    roots. Roots only ever move to smaller indices, so every root is the
-    smallest index of its component (as in Hoshen & Kopelman, PRB 14,
-    3438, 1976): ids count up from 0 following the row-major position of
-    each cluster's first site and the labelling is reproducible.
+    bond belong to no cluster. Each component's root is its smallest site
+    index (``_component_roots``), so ids count up from 0 following the
+    row-major position of each cluster's first site and the labelling is
+    reproducible.
     """
     codes = assignment.codes(lattice)
     a, b = lattice.bond_table()
     ends_a, ends_b = a[matched], b[matched]
     n = lattice.n_sites
-    root = np.arange(n, dtype=np.intp)
-    while True:
-        root_a, root_b = root[ends_a], root[ends_b]
-        if np.array_equal(root_a, root_b):
-            break
-        lower = np.minimum(root_a, root_b)
-        np.minimum.at(root, root_a, lower)
-        np.minimum.at(root, root_b, lower)
-        while True:  # point every site straight at its root
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
+    root = _component_roots(n, ends_a, ends_b)
     clustered = np.zeros(n, dtype=bool)
     clustered[ends_a] = True
     clustered[ends_b] = True
@@ -146,7 +125,7 @@ def find_clusters(
         raise ValueError(f"cluster at {site} mixes axes {axes}")
     labels.flags.writeable = False
     sizes = np.bincount(labels[clustered], minlength=len(first))
-    return Clusters(lattice, matched, labels, codes[first], sizes)
+    return Clusters(matched, labels, codes[first], sizes)
 
 
 @dataclass(frozen=True)
@@ -154,21 +133,13 @@ class OffLimitsPair:
     """Two different-axis clusters joined by at least two unmatched bonds.
 
     ``disabled`` names the member chosen to revert to standard readout.
-    ``joins`` holds the joining bonds' indices into ``bond_table()`` of
-    ``lattice``; ``bonds`` turns them into ``Bond``s on first use.
+    ``joins`` holds the joining bonds' indices into ``bond_table()``.
     """
 
     first: int
     second: int
     joins: tuple[int, ...]
     disabled: int
-    lattice: HexLattice = field(repr=False, compare=False)
-
-    @cached_property
-    def bonds(self) -> frozenset[Bond]:
-        return frozenset(
-            Bond(a, b) for a, b in self.lattice.bond_sites(list(self.joins))
-        )
 
 
 def flag_off_limits(
@@ -215,7 +186,7 @@ def flag_off_limits(
             gone = second if size[second] < size[first] else first
             down.add(gone)
         pair_joins = tuple(joins[start:start + count])
-        out.append(OffLimitsPair(first, second, pair_joins, gone, lattice))
+        out.append(OffLimitsPair(first, second, pair_joins, gone))
     return out
 
 
@@ -541,7 +512,7 @@ def route_backbone(
         frontier[ctl] = min(frontier[ctl], top % cols)
         frontier[tgt] = min(frontier[tgt], bot % cols)
 
-    backbone = _assemble(lattice, code, clusters, wires, junctions, spacing)
+    backbone = _assemble(lattice, code, wires, junctions, spacing)
     if isinstance(backbone, RoutingFailure):
         return backbone
     problems = audit_backbone(
@@ -587,7 +558,6 @@ def _backbone_adjacency(
 def _assemble(
     lattice: HexLattice,
     code: list[int],
-    clusters: Clusters,
     wires: list[list[int]],
     junctions: list[tuple[int, int, list[int]]],
     spacing: int,
@@ -598,7 +568,11 @@ def _assemble(
     junctions. A neighbour with the same axis code is a matched neighbour.
     A hanging branch needs no size check: its stem bond is matched, so it
     lies in its root's cluster, and ``route_backbone`` keeps every cluster
-    larger than ``RENORM_SITE_CAP`` off the backbone.
+    larger than ``RENORM_SITE_CAP`` off the backbone. A stem's far end
+    needs no check either: it is never interior (phase one returns
+    ``backbone-adjacency`` first, phase two ``cluster-loop``), and every
+    matched neighbour of an interior site is interior, so it shares no
+    cluster with one.
     """
     table = lattice.neighbor_table()
     cols = lattice.cols
@@ -661,21 +635,7 @@ def _assemble(
                     f"{divmod(n, cols)}",
                 )
             stems.append((s, n))
-    labels = clusters.labels.tolist()
-    tied = {labels[i] for i in interior}  # clusters holding interior sites
     for s, n in stems:
-        if n in interior:
-            return RoutingFailure(
-                "associate-unavailable",
-                f"{divmod(n, cols)} is interior-measured, cannot anchor "
-                f"{divmod(s, cols)}",
-            )
-        if labels[n] >= 0 and labels[n] in tied:
-            return RoutingFailure(
-                "off-limits-leak",
-                f"{divmod(n, cols)} sits in a cluster already tied to the "
-                "backbone",
-            )
         roles.setdefault(divmod(n, cols), Associate(partner=divmod(s, cols)))
 
     def sites(indices) -> tuple[Site, ...]:
@@ -729,15 +689,17 @@ def audit_backbone(
     assignment: AxisAssignment,
     backbone: Backbone,
     circuit,
-    clusters: Clusters | tuple[Cluster, ...] = (),
-    disabled: frozenset[int] = frozenset(),
+    clusters: Clusters,
+    disabled: frozenset[int],
 ) -> list[str]:
     """Independent invariant check; returns human-readable problems.
 
     Validates path shape and band discipline, junction typing and ordering,
     role consistency, reference-bit availability for every interior site,
     cluster containment, and that the interior-measured region closes no
-    loop the circuit does not call for.
+    loop the circuit does not call for. It reads only the Backbone, the
+    axis codes, ``clusters.labels`` and ``disabled``, on site indices and
+    ``lattice.neighbor_table()``; sites in the messages print as (r, c).
     """
     from .logic import CNOT
 
@@ -749,23 +711,38 @@ def audit_backbone(
         )
         return problems
 
-    seen: set[Site] = set()
-    for w, path in enumerate(wires):
-        if not path or path[0][1] != lattice.cols - 1 or path[-1][1] != 0:
+    cols = lattice.cols
+    table = lattice.neighbor_table()
+    code = assignment.codes(lattice).tolist()
+    index = lattice.site_index
+
+    def site(i: int) -> Site:
+        return divmod(i, cols)
+
+    paths = [[index(s) for s in path] for path in wires]
+    links = [
+        (index(j.control), [index(s) for s in j.link], index(j.target))
+        for j in backbone.junctions
+    ]
+    roles = {index(s): role for s, role in backbone.roles.items()}
+
+    seen: set[int] = set()
+    for w, path in enumerate(paths):
+        if not path or path[0] % cols != cols - 1 or path[-1] % cols != 0:
             problems.append(f"wire {w} does not span right to left")
             continue
         band = _band(w, backbone.spacing, lattice.rows)
         if len(set(path)) != len(path):
             problems.append(f"wire {w} revisits a site")
-        for s in path:
-            if s[0] not in band:
-                problems.append(f"wire {w} leaves its band at {s}")
+        for i in path:
+            if i // cols not in band:
+                problems.append(f"wire {w} leaves its band at {site(i)}")
                 break
         for a, b in zip(path, path[1:]):
-            if b not in {n for _, n in lattice.incident(a)}:
-                problems.append(f"wire {w} jumps {a}->{b}")
+            if b not in table[a]:
+                problems.append(f"wire {w} jumps {site(a)}->{site(b)}")
                 break
-        if seen & set(path):
+        if seen.intersection(path):
             problems.append(f"wire {w} overlaps another wire")
         seen.update(path)
 
@@ -776,19 +753,19 @@ def audit_backbone(
         )
         return problems
     frontier = {w: lattice.cols for w in range(len(wires))}
-    for gate, j in zip(cnots, backbone.junctions):
+    for gate, j, (top, link, bot) in zip(cnots, backbone.junctions, links):
         ctl, tgt = gate.control, gate.target
-        if j.control not in wires[ctl]:
+        if top not in paths[ctl]:
             problems.append(f"junction {j.control} not on wire {ctl}")
-        if j.target not in wires[tgt]:
+        if bot not in paths[tgt]:
             problems.append(f"junction {j.target} not on wire {tgt}")
-        if lattice.kind(j.control) is not SiteKind.TOP:
+        if sum(j.control) % 2:  # Top kind: r + c even
             problems.append(f"control junction {j.control} is not Top-kind")
-        if lattice.kind(j.target) is not SiteKind.BOT:
+        if sum(j.target) % 2 == 0:
             problems.append(f"target junction {j.target} is not Bot-kind")
-        if assignment[j.control] != "z":
+        if code[top] != _Z:
             problems.append(f"control junction {j.control} is not z-axis")
-        if assignment[j.target] != "x":
+        if code[bot] != _X:
             problems.append(f"target junction {j.target} is not x-axis")
         if j.control[1] >= frontier[ctl] or j.target[1] >= frontier[tgt]:
             problems.append(
@@ -796,91 +773,80 @@ def audit_backbone(
             )
         frontier[ctl] = min(frontier[ctl], j.control[1])
         frontier[tgt] = min(frontier[tgt], j.target[1])
-        chain = (j.control, *j.link, j.target)
+        chain = [top, *link, bot]
         for a, b in zip(chain, chain[1:]):
-            if b not in {n for _, n in lattice.incident(a)}:
-                problems.append(f"junction link jumps {a}->{b}")
+            if b not in table[a]:
+                problems.append(f"junction link jumps {site(a)}->{site(b)}")
                 break
-        if j.link:
-            if lattice.neighbor(j.control, Leg.VERT) != j.link[0]:
+        if link:
+            if table[top][2] != link[0]:
                 problems.append(f"link does not hang from {j.control}")
-            if lattice.neighbor(j.link[-1], Leg.VERT) != j.target:
+            if table[link[-1]][2] != bot:
                 problems.append(f"link does not land on {j.target}")
 
-    adj = _backbone_adjacency(list(wires), list(backbone.junctions))
-    backbone_sites = set(adj)
-    junction_sites = {j.control for j in backbone.junctions} | {
-        j.target for j in backbone.junctions
-    }
+    chains = [*paths, *([top, *link, bot] for top, link, bot in links)]
+    adj = _adjacency(e for chain in chains for e in zip(chain, chain[1:]))
+    junction_sites = {i for top, _, bot in links for i in (top, bot)}
     extensions = {
-        s for s, r in backbone.roles.items() if isinstance(r, ClusterExtension)
+        i for i, role in roles.items() if isinstance(role, ClusterExtension)
     }
-    blocked = {
-        s for c in clusters if c.id in disabled for s in c.sites
-    }
-    if blocked & backbone_sites:
+    labels = clusters.labels
+    gone = np.zeros(len(clusters) + 1, dtype=bool)  # [-1]: no cluster
+    gone[list(disabled)] = True
+    blocked = gone[labels]
+    if blocked[list(adj)].any():
         problems.append("a disabled cluster site lies on the backbone")
-    if blocked & extensions:
+    if blocked[list(extensions)].any():
         problems.append("a disabled cluster site is marked for renormalization")
 
-    for s in sorted(backbone_sites):
-        role = backbone.roles.get(s)
-        if s in junction_sites:
+    for i in sorted(adj):
+        s, role = site(i), roles.get(i)
+        if i in junction_sites:
             if not isinstance(role, Degree3Junction):
                 problems.append(f"junction {s} carries role {role}")
-            if len(adj[s]) != 3 and lattice.degree(s) == 3:
+            if len(adj[i]) != 3 and min(table[i]) >= 0:
                 problems.append(f"junction {s} has a spare leg")
             continue
         if not isinstance(role, Degree2Wire):
             problems.append(f"backbone site {s} carries role {role}")
-        free = [leg for leg in Leg if leg not in
-                {lattice.leg_between(s, nb) for nb in adj[s]}]
-        for leg in free:
-            n = lattice.neighbor(s, leg)
-            if n is None:
-                continue  # termination supplies the bit
-            if n in backbone_sites:
-                problems.append(f"{s} touches backbone site {n} off-path")
-            elif assignment[n] == assignment[s]:
+        for leg, n in zip(Leg, table[i]):
+            if n < 0 or n in adj[i]:
+                continue  # on the path, or termination supplies the bit
+            if n in adj:
+                problems.append(f"{s} touches backbone site {site(n)} off-path")
+            elif code[n] == code[i]:
                 if n not in extensions:
                     problems.append(f"matched stem at {s} not renormalized")
-            elif not isinstance(backbone.roles.get(n), Associate):
+            elif not isinstance(roles.get(n), Associate):
                 problems.append(f"{s} has no associate through {leg.value}")
 
-    # the interior-measured region may close only the circuit's own loops
-    region = backbone_sites | extensions
-    edges = [
-        (s, n)
-        for s in sorted(region)
-        for _, n in lattice.incident(s)
-        if n in region and s < n
-    ]
-    region_rank = len(edges) - len(region) + _component_count(region, edges)
-    circuit_edges = [(g.control, g.target) for g in cnots]
-    circuit_rank = (
-        len(cnots) - circuit.wires
-        + _component_count(range(circuit.wires), circuit_edges)
-    )
+    # the interior-measured region may close only the circuit's own loops:
+    # a graph's loop rank is edges - nodes + components
+    inside = np.zeros(lattice.n_sites, dtype=bool)
+    inside[list(adj.keys() | extensions)] = True
+    a, b = lattice.bond_table()
+    edges = inside[a] & inside[b]
+    root = _component_roots(lattice.n_sites, a[edges], b[edges])
+    rooted = inside & (root == np.arange(lattice.n_sites))
+    region_rank = int(edges.sum() - inside.sum() + rooted.sum())
+    ends = np.array([(g.control, g.target) for g in cnots], dtype=np.intp)
+    root = _component_roots(circuit.wires, *ends.reshape(-1, 2).T)
+    rooted = root == np.arange(circuit.wires)
+    circuit_rank = int(len(cnots) - circuit.wires + rooted.sum())
     if region_rank != circuit_rank:
         problems.append(
             f"interior region closes {region_rank} loops, "
             f"circuit calls for {circuit_rank}"
         )
-    for c in clusters:
-        touched = {w for w, path in enumerate(wires) if set(path) & c.sites}
-        if len(touched) > 1:
-            problems.append(f"cluster {c.id} touches wires {sorted(touched)}")
+    touched: dict[int, set[int]] = {}
+    for w, path in enumerate(paths):
+        for cid in labels[path].tolist():
+            if cid >= 0:
+                touched.setdefault(cid, set()).add(w)
+    for cid, ws in sorted(touched.items()):
+        if len(ws) > 1:
+            problems.append(f"cluster {cid} touches wires {sorted(ws)}")
     return problems
-
-
-def _component_count(nodes, edges) -> int:
-    """Connected components of the graph on ``nodes`` with ``edges``."""
-    parent = {n: n for n in nodes}
-    for a, b in edges:
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({_find(parent, n) for n in parent})
 
 
 # -- percolation --------------------------------------------------------------

@@ -284,3 +284,29 @@ def test_iid_run_matches_parent_digest(
     assert code == (0 if stream == "out" else 2)
     text = getattr(capsys.readouterr(), stream)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of `route --mode iid` as written by the parent of the change that
+# moved the backbone audit onto site indices (commit f5949f3): the routed
+# 8x16 CNOT artifact on stdout (31 clusters, 7 off-limits pairs) and the
+# 20x40 identity routing failure (cluster-loop) on stderr.
+PARENT_ROUTE_DIGESTS = [
+    ("8x16", "6", "cnot", "out",
+     "b8f687b4260a0b801c5221f530be6a3350dd19b9b798fa1da3e8b53f076b7905"),
+    ("20x40", "11", "identity", "err",
+     "78de366b302bab5c1264f22d2cbb6aa8096250c3f5f633511874331905b470b3"),
+]
+
+
+@pytest.mark.parametrize(
+    "size,seed,circuit,stream,digest", PARENT_ROUTE_DIGESTS
+)
+def test_iid_route_matches_parent_digest(
+    capsys, request, size, seed, circuit, stream, digest
+):
+    path = request.getfixturevalue(f"{circuit}_circuit")
+    code = cli.main(["route", "--mode", "iid", "--lattice", size, "--seed",
+                     seed, "--circuit", path])
+    assert code == (0 if stream == "out" else 2)
+    text = getattr(capsys.readouterr(), stream)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -102,6 +102,10 @@ def _ref_adjacency(matched):
     return adj
 
 
+def _bonds(lattice, joins):
+    return frozenset(Bond(a, b) for a, b in lattice.bond_sites(list(joins)))
+
+
 def _assignment(lattice, codes):
     return AxisAssignment(
         {s: AXES[int(k)] for s, k in zip(lattice.sites(), codes)}
@@ -116,7 +120,8 @@ def _check_against_reference(lattice, assignment):
     assert matched_bonds(lattice, assignment) == ref_matched
     mask = matched_mask(lattice, assignment)
     clusters = find_clusters(lattice, mask, assignment)
-    assert [(c.id, c.axis, c.sites) for c in clusters] == ref_clusters
+    axes = [AXES[k] for k in clusters.axes.tolist()]
+    assert list(enumerate(axes)) == [(cid, ax) for cid, ax, _ in ref_clusters]
     labels = np.full(lattice.n_sites, -1)
     for cid, _, sites in ref_clusters:
         labels[[lattice.site_index(s) for s in sites]] = cid
@@ -130,7 +135,10 @@ def _check_against_reference(lattice, assignment):
     }
     assert adjacency == _ref_adjacency(ref_matched)
     pairs = flag_off_limits(lattice, clusters)
-    got = [(p.first, p.second, p.bonds, p.disabled) for p in pairs]
+    got = [
+        (p.first, p.second, _bonds(lattice, p.joins), p.disabled)
+        for p in pairs
+    ]
     assert got == ref_pairs
     return clusters, pairs
 
@@ -165,17 +173,23 @@ def test_chain_of_clusters_reuses_disabled_member():
         {(r, c): a for r, line in enumerate(rows) for c, a in enumerate(line)}
     )
     clusters, pairs = _check_against_reference(lat, asg)
-    assert [(c.id, c.axis, sorted(c.sites)) for c in clusters] == [
+    members = [
+        (cid, AXES[axis], [divmod(i, lat.cols) for i in np.flatnonzero(
+            clusters.labels == cid
+        )])
+        for cid, axis in enumerate(clusters.axes.tolist())
+    ]
+    assert members == [
         (0, "z", [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]),
         (1, "x", [(1, 1), (1, 2), (2, 1), (2, 2)]),
         (2, "y", [(1, 3), (2, 3)]),
     ]
-    assert clusters.owner((2, 0)) is None
+    assert clusters.labels[lat.site_index((2, 0))] == -1
     assert [(p.first, p.second, p.disabled) for p in pairs] == [
         (0, 1, 1),
         (1, 2, 1),
     ]
-    assert [sorted((b.a, b.b) for b in p.bonds) for p in pairs] == [
+    assert [sorted(lat.bond_sites(list(p.joins))) for p in pairs] == [
         [((0, 2), (1, 2)), ((1, 0), (1, 1))],
         [((1, 2), (1, 3)), ((2, 2), (2, 3))],
     ]

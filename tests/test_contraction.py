@@ -508,6 +508,25 @@ def test_apply_op_replaces_only_its_site_tensor():
     assert engine.weight() == pytest.approx(reference.weight(), rel=1e-12)
 
 
+def test_pinned_closure_vectors_are_cached_and_read_only(monkeypatch):
+    lat = build_lattice(2, 3)
+    close = contraction._layer_closure(lat, BoundaryTermination(axis="x"))
+    first = close((0, 0), Leg.LEFT)
+    assert close((1, 0), Leg.LEFT) is first  # the same pinned vector
+    assert not first.flags.writeable
+    v = virtual_ket("x", 0).vector
+    assert np.array_equal(first, np.kron(np.conj(v), v))
+    # a closed site tensor rebuilt by apply_op builds no new closure vector
+    engine = TracedEngine(lat, BoundaryTermination(axis="x"))
+    engine.effect_weights((0, 0), [povm_element(a) for a in AXES])
+    calls = []
+    monkeypatch.setattr(
+        contraction.np, "kron", lambda *a: calls.append(a) or np.kron(*a)
+    )
+    engine.apply_op((0, 1), povm_element("z"))
+    assert calls == []
+
+
 def test_rescaled_environment_is_exact():
     rng = np.random.default_rng(2)
     acc = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))

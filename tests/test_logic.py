@@ -29,12 +29,14 @@ from akltmqc.logic import (
     adapt_angle,
     auto_spacing,
     byproduct_indices,
+    compile_plan,
     conditional_logical_table,
     prepare_protocol,
     protocol_branches,
     run_protocol,
 )
 from akltmqc.oracle import reference_circuit_sim, tv_distance
+from akltmqc.router import RoutingFailure
 from akltmqc.sampler import AxisAssignment, stage1_sample
 from akltmqc.tensors import physical_basis, povm_element, virtual_bra
 
@@ -128,6 +130,107 @@ def test_compile_rejects_pinned_readout():
     prep = prepare_protocol(lat, asg, IDENTITY, BoundaryTermination())
     assert isinstance(prep, CompileFailure)
     assert prep.reason == "readout-pinned"
+
+
+ROTATIONS = CircuitSpec(1, (Init(0), Rz(0, 0.3), Rx(0, 0.5), Readout(0)))
+
+
+@pytest.mark.parametrize(
+    "reason,seed,pin,circuit,detail",
+    [
+        # the first iid 2x6 patterns (seeds 0-99) that fail with each reason
+        ("rank-deficient", 2, "x", IDENTITY,
+         "boundary frame at (0, 3) matches its axis x"),
+        ("branch-fold", 69, "z", ROTATIONS,
+         "boundary frame at (1, 5) matches the cluster axis"),
+        ("no-input-site", 43, "z", IDENTITY, "wire 0"),
+        ("no-readout-site", 0, "z", IDENTITY, "wire 0"),
+        ("widget-legs", 1, "z", ROTATIONS, "(0, 0) has 2 free legs"),
+        ("wire-exhausted", 0, "z", ROTATIONS, "wire 0 lacks a free z site"),
+    ],
+)
+def test_compile_failure_reasons_are_reached(
+    reason, seed, pin, circuit, detail
+):
+    lat = build_lattice(2, 6)
+    asg = stage1_sample(lat, None, "iid", seed)
+    prep = prepare_protocol(lat, asg, circuit, BoundaryTermination(axis=pin))
+    assert prep == CompileFailure(reason, detail)
+
+
+def test_compile_rejects_bad_input():
+    lat, asg = _fixture(["yxzxz", "xyxyx"])
+    backbone, _ = prepare_protocol(lat, asg, IDENTITY, BoundaryTermination())
+    no_readout = CircuitSpec(1, (Init(0),))
+    bad = compile_plan(lat, backbone, asg, no_readout, BoundaryTermination())
+    assert bad == CompileFailure(
+        "bad-circuit", "wire 0 must close with Readout"
+    )
+    # the fiducial widget (0, 3) takes its bit from its dangling stem
+    bare = compile_plan(lat, backbone, asg, IDENTITY, None)
+    assert bare == CompileFailure(
+        "unpinned-boundary", "(0, 3) needs a pinned boundary"
+    )
+
+
+def test_compile_rejects_a_junction_out_of_circuit_order():
+    # criterion 6's CNOT fixture with an Rx between the input and the CNOT:
+    # wire 0 runs (0, 3) z, (0, 2) z control junction, (0, 1) z, (0, 0) y,
+    # so the walk to the rotation's x site meets the junction first
+    _, lat, asg, term, _, spacing = e2e_fixtures()[2]
+    circuit = CircuitSpec(
+        2,
+        (Init(0), Init(1), Rx(0, 0.5), CNOT(0, 1), Readout(0), Readout(1)),
+    )
+    prep = prepare_protocol(lat, asg, circuit, term, spacing)
+    assert prep == CompileFailure(
+        "junction-misordered",
+        "wire 0 meets junction (0, 2) out of circuit order",
+    )
+
+
+def test_compile_invariants_held_by_routing():
+    # compile_plan has no coverage, associate-clash or branch-clash check:
+    # it trusts three facts about a routed, audited backbone.
+    # - Every lattice site lands in the plan once (coverage): the sea is
+    #   the complement of the placed sites, and the audit's jump and band
+    #   checks keep every backbone site on the lattice.
+    # - A widget's associate is a standard site, never interior
+    #   (associate-clash): _assemble's backbone-adjacency (a stem onto the
+    #   backbone) and its phase-two cluster-loop (a stem onto an
+    #   extension) come first.
+    # - A hanging branch is folded from one root only (branch-clash): a
+    #   branch that reaches the backbone twice is _assemble's phase-one
+    #   cluster-loop ("reattaches"), and the audit's loop rank counts it.
+    # Nor has it a junction-axes check: that is the audit's "is not
+    # z-axis" / "is not x-axis" (tests/test_router.py).
+    plans = []
+    for rows, cols in ((4, 8), (8, 16)):
+        lat = build_lattice(rows, cols)
+        for seed in range(60):
+            asg = stage1_sample(lat, None, "iid", seed)
+            for circuit in (IDENTITY, ROTATIONS):
+                prep = prepare_protocol(
+                    lat, asg, circuit, BoundaryTermination(axis="x")
+                )
+                if not isinstance(prep, (RoutingFailure, CompileFailure)):
+                    plans.append((lat, prep[1]))
+    for _, lat, asg, term, circuit, spacing in e2e_fixtures():
+        plans.append(
+            (lat, prepare_protocol(lat, asg, circuit, term, spacing)[1])
+        )
+    branches = 0
+    for lat, plan in plans:
+        assert sorted(ps.site for ps in plan.order) == list(lat.sites())
+        kind = {ps.site: ps.kind for ps in plan.order}
+        refs = plan.reference.values()
+        firsts = [r.first for r in refs if r.kind == "branch"]
+        assert len(set(firsts)) == len(firsts)
+        branches += len(firsts)
+        for ref in refs:
+            if ref.kind == "associate":
+                assert kind[ref.site] == "standard"
+    assert len(plans) > 20 and branches > 0
 
 
 def test_identity_plan_layout():

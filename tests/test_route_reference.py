@@ -1,19 +1,25 @@
-"""Routing on site indices against the ``Site``-tuple reference.
+"""Routing and its audit on site indices against the ``Site``-tuple reference.
 
 The reference below is the routing the index path replaced: breadth-first
 searches over ``Site`` tuples with ``HexLattice.neighbor``, frozenset and
-dict membership, the matched-bond graph as a dict of sets, and a
-per-bond union-find for the cluster labels. ``route_backbone`` must return
-the same backbone (``to_json``) or the same failure reason and detail, and
-``find_clusters`` the same labels, on iid patterns of three sizes and on
-exact patterns under x and z pins.
+dict membership, the matched-bond graph as a dict of sets, a per-bond
+union-find for the cluster labels, and the audit with ``leg_between``,
+per-cluster site sets and a dict union-find for the loop rank.
+``route_backbone`` must return the same backbone (``to_json``) or the same
+failure reason and detail, and ``find_clusters`` the same labels, on iid
+patterns of three sizes and on exact patterns under x and z pins;
+``audit_backbone`` must return the reference audit's problem list on
+routed and on mutated backbones.
 """
 
+import dataclasses
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 
 from akltmqc.contraction import BoundaryTermination
+from akltmqc.cli import e2e_fixtures
 from akltmqc.lattice import Leg, SiteKind, build_lattice
 from akltmqc.logic import CNOT, CircuitSpec, Init, Readout, auto_spacing
 from akltmqc.router import (
@@ -80,8 +86,20 @@ def _ref_matched_adjacency(lattice, assignment):
     return adj
 
 
-def _ref_sites_of(clusters, ids):
-    return frozenset(s for c in clusters if c.id in ids for s in c.sites)
+def _ref_clusters(lattice, clusters):
+    """(id, site set) per cluster, in id order, read off the labels."""
+    groups = [set() for _ in range(len(clusters))]
+    for i, cid in enumerate(clusters.labels.tolist()):
+        if cid >= 0:
+            groups[cid].add(divmod(i, lattice.cols))
+    return [(cid, frozenset(sites)) for cid, sites in enumerate(groups)]
+
+
+def _ref_sites_of(lattice, clusters, ids):
+    return frozenset(
+        s for cid, sites in _ref_clusters(lattice, clusters) if cid in ids
+        for s in sites
+    )
 
 
 def _ref_wire_path(lattice, band, blocked):
@@ -242,8 +260,8 @@ def _ref_assemble(lattice, assignment, clusters, wires, junctions, spacing):
                 "associate-unavailable",
                 f"{n} is interior-measured, cannot anchor {s}",
             )
-        cid = clusters.owner(n)
-        if cid is not None and interior & _ref_sites_of(clusters, [cid]):
+        cid = int(clusters.labels[lattice.site_index(n)])
+        if cid >= 0 and interior & _ref_sites_of(lattice, clusters, [cid]):
             return RoutingFailure(
                 "off-limits-leak",
                 f"{n} sits in a cluster already tied to the backbone",
@@ -258,13 +276,14 @@ def _ref_assemble(lattice, assignment, clusters, wires, junctions, spacing):
     )
 
 
-def _ref_route(lattice, assignment, clusters, disabled, circuit, spacing):
+def _ref_layout(lattice, assignment, clusters, disabled, circuit, spacing):
+    """The reference routing up to, not including, its audit."""
     unfit = spacing_failure(lattice, circuit.wires, spacing)
     if unfit is not None:
         return unfit
     n_wires = circuit.wires
-    oversized = [c.id for c in clusters if len(c.sites) > RENORM_SITE_CAP]
-    blocked = _ref_sites_of(clusters, disabled.union(oversized))
+    oversized = np.flatnonzero(clusters.sizes > RENORM_SITE_CAP).tolist()
+    blocked = _ref_sites_of(lattice, clusters, disabled.union(oversized))
 
     wires = []
     for w in range(n_wires):
@@ -326,17 +345,177 @@ def _ref_route(lattice, assignment, clusters, disabled, circuit, spacing):
         frontier[ctl] = min(frontier[ctl], top[1])
         frontier[tgt] = min(frontier[tgt], bot[1])
 
-    backbone = _ref_assemble(
+    return _ref_assemble(
         lattice, assignment, clusters, wires, junctions, spacing
+    )
+
+
+def _ref_route(lattice, assignment, clusters, disabled, circuit, spacing):
+    backbone = _ref_layout(
+        lattice, assignment, clusters, disabled, circuit, spacing
     )
     if isinstance(backbone, RoutingFailure):
         return backbone
-    problems = audit_backbone(
+    problems = _ref_audit(
         lattice, assignment, backbone, circuit, clusters, disabled
     )
     if problems:
         return RoutingFailure("audit", "; ".join(problems[:4]))
     return backbone
+
+
+def _ref_incident(lattice, site):
+    out = []
+    for leg in Leg:
+        n = lattice.neighbor(site, leg)
+        if n is not None:
+            out.append((leg, n))
+    return out
+
+
+def _ref_audit(lattice, assignment, backbone, circuit, clusters, disabled):
+    problems = []
+    wires = backbone.wires
+    if len(wires) != circuit.wires:
+        problems.append(
+            f"{len(wires)} wires routed, circuit wants {circuit.wires}"
+        )
+        return problems
+
+    seen = set()
+    for w, path in enumerate(wires):
+        if not path or path[0][1] != lattice.cols - 1 or path[-1][1] != 0:
+            problems.append(f"wire {w} does not span right to left")
+            continue
+        band = _band(w, backbone.spacing, lattice.rows)
+        if len(set(path)) != len(path):
+            problems.append(f"wire {w} revisits a site")
+        for s in path:
+            if s[0] not in band:
+                problems.append(f"wire {w} leaves its band at {s}")
+                break
+        for a, b in zip(path, path[1:]):
+            if b not in {n for _, n in _ref_incident(lattice, a)}:
+                problems.append(f"wire {w} jumps {a}->{b}")
+                break
+        if seen & set(path):
+            problems.append(f"wire {w} overlaps another wire")
+        seen.update(path)
+
+    cnots = [g for g in circuit.gates if isinstance(g, CNOT)]
+    if len(backbone.junctions) != len(cnots):
+        problems.append(
+            f"{len(backbone.junctions)} junction pairs for {len(cnots)} CNOTs"
+        )
+        return problems
+    frontier = {w: lattice.cols for w in range(len(wires))}
+    for gate, j in zip(cnots, backbone.junctions):
+        ctl, tgt = gate.control, gate.target
+        if j.control not in wires[ctl]:
+            problems.append(f"junction {j.control} not on wire {ctl}")
+        if j.target not in wires[tgt]:
+            problems.append(f"junction {j.target} not on wire {tgt}")
+        if lattice.kind(j.control) is not SiteKind.TOP:
+            problems.append(f"control junction {j.control} is not Top-kind")
+        if lattice.kind(j.target) is not SiteKind.BOT:
+            problems.append(f"target junction {j.target} is not Bot-kind")
+        if assignment[j.control] != "z":
+            problems.append(f"control junction {j.control} is not z-axis")
+        if assignment[j.target] != "x":
+            problems.append(f"target junction {j.target} is not x-axis")
+        if j.control[1] >= frontier[ctl] or j.target[1] >= frontier[tgt]:
+            problems.append(
+                f"junction for CNOT {ctl}->{tgt} is right of an earlier one"
+            )
+        frontier[ctl] = min(frontier[ctl], j.control[1])
+        frontier[tgt] = min(frontier[tgt], j.target[1])
+        chain = (j.control, *j.link, j.target)
+        for a, b in zip(chain, chain[1:]):
+            if b not in {n for _, n in _ref_incident(lattice, a)}:
+                problems.append(f"junction link jumps {a}->{b}")
+                break
+        if j.link:
+            if lattice.neighbor(j.control, Leg.VERT) != j.link[0]:
+                problems.append(f"link does not hang from {j.control}")
+            if lattice.neighbor(j.link[-1], Leg.VERT) != j.target:
+                problems.append(f"link does not land on {j.target}")
+
+    adj = _backbone_adjacency(list(wires), list(backbone.junctions))
+    backbone_sites = set(adj)
+    junction_sites = {j.control for j in backbone.junctions} | {
+        j.target for j in backbone.junctions
+    }
+    extensions = {
+        s for s, r in backbone.roles.items() if isinstance(r, ClusterExtension)
+    }
+    cluster_sites = _ref_clusters(lattice, clusters)
+    blocked = {
+        s for cid, sites in cluster_sites if cid in disabled for s in sites
+    }
+    if blocked & backbone_sites:
+        problems.append("a disabled cluster site lies on the backbone")
+    if blocked & extensions:
+        problems.append("a disabled cluster site is marked for renormalization")
+
+    for s in sorted(backbone_sites):
+        role = backbone.roles.get(s)
+        if s in junction_sites:
+            if not isinstance(role, Degree3Junction):
+                problems.append(f"junction {s} carries role {role}")
+            if len(adj[s]) != 3 and len(_ref_incident(lattice, s)) == 3:
+                problems.append(f"junction {s} has a spare leg")
+            continue
+        if not isinstance(role, Degree2Wire):
+            problems.append(f"backbone site {s} carries role {role}")
+        free = [leg for leg in Leg if leg not in
+                {lattice.leg_between(s, nb) for nb in adj[s]}]
+        for leg in free:
+            n = lattice.neighbor(s, leg)
+            if n is None:
+                continue  # termination supplies the bit
+            if n in backbone_sites:
+                problems.append(f"{s} touches backbone site {n} off-path")
+            elif assignment[n] == assignment[s]:
+                if n not in extensions:
+                    problems.append(f"matched stem at {s} not renormalized")
+            elif not isinstance(backbone.roles.get(n), Associate):
+                problems.append(f"{s} has no associate through {leg.value}")
+
+    # the interior-measured region may close only the circuit's own loops
+    region = backbone_sites | extensions
+    edges = [
+        (s, n)
+        for s in sorted(region)
+        for _, n in _ref_incident(lattice, s)
+        if n in region and s < n
+    ]
+    region_rank = len(edges) - len(region) + _ref_component_count(
+        region, edges
+    )
+    circuit_edges = [(g.control, g.target) for g in cnots]
+    circuit_rank = (
+        len(cnots) - circuit.wires
+        + _ref_component_count(range(circuit.wires), circuit_edges)
+    )
+    if region_rank != circuit_rank:
+        problems.append(
+            f"interior region closes {region_rank} loops, "
+            f"circuit calls for {circuit_rank}"
+        )
+    for cid, sites in cluster_sites:
+        touched = {w for w, path in enumerate(wires) if set(path) & sites}
+        if len(touched) > 1:
+            problems.append(f"cluster {cid} touches wires {sorted(touched)}")
+    return problems
+
+
+def _ref_component_count(nodes, edges) -> int:
+    parent = {n: n for n in nodes}
+    for a, b in edges:
+        ra, rb = _ref_find(parent, a), _ref_find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({_ref_find(parent, n) for n in parent})
 
 
 # -- comparison -------------------------------------------------------------------
@@ -406,3 +585,109 @@ def test_reference_outcomes_cover_every_stage():
         "cluster-loop",
         "audit",
     }
+
+
+# -- audit --------------------------------------------------------------------
+
+
+def _mutations(lattice, clusters, disabled, backbone):
+    """(name, backbone, disabled) for a backbone and its broken variants."""
+    wires, mid = backbone.wires, len(backbone.wires[0]) // 2
+    roles = dict(backbone.roles)
+    del roles[wires[0][mid]]
+    labels = clusters.labels
+    on_wire = {int(labels[lattice.site_index(s)]) for s in wires[0]} - {-1}
+    dropped = (*wires[0][:mid], *wires[0][mid + 1:])
+    yield "as routed", backbone, disabled
+    yield "role dropped", dataclasses.replace(backbone, roles=roles), disabled
+    yield "wire reversed", dataclasses.replace(
+        backbone, wires=(wires[0][::-1], *wires[1:])
+    ), disabled
+    yield "spacing 1", dataclasses.replace(backbone, spacing=1), disabled
+    yield "wire clusters disabled", backbone, disabled | on_wire
+    yield "wire site dropped", dataclasses.replace(
+        backbone, wires=(dropped, *wires[1:])
+    ), disabled
+    for k, j in enumerate(backbone.junctions):
+        short = dataclasses.replace(j, link=j.link[1:])
+        junctions = list(backbone.junctions)
+        junctions[k] = short
+        yield f"link {k} site dropped", dataclasses.replace(
+            backbone, junctions=tuple(junctions)
+        ), disabled
+
+
+def _compare_audits(
+    lattice, assignment, circuit, clusters, disabled, backbone
+):
+    """Both audits on every mutation; counts (compared, non-empty, jumps)."""
+    compared = nonempty = jumps = 0
+    for name, bb, dis in _mutations(lattice, clusters, disabled, backbone):
+        got = audit_backbone(lattice, assignment, bb, circuit, clusters, dis)
+        try:
+            want = _ref_audit(lattice, assignment, bb, circuit, clusters, dis)
+        except ValueError as exc:  # leg_between across the gap
+            assert "are not neighbours" in str(exc)
+            assert any(" jumps " in p for p in got), (name, got)
+            jumps += 1
+            continue
+        assert got == want, name
+        compared += 1
+        nonempty += bool(want)
+    return compared, nonempty, jumps
+
+
+def test_audit_matches_reference_on_routed_and_mutated_backbones():
+    # every layout the reference assembles, including those its audit
+    # rejects, and five mutations of each
+    totals = Counter()
+    cases = []
+    for rows, cols in ((4, 8), (8, 16), (20, 40)):
+        lattice = build_lattice(rows, cols)
+        for seed in range(100):
+            cases.append((lattice, stage1_sample(lattice, None, "iid", seed)))
+    for name, lattice, assignment, _term, _circuit, _ in e2e_fixtures():
+        cases.append((lattice, assignment))
+    for lattice, assignment in cases:
+        clusters = find_clusters(
+            lattice, matched_mask(lattice, assignment), assignment
+        )
+        disabled = disabled_ids(flag_off_limits(lattice, clusters))
+        for circuit in (IDENTITY, ONE_CNOT):
+            spacing = auto_spacing(lattice, circuit)
+            backbone = _ref_layout(
+                lattice, assignment, clusters, disabled, circuit, spacing
+            )
+            if isinstance(backbone, RoutingFailure):
+                continue
+            compared, nonempty, jumps = _compare_audits(
+                lattice, assignment, circuit, clusters, disabled, backbone
+            )
+            totals.update(compared=compared, nonempty=nonempty, jumps=jumps)
+            totals["layouts"] += 1
+    assert totals["layouts"] > 50
+    assert totals["nonempty"] > totals["layouts"]  # the mutations bite
+    assert totals["jumps"] >= totals["layouts"]
+
+
+def test_audit_reports_a_jumping_wire_and_link():
+    _, lattice, assignment, term, circuit, spacing = e2e_fixtures()[2]
+    clusters = find_clusters(
+        lattice, matched_mask(lattice, assignment), assignment
+    )
+    backbone = route_backbone(
+        lattice, assignment, clusters, frozenset(), circuit, spacing
+    )
+    assert not isinstance(backbone, RoutingFailure)
+    wire = backbone.wires[0]
+    (pair,) = backbone.junctions
+    jumpy = dataclasses.replace(
+        backbone,
+        wires=((wire[0], *wire[2:]), backbone.wires[1]),
+        junctions=(dataclasses.replace(pair, link=pair.link[1:]),),
+    )
+    problems = audit_backbone(
+        lattice, assignment, jumpy, circuit, clusters, frozenset()
+    )
+    assert f"wire 0 jumps {wire[0]}->{wire[2]}" in problems
+    assert f"junction link jumps {pair.control}->{pair.link[1]}" in problems

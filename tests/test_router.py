@@ -10,6 +10,7 @@ from akltmqc.router import (
     Associate,
     ClusterExtension,
     RoutingFailure,
+    audit_backbone,
     crossing_estimate,
     disabled_ids,
     find_clusters,
@@ -19,6 +20,7 @@ from akltmqc.router import (
     spanning_sweep,
 )
 from akltmqc.sampler import AxisAssignment, matched_mask, stage1_sample
+from akltmqc.tensors import AXES
 
 
 def _assignment(rows_axes):
@@ -34,12 +36,10 @@ def test_find_clusters_hand_pattern():
     lat, asg = _assignment(["zzx", "xyy"])
     matched = matched_mask(lat, asg)
     clusters = find_clusters(lat, matched, asg)
-    got = {(c.axis, frozenset(c.sites)) for c in clusters}
-    assert got == {
-        ("z", frozenset({(0, 0), (0, 1)})),
-        ("y", frozenset({(1, 1), (1, 2)})),
-    }
-    assert len({c.id for c in clusters}) == len(clusters)
+    # one id per cluster, counted in row-major order of first sites
+    assert clusters.labels.tolist() == [0, 0, -1, -1, 1, 1]
+    assert [AXES[k] for k in clusters.axes.tolist()] == ["z", "y"]
+    assert clusters.sizes.tolist() == [2, 2]
 
 
 def test_no_clusters_without_matched_bonds():
@@ -58,7 +58,7 @@ def test_flag_off_limits_double_join():
     pairs = flag_off_limits(lat, clusters)
     assert len(pairs) == 1
     p = pairs[0]
-    assert len(p.bonds) == 2
+    assert len(p.joins) == 2
     assert p.disabled in (p.first, p.second)
     assert disabled_ids(pairs) == frozenset({p.disabled})
 
@@ -174,6 +174,93 @@ def test_hanging_branches_lie_in_small_root_clusters():
                     elif label[i] >= 0:  # a wire or junction site
                         assert clusters.sizes[label[i]] <= RENORM_SITE_CAP
     assert routed and extensions and oversized
+
+
+@pytest.mark.parametrize(
+    "corner,detail",
+    [
+        # (0, 4) x: the stem (0, 4)-(1, 4) ends on the branch, and phase
+        # two meets that stem from the branch side first
+        ("x", "extension (1, 4) touches interior site (0, 4)"),
+        # (0, 4) y: the branch hangs from (0, 2) and from (0, 4)
+        ("y", "cluster branch at (0, 2) reattaches to the backbone"),
+    ],
+)
+def test_stem_onto_a_hanging_branch_is_a_cluster_loop(corner, detail):
+    # the wire runs along row 0; the y branch (1, 2)-(1, 3)-(1, 4) hangs
+    # from (0, 2), and its site (1, 4) lies below backbone site (0, 4)
+    lat, asg = _assignment([f"zxyz{corner}", "xzyyy"])
+    clusters = find_clusters(lat, matched_mask(lat, asg), asg)
+    circuit = CircuitSpec(1, (Init(0), Readout(0)))
+    bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=2)
+    assert bb == RoutingFailure("cluster-loop", detail)
+
+
+def test_stems_end_on_free_sites_outside_interior_clusters():
+    # why _assemble needs no associate-unavailable or off-limits-leak
+    # check. A stem's far end is never interior: phase one returns
+    # backbone-adjacency before a stem can end on the backbone, and phase
+    # two returns cluster-loop before one can end on an extension (the
+    # test above). Every matched neighbour of an interior site is interior
+    # (a junction uses all three legs, a hanging branch is a whole matched
+    # component minus the backbone), so a cluster holding an interior site
+    # holds only interior sites, and no associate lies in one.
+    identity = CircuitSpec(1, (Init(0), Readout(0)))
+    routed = associates = 0
+    for rows, cols in ((4, 8), (8, 16), (20, 40)):
+        lat = build_lattice(rows, cols)
+        for seed in range(100):
+            asg = stage1_sample(lat, None, "iid", seed)
+            clusters = find_clusters(lat, matched_mask(lat, asg), asg)
+            disabled = disabled_ids(flag_off_limits(lat, clusters))
+            bb = route_backbone(
+                lat, asg, clusters, disabled, identity,
+                auto_spacing(lat, identity),
+            )
+            if isinstance(bb, RoutingFailure):
+                continue
+            routed += 1
+            labels = clusters.labels
+            interior = np.zeros(lat.n_sites, dtype=bool)
+            for site, role in bb.roles.items():
+                if not isinstance(role, Associate):
+                    interior[lat.site_index(site)] = True
+            tied = np.unique(labels[interior & (labels >= 0)])
+            assert interior[np.isin(labels, tied)].all()
+            # the audit checks the stems of backbone sites; those of
+            # extension sites end on associates too
+            code, table = asg.codes(lat), lat.neighbor_table()
+            for site, role in bb.roles.items():
+                if not isinstance(role, ClusterExtension):
+                    continue
+                i = lat.site_index(site)
+                for n in table[i]:
+                    if n >= 0 and code[n] != code[i]:
+                        associates += 1
+                        assert not interior[n]
+                        far = bb.roles[divmod(n, lat.cols)]
+                        assert isinstance(far, Associate)
+    assert routed > 50 and associates > 0
+
+
+def test_audit_rejects_wrong_junction_axes():
+    # compile_plan has no junction-axes check: the audit holds it
+    lat, asg = _assignment(["yzzz", "xzzx", "zxzz"])
+    circuit = CircuitSpec(
+        2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
+    )
+    clusters = find_clusters(lat, matched_mask(lat, asg), asg)
+    bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=2)
+    (pair,) = bb.junctions
+    flipped = AxisAssignment(
+        {**asg.axes, pair.control: "y", pair.target: "z"}
+    )
+    problems = audit_backbone(
+        lat, flipped, bb, circuit,
+        find_clusters(lat, matched_mask(lat, flipped), flipped), frozenset(),
+    )
+    assert f"control junction {pair.control} is not z-axis" in problems
+    assert f"target junction {pair.target} is not x-axis" in problems
 
 
 def test_backbone_json_grid():
