@@ -11,20 +11,25 @@ corrected boundary bit at the left end of each wire.
 Compilation failures, like routing failures, are values: the caller's
 remedy is a fresh stage-one sample.
 
+A widget whose third leg enters a matched cluster reads the cluster's
+renormalized bit. ``compile_plan`` folds each such hanging branch once, on
+GF(2) forms, so every reference in a plan is a parity: a constant bit xor
+the outcomes of a fixed tuple of sites.
+
 Stage 2 has one runtime and one step. ``_Runtime`` holds what a walk over
 a plan reads: it gives each site's two outcome rows, sign-adapted to the
-frame, and settles each completed event into the frame. ``_step`` turns
-one site's two effect weights into outcome probabilities on the qubit
-state of a routed axis pattern (:class:`DenseEngine`, built once per
-walk). ``_drive`` samples one path with them; ``protocol_branches``
-enumerates every path.
+frame, and settles each completed event into the frame from the stored
+parities. ``_step`` turns one site's two effect weights into outcome
+probabilities on the qubit state of a routed axis pattern
+(:class:`DenseEngine`, built once per walk). ``_drive`` samples one path
+with them; ``protocol_branches`` enumerates every path.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,8 +221,10 @@ def byproduct_indices(mu: str, b: int, c: int) -> tuple[int, int]:
 
     ``b`` is the widget's own outcome, ``c`` the reference bit delivered on
     its third leg. The exponents depend only on b xor c and the widget axis.
+    Bits may also be GF(2) forms held as ints (see ``compile_plan``): xor
+    then adds forms, and a constant 1 flips their bit 0.
     """
-    s = (b ^ c) & 1
+    s = b ^ c
     if mu == "x":
         return s, 1
     if mu == "y":
@@ -352,9 +359,7 @@ def _bfs_path(neighbors, start: Site, goal: Site, avoid: Site) -> list[Site]:
     raise ProtocolError(f"matched loop through {avoid} does not close")
 
 
-def _fold_site(
-    ctx: _FoldCtx, site: Site, parent: Site, seen: set[Site]
-) -> tuple[str, int]:
+def _fold_site(ctx: _FoldCtx, site: Site, parent: Site) -> tuple[str, int]:
     """Fold the matched subgraph hanging at ``site`` into (nu, bit).
 
     Each tree site consumes exactly two inputs (folded children and
@@ -363,17 +368,16 @@ def _fold_site(
     children close a cycle through this site, the whole loop collapses by
     the loop rule instead and this site keeps its leg toward ``parent``.
     """
-    seen.add(site)
     ctx.member_sites.append(site)
     children = sorted(n for n in ctx.matched(site) if n != parent)
     if len(children) == 2:
         comp = _component(ctx.matched, children[0], avoid=site)
         if children[1] in comp:
-            return _fold_cycle(ctx, site, children, seen)
+            return _fold_cycle(ctx, site, children)
     stems = _stem_inputs(ctx, site)
     inputs: list[tuple[str, int]] = []
     for child in children:
-        inputs.append(_fold_site(ctx, child, site, seen))
+        inputs.append(_fold_site(ctx, child, site))
     for axis, bit, n in stems:
         inputs.append((axis, bit))
         if n is not None:
@@ -397,7 +401,7 @@ def _fold_site(
 
 
 def _fold_cycle(
-    ctx: _FoldCtx, zeroth: Site, pair: list[Site], seen: set[Site]
+    ctx: _FoldCtx, zeroth: Site, pair: list[Site]
 ) -> tuple[str, int]:
     """Fold a matched loop closing through ``zeroth`` into (nu, bit).
 
@@ -413,7 +417,6 @@ def _fold_cycle(
     ring = set(cycle)
     sx = sz = 0
     for i, k in enumerate(cycle[1:], start=1):
-        seen.add(k)
         ctx.member_sites.append(k)
         around = {cycle[i - 1], cycle[(i + 1) % len(cycle)]}
         side = [n for n in ctx.matched(k) if n not in around]
@@ -423,7 +426,7 @@ def _fold_cycle(
         if side:
             if len(side) != 1 or stems:
                 raise ProtocolError(f"loop site {k} is overconnected")
-            nu_p, c_p = _fold_site(ctx, side[0], k, seen)
+            nu_p, c_p = _fold_site(ctx, side[0], k)
         else:
             if len(stems) != 1:
                 raise ProtocolError(f"loop site {k} needs exactly one stem")
@@ -449,6 +452,12 @@ def _fold_branch(
     term: BoundaryTermination | None,
     bit_of,
 ) -> tuple[str, int, _FoldCtx]:
+    """Fold the hanging branch entered at ``first`` from widget ``root``.
+
+    Returns the frame and bit the branch delivers to ``root``, and the
+    context listing the branch's sites and their associates. ``bit_of``
+    gives each outcome: a 0/1 bit, or a GF(2) form held as an int.
+    """
     ctx = _FoldCtx(
         lattice=lattice,
         assignment=assignment,
@@ -460,7 +469,7 @@ def _fold_branch(
         assoc_sites=[],
         member_sites=[],
     )
-    nu, cbar = _fold_site(ctx, first, root, set())
+    nu, cbar = _fold_site(ctx, first, root)
     return nu, cbar, ctx
 
 
@@ -469,13 +478,17 @@ def _fold_branch(
 
 @dataclass(frozen=True)
 class Reference:
-    """Where an interior widget's reference bit comes from at run time."""
+    """The reference bit an interior widget reads on its third leg.
 
-    kind: str  # "associate" | "termination" | "branch"
+    The bit is a parity fixed at compile time: ``bit`` xor the stage-2
+    outcomes of ``sites``, in the frame ``axis``. A pinned boundary leg
+    gives a constant (no sites), a standard associate its own outcome, and
+    a hanging branch the affine form its fold reduces to.
+    """
+
     axis: str
-    site: Site | None = None  # associate site
-    bit: int = 0  # termination label, already role-adjusted
-    first: Site | None = None  # branch entry site
+    bit: int
+    sites: tuple[Site, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -485,9 +498,7 @@ class PlanSite:
     axis: str
     partner_axis: str | None = None
     theta: float = 0.0
-    role: str = "sea"
     wire: int | None = None
-    gate: int | None = None  # circuit index, set for adapted rotations
 
 
 @dataclass(frozen=True)
@@ -495,7 +506,7 @@ class FrameEvent:
     kind: str  # "init" | "widget" | "cnot" | "readout"
     sites: tuple[Site, ...]
     wire: int | None = None
-    gate: int | None = None
+    gate: int | None = None  # circuit index of a "cnot" event
 
 
 @dataclass(frozen=True)
@@ -509,68 +520,19 @@ class MeasurementPlan:
     """Ordered per-site bases plus the frame bookkeeping schedule.
 
     ``order`` covers every lattice site exactly once; ``finalize[i]`` names
-    the frame event completed by measuring ``order[i]``. ``depends`` has an
-    entry only for runtime-adapted rotation sites: the outcomes feeding
-    their sign. Fiducial sites never acquire incoming edges.
+    the frame event completed by measuring ``order[i]``. ``reference``
+    gives each interior widget (backbone and link sites, not extensions)
+    the parity its reference bit is read from; every site of that parity
+    is measured before the widget's event completes.
     """
 
     order: tuple[PlanSite, ...]
     finalize: tuple[int | None, ...]
     events: tuple[FrameEvent, ...]
     reference: dict[Site, Reference]
-    depends: dict[Site, frozenset[Site]]
     init_sites: dict[int, Site]
     readout_sites: dict[int, Site]
     wires: int
-
-    def interior_sites(self) -> frozenset[Site]:
-        return frozenset(
-            ps.site for ps in self.order if ps.kind == "complementary"
-        )
-
-    def to_json(self) -> dict:
-        sites = []
-        for ps, fin in zip(self.order, self.finalize):
-            entry = {
-                "site": list(ps.site),
-                "kind": ps.kind,
-                "axis": ps.axis,
-                "role": ps.role,
-            }
-            if ps.partner_axis is not None:
-                entry["partner_axis"] = ps.partner_axis
-            if ps.theta:
-                entry["theta"] = ps.theta
-            if ps.wire is not None:
-                entry["wire"] = ps.wire
-            if fin is not None:
-                entry["completes_event"] = fin
-            sites.append(entry)
-        events = [
-            {
-                "kind": ev.kind,
-                "sites": [list(s) for s in ev.sites],
-                "wire": ev.wire,
-                "gate": ev.gate,
-            }
-            for ev in self.events
-        ]
-        return {
-            "format_version": FORMAT_VERSION,
-            "wires": self.wires,
-            "order": sites,
-            "events": events,
-            "depends": [
-                {"site": list(s), "needs": sorted(list(x) for x in deps)}
-                for s, deps in sorted(self.depends.items())
-            ],
-            "init_sites": {
-                str(w): list(s) for w, s in sorted(self.init_sites.items())
-            },
-            "readout_sites": {
-                str(w): list(s) for w, s in sorted(self.readout_sites.items())
-            },
-        }
 
 
 def compile_plan(
@@ -588,6 +550,10 @@ def compile_plan(
     z-axis site past the last gate takes the readout. Everything between
     becomes a fiducial identity widget; everything off the protocol stays
     standard. Failures are values, the caller resamples.
+
+    A hanging branch is folded here, once, on GF(2) forms: site ``x``'s
+    outcome is the int ``2 << site_index(x)`` and bit 0 holds the constant,
+    so the fold's xors return the widget's reference as one parity.
     """
     try:
         circuit.validate()
@@ -595,21 +561,16 @@ def compile_plan(
         return CompileFailure("bad-circuit", str(exc))
 
     wires = backbone.wires
-    junction_kind: dict[Site, str] = {}
-    for j in backbone.junctions:
-        junction_kind[j.control] = "control"
-        junction_kind[j.target] = "target"
+    junctions = {s for j in backbone.junctions for s in (j.control, j.target)}
     adj = _backbone_adjacency(list(wires), list(backbone.junctions))
     backbone_set = backbone.backbone_sites()
     extensions: set[Site] = set()
 
-    placed: dict[Site, PlanSite] = {}
+    placed: set[Site] = set()
     emitted: list[PlanSite] = []
     finalize: list[int | None] = []
     events: list[FrameEvent] = []
     reference: dict[Site, Reference] = {}
-    depends: dict[Site, frozenset[Site]] = {}
-    cones: list[set[Site]] = [set() for _ in range(circuit.wires)]
     init_sites: dict[int, Site] = {}
     readout_sites: dict[int, Site] = {}
 
@@ -618,15 +579,15 @@ def compile_plan(
             if fin is not None:
                 raise ProtocolError(f"{ps.site} measured twice")
             return
-        placed[ps.site] = ps
+        placed.add(ps.site)
         emitted.append(ps)
         finalize.append(fin)
 
-    def resolve(s: Site) -> tuple[Reference, list[Site]] | CompileFailure:
-        """Record the reference feeding widget ``s`` and emit its sources.
+    def form_bit(x: Site) -> int:
+        return 2 << lattice.site_index(x)
 
-        Returns the reference and every site its bit is read from.
-        """
+    def resolve(s: Site) -> Reference | CompileFailure:
+        """Record the reference feeding widget ``s`` and emit its sources."""
         free = [
             leg
             for leg in Leg
@@ -653,58 +614,44 @@ def compile_plan(
                     "rank-deficient",
                     f"boundary frame at {s} matches its axis {mu}",
                 )
-            ref, ref_sites = Reference("termination", axis, bit=bit), []
+            ref = Reference(axis, bit)
         elif assignment[n] != mu:
-            emit(PlanSite(n, "standard", assignment[n], role="associate"))
-            ref, ref_sites = Reference("associate", assignment[n], site=n), [n]
+            emit(PlanSite(n, "standard", assignment[n]))
+            ref = Reference(assignment[n], 0, (n,))
         else:
             try:
-                nu, _, ctx = _fold_branch(
+                nu, form, ctx = _fold_branch(
                     lattice,
                     assignment,
                     n,
                     s,
                     frozenset(backbone_set | extensions),
                     term,
-                    lambda _s: 0,
+                    form_bit,
                 )
             except ProtocolError as exc:
                 return CompileFailure("branch-fold", str(exc))
             extensions.update(ctx.member_sites)
-            ref_sites = []
             for a in ctx.assoc_sites:
-                emit(PlanSite(a, "standard", assignment[a], role="associate"))
-                ref_sites.append(a)
+                emit(PlanSite(a, "standard", assignment[a]))
             for e in ctx.member_sites:
-                emit(
-                    PlanSite(
-                        e,
-                        "complementary",
-                        mu,
-                        partner_axis=ctx.nu_map[e],
-                        role="extension",
-                    )
-                )
-                ref_sites.append(e)
-            ref = Reference("branch", nu, first=n)
+                nu_e = ctx.nu_map[e]
+                emit(PlanSite(e, "complementary", mu, partner_axis=nu_e))
+            sources = dict.fromkeys(ctx.member_sites + ctx.assoc_sites)
+            ref = Reference(
+                nu, form & 1, tuple(x for x in sources if form & form_bit(x))
+            )
         reference[s] = ref
-        return ref, ref_sites
+        return ref
 
     def emit_widget(
-        s: Site,
-        w: int,
-        theta: float = 0.0,
-        gate: int | None = None,
-        role: str = "widget",
+        s: Site, w: int, theta: float = 0.0
     ) -> CompileFailure | None:
-        res = resolve(s)
-        if isinstance(res, CompileFailure):
-            return res
-        ref, ref_sites = res
-        if theta != 0.0:
-            depends[s] = frozenset(cones[w])
+        ref = resolve(s)
+        if isinstance(ref, CompileFailure):
+            return ref
         ev = len(events)
-        events.append(FrameEvent("widget", (s,), wire=w, gate=gate))
+        events.append(FrameEvent("widget", (s,), wire=w))
         emit(
             PlanSite(
                 s,
@@ -712,14 +659,10 @@ def compile_plan(
                 assignment[s],
                 partner_axis=ref.axis,
                 theta=theta,
-                role=role,
                 wire=w,
-                gate=gate,
             ),
             fin=ev,
         )
-        cones[w].add(s)
-        cones[w].update(ref_sites)
         return None
 
     pos = [0] * circuit.wires
@@ -740,7 +683,7 @@ def compile_plan(
             if stop(s):
                 pos[w] = i + 1
                 return i
-            if s in junction_kind:
+            if s in junctions:
                 return CompileFailure(
                     "junction-misordered",
                     f"wire {w} meets junction {s} out of circuit order",
@@ -751,7 +694,7 @@ def compile_plan(
         return missing
 
     def axis_site(axis: str):
-        return lambda s: s not in junction_kind and assignment[s] == axis
+        return lambda s: s not in junctions and assignment[s] == axis
 
     jcount = 0
     for gidx, gate in enumerate(circuit.gates):
@@ -761,18 +704,15 @@ def compile_plan(
                 w,
                 axis_site("z"),
                 CompileFailure("no-input-site", f"wire {w}"),
-                fill=lambda s: emit(
-                    PlanSite(s, "standard", assignment[s], role="pre", wire=w)
-                ),
+                fill=lambda s: emit(PlanSite(s, "standard", assignment[s])),
             )
             if isinstance(found, CompileFailure):
                 return found
             s = wires[w][found]
             ev = len(events)
-            events.append(FrameEvent("init", (s,), wire=w, gate=gidx))
-            emit(PlanSite(s, "standard", "z", role="init", wire=w), fin=ev)
+            events.append(FrameEvent("init", (s,), wire=w))
+            emit(PlanSite(s, "standard", "z"), fin=ev)
             init_sites[w] = s
-            cones[w] = {s}
         elif isinstance(gate, (Rz, Rx)):
             w = gate.wire
             axis = "z" if isinstance(gate, Rz) else "x"
@@ -785,9 +725,7 @@ def compile_plan(
             )
             if isinstance(found, CompileFailure):
                 return found
-            bad = emit_widget(
-                wires[w][found], w, theta=gate.theta, gate=gidx, role="rotation"
-            )
+            bad = emit_widget(wires[w][found], w, theta=gate.theta)
             if bad is not None:
                 return bad
         elif isinstance(gate, CNOT):
@@ -807,23 +745,13 @@ def compile_plan(
                 )
                 if isinstance(found, CompileFailure):
                     return found
-            link_refs: list[Site] = []
             link_sites: list[PlanSite] = []
             for k in jp.link:
-                res = resolve(k)
-                if isinstance(res, CompileFailure):
-                    return res
-                ref, ref_sites = res
-                link_refs.extend(ref_sites)
+                ref = resolve(k)
+                if isinstance(ref, CompileFailure):
+                    return ref
                 link_sites.append(
-                    PlanSite(
-                        k,
-                        "complementary",
-                        assignment[k],
-                        partner_axis=ref.axis,
-                        role="link",
-                        gate=gidx,
-                    )
+                    PlanSite(k, "complementary", assignment[k], ref.axis)
                 )
             ev = len(events)
             events.append(
@@ -831,40 +759,13 @@ def compile_plan(
                     "cnot", (jp.control, *jp.link, jp.target), gate=gidx
                 )
             )
-            emit(
-                PlanSite(
-                    jp.control,
-                    "complementary",
-                    "z",
-                    partner_axis="x",
-                    role="junction-control",
-                    wire=gate.control,
-                    gate=gidx,
-                )
-            )
+            emit(PlanSite(jp.control, "complementary", "z", partner_axis="x"))
             for ps in link_sites:
                 emit(ps)
             emit(
-                PlanSite(
-                    jp.target,
-                    "complementary",
-                    "x",
-                    partner_axis="z",
-                    role="junction-target",
-                    wire=gate.target,
-                    gate=gidx,
-                ),
+                PlanSite(jp.target, "complementary", "x", partner_axis="z"),
                 fin=ev,
             )
-            shared = (
-                cones[gate.control]
-                | cones[gate.target]
-                | {jp.control, jp.target}
-                | set(jp.link)
-                | set(link_refs)
-            )
-            cones[gate.control] = set(shared)
-            cones[gate.target] = set(shared)
         else:  # Readout
             w, path = gate.wire, wires[gate.wire]
             found = walk(
@@ -895,14 +796,14 @@ def compile_plan(
                         f"wire {w} readout {s} copies into {n}",
                     )
             ev = len(events)
-            events.append(FrameEvent("readout", (s,), wire=w, gate=gidx))
-            emit(PlanSite(s, "standard", "z", role="readout", wire=w), fin=ev)
+            events.append(FrameEvent("readout", (s,), wire=w))
+            emit(PlanSite(s, "standard", "z"), fin=ev)
             readout_sites[w] = s
             for t in path[found + 1 :]:
-                emit(PlanSite(t, "standard", assignment[t], role="post", wire=w))
+                emit(PlanSite(t, "standard", assignment[t]))
 
     sea = [
-        PlanSite(s, "standard", assignment[s], role="sea")
+        PlanSite(s, "standard", assignment[s])
         for s in lattice.sites()
         if s not in placed
     ]
@@ -911,7 +812,6 @@ def compile_plan(
         finalize=tuple([None] * len(sea)) + tuple(finalize),
         events=tuple(events),
         reference=reference,
-        depends=depends,
         init_sites=init_sites,
         readout_sites=readout_sites,
         wires=circuit.wires,
@@ -952,17 +852,13 @@ def interpret_readout(
 
 @dataclass(frozen=True)
 class _Runtime:
-    """What stage 2 reads while it walks a plan, built once per walk."""
+    """What stage 2 reads while it walks a plan: the plan, its circuit and
+    the widget axes. It folds nothing: every reference is a stored parity.
+    """
 
-    lattice: HexLattice
     assignment: AxisAssignment
     plan: MeasurementPlan
     circuit: CircuitSpec
-    term: BoundaryTermination
-    interior: frozenset[Site] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "interior", self.plan.interior_sites())
 
     def rows(self, ps: PlanSite, frame: ByproductFrame) -> list[np.ndarray]:
         """The two outcome rows of ``ps``; rotations adapt to ``frame``."""
@@ -989,25 +885,9 @@ class _Runtime:
 
         def exponents(s: Site) -> tuple[int, int]:
             ref = self.plan.reference[s]
-            if ref.kind == "associate":
-                c = outcomes[ref.site]
-            elif ref.kind == "termination":
-                c = ref.bit
-            else:
-                nu, c, _ = _fold_branch(
-                    self.lattice,
-                    self.assignment,
-                    ref.first,
-                    s,
-                    self.interior,
-                    self.term,
-                    outcomes.__getitem__,
-                )
-                if nu != ref.axis:
-                    raise ProtocolError(
-                        f"branch at {s} folded into frame {nu}, "
-                        f"plan says {ref.axis}"
-                    )
+            c = ref.bit
+            for x in ref.sites:
+                c ^= outcomes[x]
             return byproduct_indices(self.assignment[s], outcomes[s], c)
 
         if ev.kind == "init":
@@ -1054,11 +934,9 @@ def _step(
 
 
 def _drive(
-    lattice: HexLattice,
     assignment: AxisAssignment,
     plan: MeasurementPlan,
     circuit: CircuitSpec,
-    term: BoundaryTermination,
     engine: DenseEngine | None,
     rng: np.random.Generator,
 ) -> tuple[RunRecord, ByproductFrame, list[dict]]:
@@ -1071,7 +949,7 @@ def _drive(
     lattice size, but carry no circuit information, so only the
     bookkeeping, not the logical statistics, is faithful.
     """
-    rt = _Runtime(lattice, assignment, plan, circuit, term)
+    rt = _Runtime(assignment, plan, circuit)
     frame = ByproductFrame.zero(plan.wires)
     outcomes: dict[Site, int] = {}
     steps: list[StepOutcome] = []
@@ -1119,7 +997,7 @@ def protocol_branches(
     lighter than ``min_probability`` are dropped; the survivors' weights
     still sum to 1 up to that cutoff.
     """
-    rt = _Runtime(lattice, assignment, plan, circuit, term)
+    rt = _Runtime(assignment, plan, circuit)
     out: list[ProtocolBranch] = []
 
     def descend(engine, idx, frame, outcomes, prob):
@@ -1324,13 +1202,7 @@ def run_protocol(
         exact = mode is SampleMode.EXACT
         engine = DenseEngine(lattice, assignment, term) if exact else None
         record, frame, snaps = _drive(
-            lattice,
-            assignment,
-            plan,
-            circuit,
-            term,
-            engine,
-            np.random.default_rng(seed2),
+            assignment, plan, circuit, engine, np.random.default_rng(seed2)
         )
         return ProtocolResult(
             outcome=interpret_readout(record.readouts, frame),

@@ -310,3 +310,27 @@ def test_iid_route_matches_parent_digest(
     assert code == (0 if stream == "out" else 2)
     text = getattr(capsys.readouterr(), stream)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of `run --mode iid` stdout as written by the parent of the change
+# that folds each hanging branch once, at compile time (commit 58d06a2):
+# plans whose widgets read folded branches, 6 of them in the 8x16 CNOT run
+# and 4 in the 20x40 identity run.
+PARENT_FOLD_DIGESTS = [
+    ("8x16", "4", "cnot",
+     "ef708ba47b6302097ca47d240b695aac4026be4ca4b5d3605b9222c3679e1314"),
+    ("20x40", "12", "identity",
+     "0db2b8a3bdc1b44d04bb553cbb7e704c89a33bd66a295c1316a8bd4581027beb"),
+]
+
+
+@pytest.mark.parametrize("size,seed,circuit,digest", PARENT_FOLD_DIGESTS)
+def test_iid_folded_run_matches_parent_digest(
+    capsys, request, size, seed, circuit, digest
+):
+    path = request.getfixturevalue(f"{circuit}_circuit")
+    code = cli.main(["run", "--mode", "iid", "--lattice", size, "--seed",
+                     seed, "--circuit", path])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -26,6 +27,7 @@ from akltmqc.logic import (
     Readout,
     Rx,
     Rz,
+    _fold_branch,
     adapt_angle,
     auto_spacing,
     byproduct_indices,
@@ -36,7 +38,11 @@ from akltmqc.logic import (
     run_protocol,
 )
 from akltmqc.oracle import reference_circuit_sim, tv_distance
-from akltmqc.router import RoutingFailure
+from akltmqc.router import (
+    ClusterExtension,
+    RoutingFailure,
+    _backbone_adjacency,
+)
 from akltmqc.sampler import AxisAssignment, stage1_sample
 from akltmqc.tensors import physical_basis, povm_element, virtual_bra
 
@@ -189,48 +195,136 @@ def test_compile_rejects_a_junction_out_of_circuit_order():
     )
 
 
+CNOT_CIRCUIT = CircuitSpec(
+    2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
+)
+
+
+@functools.cache
+def _census():
+    """(lattice, assignment, term, backbone, plan) of every routed plan in a
+    census: iid seeds 0-79 on 2x6 to 20x40 with z and x pins, for the
+    identity and rotation circuits; the one-CNOT 8x16 runs of root seeds
+    4, 5 and 11; and the criterion-6 fixtures."""
+    out = []
+    for rows, cols in ((2, 6), (3, 6), (4, 8), (8, 16), (20, 40)):
+        lat = build_lattice(rows, cols)
+        for pin in ("z", "x"):
+            term = BoundaryTermination(axis=pin)
+            for seed in range(80):
+                asg = stage1_sample(lat, None, "iid", seed)
+                for circuit in (IDENTITY, ROTATIONS):
+                    prep = prepare_protocol(lat, asg, circuit, term)
+                    if not isinstance(prep, (RoutingFailure, CompileFailure)):
+                        out.append((lat, asg, term, *prep))
+    lat, term = build_lattice(8, 16), BoundaryTermination(axis="x")
+    for seed in (4, 5, 11):
+        res = run_protocol(lat, term, CNOT_CIRCUIT, seed, mode="iid")
+        out.append((lat, res.assignment, term, res.backbone, res.plan))
+    for _, lat, asg, term, circuit, spacing in e2e_fixtures():
+        prep = prepare_protocol(lat, asg, circuit, term, spacing)
+        out.append((lat, asg, term, *prep))
+    return out
+
+
+def _fold_entries(lat, asg, backbone, plan):
+    """{widget: entry site} for every reference fed by a fold: the entry is
+    the widget's neighbour on its free leg, when it shares the widget's
+    axis."""
+    adj = _backbone_adjacency(list(backbone.wires), list(backbone.junctions))
+    out = {}
+    for s in plan.reference:
+        [n] = [
+            lat.neighbor(s, leg)
+            for leg in Leg
+            if lat.neighbor(s, leg) not in adj[s]
+        ]
+        if n is not None and asg[n] == asg[s]:
+            out[s] = n
+    return out
+
+
 def test_compile_invariants_held_by_routing():
     # compile_plan has no coverage, associate-clash or branch-clash check:
     # it trusts three facts about a routed, audited backbone.
     # - Every lattice site lands in the plan once (coverage): the sea is
     #   the complement of the placed sites, and the audit's jump and band
     #   checks keep every backbone site on the lattice.
-    # - A widget's associate is a standard site, never interior
-    #   (associate-clash): _assemble's backbone-adjacency (a stem onto the
-    #   backbone) and its phase-two cluster-loop (a stem onto an
-    #   extension) come first.
+    # - A reference reads standard sites, or sites of its own hanging
+    #   branch, never another interior site (associate-clash):
+    #   _assemble's backbone-adjacency (a stem onto the backbone) and its
+    #   phase-two cluster-loop (a stem onto an extension) come first.
     # - A hanging branch is folded from one root only (branch-clash): a
     #   branch that reaches the backbone twice is _assemble's phase-one
     #   cluster-loop ("reattaches"), and the audit's loop rank counts it.
+    #   So the root recorded on a fold's entry site is the folding widget.
     # Nor has it a junction-axes check: that is the audit's "is not
     # z-axis" / "is not x-axis" (tests/test_router.py).
-    plans = []
-    for rows, cols in ((4, 8), (8, 16)):
-        lat = build_lattice(rows, cols)
-        for seed in range(60):
-            asg = stage1_sample(lat, None, "iid", seed)
-            for circuit in (IDENTITY, ROTATIONS):
-                prep = prepare_protocol(
-                    lat, asg, circuit, BoundaryTermination(axis="x")
-                )
-                if not isinstance(prep, (RoutingFailure, CompileFailure)):
-                    plans.append((lat, prep[1]))
-    for _, lat, asg, term, circuit, spacing in e2e_fixtures():
-        plans.append(
-            (lat, prepare_protocol(lat, asg, circuit, term, spacing)[1])
-        )
-    branches = 0
-    for lat, plan in plans:
+    plans = _census()
+    folds = 0
+    for lat, asg, _, backbone, plan in plans:
         assert sorted(ps.site for ps in plan.order) == list(lat.sites())
         kind = {ps.site: ps.kind for ps in plan.order}
-        refs = plan.reference.values()
-        firsts = [r.first for r in refs if r.kind == "branch"]
-        assert len(set(firsts)) == len(firsts)
-        branches += len(firsts)
-        for ref in refs:
-            if ref.kind == "associate":
-                assert kind[ref.site] == "standard"
-    assert len(plans) > 20 and branches > 0
+        entries = _fold_entries(lat, asg, backbone, plan)
+        folds += len(entries)
+        for s, n in entries.items():
+            assert backbone.roles[n] == ClusterExtension(root=s)
+        for s, ref in plan.reference.items():
+            for x in ref.sites:
+                assert kind[x] == "standard" or (
+                    s in entries
+                    and backbone.roles[x] == ClusterExtension(root=s)
+                )
+    assert len(plans) > 150 and folds > 50
+
+
+def _parity(ref, outcomes):
+    c = ref.bit
+    for x in ref.sites:
+        c ^= outcomes[x]
+    return c
+
+
+def test_fold_references_are_parities():
+    # the parity compile_plan stores for a hanging branch is the fold that
+    # stage 2 would compute on the outcomes, for any outcomes
+    rng = np.random.default_rng(13)
+    checked = 0
+    for lat, asg, term, backbone, plan in _census():
+        interior = frozenset(
+            ps.site for ps in plan.order if ps.kind == "complementary"
+        )
+        for s, n in _fold_entries(lat, asg, backbone, plan).items():
+            ref = plan.reference[s]
+            for _ in range(8):
+                bits = rng.integers(0, 2, lat.n_sites).tolist()
+                outcomes = dict(zip(lat.sites(), bits))
+                nu, c, _ = _fold_branch(
+                    lat, asg, n, s, interior, term, outcomes.__getitem__
+                )
+                assert (ref.axis, _parity(ref, outcomes)) == (nu, c)
+            checked += 1
+    assert checked > 50
+
+
+def test_events_read_only_earlier_non_readout_sites():
+    # every site an event reads (its own sites and their references'
+    # parities) is measured no later than the site completing it, and no
+    # reference reads a readout, so the readouts can be measured last
+    for _, _, _, _, plan in _census():
+        position = {ps.site: i for i, ps in enumerate(plan.order)}
+        readouts = set(plan.readout_sites.values())
+        for idx, fin in enumerate(plan.finalize):
+            if fin is None:
+                continue
+            ev = plan.events[fin]
+            reads = set(ev.sites)
+            for s in ev.sites:
+                if s in plan.reference:
+                    reads.update(plan.reference[s].sites)
+            assert max(position[x] for x in reads) <= idx
+        for ref in plan.reference.values():
+            assert not readouts & set(ref.sites)
 
 
 def test_identity_plan_layout():
@@ -244,15 +338,29 @@ def test_identity_plan_layout():
     assert kinds[(0, 3)] == "complementary"
 
 
+def _folded_identity_case(rows, cols, seed):
+    """An x-pinned iid pattern whose identity plan reads a folded branch:
+    2x6 seed 21 (256 branches) and 3x5 seed 18 (512 branches)."""
+    lat, term = build_lattice(rows, cols), BoundaryTermination(axis="x")
+    asg = stage1_sample(lat, None, "iid", seed)
+    backbone, plan = prepare_protocol(lat, asg, IDENTITY, term)
+    assert _fold_entries(lat, asg, backbone, plan)
+    return lat, asg, term, plan
+
+
 def test_identity_branches_decoupled():
     lat, asg = _fixture(["yxzxz", "xyxyx"])
     term = BoundaryTermination()
     _, plan = prepare_protocol(lat, asg, IDENTITY, term)
-    branches = protocol_branches(lat, asg, plan, IDENTITY, term)
-    assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-9)
+    cases = [(lat, asg, term, plan)]
+    cases += [_folded_identity_case(*c) for c in ((2, 6, 21), (3, 5, 18))]
     reference = reference_circuit_sim(IDENTITY)
-    for _, dist in conditional_logical_table(branches, plan):
-        assert tv_distance(dist, reference) < 1e-8
+    for lat, asg, term, plan in cases:
+        branches = protocol_branches(lat, asg, plan, IDENTITY, term)
+        total = sum(b.probability for b in branches)
+        assert total == pytest.approx(1.0, abs=1e-9)
+        for _, dist in conditional_logical_table(branches, plan):
+            assert tv_distance(dist, reference) < 1e-8
 
 
 def test_rotation_branches_decoupled():
@@ -547,6 +655,9 @@ def _branch_cases():
     name, lat, asg, term, circuit, spacing = e2e_fixtures()[0]
     assert name == "identity"
     cases = [(lat, asg, term, circuit, spacing)]
+    # a plan that reads a folded branch; 3x5 is over DENSE_SITE_CAP
+    lat, asg, term, _ = _folded_identity_case(2, 6, 21)
+    cases.append((lat, asg, term, IDENTITY, None))
     lat = build_lattice(2, 4)
     term = BoundaryTermination(axis="x")
     for circuit in (IDENTITY, ROTATION):
