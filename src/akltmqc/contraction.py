@@ -40,11 +40,12 @@ the (4, 2) isometry B_s = ``physical_basis(axis)[:, [0, 3]]``, with
 tensor sqrt(2/3) B_s^dagger A_s (the factor of ``povm_element``), so the
 state has 2^n amplitudes, one axis per site in sweep order, index values
 0 and 1 being +3/2 and -3/2 along the site's axis. It is capped at
-``QUBIT_SITE_CAP`` sites. :func:`build_state` is the 4^n oracle the tests
-compare against, capped at ``DENSE_SITE_CAP``; its amplitudes have one
-axis of dimension 4 per site, ordered by ``lattice.site_index``, index
-values 0..3 being the physical basis states [+3/2, +1/2, -1/2, -3/2]
-along z.
+``QUBIT_SITE_CAP`` sites. :class:`BranchStack` stacks many branches of
+that state in one array and measures a site on all of them in one
+contraction. :func:`build_state` is the 4^n oracle the tests compare
+against, capped at ``DENSE_SITE_CAP``; its amplitudes have one axis of
+dimension 4 per site, ordered by ``lattice.site_index``, index values
+0..3 being the physical basis states [+3/2, +1/2, -1/2, -3/2] along z.
 
 Both engines take the same *actions* on a site: a Kraus operator (shape
 (4, 4); the site stays) or a projective row (shape (4,)). A Kraus
@@ -599,8 +600,9 @@ class DenseEngine:
 
     Built from ``assignment`` (site -> axis): each site keeps the (4, 2)
     isometry B_s of its axis pair, every action is compressed to that
-    pair, and every projection removes the site's index. Stage 2 and its
-    branch enumeration run on this engine.
+    pair, and every projection removes the site's index. Stage 2's
+    sampling walk runs on this engine; its branch enumeration stacks the
+    engine's state in a :class:`BranchStack`.
     """
 
     def __init__(
@@ -685,6 +687,51 @@ class DenseEngine:
         new.lattice, new._bases = self.lattice, self._bases
         new._amps, new._sites = self._acted(site, action)
         return new
+
+
+class BranchStack:
+    """Every live branch of a :class:`DenseEngine` state, in one array.
+
+    The B branches' amplitudes are stacked as ``(B, 2, ..., 2)``: axis 0
+    is the branch, the rest are the live sites in the engine's order.
+    :meth:`split` measures one site on every branch in one contraction and
+    :meth:`keep` makes the chosen children the new branches, so a walk over
+    a plan takes one array step per site instead of one copy per branch.
+    """
+
+    def __init__(self, engine: DenseEngine):
+        self._bases = engine._bases
+        self._sites = list(engine._sites)
+        self._amps = engine._amps[np.newaxis]
+        self._children: np.ndarray | None = None
+
+    def split(self, site: Site, rows: np.ndarray) -> np.ndarray:
+        """Measure ``site`` on every branch; the (B, 2) child weights.
+
+        ``rows`` is the site's pair of outcome rows: one (2, 4) pair shared
+        by every branch, or a (B, 2, 4) stack, a pair per branch. Each row
+        r acts as r B_s; a child's weight is its squared norm. The children
+        wait, flattened in (branch, outcome) order, for :meth:`keep`.
+        """
+        ax = self._sites.index(site) + 1
+        shape = self._amps.shape
+        amps = self._amps.reshape(shape[0], math.prod(shape[1:ax]), 2, -1)
+        pairs = np.asarray(rows) @ self._bases[site]
+        spec = "jk" if pairs.ndim == 2 else "ijk"
+        children = np.einsum(f"{spec},iakc->ijac", pairs, amps)
+        flat = children.reshape(shape[0], 2, -1)
+        weights = np.einsum("ijk,ijk->ij", flat.conj(), flat).real
+        self._children = children.reshape(-1, *shape[1:ax], *shape[ax + 1 :])
+        self._sites.remove(site)
+        return weights
+
+    def keep(self, picks: np.ndarray) -> None:
+        """Keep the children at flat indices ``picks`` (2 * branch + outcome),
+        in that order, as the new branches."""
+        children, self._children = self._children, None
+        if len(picks) < len(children):
+            children = children[picks]
+        self._amps = children
 
 
 class TracedEngine:

@@ -16,13 +16,16 @@ renormalized bit. ``compile_plan`` folds each such hanging branch once, on
 GF(2) forms, so every reference in a plan is a parity: a constant bit xor
 the outcomes of a fixed tuple of sites.
 
-Stage 2 has one runtime and one step. ``_Runtime`` holds what a walk over
-a plan reads: it gives each site's two outcome rows, sign-adapted to the
-frame, and settles each completed event into the frame from the stored
-parities. ``_step`` turns one site's two effect weights into outcome
-probabilities on the qubit state of a routed axis pattern
-(:class:`DenseEngine`, built once per walk). ``_drive`` samples one path
-with them; ``protocol_branches`` enumerates every path.
+Stage 2 has one runtime. ``_Runtime`` holds what a walk over a plan
+reads: it gives each site's two outcome rows, sign-adapted to the frame,
+and settles each completed event into the frame from the stored parities.
+Both walks run on the qubit state of a routed axis pattern
+(:class:`DenseEngine`, built once per walk). ``_drive`` samples one path:
+``_step`` turns one site's two effect weights into outcome probabilities.
+``protocol_branches`` enumerates every path level by level: the live
+branches share one stacked amplitude array (:class:`BranchStack`), each
+plan site is one batched step, and only frames and outcomes are kept per
+branch.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .contraction import (
     QUBIT_SITE_CAP,
     BoundaryTermination,
+    BranchStack,
     DenseEngine,
     StepOutcome,
     check_site_cap,
@@ -530,7 +535,6 @@ class MeasurementPlan:
     finalize: tuple[int | None, ...]
     events: tuple[FrameEvent, ...]
     reference: dict[Site, Reference]
-    init_sites: dict[int, Site]
     readout_sites: dict[int, Site]
     wires: int
 
@@ -571,7 +575,6 @@ def compile_plan(
     finalize: list[int | None] = []
     events: list[FrameEvent] = []
     reference: dict[Site, Reference] = {}
-    init_sites: dict[int, Site] = {}
     readout_sites: dict[int, Site] = {}
 
     def emit(ps: PlanSite, fin: int | None = None) -> None:
@@ -712,7 +715,6 @@ def compile_plan(
             ev = len(events)
             events.append(FrameEvent("init", (s,), wire=w))
             emit(PlanSite(s, "standard", "z"), fin=ev)
-            init_sites[w] = s
         elif isinstance(gate, (Rz, Rx)):
             w = gate.wire
             axis = "z" if isinstance(gate, Rz) else "x"
@@ -812,7 +814,6 @@ def compile_plan(
         finalize=tuple([None] * len(sea)) + tuple(finalize),
         events=tuple(events),
         reference=reference,
-        init_sites=init_sites,
         readout_sites=readout_sites,
         wires=circuit.wires,
     )
@@ -860,13 +861,17 @@ class _Runtime:
     plan: MeasurementPlan
     circuit: CircuitSpec
 
+    def angle(self, ps: PlanSite, frame: ByproductFrame) -> float:
+        """The rotation angle of ``ps`` adapted to ``frame``; 0 for none."""
+        if ps.kind == "standard" or not ps.theta:
+            return 0.0
+        return adapt_angle(ps.theta, frame, ps.axis, ps.wire)
+
     def rows(self, ps: PlanSite, frame: ByproductFrame) -> list[np.ndarray]:
         """The two outcome rows of ``ps``; rotations adapt to ``frame``."""
         if ps.kind == "standard":
             return [standard_covector(ps.axis, b) for b in (0, 1)]
-        angle = (
-            adapt_angle(ps.theta, frame, ps.axis, ps.wire) if ps.theta else 0.0
-        )
+        angle = self.angle(ps, frame)
         return [
             comp_covector(ps.axis, ps.partner_axis, angle, b) for b in (0, 1)
         ]
@@ -973,6 +978,20 @@ def _drive(
     return RunRecord(steps, readouts), frame, snapshots
 
 
+def _level_rows(
+    rt: _Runtime, ps: PlanSite, frames: list[ByproductFrame]
+) -> np.ndarray:
+    """The outcome rows of ``ps`` on every branch: one shared (2, 4) pair
+    when every frame adapts it alike, else a (B, 2, 4) stack."""
+    angles = [rt.angle(ps, f) for f in frames]
+    # the rows read the frame only through the angle: one call per angle
+    firsts = dict(zip(angles, frames))
+    pairs = {a: np.array(rt.rows(ps, f)) for a, f in firsts.items()}
+    if len(pairs) == 1:
+        return next(iter(pairs.values()))
+    return np.stack([pairs[a] for a in angles])
+
+
 @dataclass(frozen=True)
 class ProtocolBranch:
     """One projective branch of an exact protocol run."""
@@ -996,43 +1015,54 @@ def protocol_branches(
     Probabilities are conditioned on the given axis assignment. Branches
     lighter than ``min_probability`` are dropped; the survivors' weights
     still sum to 1 up to that cutoff.
+
+    The walk goes level by level: every live branch sits in one
+    :class:`BranchStack` and each site of ``plan.order`` is one batched
+    step. Children keep (branch, outcome) order, so the leaves come out in
+    depth-first order. Frames and outcomes are tracked per branch.
     """
     rt = _Runtime(assignment, plan, circuit)
-    out: list[ProtocolBranch] = []
-
-    def descend(engine, idx, frame, outcomes, prob):
-        if idx == len(plan.order):
-            readouts = {
-                w: outcomes[s] for w, s in plan.readout_sites.items()
-            }
-            out.append(
-                ProtocolBranch(
-                    tuple(sorted(outcomes.items())),
-                    prob,
-                    frame,
-                    interpret_readout(readouts, frame),
-                )
+    stack = BranchStack(DenseEngine(lattice, assignment, term))
+    probs = np.ones(1)
+    frames = [ByproductFrame.zero(plan.wires)]
+    outcomes: list[dict[Site, int]] = [{}]
+    for idx, ps in enumerate(plan.order):
+        weights = stack.split(ps.site, _level_rows(rt, ps, frames))
+        total = weights.sum(axis=1)
+        if not np.all((total > 0.0) & np.isfinite(total)):
+            raise ProtocolError(f"degenerate weights at {ps.site}")
+        p0 = weights[:, 0] / total
+        child = (probs[:, np.newaxis] * np.stack([p0, 1.0 - p0], 1)).ravel()
+        picks = np.flatnonzero(child > min_probability)
+        if not picks.size:
+            return []
+        stack.keep(picks)
+        probs = child[picks]
+        parents = list(zip(frames, outcomes))
+        frames, outcomes = [], []
+        for k in picks.tolist():
+            frame, seen = parents[k >> 1]
+            seen = {**seen, ps.site: k & 1}
+            # siblings share a frame until an event parts them
+            if plan.finalize[idx] is not None:
+                frame = frame.copy()
+                rt.settle(idx, seen, frame)
+            frames.append(frame)
+            outcomes.append(seen)
+    order = sorted(ps.site for ps in plan.order)
+    bits = itemgetter(*order)
+    out = []
+    for prob, frame, seen in zip(probs.tolist(), frames, outcomes):
+        frame = frame.copy()  # each leaf owns its frame
+        readouts = {w: seen[s] for w, s in plan.readout_sites.items()}
+        out.append(
+            ProtocolBranch(
+                tuple(zip(order, bits(seen))),
+                prob,
+                frame,
+                interpret_readout(readouts, frame),
             )
-            return
-        ps = plan.order[idx]
-        rows = rt.rows(ps, frame)
-        for b, pb in enumerate(_step(engine, ps.site, rows)):
-            p = prob * pb
-            if p <= min_probability:
-                continue
-            sub_out = {**outcomes, ps.site: b}
-            sub_frame = frame.copy()
-            rt.settle(idx, sub_out, sub_frame)
-            child = engine.branch(ps.site, rows[b])
-            descend(child, idx + 1, sub_frame, sub_out, p)
-
-    descend(
-        DenseEngine(lattice, assignment, term),
-        0,
-        ByproductFrame.zero(plan.wires),
-        {},
-        1.0,
-    )
+        )
     return out
 
 
@@ -1043,14 +1073,21 @@ def conditional_logical_table(
 
     Returns (group weight, corrected-outcome distribution) per group. If
     the protocol decouples, every group shows the same distribution.
+    Every branch lists the plan's sites in one order (as
+    :func:`protocol_branches` gives them), so the positions a key keeps
+    are found once, from the first branch.
     """
     readouts = set(plan.readout_sites.values())
+    order = branches[0].outcomes if branches else ()
+    kept = [i for i, (s, _) in enumerate(order) if s not in readouts]
+    if len(kept) > 1:
+        pick = itemgetter(*kept)
+    else:  # no branches: itemgetter needs an index (and bares a single one)
+        def pick(outcomes):
+            return tuple(outcomes[i] for i in kept)
     groups: dict[tuple, list[ProtocolBranch]] = {}
     for br in branches:
-        key = tuple(
-            (s, b) for s, b in br.outcomes if s not in readouts
-        )
-        groups.setdefault(key, []).append(br)
+        groups.setdefault(pick(br.outcomes), []).append(br)
     table = []
     for key in sorted(groups):
         members = groups[key]

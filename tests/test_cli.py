@@ -334,3 +334,27 @@ def test_iid_folded_run_matches_parent_digest(
     assert code == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of `run --mode exact` stdout with the identity circuit as written
+# by the parent of the change that enumerates stage-2 branches level by
+# level (commit ce5da1b): stage 1 and the sampling walk are untouched.
+PARENT_EXACT_DIGESTS = [
+    ("2x4", "3",
+     "55cdd1e84a41d10cf52e4964fabdfa4378be8833c494f11807fd563f5949c8ce"),
+    ("2x6", "1",
+     "5a3c7e17d4532cf2ffa35dd945dc9a521be54d83e618c02c23e702c1f3c885cc"),
+    ("4x5", "3",
+     "ff2a958bf0694b0e974ee2db20b2a5247f7a8add7feddb05ac0ed8f43f9ebb03"),
+]
+
+
+@pytest.mark.parametrize("size,seed,digest", PARENT_EXACT_DIGESTS)
+def test_exact_run_matches_parent_digest(
+    capsys, identity_circuit, size, seed, digest
+):
+    code = cli.main(["run", "--mode", "exact", "--lattice", size, "--seed",
+                     seed, "--circuit", identity_circuit])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

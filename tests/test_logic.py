@@ -332,7 +332,8 @@ def test_identity_plan_layout():
     prep = prepare_protocol(lat, asg, IDENTITY, BoundaryTermination())
     backbone, plan = prep
     assert plan.readout_sites == {0: (0, 2)}
-    assert plan.init_sites == {0: (0, 4)}
+    [init] = [ev for ev in plan.events if ev.kind == "init"]
+    assert (init.wire, init.sites) == (0, ((0, 4),))
     kinds = {ps.site: ps.kind for ps in plan.order}
     assert kinds[(0, 4)] == "standard"
     assert kinds[(0, 3)] == "complementary"
@@ -651,6 +652,48 @@ def test_exact_run_matches_dense_reference(monkeypatch, circuit, seed):
         assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
 
 
+def _ref_protocol_branches(
+    engine_cls, lattice, assignment, plan, circuit, term, min_probability=1e-12
+):
+    """Depth-first enumeration, one engine copy per tree node: the reference
+    for the level-by-level ``protocol_branches``."""
+    rt = logic._Runtime(assignment, plan, circuit)
+    out = []
+
+    def descend(engine, idx, frame, outcomes, prob):
+        if idx == len(plan.order):
+            readouts = {w: outcomes[s] for w, s in plan.readout_sites.items()}
+            out.append(
+                logic.ProtocolBranch(
+                    tuple(sorted(outcomes.items())),
+                    prob,
+                    frame,
+                    logic.interpret_readout(readouts, frame),
+                )
+            )
+            return
+        ps = plan.order[idx]
+        rows = rt.rows(ps, frame)
+        for b, pb in enumerate(logic._step(engine, ps.site, rows)):
+            p = prob * pb
+            if p <= min_probability:
+                continue
+            sub_out = {**outcomes, ps.site: b}
+            sub_frame = frame.copy()
+            rt.settle(idx, sub_out, sub_frame)
+            descend(engine.branch(ps.site, rows[b]), idx + 1, sub_frame,
+                    sub_out, p)
+
+    descend(
+        engine_cls(lattice, assignment, term),
+        0,
+        ByproductFrame.zero(plan.wires),
+        {},
+        1.0,
+    )
+    return out
+
+
 def _branch_cases():
     name, lat, asg, term, circuit, spacing = e2e_fixtures()[0]
     assert name == "identity"
@@ -667,15 +710,104 @@ def _branch_cases():
     return cases
 
 
+def _assert_same_branches(fast, slow):
+    assert [b.outcomes for b in fast] == [b.outcomes for b in slow]
+    for a, b in zip(fast, slow):
+        assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
+        assert (a.frame, a.logical) == (b.frame, b.logical)
+
+
 def test_branch_tables_match_dense_reference(monkeypatch):
-    for lat, asg, term, circuit, spacing in _branch_cases():
+    monkeypatch.setattr(_DenseReference, "built", [])
+    cases = _branch_cases()
+    for lat, asg, term, circuit, spacing in cases:
         _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
         fast = protocol_branches(lat, asg, plan, circuit, term)
-        with monkeypatch.context() as m:
-            built = _use_reference(m)
-            slow = protocol_branches(lat, asg, plan, circuit, term)
-        assert built == ["qubit"]
-        assert [b.outcomes for b in fast] == [b.outcomes for b in slow]
-        for a, b in zip(fast, slow):
-            assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
-            assert (a.frame, a.logical) == (b.frame, b.logical)
+        slow = _ref_protocol_branches(
+            _DenseReference, lat, asg, plan, circuit, term
+        )
+        _assert_same_branches(fast, slow)
+    assert _DenseReference.built == ["qubit"] * len(cases)
+
+
+def _rot_case():
+    name, lat, asg, term, circuit, spacing = e2e_fixtures()[1]
+    assert name == "rot"
+    _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
+    return lat, asg, plan, circuit, term
+
+
+def test_rotation_branches_match_reference(monkeypatch):
+    # the adapted angles differ across branches, so some steps stack one
+    # pair of rows per branch
+    ranks = []
+    split = contraction.BranchStack.split
+
+    def logged(self, site, rows):
+        ranks.append(np.ndim(rows))
+        return split(self, site, rows)
+
+    monkeypatch.setattr(contraction.BranchStack, "split", logged)
+    case = _rot_case()
+    fast = protocol_branches(*case)
+    assert len(fast) == 2048
+    assert {2, 3} <= set(ranks)
+    _assert_same_branches(fast, _ref_protocol_branches(DenseEngine, *case))
+
+
+@pytest.mark.parametrize("cutoff,survivors", [(5e-4, 1024), (1e-3, 0)])
+def test_pruned_branches_match_reference(cutoff, survivors):
+    # rot's leaves weigh 1/4096 or 3/4096, so 5e-4 keeps the heavy half
+    case = _rot_case()
+    fast = protocol_branches(*case, min_probability=cutoff)
+    slow = _ref_protocol_branches(DenseEngine, *case, min_probability=cutoff)
+    assert len(fast) == survivors
+    _assert_same_branches(fast, slow)
+
+
+def test_degenerate_weights_raise_at_the_first_site():
+    # an all-z pin annihilates rot's polarized state (its Bot-kind init
+    # site has no standard outcome left), so the first site in plan
+    # order, (1, 0), already has no weight
+    lat, asg, plan, circuit, _ = _rot_case()
+    assert plan.order[0].site == (1, 0)
+    z_pin = BoundaryTermination()
+    for enumerate_branches in (
+        protocol_branches,
+        functools.partial(_ref_protocol_branches, DenseEngine),
+    ):
+        with pytest.raises(
+            ProtocolError, match=r"^degenerate weights at \(1, 0\)$"
+        ):
+            enumerate_branches(lat, asg, plan, circuit, z_pin)
+
+
+def _ref_logical_table(branches, plan):
+    """``conditional_logical_table`` grouping by a per-branch set scan."""
+    readouts = set(plan.readout_sites.values())
+    groups = {}
+    for br in branches:
+        key = tuple((s, b) for s, b in br.outcomes if s not in readouts)
+        groups.setdefault(key, []).append(br)
+    table = []
+    for key in sorted(groups):
+        members = groups[key]
+        weight = sum(br.probability for br in members)
+        dist = {}
+        for br in members:
+            dist[br.logical.corrected] = (
+                dist.get(br.logical.corrected, 0.0) + br.probability / weight
+            )
+        table.append((weight, dist))
+    return table
+
+
+def test_logical_table_matches_set_scan_grouping():
+    for _, lat, asg, term, circuit, spacing in e2e_fixtures():
+        _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
+        branches = protocol_branches(lat, asg, plan, circuit, term)
+        table = conditional_logical_table(branches, plan)
+        want = _ref_logical_table(branches, plan)
+        assert [(w, list(d.items())) for w, d in table] == [
+            (w, list(d.items())) for w, d in want
+        ]
