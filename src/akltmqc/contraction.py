@@ -33,25 +33,26 @@ axes in, axes out: :func:`chain_rule_sample` polarizes every site in
 ``lattice.sites()`` order on that engine, drawing each axis from its
 exact conditional, read off the engine's ``relative_weights``.
 
-Stage 2 runs on :class:`DenseEngine`, the pinned state with every site
-polarized onto the +-3/2 pair of its sampled axis. It is contracted
-straight from reduced site tensors: site s is stored in the columns of
-the (4, 2) isometry B_s = ``physical_basis(axis)[:, [0, 3]]``, with
-tensor sqrt(2/3) B_s^dagger A_s (the factor of ``povm_element``), so the
-state has 2^n amplitudes, one axis per site in sweep order, index values
-0 and 1 being +3/2 and -3/2 along the site's axis. It is capped at
-``QUBIT_SITE_CAP`` sites. :class:`BranchStack` stacks many branches of
-that state in one array and measures a site on all of them in one
-contraction. :func:`build_state` is the 4^n oracle the tests compare
-against, capped at ``DENSE_SITE_CAP``; its amplitudes have one axis of
-dimension 4 per site, ordered by ``lattice.site_index``, index values
-0..3 being the physical basis states [+3/2, +1/2, -1/2, -3/2] along z.
+Stage 2 samples on that engine too. Its branch enumeration runs on
+:class:`DenseEngine`, the pinned state with every site polarized onto the
++-3/2 pair of its sampled axis. It is contracted straight from reduced
+site tensors: site s is stored in the columns of the (4, 2) isometry B_s =
+``physical_basis(axis)[:, [0, 3]]``, with tensor sqrt(2/3) B_s^dagger A_s
+(the factor of ``povm_element``), so the state has 2^n amplitudes, one
+axis per site in sweep order, index values 0 and 1 being +3/2 and -3/2
+along the site's axis. It is capped at ``QUBIT_SITE_CAP`` sites.
+:class:`BranchStack` stacks many branches of that state in one array and
+measures a site on all of them in one contraction. :func:`build_state` is
+the 4^n oracle the tests compare against, capped at ``DENSE_SITE_CAP``;
+its amplitudes have one axis of dimension 4 per site, ordered by
+``lattice.site_index``, index values 0..3 being the physical basis states
+[+3/2, +1/2, -1/2, -3/2] along z.
 
 Both engines take the same *actions* on a site: a Kraus operator (shape
 (4, 4); the site stays) or a projective row (shape (4,)). A Kraus
 operator K has effect K^dagger K, a row r has effect |r><r|
 (``np.outer(np.conj(r), r)``). Both provide ``weight()``,
-``effect_weight(site, action)``, ``effect_weights(site, actions)``,
+``effect_weights(site, actions)``, ``relative_weights(site, actions)``,
 ``apply_op(site, op)``, ``project(site, row)`` and the non-mutating
 ``branch(site, action)``. On :class:`DenseEngine` actions map through
 B_s: a row r acts as the row r B_s (the axis is removed), a Kraus
@@ -162,24 +163,6 @@ def _as_op(action: np.ndarray) -> np.ndarray:
 
 # amplitudes per block where a pass works through a large array in pieces
 _BLOCK = 1 << 16
-
-
-def _gram(amps: np.ndarray) -> np.ndarray:
-    """G[j, k] = sum of conj(amps[l, j, r]) amps[l, k, r] over l and r.
-
-    Accumulated block by block, so no temporary grows with the state.
-    """
-    n_before, d, n_after = amps.shape
-    width = max(1, _BLOCK // d)
-    step_before = max(1, width // n_after)
-    step_after = min(n_after, width)
-    gram = np.zeros((d, d), dtype=complex)
-    for i in range(0, n_before, step_before):
-        for j in range(0, n_after, step_after):
-            block = amps[i : i + step_before, :, j : j + step_after]
-            block = block.transpose(1, 0, 2).reshape(d, -1)
-            gram += np.conj(block) @ block.T
-    return gram
 
 
 # -- network sweep ----------------------------------------------------------
@@ -600,9 +583,9 @@ class DenseEngine:
 
     Built from ``assignment`` (site -> axis): each site keeps the (4, 2)
     isometry B_s of its axis pair, every action is compressed to that
-    pair, and every projection removes the site's index. Stage 2's
-    sampling walk runs on this engine; its branch enumeration stacks the
-    engine's state in a :class:`BranchStack`.
+    pair, and every projection removes the site's index. Stage 2's branch
+    enumeration stacks the engine's state in a :class:`BranchStack`; the
+    tests walk it as the sampling walk's reference.
     """
 
     def __init__(
@@ -664,14 +647,19 @@ class DenseEngine:
     def effect_weights(
         self, site: Site, actions: list[np.ndarray]
     ) -> list[float]:
-        """Batched effect_weight: tr(B^dagger E B G) from one Gram pass."""
+        """Batched effect_weight: tr(B^dagger E B G), G built one row at a
+        time, so no temporary outgrows half the state."""
         _, amps = self._split(site)
         basis = self._bases[site]
-        gram = _gram(amps)
+        gram = np.array(
+            [np.einsum("ik,ilk->l", amps[:, j].conj(), amps) for j in (0, 1)]
+        )
         return [
             float(np.real(np.sum(_effect(np.asarray(a) @ basis) * gram)))
             for a in actions
         ]
+
+    relative_weights = effect_weights  # 2^n amplitudes stay in range
 
     def apply_op(self, site: Site, op: np.ndarray) -> None:
         """Apply B_s^dagger op B_s: ``op`` compressed to the site's pair."""
@@ -910,9 +898,6 @@ class TracedEngine:
         """Weight after ``op`` on ``site``, on top of its operator so far."""
         return self.effect_weights(site, [op])[0]
 
-    def effect_weight(self, site: Site, action: np.ndarray) -> float:
-        return self.op_weight(site, _as_op(action))
-
     def _scaled_weights(self, site: Site, actions) -> tuple[list, int]:
         """(weights, exp): the effect weights are weights[i] * 2^exp. With
         T from ``_open_tensor`` and O the site's accumulated operator,
@@ -933,7 +918,7 @@ class TracedEngine:
     def effect_weights(
         self, site: Site, actions: list[np.ndarray]
     ) -> list[float]:
-        """Batched effect_weight from one line contraction."""
+        """Batched op_weight from one line contraction."""
         weights, exp = self._scaled_weights(site, actions)
         return [_ldexp(w, exp) for w in weights]
 

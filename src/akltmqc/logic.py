@@ -19,13 +19,13 @@ the outcomes of a fixed tuple of sites.
 Stage 2 has one runtime. ``_Runtime`` holds what a walk over a plan
 reads: it gives each site's two outcome rows, sign-adapted to the frame,
 and settles each completed event into the frame from the stored parities.
-Both walks run on the qubit state of a routed axis pattern
-(:class:`DenseEngine`, built once per walk). ``_drive`` samples one path:
-``_step`` turns one site's two effect weights into outcome probabilities.
-``protocol_branches`` enumerates every path level by level: the live
-branches share one stacked amplitude array (:class:`BranchStack`), each
-plan site is one batched step, and only frames and outcomes are kept per
-branch.
+``_drive`` samples one path on the pinned layer engine with every site
+polarized (:class:`TracedEngine`, as in stage 1): ``_step`` turns one
+site's two effect weights into outcome probabilities. Only
+``protocol_branches`` builds the qubit state (:class:`DenseEngine`): it
+enumerates every path level by level, the live branches share one stacked
+amplitude array (:class:`BranchStack`), each plan site is one batched
+step, and only frames and outcomes are kept per branch.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ from operator import itemgetter
 import numpy as np
 
 from .contraction import (
-    QUBIT_SITE_CAP,
     BoundaryTermination,
     BranchStack,
     DenseEngine,
     StepOutcome,
-    check_site_cap,
+    TracedEngine,
+    _sweep_lines,
 )
 from .lattice import HexLattice, Leg, Site
 from .router import (
@@ -59,7 +59,7 @@ from .router import (
     spacing_failure,
 )
 from .sampler import AxisAssignment, SampleMode, matched_mask, stage1_sample
-from .tensors import comp_covector, standard_covector
+from .tensors import comp_covector, povm_element, standard_covector
 
 FORMAT_VERSION = 1
 MAX_ROUTE_ATTEMPTS = 256
@@ -923,14 +923,14 @@ class _Runtime:
 
 
 def _step(
-    engine: DenseEngine, site: Site, rows: list[np.ndarray]
+    engine: TracedEngine, site: Site, rows: list[np.ndarray]
 ) -> tuple[float, float]:
     """Outcome probabilities (p0, p1) of measuring ``site`` in ``rows``.
 
     After polarization both rows span the site's +-3/2 subspace, so their
-    two effect weights sum to the state's weight.
+    two effect weights, read up to one power of two, sum to the weight.
     """
-    e0, e1 = (max(e, 0.0) for e in engine.effect_weights(site, rows))
+    e0, e1 = (max(e, 0.0) for e in engine.relative_weights(site, rows))
     total = e0 + e1
     if not total > 0.0 or not math.isfinite(total):
         raise ProtocolError(f"degenerate weights at {site}")
@@ -942,12 +942,12 @@ def _drive(
     assignment: AxisAssignment,
     plan: MeasurementPlan,
     circuit: CircuitSpec,
-    engine: DenseEngine | None,
+    engine: TracedEngine | None,
     rng: np.random.Generator,
 ) -> tuple[RunRecord, ByproductFrame, list[dict]]:
     """Measure every site in plan order, tracking the frame event by event.
 
-    With an ``engine`` (exact mode: the qubit state of ``assignment``) each
+    With an ``engine`` (exact mode: ``assignment``'s polarized state) each
     outcome is drawn from the true conditional distribution, so the
     corrected readouts follow the logical circuit. Without one (iid mode)
     fair coins decide instead: they exercise the full control flow at any
@@ -1198,16 +1198,16 @@ def run_protocol(
 
     Each attempt draws a fresh stage-one sample from its own child seed, so
     results are reproducible from ``rng_seed`` alone; every rejected
-    attempt counts its failure reason. In exact mode stage 1 samples on the
-    double layer and stage 2 runs on the qubit state of the routed axes,
-    built once. A ``term`` of None pins the boundary to the default z
-    frame. An exact run beyond ``QUBIT_SITE_CAP`` sites, and wires that
-    cannot fit the patch at ``spacing``, fail before any sample is drawn.
+    attempt counts its failure reason. In exact mode both stages run on
+    the pinned double layer: stage 2 on the routed axes, every site
+    polarized. A ``term`` of None pins the boundary to the default z
+    frame. An exact run over the strip cap, and wires that cannot fit the
+    patch at ``spacing``, fail before any sample is drawn.
     """
     mode = SampleMode(mode)
     circuit.validate()
     if mode is SampleMode.EXACT:
-        check_site_cap(lattice, QUBIT_SITE_CAP, "qubit")
+        _sweep_lines(lattice)  # the strip cap
     if term is None:
         term = BoundaryTermination()
     if spacing is None:
@@ -1236,8 +1236,11 @@ def run_protocol(
         backbone, plan = prepared
         (s2,) = child.spawn(1)
         seed2 = int(s2.generate_state(1, np.uint64)[0])
-        exact = mode is SampleMode.EXACT
-        engine = DenseEngine(lattice, assignment, term) if exact else None
+        engine = None
+        if mode is SampleMode.EXACT:  # stage 2 on the polarized layers
+            engine = TracedEngine(lattice, term)
+            for site in lattice.sites():
+                engine.apply_op(site, povm_element(assignment[site]))
         record, frame, snaps = _drive(
             assignment, plan, circuit, engine, np.random.default_rng(seed2)
         )

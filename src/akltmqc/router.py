@@ -695,11 +695,11 @@ def audit_backbone(
     """Independent invariant check; returns human-readable problems.
 
     Validates path shape and band discipline, junction typing and ordering,
-    role consistency, reference-bit availability for every interior site,
-    cluster containment, and that the interior-measured region closes no
-    loop the circuit does not call for. It reads only the Backbone, the
-    axis codes, ``clusters.labels`` and ``disabled``, on site indices and
-    ``lattice.neighbor_table()``; sites in the messages print as (r, c).
+    role consistency, reference bits for every interior and branch site,
+    whole hanging branches, cluster containment, and that the interior
+    region closes no loop the circuit does not call for. It reads only the
+    Backbone, the axis codes, ``clusters.labels`` and ``disabled``, on site
+    indices and ``lattice.neighbor_table()``; sites print as (r, c).
     """
     from .logic import CNOT
 
@@ -819,6 +819,18 @@ def audit_backbone(
                     problems.append(f"matched stem at {s} not renormalized")
             elif not isinstance(roles.get(n), Associate):
                 problems.append(f"{s} has no associate through {leg.value}")
+    for i in sorted(extensions):  # whole matched branches, fed by associates
+        s, role = site(i), roles[i]
+        for leg, n in zip(Leg, table[i]):
+            if n >= 0 and code[n] == code[i]:
+                if roles.get(n) != role and n != index(role.root):
+                    problems.append(
+                        f"extension {s} matches {site(n)} outside its branch"
+                    )
+            elif n >= 0 and not isinstance(roles.get(n), Associate):
+                problems.append(
+                    f"extension {s} has no associate through {leg.value}"
+                )
 
     # the interior-measured region may close only the circuit's own loops:
     # a graph's loop rank is edges - nodes + components

@@ -214,7 +214,7 @@ def test_out_of_range_input_is_validation_error(capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["sample", "run"])
-def test_exact_over_dense_cap_is_lattice_size_error(
+def test_exact_over_strip_cap_is_lattice_size_error(
     capsys, identity_circuit, command
 ):
     argv = [command, "--lattice", "5x5", "--seed", "1", "--mode", "exact"]
@@ -336,21 +336,22 @@ def test_iid_folded_run_matches_parent_digest(
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# sha256 of `run --mode exact` stdout with the identity circuit as written
-# by the parent of the change that enumerates stage-2 branches level by
-# level (commit ce5da1b): stage 1 and the sampling walk are untouched.
-PARENT_EXACT_DIGESTS = [
+# sha256 of `run --mode exact` stdout with the identity circuit, stage 2
+# on the polarized layer engine. The qubit walk of commit d00fdeb drew the
+# same outcome sequences for these seeds, with step probabilities within
+# 2.2e-16; its digests were 55cdd1e8..., 5a3c7e17... and ff2a958b....
+EXACT_DIGESTS = [
     ("2x4", "3",
-     "55cdd1e84a41d10cf52e4964fabdfa4378be8833c494f11807fd563f5949c8ce"),
+     "e447dc80ba11210f23c27c2fff9b946cc0e4592cfd7e4af51e0a36277773b5ad"),
     ("2x6", "1",
-     "5a3c7e17d4532cf2ffa35dd945dc9a521be54d83e618c02c23e702c1f3c885cc"),
+     "d168dbbf4615b351e099ff2183cae4f83a3729c9e7c46fd8bc34d3ae33cf2829"),
     ("4x5", "3",
-     "ff2a958bf0694b0e974ee2db20b2a5247f7a8add7feddb05ac0ed8f43f9ebb03"),
+     "e0129f916b2f3c15b828d2f960e1834780ce4f9a33acda50837fbcd5598247e9"),
 ]
 
 
-@pytest.mark.parametrize("size,seed,digest", PARENT_EXACT_DIGESTS)
-def test_exact_run_matches_parent_digest(
+@pytest.mark.parametrize("size,seed,digest", EXACT_DIGESTS)
+def test_exact_run_matches_pinned_digest(
     capsys, identity_circuit, size, seed, digest
 ):
     code = cli.main(["run", "--mode", "exact", "--lattice", size, "--seed",

@@ -44,7 +44,12 @@ from akltmqc.router import (
     _backbone_adjacency,
 )
 from akltmqc.sampler import AxisAssignment, stage1_sample
-from akltmqc.tensors import physical_basis, povm_element, virtual_bra
+from akltmqc.tensors import (
+    physical_basis,
+    povm_element,
+    standard_covector,
+    virtual_bra,
+)
 
 
 def _fixture(rows_axes):
@@ -487,7 +492,8 @@ def test_exhausted_retries_report_the_histogram():
     assert detail.endswith("; failures by reason: no-junction-column 8")
 
 
-def test_exact_run_builds_one_qubit_state(monkeypatch):
+def test_exact_run_builds_no_qubit_state(monkeypatch):
+    # stage 2 walks the layer engine; the qubit state serves enumeration
     builds, engines = [], []
 
     def counted_build(*args):
@@ -504,18 +510,46 @@ def test_exact_run_builds_one_qubit_state(monkeypatch):
     res = run_protocol(lat, BoundaryTermination(axis="x"), IDENTITY, rng_seed=3)
     assert res.attempts > 1
     assert builds == []
-    assert len(engines) == 1
+    assert engines == []
 
 
 def test_exact_run_beyond_the_dense_cap():
     lat = build_lattice(4, 5)
-    assert DENSE_SITE_CAP < lat.n_sites <= QUBIT_SITE_CAP
+    assert DENSE_SITE_CAP < lat.n_sites
     res = run_protocol(lat, BoundaryTermination(axis="x"), IDENTITY, rng_seed=3)
     assert res.attempts > 1
     assert reference_circuit_sim(IDENTITY)[res.outcome.corrected] > 0.0
 
 
-def test_exact_run_over_the_qubit_cap_fails_before_sampling(monkeypatch):
+ROT_RX = CircuitSpec(
+    1, (Init(0), Rz(0, math.pi / 4), Rx(0, math.pi / 3), Readout(0))
+)
+
+
+@pytest.mark.parametrize("cols", [16, 32])
+@pytest.mark.parametrize("circuit", [IDENTITY, ROT_RX], ids=["id", "rzrx"])
+def test_exact_run_beyond_the_qubit_cap(circuit, cols):
+    lat = build_lattice(4, cols)
+    assert lat.n_sites > QUBIT_SITE_CAP
+    res = run_protocol(lat, BoundaryTermination(axis="x"), circuit, rng_seed=1)
+    assert len(res.record.steps) == lat.n_sites
+    assert reference_circuit_sim(circuit)[res.outcome.corrected] > 0.0
+
+
+def test_step_reads_weights_past_float_range():
+    # a polarized 4x300 strip weighs less than the smallest float, so its
+    # absolute effect weights underflow; the step reads relative weights
+    lat = build_lattice(4, 300)
+    asg = stage1_sample(lat, None, "iid", 0)
+    engine = _polarized_layers(lat, asg, BoundaryTermination(axis="x"))
+    site = (1, 150)
+    rows = [standard_covector(asg[site], b) for b in (0, 1)]
+    assert engine.effect_weights(site, rows) == [0.0, 0.0]
+    p0, p1 = logic._step(engine, site, rows)
+    assert 0.0 < p0 < 1.0 and p0 + p1 == 1.0
+
+
+def test_exact_run_over_the_strip_cap_fails_before_sampling(monkeypatch):
     calls = []
     monkeypatch.setattr(logic, "stage1_sample", lambda *a: calls.append(a))
     with pytest.raises(LatticeSizeError):
@@ -596,7 +630,7 @@ def _use_reference(monkeypatch):
     """Route stage 1 and stage 2 through the 4^n reference; returns the log
     of reference constructions, emptied first."""
     monkeypatch.setattr(contraction, "TracedEngine", _DenseReference)
-    monkeypatch.setattr(logic, "DenseEngine", _DenseReference)
+    monkeypatch.setattr(logic, "TracedEngine", _DenseReference)
     monkeypatch.setattr(_DenseReference, "built", [])
     return _DenseReference.built
 
@@ -643,11 +677,44 @@ def test_exact_run_matches_dense_reference(monkeypatch, circuit, seed):
     fast = run_protocol(lat, term, circuit, rng_seed=seed)
     built = _use_reference(monkeypatch)
     slow = run_protocol(lat, term, circuit, rng_seed=seed)
-    assert built == ["layer"] * slow.attempts + ["qubit"]
+    assert built == ["layer"] * (slow.attempts + 1)
     assert fast.assignment == slow.assignment
     assert fast.frames == slow.frames
     assert fast.outcome == slow.outcome
     for a, b in zip(fast.record.steps, slow.record.steps, strict=True):
+        assert (a.site, a.outcome) == (b.site, b.outcome)
+        assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
+
+
+def _polarized_layers(lattice, assignment, term):
+    """The layer engine as an exact run polarizes it for stage 2."""
+    engine = contraction.TracedEngine(lattice, term)
+    for site in lattice.sites():
+        engine.apply_op(site, povm_element(assignment[site]))
+    return engine
+
+
+@pytest.mark.parametrize(
+    "rows,cols,seed",
+    [(2, 6, 1), (2, 6, 5), (2, 6, 6), (2, 6, 34), (4, 5, 3), (4, 6, 1)],
+)
+def test_layer_walk_matches_qubit_walk(rows, cols, seed):
+    # above the 4^n cap the qubit state is the reference for stage 2
+    lat = build_lattice(rows, cols)
+    term = BoundaryTermination(axis="x")
+    res = run_protocol(lat, term, IDENTITY, rng_seed=seed)
+    asg, plan = res.assignment, res.plan
+    walks = [
+        logic._drive(asg, plan, IDENTITY, engine, np.random.default_rng(seed))
+        for engine in (
+            DenseEngine(lat, asg, term),
+            _polarized_layers(lat, asg, term),
+        )
+    ]
+    (qubit, q_frame, q_snaps), (layer, l_frame, l_snaps) = walks
+    assert (q_frame, q_snaps) == (l_frame, l_snaps)
+    assert qubit.readouts == layer.readouts
+    for a, b in zip(qubit.steps, layer.steps, strict=True):
         assert (a.site, a.outcome) == (b.site, b.outcome)
         assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
 

@@ -480,6 +480,19 @@ def _ref_audit(lattice, assignment, backbone, circuit, clusters, disabled):
                     problems.append(f"matched stem at {s} not renormalized")
             elif not isinstance(backbone.roles.get(n), Associate):
                 problems.append(f"{s} has no associate through {leg.value}")
+    for s in sorted(extensions):
+        root = backbone.roles[s].root
+        branch = {e for e in extensions if backbone.roles[e].root == root}
+        for leg, n in _ref_incident(lattice, s):
+            if assignment[n] == assignment[s]:
+                if n not in branch | {root}:
+                    problems.append(
+                        f"extension {s} matches {n} outside its branch"
+                    )
+            elif not isinstance(backbone.roles.get(n), Associate):
+                problems.append(
+                    f"extension {s} has no associate through {leg.value}"
+                )
 
     # the interior-measured region may close only the circuit's own loops
     region = backbone_sites | extensions
@@ -590,6 +603,29 @@ def test_reference_outcomes_cover_every_stage():
 # -- audit --------------------------------------------------------------------
 
 
+def _branch_cut(lattice, backbone):
+    """(extension, associate) sites that touch no backbone site and not
+    each other: one deep in a hanging branch, one feeding another branch
+    site only. None if a layout has no such pair. Dropping their roles
+    leaves every backbone site's own legs as they were, so only the check
+    of the branch's sites can see it."""
+    far = set(backbone.backbone_sites())
+
+    def deep(role_type):
+        for s, role in sorted(backbone.roles.items()):
+            near = {n for _, n in _ref_incident(lattice, s)}
+            if isinstance(role, role_type) and not near & far:
+                return s
+        return None
+
+    ext = deep(ClusterExtension)
+    if ext is None:
+        return None
+    far.add(ext)
+    assoc = deep(Associate)
+    return None if assoc is None else (ext, assoc)
+
+
 def _mutations(lattice, clusters, disabled, backbone):
     """(name, backbone, disabled) for a backbone and its broken variants."""
     wires, mid = backbone.wires, len(backbone.wires[0]) // 2
@@ -608,6 +644,14 @@ def _mutations(lattice, clusters, disabled, backbone):
     yield "wire site dropped", dataclasses.replace(
         backbone, wires=(dropped, *wires[1:])
     ), disabled
+    cut = _branch_cut(lattice, backbone)
+    if cut is not None:
+        roles = dict(backbone.roles)
+        for s in cut:
+            del roles[s]
+        yield "branch roles dropped", dataclasses.replace(
+            backbone, roles=roles
+        ), disabled
     for k, j in enumerate(backbone.junctions):
         short = dataclasses.replace(j, link=j.link[1:])
         junctions = list(backbone.junctions)
@@ -691,3 +735,36 @@ def test_audit_reports_a_jumping_wire_and_link():
     )
     assert f"wire 0 jumps {wire[0]}->{wire[2]}" in problems
     assert f"junction link jumps {pair.control}->{pair.link[1]}" in problems
+
+
+def test_audit_sees_roles_dropped_inside_a_hanging_branch():
+    # no backbone site touches the cut, so every problem comes from the
+    # check of the branch's own sites
+    found = 0
+    lattice = build_lattice(8, 16)
+    for seed in range(40):
+        assignment = stage1_sample(lattice, None, "iid", seed)
+        clusters = find_clusters(
+            lattice, matched_mask(lattice, assignment), assignment
+        )
+        disabled = disabled_ids(flag_off_limits(lattice, clusters))
+        spacing = auto_spacing(lattice, IDENTITY)
+        backbone = route_backbone(
+            lattice, assignment, clusters, disabled, IDENTITY, spacing
+        )
+        if isinstance(backbone, RoutingFailure):
+            continue
+        cases = dict(
+            (name, bb)
+            for name, bb, _ in _mutations(lattice, clusters, disabled, backbone)
+        )
+        if "branch roles dropped" not in cases:
+            continue
+        args = (assignment, cases["branch roles dropped"], IDENTITY, clusters)
+        got = audit_backbone(lattice, *args, disabled)
+        assert got == _ref_audit(lattice, *args, disabled)
+        assert all(p.startswith("extension ") for p in got), got
+        assert any(" outside its branch" in p for p in got), got
+        assert any(" has no associate " in p for p in got), got
+        found += 1
+    assert found >= 3
