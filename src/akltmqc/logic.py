@@ -25,7 +25,8 @@ site's two effect weights into outcome probabilities. Only
 ``protocol_branches`` builds the qubit state (:class:`DenseEngine`): it
 enumerates every path level by level, the live branches share one stacked
 amplitude array (:class:`BranchStack`), each plan site is one batched
-step, and only frames and outcomes are kept per branch.
+step, and outcomes and frames are bit columns over the branches, settled
+once per level; :class:`ProtocolBranches` holds the leaves as arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -239,22 +239,22 @@ def byproduct_indices(mu: str, b: int, c: int) -> tuple[int, int]:
     raise ValueError(f"unknown axis {mu!r}")
 
 
+def rotation_flip(frame: ByproductFrame, axis: str, wire: int = 0):
+    """The frame exponent a rotation along ``axis`` changes sign with: X for
+    z, Z for x; no other axis is adapted. Bit columns give a column."""
+    ax, az = frame.indices(wire)
+    if axis == "z":
+        return ax
+    if axis == "x":
+        return az
+    raise ValueError(f"rotations along {axis!r} are not adapted")
+
+
 def adapt_angle(
     theta: float, frame: ByproductFrame, axis: str, wire: int = 0
 ) -> float:
-    """Sign-adapt a rotation angle to the accumulated frame.
-
-    A z-rotation flips with the X exponent, an x-rotation with the Z
-    exponent; no other axis is ever adapted.
-    """
-    ax, az = frame.indices(wire)
-    if axis == "z":
-        flip = ax
-    elif axis == "x":
-        flip = az
-    else:
-        raise ValueError(f"rotations along {axis!r} are not adapted")
-    return -theta if flip else theta
+    """Sign-adapt a rotation angle to the accumulated frame."""
+    return -theta if rotation_flip(frame, axis, wire) else theta
 
 
 # -- cluster renormalization ----------------------------------------------------
@@ -861,17 +861,25 @@ class _Runtime:
     plan: MeasurementPlan
     circuit: CircuitSpec
 
-    def angle(self, ps: PlanSite, frame: ByproductFrame) -> float:
-        """The rotation angle of ``ps`` adapted to ``frame``; 0 for none."""
-        if ps.kind == "standard" or not ps.theta:
-            return 0.0
-        return adapt_angle(ps.theta, frame, ps.axis, ps.wire)
+    def rows(self, ps: PlanSite, frame: ByproductFrame):
+        """The two outcome rows of ``ps``; rotations adapt to ``frame``.
 
-    def rows(self, ps: PlanSite, frame: ByproductFrame) -> list[np.ndarray]:
-        """The two outcome rows of ``ps``; rotations adapt to ``frame``."""
+        On a frame of bit columns (:func:`protocol_branches`) whose flip
+        bits differ, the rows are a (B, 2, 4) stack: the two adapted pairs,
+        indexed by each branch's bit.
+        """
         if ps.kind == "standard":
             return [standard_covector(ps.axis, b) for b in (0, 1)]
-        angle = self.angle(ps, frame)
+        flip = rotation_flip(frame, ps.axis, ps.wire) if ps.theta else 0
+        if np.ndim(flip):
+            if flip.min() != flip.max():
+                pairs = [self._comp_rows(ps, a) for a in (ps.theta, -ps.theta)]
+                return np.array(pairs)[flip]
+            flip = flip[0]
+        return self._comp_rows(ps, -ps.theta if flip else ps.theta or 0.0)
+
+    @staticmethod
+    def _comp_rows(ps: PlanSite, angle: float) -> list[np.ndarray]:
         return [
             comp_covector(ps.axis, ps.partner_axis, angle, b) for b in (0, 1)
         ]
@@ -978,28 +986,29 @@ def _drive(
     return RunRecord(steps, readouts), frame, snapshots
 
 
-def _level_rows(
-    rt: _Runtime, ps: PlanSite, frames: list[ByproductFrame]
-) -> np.ndarray:
-    """The outcome rows of ``ps`` on every branch: one shared (2, 4) pair
-    when every frame adapts it alike, else a (B, 2, 4) stack."""
-    angles = [rt.angle(ps, f) for f in frames]
-    # the rows read the frame only through the angle: one call per angle
-    firsts = dict(zip(angles, frames))
-    pairs = {a: np.array(rt.rows(ps, f)) for a, f in firsts.items()}
-    if len(pairs) == 1:
-        return next(iter(pairs.values()))
-    return np.stack([pairs[a] for a in angles])
-
-
 @dataclass(frozen=True)
-class ProtocolBranch:
-    """One projective branch of an exact protocol run."""
+class ProtocolBranches:
+    """Every projective branch of an exact protocol run, one row per leaf.
 
-    outcomes: tuple[tuple[Site, int], ...]
-    probability: float
-    frame: ByproductFrame
-    logical: LogicalOutcome
+    ``outcomes[i, j]`` is leaf i's outcome at ``sites[j]`` (sites sorted);
+    ``ax``, ``az`` and ``corrected`` hold its final frame and its
+    frame-corrected readout per wire. All bits are uint8.
+    """
+
+    sites: tuple[Site, ...]
+    outcomes: np.ndarray  # (B, sites)
+    probability: np.ndarray  # (B,)
+    ax: np.ndarray  # (B, wires)
+    az: np.ndarray  # (B, wires)
+    corrected: np.ndarray  # (B, wires)
+
+    def __len__(self) -> int:
+        return len(self.probability)
+
+
+def _bit_columns(columns, n: int) -> np.ndarray:
+    """(n, len(columns)) uint8, one column per entry; scalars broadcast."""
+    return np.array([np.broadcast_to(c, n) for c in columns], np.uint8).T
 
 
 def protocol_branches(
@@ -1009,7 +1018,7 @@ def protocol_branches(
     circuit: CircuitSpec,
     term: BoundaryTermination,
     min_probability: float = 1e-12,
-) -> list[ProtocolBranch]:
+) -> ProtocolBranches:
     """Enumerate every outcome branch of the plan with exact probabilities.
 
     Probabilities are conditioned on the given axis assignment. Branches
@@ -1019,86 +1028,75 @@ def protocol_branches(
     The walk goes level by level: every live branch sits in one
     :class:`BranchStack` and each site of ``plan.order`` is one batched
     step. Children keep (branch, outcome) order, so the leaves come out in
-    depth-first order. Frames and outcomes are tracked per branch.
+    depth-first order. Outcomes and frames are bit columns over the live
+    branches (a frame bit no event has set yet is a scalar), so each level
+    reindexes them once and settles its event once, on whole columns.
     """
     rt = _Runtime(assignment, plan, circuit)
     stack = BranchStack(DenseEngine(lattice, assignment, term))
+    order = [ps.site for ps in plan.order]
     probs = np.ones(1)
-    frames = [ByproductFrame.zero(plan.wires)]
-    outcomes: list[dict[Site, int]] = [{}]
+    bits = np.zeros((len(order), 1), np.uint8)  # row j: order[j]'s outcomes
+    frame = ByproductFrame.zero(plan.wires)
     for idx, ps in enumerate(plan.order):
-        weights = stack.split(ps.site, _level_rows(rt, ps, frames))
+        weights = stack.split(ps.site, rt.rows(ps, frame))
         total = weights.sum(axis=1)
         if not np.all((total > 0.0) & np.isfinite(total)):
             raise ProtocolError(f"degenerate weights at {ps.site}")
         p0 = weights[:, 0] / total
         child = (probs[:, np.newaxis] * np.stack([p0, 1.0 - p0], 1)).ravel()
         picks = np.flatnonzero(child > min_probability)
-        if not picks.size:
-            return []
         stack.keep(picks)
         probs = child[picks]
-        parents = list(zip(frames, outcomes))
-        frames, outcomes = [], []
-        for k in picks.tolist():
-            frame, seen = parents[k >> 1]
-            seen = {**seen, ps.site: k & 1}
-            # siblings share a frame until an event parts them
-            if plan.finalize[idx] is not None:
-                frame = frame.copy()
-                rt.settle(idx, seen, frame)
-            frames.append(frame)
-            outcomes.append(seen)
-    order = sorted(ps.site for ps in plan.order)
-    bits = itemgetter(*order)
-    out = []
-    for prob, frame, seen in zip(probs.tolist(), frames, outcomes):
-        frame = frame.copy()  # each leaf owns its frame
-        readouts = {w: seen[s] for w, s in plan.readout_sites.items()}
-        out.append(
-            ProtocolBranch(
-                tuple(zip(order, bits(seen))),
-                prob,
-                frame,
-                interpret_readout(readouts, frame),
-            )
+        parent = picks >> 1
+        bits = bits[:, parent]
+        bits[idx] = picks & 1
+        # fresh columns each level: settle xors them in place
+        frame = ByproductFrame(
+            *([c[parent] if np.ndim(c) else c for c in cols]
+              for cols in (frame.ax, frame.az))
         )
-    return out
+        if not picks.size:
+            break
+        rt.settle(idx, dict(zip(order, bits)), frame)
+    seen = dict(zip(order, bits))
+    readouts = {w: seen[s] for w, s in plan.readout_sites.items()}
+    perm = sorted(range(len(order)), key=order.__getitem__)
+    n = len(probs)
+    return ProtocolBranches(
+        tuple(order[j] for j in perm),
+        bits[perm].T,
+        probs,
+        _bit_columns(frame.ax, n),
+        _bit_columns(frame.az, n),
+        _bit_columns(interpret_readout(readouts, frame).corrected, n),
+    )
 
 
 def conditional_logical_table(
-    branches: list[ProtocolBranch], plan: MeasurementPlan
-) -> list[tuple[float, dict[tuple[int, ...], float]]]:
+    branches: ProtocolBranches, plan: MeasurementPlan
+) -> tuple[np.ndarray, np.ndarray]:
     """Group branches by every outcome except the readouts.
 
-    Returns (group weight, corrected-outcome distribution) per group. If
-    the protocol decouples, every group shows the same distribution.
-    Every branch lists the plan's sites in one order (as
-    :func:`protocol_branches` gives them), so the positions a key keeps
-    are found once, from the first branch.
+    Returns the (G,) group weights and the (G, 2^wires) corrected-outcome
+    distribution of each group, groups in ascending order of their
+    outcomes. Column k of a distribution is the corrected outcome with
+    wire 0 as the most significant bit of k, the order of ``np.ndindex``.
+    If the protocol decouples, every group shows the same distribution.
     """
     readouts = set(plan.readout_sites.values())
-    order = branches[0].outcomes if branches else ()
-    kept = [i for i, (s, _) in enumerate(order) if s not in readouts]
-    if len(kept) > 1:
-        pick = itemgetter(*kept)
-    else:  # no branches: itemgetter needs an index (and bares a single one)
-        def pick(outcomes):
-            return tuple(outcomes[i] for i in kept)
-    groups: dict[tuple, list[ProtocolBranch]] = {}
-    for br in branches:
-        groups.setdefault(pick(br.outcomes), []).append(br)
-    table = []
-    for key in sorted(groups):
-        members = groups[key]
-        weight = sum(br.probability for br in members)
-        dist: dict[tuple[int, ...], float] = {}
-        for br in members:
-            dist[br.logical.corrected] = (
-                dist.get(br.logical.corrected, 0.0) + br.probability / weight
-            )
-        table.append((weight, dist))
-    return table
+    kept = [j for j, s in enumerate(branches.sites) if s not in readouts]
+    keys, group = np.unique(
+        branches.outcomes[:, kept], axis=0, return_inverse=True
+    )
+    group = group.ravel()  # its shape differs across numpy 2.x releases
+    weight = np.bincount(group, branches.probability, minlength=len(keys))
+    wires = branches.corrected.shape[1]
+    cell = group << wires | branches.corrected @ (1 << np.arange(wires)[::-1])
+    dist = np.bincount(
+        cell, branches.probability / weight[group], minlength=len(keys) << wires
+    )
+    return weight, dist.reshape(-1, 1 << wires)
 
 
 # -- full protocol --------------------------------------------------------------

@@ -177,6 +177,18 @@ def test_verify_line_format(capsys, monkeypatch):
     assert "passed 1/1 (fast level)" in out
 
 
+def test_end_to_end_detail_is_pinned():
+    # criterion 6's line as the per-branch enumeration printed it, before
+    # the branches became bit columns; the fast level now runs it
+    result = cli.check_end_to_end()
+    assert result["passed"]
+    assert result["detail"] == (
+        "per-branch TV vs reference: identity 256br 0.0e+00, "
+        "rot 2048br 5.0e-16, cnot 256br 0.0e+00"
+    )
+    assert 6 not in cli.SLOW_CRITERIA
+
+
 def test_verify_failure_exits_two(capsys, monkeypatch):
     stub = [
         (1, "alpha", lambda: {"criterion": 1, "passed": False,

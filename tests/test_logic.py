@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -354,6 +355,14 @@ def _folded_identity_case(rows, cols, seed):
     return lat, asg, term, plan
 
 
+def _group_dists(branches, plan):
+    """Each group's corrected-outcome distribution, keyed like
+    ``reference_circuit_sim``."""
+    _, dist = conditional_logical_table(branches, plan)
+    keys = list(np.ndindex((2,) * plan.wires))
+    return [dict(zip(keys, row.tolist())) for row in dist]
+
+
 def test_identity_branches_decoupled():
     lat, asg = _fixture(["yxzxz", "xyxyx"])
     term = BoundaryTermination()
@@ -363,9 +372,9 @@ def test_identity_branches_decoupled():
     reference = reference_circuit_sim(IDENTITY)
     for lat, asg, term, plan in cases:
         branches = protocol_branches(lat, asg, plan, IDENTITY, term)
-        total = sum(b.probability for b in branches)
+        total = branches.probability.sum()
         assert total == pytest.approx(1.0, abs=1e-9)
-        for _, dist in conditional_logical_table(branches, plan):
+        for dist in _group_dists(branches, plan):
             assert tv_distance(dist, reference) < 1e-8
 
 
@@ -382,7 +391,7 @@ def test_rotation_branches_decoupled():
     reference = reference_circuit_sim(circ)
     worst = max(
         tv_distance(dist, reference)
-        for _, dist in conditional_logical_table(branches, plan)
+        for dist in _group_dists(branches, plan)
     )
     assert worst < 1e-8
 
@@ -447,12 +456,16 @@ def test_sampled_run_is_a_branch(circuit, seed):
     term = BoundaryTermination(axis="x")
     res = run_protocol(lat, term, circuit, rng_seed=seed)
     branches = protocol_branches(lat, res.assignment, res.plan, circuit, term)
-    taken = tuple(sorted((s.site, s.outcome) for s in res.record.steps))
-    [branch] = [b for b in branches if b.outcomes == taken]
+    sites, taken = zip(*sorted((s.site, s.outcome) for s in res.record.steps))
+    assert branches.sites == sites
+    [i] = np.flatnonzero((branches.outcomes == taken).all(axis=1))
     want = math.prod(s.probability for s in res.record.steps)
-    assert branch.probability == pytest.approx(want, rel=0, abs=1e-12)
-    assert branch.frame == res.frame
-    assert branch.logical == res.outcome
+    assert branches.probability[i] == pytest.approx(want, rel=0, abs=1e-12)
+    assert branches.ax[i].tolist() == res.frame.ax
+    assert branches.az[i].tolist() == res.frame.az
+    corrected = branches.corrected[i]
+    assert tuple(corrected.tolist()) == res.outcome.corrected
+    assert tuple((corrected ^ branches.ax[i]).tolist()) == res.outcome.raw
 
 
 def test_unfit_circuit_fails_before_sampling(monkeypatch):
@@ -719,11 +732,22 @@ def test_layer_walk_matches_qubit_walk(rows, cols, seed):
         assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
 
 
+@dataclasses.dataclass(frozen=True)
+class _RefBranch:
+    """One leaf of the depth-first reference enumeration."""
+
+    outcomes: tuple  # ((site, bit), ...), sites sorted
+    probability: float
+    frame: ByproductFrame
+    logical: logic.LogicalOutcome
+
+
 def _ref_protocol_branches(
     engine_cls, lattice, assignment, plan, circuit, term, min_probability=1e-12
 ):
-    """Depth-first enumeration, one engine copy per tree node: the reference
-    for the level-by-level ``protocol_branches``."""
+    """Depth-first enumeration, one engine copy per tree node and one
+    record per leaf: the reference for the level-by-level, columnar
+    ``protocol_branches``."""
     rt = logic._Runtime(assignment, plan, circuit)
     out = []
 
@@ -731,7 +755,7 @@ def _ref_protocol_branches(
         if idx == len(plan.order):
             readouts = {w: outcomes[s] for w, s in plan.readout_sites.items()}
             out.append(
-                logic.ProtocolBranch(
+                _RefBranch(
                     tuple(sorted(outcomes.items())),
                     prob,
                     frame,
@@ -778,10 +802,21 @@ def _branch_cases():
 
 
 def _assert_same_branches(fast, slow):
-    assert [b.outcomes for b in fast] == [b.outcomes for b in slow]
-    for a, b in zip(fast, slow):
-        assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
-        assert (a.frame, a.logical) == (b.frame, b.logical)
+    # the columnar record, leaf by leaf, against the reference's records
+    assert len(fast) == len(slow)
+    leaves = zip(
+        fast.outcomes.tolist(),
+        fast.probability.tolist(),
+        fast.ax.tolist(),
+        fast.az.tolist(),
+        fast.corrected.tolist(),
+    )
+    for (bits, p, ax, az, corrected), b in zip(leaves, slow):
+        assert tuple(zip(fast.sites, bits)) == b.outcomes
+        assert p == pytest.approx(b.probability, rel=0, abs=1e-12)
+        assert (ax, az) == (b.frame.ax, b.frame.az)
+        assert tuple(corrected) == b.logical.corrected
+        assert tuple(c ^ a for c, a in zip(corrected, ax)) == b.logical.raw
 
 
 def test_branch_tables_match_dense_reference(monkeypatch):
@@ -853,18 +888,21 @@ def _ref_logical_table(branches, plan):
     """``conditional_logical_table`` grouping by a per-branch set scan."""
     readouts = set(plan.readout_sites.values())
     groups = {}
-    for br in branches:
-        key = tuple((s, b) for s, b in br.outcomes if s not in readouts)
-        groups.setdefault(key, []).append(br)
+    for bits, p, corrected in zip(
+        branches.outcomes.tolist(),
+        branches.probability.tolist(),
+        branches.corrected.tolist(),
+    ):
+        outcomes = zip(branches.sites, bits)
+        key = tuple((s, b) for s, b in outcomes if s not in readouts)
+        groups.setdefault(key, []).append((p, tuple(corrected)))
     table = []
     for key in sorted(groups):
         members = groups[key]
-        weight = sum(br.probability for br in members)
+        weight = sum(p for p, _ in members)
         dist = {}
-        for br in members:
-            dist[br.logical.corrected] = (
-                dist.get(br.logical.corrected, 0.0) + br.probability / weight
-            )
+        for p, corrected in members:
+            dist[corrected] = dist.get(corrected, 0.0) + p / weight
         table.append((weight, dist))
     return table
 
@@ -873,8 +911,27 @@ def test_logical_table_matches_set_scan_grouping():
     for _, lat, asg, term, circuit, spacing in e2e_fixtures():
         _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
         branches = protocol_branches(lat, asg, plan, circuit, term)
-        table = conditional_logical_table(branches, plan)
+        weight, dist = conditional_logical_table(branches, plan)
         want = _ref_logical_table(branches, plan)
-        assert [(w, list(d.items())) for w, d in table] == [
-            (w, list(d.items())) for w, d in want
+        keys = list(np.ndindex((2,) * circuit.wires))
+        # every outcome a group reaches has positive weight: the dict holds
+        # exactly the nonzero cells
+        got = [
+            {k: p for k, p in zip(keys, row) if p} for row in dist.tolist()
         ]
+        assert weight.tolist() == [w for w, _ in want]
+        assert got == [d for _, d in want]
+
+
+def test_cnot_branches_match_reference():
+    # the one enumerated case with two wires and a CNOT event; criterion 6
+    # reads only the corrected bits, so the frames are compared here
+    name, lat, asg, term, circuit, spacing = e2e_fixtures()[2]
+    assert name == "cnot"
+    _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
+    fast = protocol_branches(lat, asg, plan, circuit, term)
+    slow = _ref_protocol_branches(DenseEngine, lat, asg, plan, circuit, term)
+    assert fast.ax.shape == fast.az.shape == (len(slow), 2)
+    _assert_same_branches(fast, slow)
+    frames = np.concatenate([fast.ax, fast.az], axis=1)
+    assert len(np.unique(frames, axis=0)) == 16
