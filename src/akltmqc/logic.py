@@ -1086,10 +1086,10 @@ def conditional_logical_table(
     """
     readouts = set(plan.readout_sites.values())
     kept = [j for j, s in enumerate(branches.sites) if s not in readouts]
-    keys, group = np.unique(
-        branches.outcomes[:, kept], axis=0, return_inverse=True
-    )
-    group = group.ravel()  # its shape differs across numpy 2.x releases
+    # each leaf's kept outcomes as one integer, first site most significant,
+    # so integer order is row order; the qubit cap keeps it under 2^24
+    key = branches.outcomes[:, kept] @ (1 << np.arange(len(kept))[::-1])
+    keys, group = np.unique(key, return_inverse=True)
     weight = np.bincount(group, branches.probability, minlength=len(keys))
     wires = branches.corrected.shape[1]
     cell = group << wires | branches.corrected @ (1 << np.arange(wires)[::-1])
