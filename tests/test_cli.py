@@ -178,8 +178,8 @@ def test_verify_line_format(capsys, monkeypatch):
 
 
 def test_end_to_end_detail_is_pinned():
-    # criterion 6's line as the per-branch enumeration printed it, before
-    # the branches became bit columns; the fast level now runs it
+    # criterion 6's line as the per-leaf enumeration printed it, which the
+    # columnar one reproduces digit for digit; verify's fast level runs it
     result = cli.check_end_to_end()
     assert result["passed"]
     assert result["detail"] == (
