@@ -14,7 +14,9 @@ remedy is a fresh stage-one sample.
 A widget whose third leg enters a matched cluster reads the cluster's
 renormalized bit. ``compile_plan`` folds each such hanging branch once, on
 GF(2) forms, so every reference in a plan is a parity: a constant bit xor
-the outcomes of a fixed tuple of sites.
+the outcomes of a fixed tuple of sites. The fold handles trees only; the
+routing audit rejects every backbone whose hanging branch closes a
+matched loop, so a tree is all it ever sees.
 
 Stage 2 has one runtime. ``_Runtime`` holds what a walk over a plan
 reads: it gives each site's two outcome rows, sign-adapted to the frame,
@@ -32,7 +34,7 @@ once per level; :class:`ProtocolBranches` holds the leaves as arrays.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +56,11 @@ from .router import (
     disabled_ids,
     find_clusters,
     flag_off_limits,
-    matched_neighbors,
     route_backbone,
     spacing_failure,
 )
 from .sampler import AxisAssignment, SampleMode, matched_mask, stage1_sample
-from .tensors import comp_covector, povm_element, standard_covector
+from .tensors import AXES, comp_covector, povm_element, standard_covector
 
 FORMAT_VERSION = 1
 MAX_ROUTE_ATTEMPTS = 256
@@ -289,193 +290,67 @@ def _running_flip(nu: str, dax: int, daz: int) -> int:
     return dax
 
 
-@dataclass
-class _FoldCtx:
-    lattice: HexLattice
-    assignment: AxisAssignment
-    interior: frozenset[Site]
-    term: BoundaryTermination | None
-    mu: str
-    bit_of: "callable"
-    nu_map: dict[Site, str]
-    assoc_sites: list[Site]
-    member_sites: list[Site]
-
-    def matched(self, site: Site) -> list[Site]:
-        """Neighbours of ``site`` along matched bonds."""
-        codes = self.assignment.codes(self.lattice)
-        return matched_neighbors(self.lattice, codes, site)
-
-
-def _stem_inputs(ctx: _FoldCtx, site: Site) -> list[tuple[str, int, Site | None]]:
-    """Standard inputs on this cluster site's unmatched legs, in leg order."""
-    out = []
-    matched = ctx.matched(site)
-    for leg in Leg:
-        n = ctx.lattice.neighbor(site, leg)
-        if n is not None and n in matched:
-            continue
-        if n is None:
-            axis, bit = _termination_reference(ctx.lattice, ctx.term, site, leg)
-            if axis == ctx.mu:
-                raise ProtocolError(
-                    f"boundary frame at {site} matches the cluster axis"
-                )
-            out.append((axis, bit, None))
-        else:
-            if n in ctx.interior:
-                raise ProtocolError(
-                    f"cluster site {site} leaks onto interior-measured {n}"
-                )
-            out.append((ctx.assignment[n], ctx.bit_of(n), n))
-    return out
-
-
-def _component(neighbors, start: Site, avoid: Site) -> set[Site]:
-    """Connected component of ``start`` with one node removed; the graph
-    gives each site's ``neighbors(site)``."""
-    comp = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for nb in neighbors(cur):
-            if nb != avoid and nb not in comp:
-                comp.add(nb)
-                stack.append(nb)
-    return comp
-
-
-def _bfs_path(neighbors, start: Site, goal: Site, avoid: Site) -> list[Site]:
-    """Shortest path start..goal on the graph of ``neighbors(site)``
-    skipping ``avoid``, sorted ties."""
-    prev: dict[Site, Site | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if cur == goal:
-            path = [cur]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for nb in sorted(neighbors(cur)):
-            if nb != avoid and nb not in prev:
-                prev[nb] = cur
-                queue.append(nb)
-    raise ProtocolError(f"matched loop through {avoid} does not close")
-
-
-def _fold_site(ctx: _FoldCtx, site: Site, parent: Site) -> tuple[str, int]:
-    """Fold the matched subgraph hanging at ``site`` into (nu, bit).
-
-    Each tree site consumes exactly two inputs (folded children and
-    standard stems): one acts as the reference for its own exponent
-    contribution, the other keeps running toward the root. When two
-    children close a cycle through this site, the whole loop collapses by
-    the loop rule instead and this site keeps its leg toward ``parent``.
-    """
-    ctx.member_sites.append(site)
-    children = sorted(n for n in ctx.matched(site) if n != parent)
-    if len(children) == 2:
-        comp = _component(ctx.matched, children[0], avoid=site)
-        if children[1] in comp:
-            return _fold_cycle(ctx, site, children)
-    stems = _stem_inputs(ctx, site)
-    inputs: list[tuple[str, int]] = []
-    for child in children:
-        inputs.append(_fold_site(ctx, child, site))
-    for axis, bit, n in stems:
-        inputs.append((axis, bit))
-        if n is not None:
-            ctx.assoc_sites.append(n)
-    if len(inputs) != 2:
-        raise ProtocolError(
-            f"cluster site {site} has {len(inputs)} inputs, needs 2"
-        )
-    # reference versus running input, by a fixed structural rule: a lone
-    # stem is the reference; otherwise the first input (first-leg stem at a
-    # leaf, smaller-site child at a bifurcation) takes that part
-    if len(stems) == 1:
-        partner, running = inputs[1], inputs[0]
-    else:
-        partner, running = inputs[0], inputs[1]
-    nu_p, c_p = partner
-    ctx.nu_map[site] = nu_p
-    dax, daz = byproduct_indices(ctx.mu, ctx.bit_of(site), c_p)
-    nu_r, c_r = running
-    return nu_r, c_r ^ _running_flip(nu_r, dax, daz)
-
-
-def _fold_cycle(
-    ctx: _FoldCtx, zeroth: Site, pair: list[Site]
-) -> tuple[str, int]:
-    """Fold a matched loop closing through ``zeroth`` into (nu, bit).
-
-    The zeroth site keeps its third leg open toward the rest of the fold.
-    Every other loop site contributes exponents against its own reference
-    (a stem or a side subtree), the X exponents cancel around the loop, and
-    the delivered bit flips with the accumulated Z exponents for an x-axis
-    loop or the accumulated X exponents for a z-axis loop.
-    """
-    if ctx.mu == "y":
-        raise ProtocolError("matched loops on a y-axis cluster are not folded")
-    cycle = [zeroth] + _bfs_path(ctx.matched, pair[0], pair[1], zeroth)
-    ring = set(cycle)
-    sx = sz = 0
-    for i, k in enumerate(cycle[1:], start=1):
-        ctx.member_sites.append(k)
-        around = {cycle[i - 1], cycle[(i + 1) % len(cycle)]}
-        side = [n for n in ctx.matched(k) if n not in around]
-        if any(n in ring for n in side):
-            raise ProtocolError(f"loop site {k} has a chord")
-        stems = _stem_inputs(ctx, k)
-        if side:
-            if len(side) != 1 or stems:
-                raise ProtocolError(f"loop site {k} is overconnected")
-            nu_p, c_p = _fold_site(ctx, side[0], k)
-        else:
-            if len(stems) != 1:
-                raise ProtocolError(f"loop site {k} needs exactly one stem")
-            nu_p, c_p, n = stems[0]
-            if n is not None:
-                ctx.assoc_sites.append(n)
-        ctx.nu_map[k] = nu_p
-        dax, daz = byproduct_indices(ctx.mu, ctx.bit_of(k), c_p)
-        sx ^= dax
-        sz ^= daz
-    nu0 = "x" if ctx.mu == "z" else "z"
-    ctx.nu_map[zeroth] = nu0
-    acc = sz if ctx.mu == "z" else sx
-    return nu0, ctx.bit_of(zeroth) ^ acc ^ 1
-
-
 def _fold_branch(
     lattice: HexLattice,
     assignment: AxisAssignment,
-    first: Site,
-    root: Site,
-    interior: frozenset[Site],
+    first: int,
+    root: int,
     term: BoundaryTermination | None,
     bit_of,
-) -> tuple[str, int, _FoldCtx]:
-    """Fold the hanging branch entered at ``first`` from widget ``root``.
+) -> tuple[str, int, list[int], list[int], dict[int, str]]:
+    """Fold the hanging branch entered at site ``first`` from widget ``root``.
 
-    Returns the frame and bit the branch delivers to ``root``, and the
-    context listing the branch's sites and their associates. ``bit_of``
-    gives each outcome: a 0/1 bit, or a GF(2) form held as an int.
+    Sites are indices and a matched neighbour is one with the same axis
+    code. The branch is a tree: the routing audit rejects every backbone
+    whose hanging branch closes a matched loop. Each tree site consumes
+    exactly two inputs, its folded children (smaller site first) and the
+    standard stems on its unmatched legs (in leg order): one acts as the
+    reference for its own exponent contribution, the other keeps running
+    toward the root. ``bit_of`` gives each outcome: a 0/1 bit, or a GF(2)
+    form held as an int.
+
+    Returns the frame and bit the branch delivers to ``root``, the branch
+    sites in the order they are entered, their associates, and each
+    branch site's partner frame.
     """
-    ctx = _FoldCtx(
-        lattice=lattice,
-        assignment=assignment,
-        interior=interior,
-        term=term,
-        mu=assignment[first],
-        bit_of=bit_of,
-        nu_map={},
-        assoc_sites=[],
-        member_sites=[],
-    )
-    nu, cbar = _fold_site(ctx, first, root)
-    return nu, cbar, ctx
+    table = lattice.neighbor_table()
+    codes = assignment.codes(lattice)
+    mu = AXES[codes[first]]
+    members: list[int] = []
+    assocs: list[int] = []
+    nu_map: dict[int, str] = {}
+
+    def fold(i: int, parent: int) -> tuple[str, int]:
+        members.append(i)
+        site = divmod(i, lattice.cols)
+        children, stems = [], []
+        for leg, n in zip(Leg, table[i]):
+            if n < 0:
+                axis, bit = _termination_reference(lattice, term, site, leg)
+                if axis == mu:
+                    raise ProtocolError(
+                        f"boundary frame at {site} matches the cluster axis"
+                    )
+                stems.append((axis, bit, n))
+            elif codes[n] != codes[i]:
+                stems.append((AXES[codes[n]], bit_of(n), n))
+            elif n != parent:
+                children.append(n)
+        inputs = [fold(n, i) for n in sorted(children)]
+        inputs += [(axis, bit) for axis, bit, _ in stems]
+        assocs.extend(n for _, _, n in stems if n >= 0)
+        # reference versus running input, by a fixed structural rule: a lone
+        # stem is the reference; otherwise the first input (first-leg stem at
+        # a leaf, smaller-site child at a bifurcation) takes that part
+        partner, running = inputs[::-1] if len(stems) == 1 else inputs
+        nu_p, c_p = partner
+        nu_map[i] = nu_p
+        dax, daz = byproduct_indices(mu, bit_of(i), c_p)
+        nu_r, c_r = running
+        return nu_r, c_r ^ _running_flip(nu_r, dax, daz)
+
+    nu, bit = fold(first, root)
+    return nu, bit, members, assocs, nu_map
 
 
 # -- measurement plans ----------------------------------------------------------
@@ -557,7 +432,9 @@ def compile_plan(
 
     A hanging branch is folded here, once, on GF(2) forms: site ``x``'s
     outcome is the int ``2 << site_index(x)`` and bit 0 holds the constant,
-    so the fold's xors return the widget's reference as one parity.
+    so the fold's xors return the widget's reference as one parity. The
+    fold walks the branch as a tree: the audited backbone guarantees that
+    no hanging branch closes a matched loop.
     """
     try:
         circuit.validate()
@@ -567,8 +444,6 @@ def compile_plan(
     wires = backbone.wires
     junctions = {s for j in backbone.junctions for s in (j.control, j.target)}
     adj = _backbone_adjacency(list(wires), list(backbone.junctions))
-    backbone_set = backbone.backbone_sites()
-    extensions: set[Site] = set()
 
     placed: set[Site] = set()
     emitted: list[PlanSite] = []
@@ -586,8 +461,11 @@ def compile_plan(
         emitted.append(ps)
         finalize.append(fin)
 
-    def form_bit(x: Site) -> int:
-        return 2 << lattice.site_index(x)
+    def form_bit(i: int) -> int:
+        return 2 << i
+
+    def site_at(i: int) -> Site:
+        return divmod(i, lattice.cols)
 
     def resolve(s: Site) -> Reference | CompileFailure:
         """Record the reference feeding widget ``s`` and emit its sources."""
@@ -608,10 +486,7 @@ def compile_plan(
                 return CompileFailure(
                     "unpinned-boundary", f"{s} needs a pinned boundary"
                 )
-            try:
-                axis, bit = _termination_reference(lattice, term, s, free[0])
-            except ProtocolError as exc:
-                return CompileFailure("rank-deficient", str(exc))
+            axis, bit = _termination_reference(lattice, term, s, free[0])
             if axis == mu:
                 return CompileFailure(
                     "rank-deficient",
@@ -623,26 +498,29 @@ def compile_plan(
             ref = Reference(assignment[n], 0, (n,))
         else:
             try:
-                nu, form, ctx = _fold_branch(
+                nu, form, members, assocs, nu_map = _fold_branch(
                     lattice,
                     assignment,
-                    n,
-                    s,
-                    frozenset(backbone_set | extensions),
+                    lattice.site_index(n),
+                    lattice.site_index(s),
                     term,
                     form_bit,
                 )
             except ProtocolError as exc:
                 return CompileFailure("branch-fold", str(exc))
-            extensions.update(ctx.member_sites)
-            for a in ctx.assoc_sites:
+            for a in map(site_at, assocs):
                 emit(PlanSite(a, "standard", assignment[a]))
-            for e in ctx.member_sites:
-                nu_e = ctx.nu_map[e]
-                emit(PlanSite(e, "complementary", mu, partner_axis=nu_e))
-            sources = dict.fromkeys(ctx.member_sites + ctx.assoc_sites)
+            for e in members:
+                emit(
+                    PlanSite(
+                        site_at(e), "complementary", mu, partner_axis=nu_map[e]
+                    )
+                )
+            sources = dict.fromkeys(members + assocs)
             ref = Reference(
-                nu, form & 1, tuple(x for x in sources if form & form_bit(x))
+                nu,
+                form & 1,
+                tuple(site_at(x) for x in sources if form & form_bit(x)),
             )
         reference[s] = ref
         return ref

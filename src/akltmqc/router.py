@@ -532,21 +532,6 @@ def _adjacency(edges) -> dict[Site, set[Site]]:
     return adj
 
 
-def matched_neighbors(
-    lattice: HexLattice, codes: np.ndarray, site: Site
-) -> list[Site]:
-    """Neighbours of ``site`` along matched bonds: those with its axis code.
-
-    ``codes`` is the assignment's ``codes(lattice)``.
-    """
-    i = lattice.site_index(site)
-    return [
-        divmod(n, lattice.cols)
-        for n in lattice.neighbor_table()[i]
-        if n >= 0 and codes[n] == codes[i]
-    ]
-
-
 def _backbone_adjacency(
     wires: list[tuple[Site, ...]], junctions: list[JunctionPair]
 ) -> dict[Site, set[Site]]:

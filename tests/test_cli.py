@@ -217,6 +217,15 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
         ["run", "--lattice", "2x4", "--seed", "1", "--circuit", "c.json",
          "--term", "traced"],
         ["verify", "--level", "slow"],
+        # range checks on parsed values
+        ["sample", "--lattice", "2x4", "--mode", "iid", "--seed", "1",
+         "--trials", "0"],
+        ["route", "--lattice", "2x4", "--seed", "1", "--circuit", "c.json",
+         "--spacing", "0"],
+        ["percolate", "--p", "1.5", "--size", "4x8", "--seed", "1"],
+        ["percolate", "--p", "a,b", "--size", "4x8", "--seed", "1"],
+        ["run", "--lattice", "2x4", "--seed", "1", "--circuit",
+         "no-such-circuit.json"],
     ],
 )
 def test_out_of_range_input_is_validation_error(capsys, argv):
@@ -225,7 +234,7 @@ def test_out_of_range_input_is_validation_error(capsys, argv):
     assert (err["error"], err["reason"]) == ("validation", "bad-arguments")
 
 
-@pytest.mark.parametrize("command", ["sample", "run"])
+@pytest.mark.parametrize("command", ["sample", "route", "run"])
 def test_exact_over_strip_cap_is_lattice_size_error(
     capsys, identity_circuit, command
 ):

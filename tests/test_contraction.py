@@ -102,6 +102,20 @@ def test_pinned_sampling_respects_strip_cap():
         chain_rule_sample(lat, BoundaryTermination(axis="z"), 1)
 
 
+def _refuse_contraction(*args):
+    raise AssertionError("contracted a lattice past its site cap")
+
+
+def test_site_caps_raise_before_contracting(monkeypatch):
+    monkeypatch.setattr(contraction, "_contract_sweep", _refuse_contraction)
+    lat = build_lattice(5, 5)
+    asg = stage1_sample(lat, None, "iid", 0)
+    with pytest.raises(LatticeSizeError, match="25 sites exceeds qubit cap"):
+        DenseEngine(lat, asg, BoundaryTermination())
+    with pytest.raises(LatticeSizeError, match="14 sites exceeds dense cap"):
+        build_state(build_lattice(2, 7))
+
+
 def test_effect_weights_allocate_at_most_one_state():
     lat = build_lattice(3, 6)
     term = BoundaryTermination(axis="x")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from akltmqc import contraction, logic
+from akltmqc import contraction, logic, router
 from akltmqc.cli import e2e_fixtures
 from akltmqc.contraction import (
     DENSE_SITE_CAP,
@@ -43,8 +43,12 @@ from akltmqc.router import (
     ClusterExtension,
     RoutingFailure,
     _backbone_adjacency,
+    disabled_ids,
+    find_clusters,
+    flag_off_limits,
+    route_backbone,
 )
-from akltmqc.sampler import AxisAssignment, stage1_sample
+from akltmqc.sampler import AxisAssignment, matched_mask, stage1_sample
 from akltmqc.tensors import (
     physical_basis,
     povm_element,
@@ -251,8 +255,8 @@ def _fold_entries(lat, asg, backbone, plan):
 
 
 def test_compile_invariants_held_by_routing():
-    # compile_plan has no coverage, associate-clash or branch-clash check:
-    # it trusts three facts about a routed, audited backbone.
+    # compile_plan has no coverage, associate-clash, branch-clash, leak or
+    # loop check: it trusts five facts about a routed, audited backbone.
     # - Every lattice site lands in the plan once (coverage): the sea is
     #   the complement of the placed sites, and the audit's jump and band
     #   checks keep every backbone site on the lattice.
@@ -264,6 +268,13 @@ def test_compile_invariants_held_by_routing():
     #   branch that reaches the backbone twice is _assemble's phase-one
     #   cluster-loop ("reattaches"), and the audit's loop rank counts it.
     #   So the root recorded on a fold's entry site is the folding widget.
+    # - No stem of a hanging branch leaks onto an interior-measured site
+    #   (leak): a branch site with an unmatched neighbour on the backbone
+    #   or on an extension is _assemble's phase-two cluster-loop
+    #   ("touches interior site").
+    # - A hanging branch is a tree, so the fold needs no loop rule: the
+    #   audit's loop rank rejects a branch that closes a matched loop
+    #   (test_audit_rejects_looped_hanging_branches).
     # Nor has it a junction-axes check: that is the audit's "is not
     # z-axis" / "is not x-axis" (tests/test_router.py).
     plans = _census()
@@ -297,20 +308,49 @@ def test_fold_references_are_parities():
     rng = np.random.default_rng(13)
     checked = 0
     for lat, asg, term, backbone, plan in _census():
-        interior = frozenset(
-            ps.site for ps in plan.order if ps.kind == "complementary"
-        )
         for s, n in _fold_entries(lat, asg, backbone, plan).items():
             ref = plan.reference[s]
             for _ in range(8):
                 bits = rng.integers(0, 2, lat.n_sites).tolist()
                 outcomes = dict(zip(lat.sites(), bits))
-                nu, c, _ = _fold_branch(
-                    lat, asg, n, s, interior, term, outcomes.__getitem__
+                nu, c, *_ = _fold_branch(
+                    lat,
+                    asg,
+                    lat.site_index(n),
+                    lat.site_index(s),
+                    term,
+                    bits.__getitem__,
                 )
                 assert (ref.axis, _parity(ref, outcomes)) == (nu, c)
             checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("seed", [133, 185])
+def test_audit_rejects_looped_hanging_branches(monkeypatch, seed):
+    # compile_plan folds hanging branches as trees and has no loop guard:
+    # it relies on the audit's loop rank. On these iid 4x8 patterns the
+    # branch hanging at (0, 6) closes a matched hexagon, and the audit
+    # rejects the backbone before any fold runs
+    lat = build_lattice(4, 8)
+    asg = stage1_sample(lat, None, "iid", seed)
+    prep = prepare_protocol(lat, asg, IDENTITY, BoundaryTermination(axis="x"))
+    assert prep == RoutingFailure(
+        "audit", "interior region closes 1 loops, circuit calls for 0"
+    )
+    monkeypatch.setattr(router, "audit_backbone", lambda *args: [])
+    clusters = find_clusters(lat, matched_mask(lat, asg), asg)
+    disabled = disabled_ids(flag_off_limits(lat, clusters))
+    spacing = auto_spacing(lat, IDENTITY)
+    backbone = route_backbone(lat, asg, clusters, disabled, IDENTITY, spacing)
+    branch = {
+        x
+        for x, role in backbone.roles.items()
+        if role == ClusterExtension(root=(0, 6))
+    }
+    # a tree on k sites has k - 1 bonds
+    bonds = sum(a in branch and b in branch for a, b in lat.bond_sites())
+    assert bonds == len(branch) == 6
 
 
 def test_events_read_only_earlier_non_readout_sites():

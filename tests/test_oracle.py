@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from akltmqc.contraction import (
     BoundaryTermination,
+    LatticeSizeError,
     build_state,
     chain_rule_sample,
     pattern_probability,
@@ -92,6 +94,18 @@ def test_vbs_state_matches_contraction(rows, cols, axis):
     found = vbs_state(lattice, term)
     target = build_state(lattice, term).amplitudes
     assert residual_up_to_scale(found, target) < 1e-12
+
+
+def test_vbs_state_cap_raises_before_allocating():
+    # 8 sites are 24 virtual qubits: 2^24 amplitudes past the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(LatticeSizeError, match="8 sites exceeds VBS"):
+            vbs_state(build_lattice(2, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_reference_identity():
