@@ -817,6 +817,7 @@ SLOW_CRITERIA = frozenset({8})
 # -- entry point ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # built by the first main call
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="akltmqc",

@@ -22,10 +22,11 @@ contractions (:func:`_layer_value`) of the generic sweep
 (:func:`_contract_sweep`); :func:`pattern_probability` weighs a
 ``{site: axis}`` dict of polarizing outcomes. :class:`TracedEngine` is
 the layer engine for sequential measurement, for a traced or a pinned
-``term``: it keeps each site's closed double tensor and caches the left
-and right environments of every line (rescaled by powers of two, so that
-strips of any length stay in float range), and a chain-rule step
-contracts a few lines instead of the whole strip. It contracts a line by
+``term``: it builds each closed double tensor once per site class and
+effect, shared by every engine, and caches the left and right
+environments of every line (rescaled by powers of two, so that strips of
+any length stay in float range), and a chain-rule step contracts a few
+lines instead of the whole strip. It contracts a line by
 replaying a recorded :class:`_Plan`: the sweep's joins, worked out once
 per line class and role by ``_join``'s own axis matching and kept as
 transposes, reshapes and matrix products (:class:`_Step`). Stage 1 is
@@ -156,6 +157,17 @@ def _effect(action: np.ndarray) -> np.ndarray:
     return action.conj().T @ action
 
 
+@lru_cache(maxsize=None)
+def _polarizers() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Stage 1's polarizing operators along ``AXES`` and their stacked
+    effects, read-only. Built on first use, not at import: the first
+    complex matrix product sets up the BLAS buffers."""
+    povms = tuple(povm_element(ax) for ax in AXES)
+    effects = np.stack([_effect(p) for p in povms])
+    effects.setflags(write=False)
+    return povms, effects
+
+
 def _as_op(action: np.ndarray) -> np.ndarray:
     """The action as an operator: a row r acts as the projector |r><r|."""
     return _effect(action) if np.ndim(action) == 1 else action
@@ -233,8 +245,15 @@ class _Step:
         )
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.apply(a, self.operand(b))
+
+    def operand(self, b: np.ndarray) -> np.ndarray:
+        """b as the right-hand matrix of the product."""
+        return b.transpose(self.b_perm).reshape(self.b_mat)
+
+    def apply(self, a: np.ndarray, bt: np.ndarray) -> np.ndarray:
+        """The join, b given as ``operand(b)``."""
         at = a.transpose(self.a_perm).reshape(self.a_mat)
-        bt = b.transpose(self.b_perm).reshape(self.b_mat)
         return np.dot(at, bt).reshape(self.shape)
 
 
@@ -539,11 +558,19 @@ class _Plan:
         return cls(tuple(program), next(it, None), tuple(keys))
 
     def run(self, acc, tensors, right=None) -> np.ndarray:
+        """Replay onto ``acc``; ``tensors`` are the line's site tensors,
+        values of ``_SITE_TENSORS``. Each group's operand (a vertical pair
+        joined, then made the step's matrix) comes from ``_OPERANDS``."""
         for first, last, pair, step in self.program:
-            t = tensors[first]
-            if pair is not None:
-                t = pair(t, tensors[last])
-            acc = step(acc, t)
+            key = (step, id(tensors[first]), id(tensors[last]))
+            b = _OPERANDS.get(key)
+            if b is None:
+                t = tensors[first]
+                if pair is not None:
+                    t = pair(t, tensors[last])
+                b = _OPERANDS[key] = step.operand(t)
+                b.setflags(write=False)
+            acc = step.apply(acc, b)
         if self.tail is not None:
             acc = self.tail(acc, right)
         return acc
@@ -553,6 +580,14 @@ class _Plan:
 # the legs of the line's sites and the key order of both environments it
 # meets, so it fixes every join; the count does not grow with the strip.
 _PLANS: dict[tuple, _Plan] = {}
+
+# The layer engine's closed site tensors by (site class, effect key), and
+# each line group's operand by (step, ids of the group's site tensors);
+# shared by every engine, read-only, and never evicted, so an id in an
+# operand key always names a live tensor. Each holds one entry per site
+# class and effect (per step and tensors) in use, however long the strip.
+_SITE_TENSORS: dict[tuple, np.ndarray] = {}
+_OPERANDS: dict[tuple, np.ndarray] = {}
 
 _EMPTY_ENV = (np.ones((), dtype=complex), [], 0)
 _EMPTY_ENV[0].setflags(write=False)
@@ -739,10 +774,20 @@ class TracedEngine:
     two environments, and reads every alternative off the resulting (4, 4)
     tensor, so a step costs that line and the environments it invalidated.
 
-    Three caches keep a line contraction down to its numpy calls:
+    Four caches keep a line contraction down to its numpy calls:
 
-    * each site's closed double tensor (its effect applied, its dangling
-      legs closed by ``term``); ``apply_op`` replaces only that site's;
+    * the closed double tensors (an effect applied, the dangling legs
+      closed by ``term``), built once per site class and effect and shared
+      by every engine in ``_SITE_TENSORS``. A site's class is its kind and
+      the closure vector of each dangling leg, computed once per engine:
+      the kind alone would not do, since ``term.overrides`` pins single
+      legs. Each site points at the tensor of its class and current effect
+      (unmeasured, or its accumulated operator's); ``apply_op`` repoints
+      only that site;
+    * each line group's operand in ``_OPERANDS``: a vertical pair joined,
+      then made the matrix its step multiplies by, keyed by the step and
+      the ids of its (never evicted) site tensors. Both memos hold one
+      entry per class and effect in use, however long the strip;
     * the recorded :class:`_Plan` of each line class and role in
       ``_PLANS``: a line's class is its family (orientation and length),
       its distance from either end (0, 1 or more) and the parity of its
@@ -781,38 +826,50 @@ class TracedEngine:
             (family, min(k, 2), min(n - 1 - k, 2), k % 2) for k in range(n)
         ]
         self._close = _layer_closure(lattice, term)
+        # a site's class: its kind and each leg's closure vector (None for
+        # a bonded leg), which fix its closed tensor for a given effect
+        table = lattice.neighbor_table()
+        self._site_class = {
+            site: (
+                lattice.kind(site),
+                tuple(
+                    None if nb >= 0 else self._close(site, leg).tobytes()
+                    for leg, nb in zip(Leg, table[i])
+                ),
+            )
+            for i, site in enumerate(lattice.sites())
+        }
         self._ops: dict[Site, np.ndarray] = {}
         self._closed: dict[Site, np.ndarray] = {}  # closed double tensors
-        self._open: dict[Site, np.ndarray] = {}  # the same, bra/ket open
         self._left: dict[int, tuple] = {0: _EMPTY_ENV}
         self._right: dict[int, tuple] = {n - 1: _EMPTY_ENV}
         self._left_end, self._right_start = 1, n - 1
 
     # -- site tensors and line contractions -----------------------------------
 
-    def _closed_layer(self, site, effects, open_site=None) -> np.ndarray:
-        t, _ = _closed_tensor(
-            self.lattice,
-            site,
-            _layer_tensors(self.lattice, effects, open_site),
-            self._close,
-        )
-        t.setflags(write=False)  # shared by branches
+    def _layer(self, site: Site, effect=None, opened=False) -> np.ndarray:
+        """The closed double tensor of the site's class carrying ``effect``
+        (None: unmeasured), or with its bra/ket indices open (axes "ra",
+        "rb" first); built once per class and effect, shared read-only."""
+        tag = None if effect is None else effect.tobytes()
+        key = (self._site_class[site], "open" if opened else tag)
+        t = _SITE_TENSORS.get(key)
+        if t is None:
+            tensor_for = _layer_tensors(
+                self.lattice,
+                {} if effect is None else {site: effect},
+                site if opened else None,
+            )
+            t, _ = _closed_tensor(self.lattice, site, tensor_for, self._close)
+            t.setflags(write=False)
+            _SITE_TENSORS[key] = t
         return t
 
     def _site(self, site: Site) -> np.ndarray:
         """The site's closed double tensor."""
         t = self._closed.get(site)
         if t is None:
-            t = self._closed[site] = self._closed_layer(site, {})
-        return t
-
-    def _open_site(self, site: Site) -> np.ndarray:
-        """The site's closed double tensor with its bra/ket indices open
-        (axes "ra", "rb" first); its operator is left out."""
-        t = self._open.get(site)
-        if t is None:
-            t = self._open[site] = self._closed_layer(site, {}, site)
+            t = self._closed[site] = self._layer(site)
         return t
 
     def _shifted(self, keys, d: int) -> list:
@@ -855,7 +912,7 @@ class TracedEngine:
             plan = _PLANS[key] = self._record(k, role, env, right)
         tensors = [self._site(s) for s in self._lines[k]]
         if right is not None:
-            tensors[role] = self._open_site(self._lines[k][role])
+            tensors[role] = self._layer(self._lines[k][role], opened=True)
             return plan.run(env[0], tensors, right[0]), []
         return plan.run(env[0], tensors), self._shifted(plan.keys, k)
 
@@ -903,9 +960,14 @@ class TracedEngine:
         T from ``_open_tensor`` and O the site's accumulated operator,
         action A weighs sum((M^dagger M) * T) for M = A O."""
         t, exp = self._open_tensor(site)
-        o = self._ops.get(site, _ID4)
-        weights = [_real((_effect(_as_op(a) @ o) * t).sum()) for a in actions]
-        return weights, exp
+        o = self._ops.get(site)
+        povms, effects = _polarizers()
+        if o is None and actions is povms:
+            products = effects * t  # O = I: one product for all three
+        else:
+            o = _ID4 if o is None else o
+            products = [_effect(_as_op(a) @ o) * t for a in actions]
+        return [_real(p.sum()) for p in products], exp
 
     def relative_weights(
         self, site: Site, actions: list[np.ndarray]
@@ -925,7 +987,7 @@ class TracedEngine:
     def apply_op(self, site: Site, op: np.ndarray) -> None:
         o = op @ self._ops.get(site, _ID4)
         self._ops[site] = o
-        self._closed[site] = self._closed_layer(site, {site: o.conj().T @ o})
+        self._closed[site] = self._layer(site, o.conj().T @ o)
         k = self._place[site][0]
         for j in range(k + 1, self._left_end):
             del self._left[j]
@@ -971,7 +1033,7 @@ def chain_rule_sample(
     """
     rng = np.random.default_rng(rng_seed)
     engine = TracedEngine(lattice, term)
-    povms = [povm_element(ax) for ax in AXES]
+    povms, _ = _polarizers()
     steps = []
     for site in lattice.sites():
         weights = engine.relative_weights(site, povms)

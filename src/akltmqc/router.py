@@ -250,14 +250,6 @@ class Backbone:
     junctions: tuple[JunctionPair, ...]  # circuit order
     spacing: int
 
-    def backbone_sites(self) -> frozenset[Site]:
-        out: set[Site] = set()
-        for path in self.wires:
-            out.update(path)
-        for j in self.junctions:
-            out.update(j.link)
-        return frozenset(out)
-
     def to_json(self, lattice: HexLattice) -> dict:
         def code(site: Site) -> str:
             role = self.roles.get(site, Unused())

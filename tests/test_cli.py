@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -380,3 +383,51 @@ def test_exact_run_matches_pinned_digest(
     assert code == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of exact `sample` stdout (stage 1 on the layer engine), recorded
+# at commit d273925, before the engine memoized its site tensors: traced
+# 4x32, x-pinned 4x8, and x-pinned 16x4, whose sweep lines are rows.
+SAMPLE_DIGESTS = [
+    ("4x32", "traced",
+     "507dc579eeaba14c0a192ab8b1ac29c7c4a7970317b0596f49881d1dd7c59ca2"),
+    ("4x8", "x",
+     "19f02ca8538129353b508d42ed843097db5afbd760f666f2a590eb7c39c8f9d7"),
+    ("16x4", "x",
+     "32fa3960b79e2e3f77a67dabf9fd8e02994bce1203ce0736cab43d64f8462500"),
+]
+
+
+@pytest.mark.parametrize("size,term,digest", SAMPLE_DIGESTS)
+def test_exact_sample_matches_pinned_digest(capsys, size, term, digest):
+    code = cli.main(["sample", "--mode", "exact", "--lattice", size,
+                     "--seed", "3", "--term", term])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+_PARSER_PROBE = """
+import contextlib, io
+from akltmqc import cli
+at_import = cli._build_parser.cache_info().currsize
+with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["sample", "--lattice", "2x2", "--mode", "iid", "--seed", "0"])
+        cli.main(["verify", "--level", "slow"])
+info = cli._build_parser.cache_info()
+print(at_import, info.misses, info.hits)
+"""
+
+
+def test_parser_is_built_by_the_first_main_call():
+    # a fresh interpreter: importing the CLI builds no parser, and two
+    # main calls (one a usage error) build it once
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSER_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        check=True,
+    )
+    assert proc.stdout.split() == ["0", "1", "1"]

@@ -21,7 +21,13 @@ from akltmqc.contraction import (
 from akltmqc.lattice import Leg, build_lattice
 from akltmqc.oracle import spin_operators, two_point_correlation
 from akltmqc.sampler import stage1_sample
-from akltmqc.tensors import AXES, povm_element, standard_covector, virtual_ket
+from akltmqc.tensors import (
+    AXES,
+    povm_element,
+    standard_covector,
+    virtual_bra,
+    virtual_ket,
+)
 
 
 @pytest.mark.parametrize("term", [None, BoundaryTermination(axis="z")])
@@ -522,6 +528,88 @@ def test_apply_op_replaces_only_its_site_tensor():
     assert engine.weight() == pytest.approx(reference.weight(), rel=1e-12)
 
 
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty site-tensor and operand memos for one test, swapped together:
+    an operand key names its tensors by id."""
+    monkeypatch.setattr(contraction, "_SITE_TENSORS", {})
+    monkeypatch.setattr(contraction, "_OPERANDS", {})
+
+
+@pytest.mark.parametrize("pinned", [(0, 5), (0, 3)])
+def test_single_leg_override_gets_its_own_site_tensors(
+    pinned, fresh_memos, monkeypatch
+):
+    # criterion 6's rot fixture pins the dangling stem of (0, 5) along x
+    # and every other leg along z; (0, 3) has the kind and dangling legs
+    # of (0, 1). The default termination fills the memos first, so a memo
+    # keyed by kind or dangling legs alone hands over pinned-z tensors.
+    lat = build_lattice(2, 6)
+    chain_rule_sample(lat, BoundaryTermination(), 3)
+    term = BoundaryTermination(
+        overrides={(pinned, Leg.VERT): virtual_bra("x", 0)}
+    )
+    engine, reference = TracedEngine(lat, term), _LayerReference(lat, term)
+    povms = [povm_element(a) for a in AXES]
+    for site in lat.sites():
+        _assert_weights(engine, reference, site, povms)
+        for eng in (engine, reference):
+            eng.apply_op(site, povms[sum(site) % 3])
+    assert engine.weight() == pytest.approx(reference.weight(), rel=1e-12)
+
+    got = chain_rule_sample(lat, term, 3)
+    with monkeypatch.context() as m:
+        m.setattr(contraction, "TracedEngine", _LayerReference)
+        want = chain_rule_sample(lat, term, 3)
+    assert [s.outcome for s in got] == [s.outcome for s in want]
+    np.testing.assert_allclose(
+        [s.probability for s in got],
+        [s.probability for s in want],
+        rtol=1e-12,
+    )
+
+
+def _periodic_walk(lattice):
+    """Stage 1's steps with each axis fixed by the site's diagonal: weigh
+    the three polarizations, then apply one."""
+    engine = TracedEngine(lattice)
+    povms, _ = contraction._polarizers()
+    for r, c in lattice.sites():
+        engine.relative_weights((r, c), povms)
+        engine.apply_op((r, c), povms[(r + c) % 3])
+
+
+def test_memos_do_not_grow_with_strip_length(fresh_memos):
+    def sizes():
+        return len(contraction._SITE_TENSORS), len(contraction._OPERANDS)
+
+    # 32 and 320 columns leave the same axis pattern at both ends, so the
+    # longer strip meets no (site class, effect) the shorter one has not
+    _periodic_walk(build_lattice(4, 32))
+    short = sizes()
+    _periodic_walk(build_lattice(4, 320))
+    assert sizes() == short
+
+    # a sampled strip meets each edge class at a few sites, so which axes
+    # land there depends on the draws; each class has at most five tensors
+    # (unmeasured, bra/ket open, three axes)
+    for cols in (32, 320):
+        chain_rule_sample(build_lattice(4, cols), None, 3)
+        engine = TracedEngine(build_lattice(4, cols))
+        classes = set(engine._site_class.values())
+        assert len(classes) == 10
+        assert len(contraction._SITE_TENSORS) <= 5 * len(classes)
+
+
+def test_memoized_weights_equal_fresh_ones(fresh_memos):
+    # the first sample builds every tensor and operand, the second reads
+    # them all back: the same draws and the same probabilities, bit for bit
+    lat = build_lattice(4, 8)
+    for term in (None, BoundaryTermination(axis="x")):
+        first = chain_rule_sample(lat, term, 5)
+        assert chain_rule_sample(lat, term, 5) == first
+
+
 def test_pinned_closure_vectors_are_cached_and_read_only(monkeypatch):
     lat = build_lattice(2, 3)
     close = contraction._layer_closure(lat, BoundaryTermination(axis="x"))
@@ -556,8 +644,11 @@ def test_relative_weights_scale_to_effect_weights():
     lat = build_lattice(4, 12)
     engine = TracedEngine(lat)
     povms = [povm_element(a) for a in AXES]
+    polarizers, _ = contraction._polarizers()
     for site in [(0, 0), (2, 5), (3, 11)]:
         rel = engine.relative_weights(site, povms)
+        # stage 1's three polarizations, weighed in one product, bit for bit
+        assert engine.relative_weights(site, polarizers) == rel
         absolute = engine.effect_weights(site, povms)
         ratio = absolute[0] / rel[0]
         assert math.frexp(ratio)[0] == 0.5  # a power of two

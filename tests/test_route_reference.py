@@ -603,13 +603,20 @@ def test_reference_outcomes_cover_every_stage():
 # -- audit --------------------------------------------------------------------
 
 
+def _backbone_sites(backbone):
+    """The wire sites and the junction links' sites."""
+    out = {s for path in backbone.wires for s in path}
+    out.update(s for j in backbone.junctions for s in j.link)
+    return out
+
+
 def _branch_cut(lattice, backbone):
     """(extension, associate) sites that touch no backbone site and not
     each other: one deep in a hanging branch, one feeding another branch
     site only. None if a layout has no such pair. Dropping their roles
     leaves every backbone site's own legs as they were, so only the check
     of the branch's sites can see it."""
-    far = set(backbone.backbone_sites())
+    far = _backbone_sites(backbone)
 
     def deep(role_type):
         for s, role in sorted(backbone.roles.items()):
