@@ -786,8 +786,10 @@ class TracedEngine:
       only that site;
     * each line group's operand in ``_OPERANDS``: a vertical pair joined,
       then made the matrix its step multiplies by, keyed by the step and
-      the ids of its (never evicted) site tensors. Both memos hold one
-      entry per class and effect in use, however long the strip;
+      the ids of its (never evicted) site tensors. Neither memo grows
+      with the strip: they hold an entry per class and effect (per step
+      and tensors) in use, and grow only with the distinct effects a
+      process applies, such as stage-2 rows at new rotation angles;
     * the recorded :class:`_Plan` of each line class and role in
       ``_PLANS``: a line's class is its family (orientation and length),
       its distance from either end (0, 1 or more) and the parity of its
