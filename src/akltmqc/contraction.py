@@ -17,20 +17,20 @@ Probabilities, reduced densities, correlations and stage 1 contract the
 double layer <psi| prod effects |psi> for either closure, so they reach
 any strip of at most ``STRIP_WIDTH_CAP`` rows (or columns). The sweep
 runs line by line: a line is a column of a strip of at most that many
-rows, else a row. Probabilities, densities and correlations are one-shot
-contractions (:func:`_layer_value`) of the generic sweep
-(:func:`_contract_sweep`); :func:`pattern_probability` weighs a
-``{site: axis}`` dict of polarizing outcomes. :class:`TracedEngine` is
-the layer engine for sequential measurement, for a traced or a pinned
-``term``: it builds each closed double tensor once per site class and
-effect, shared by every engine, and caches the left and right
+rows, else a row. :class:`TracedEngine`, the layer engine for a traced or
+a pinned ``term``, is the only double-layer contraction:
+:func:`pattern_probability` weighs a ``{site: axis}`` dict of polarizing
+outcomes as the ratio of two of its weights, :func:`reduced_density`
+reads its open site tensor, and sequential measurement applies one
+operator at a time. It builds each closed double tensor once per site
+class and effect, shared by every engine, and caches the left and right
 environments of every line (rescaled by powers of two, so that strips of
 any length stay in float range), and a chain-rule step contracts a few
-lines instead of the whole strip. It contracts a line by
-replaying a recorded :class:`_Plan`: the sweep's joins, worked out once
-per line class and role by ``_join``'s own axis matching and kept as
-transposes, reshapes and matrix products (:class:`_Step`). Stage 1 is
-axes in, axes out: :func:`chain_rule_sample` polarizes every site in
+lines instead of the whole strip. It contracts a line by replaying a
+recorded :class:`_Plan`: the sweep's joins, worked out once per line
+class and role by ``_join``'s own axis matching and kept as transposes,
+reshapes and matrix products (:class:`_Step`). Stage 1 is axes in, axes
+out: :func:`chain_rule_sample` polarizes every site in
 ``lattice.sites()`` order on that engine, drawing each axis from its
 exact conditional, read off the engine's ``relative_weights``.
 
@@ -111,6 +111,8 @@ class ProbabilityConsistencyError(RuntimeError):
 
 
 def _clamp_probability(p: float) -> float:
+    if not math.isfinite(p):
+        raise ProbabilityConsistencyError(f"probability {p} not finite")
     if p < NEGATIVE_PROB_FLOOR:
         raise ProbabilityConsistencyError(f"probability {p} below floor")
     return max(p, 0.0)
@@ -471,62 +473,6 @@ def _real(value) -> float:
     return float(val.real)
 
 
-def _layer_value(
-    lattice: HexLattice,
-    term: BoundaryTermination | None,
-    effects: dict[Site, np.ndarray],
-    open_site: Site | None = None,
-) -> np.ndarray | float:
-    """Contract <psi| prod effects |psi> on the double layer, in one pass.
-
-    With ``open_site`` set, that site's bra/ket physical indices are left
-    open and the (4, 4) result T satisfies <psi|E|psi> = sum E[a,b] T[a,b].
-    """
-    acc, keys = _contract_sweep(
-        lattice,
-        _layer_tensors(lattice, effects, open_site),
-        _layer_closure(lattice, term),
-    )
-    if open_site is None:
-        assert not keys
-        return _real(acc)
-    assert [k[0] for k in keys] == ["ra", "rb"]
-    return acc
-
-
-# -- probabilities ----------------------------------------------------------
-
-
-def pattern_probability(
-    lattice: HexLattice,
-    term: BoundaryTermination | None,
-    axes: dict[Site, str],
-) -> float:
-    """Probability of polarizing each site of ``axes`` along its axis;
-    unmeasured sites (and, with ``term=None``, the boundary edge qubits)
-    are traced out."""
-    for site in axes:
-        if not lattice.contains(site):
-            raise ValueError(f"pattern site {site} not on lattice")
-    effects = {site: _effect(povm_element(ax)) for site, ax in axes.items()}
-    num = _layer_value(lattice, term, effects)
-    den = _layer_value(lattice, term, {})
-    return _clamp_probability(num / den)
-
-
-def reduced_density(
-    lattice: HexLattice,
-    term: BoundaryTermination | None,
-    site: Site,
-) -> np.ndarray:
-    """Single-site density matrix of the normalized state."""
-    if not lattice.contains(site):
-        raise ValueError(f"site {site} not on lattice")
-    rho = _layer_value(lattice, term, {}, open_site=site).T.copy()
-    rho /= np.trace(rho).real
-    return rho
-
-
 # -- recorded line plans ------------------------------------------------------
 
 
@@ -803,9 +749,6 @@ class TracedEngine:
       :meth:`relative_weights` gives the weights up to one common power of
       two; :meth:`weight` and :meth:`effect_weights` scale back to absolute
       values, exact wherever those can be represented.
-
-    :func:`_layer_value` is the one-shot contraction the tests compare
-    against.
     """
 
     def __init__(
@@ -1009,6 +952,44 @@ class TracedEngine:
         new._left, new._right = dict(self._left), dict(self._right)
         new.apply_op(site, _as_op(action))
         return new
+
+
+# -- probabilities ----------------------------------------------------------
+
+
+def pattern_probability(
+    lattice: HexLattice,
+    term: BoundaryTermination | None,
+    axes: dict[Site, str],
+) -> float:
+    """Probability of polarizing each site of ``axes`` along its axis;
+    unmeasured sites (and, with ``term=None``, the boundary edge qubits)
+    are traced out. The ratio of two layer-engine weights, each held as a
+    mantissa and a power of two, so it is formed in float range."""
+    for site in axes:
+        if not lattice.contains(site):
+            raise ValueError(f"pattern site {site} not on lattice")
+    engine = TracedEngine(lattice, term)
+    n = len(engine._lines)
+    den, _, den_exp = engine._left_env(n)
+    for site, ax in axes.items():
+        engine.apply_op(site, povm_element(ax))
+    num, _, num_exp = engine._left_env(n)
+    ratio = _ldexp(_real(num) / _real(den), num_exp - den_exp)
+    return _clamp_probability(ratio)
+
+
+def reduced_density(
+    lattice: HexLattice,
+    term: BoundaryTermination | None,
+    site: Site,
+) -> np.ndarray:
+    """Single-site density matrix of the normalized state: the layer
+    engine's open tensor at ``site``, normalized by its trace."""
+    if not lattice.contains(site):
+        raise ValueError(f"site {site} not on lattice")
+    t, _ = TracedEngine(lattice, term)._open_tensor(site)
+    return t.T / np.trace(t).real
 
 
 # -- chain-rule sampling ------------------------------------------------------

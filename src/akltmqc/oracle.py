@@ -1,9 +1,11 @@
-"""Independent ground truths for the test suite.
+"""Ground truths for the test suite.
 
-Everything here is built from first principles (spin ladder operators,
-explicit singlets and symmetrization, dense logical-circuit simulation)
-rather than from the site tensors, so agreement with the main modules is
-evidence, not tautology.
+``vbs_state``, the spin algebra and ``reference_circuit_sim`` are built
+from first principles (explicit singlets, ladder operators, dense circuit
+simulation), not from the site tensors, so agreement with the main
+modules is evidence, not tautology. ``brute_force_joint`` and
+``two_point_correlation`` read the layer engine through its public
+interface.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .contraction import (
     BoundaryTermination,
     LatticeSizeError,
     TracedEngine,
-    _layer_value,
     build_state,
 )
 from .lattice import HexLattice, Leg, Site, ket_role
@@ -270,15 +271,26 @@ def two_point_correlation(
     site_j: Site,
     axis: str,
 ) -> float:
-    """<S^a_i S^a_j> - <S^a_i><S^a_j> in the normalized state."""
+    """<S^a_i S^a_j> - <S^a_i><S^a_j> in the normalized state, from the
+    eigenprojectors of S^a: each mean is a ratio within one call of the
+    engine's relative_weights, so their common power of two cancels."""
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
-    s = spin_operators()[AXES.index(axis)]
-    z = _layer_value(lattice, term, {})
+    m, v = np.linalg.eigh(spin_operators()[AXES.index(axis)])
+    rows = list(v.conj().T)
+    engine = TracedEngine(lattice, term)
+
+    def distribution(eng, site):
+        w = np.array(eng.relative_weights(site, rows))
+        return w / w.sum()
+
+    p_i = distribution(engine, site_i)
     if site_i == site_j:
-        mean = _layer_value(lattice, term, {site_i: s}) / z
-        return _layer_value(lattice, term, {site_i: s @ s}) / z - mean**2
-    joint = _layer_value(lattice, term, {site_i: s, site_j: s}) / z
-    mi = _layer_value(lattice, term, {site_i: s}) / z
-    mj = _layer_value(lattice, term, {site_j: s}) / z
-    return joint - mi * mj
+        return float(p_i @ m**2 - (p_i @ m) ** 2)
+    # site_j's mean on each branch of site_i; a branch of no weight adds 0
+    given = [
+        distribution(engine.branch(site_i, r), site_j) @ m if p > 0 else 0.0
+        for r, p in zip(rows, p_i)
+    ]
+    mean_j = distribution(engine, site_j) @ m
+    return float(p_i @ (m * given) - (p_i @ m) * mean_j)

@@ -12,7 +12,6 @@ from akltmqc.contraction import (
     LatticeSizeError,
     TracedEngine,
     _as_op,
-    _layer_value,
     build_state,
     chain_rule_sample,
     pattern_probability,
@@ -52,10 +51,17 @@ def test_off_lattice_pattern_is_rejected():
 
 
 def test_traced_marginal_is_uniform():
-    lat = build_lattice(2, 4)
-    for axis in AXES:
-        p = pattern_probability(lat, None, {(1, 2): axis})
-        assert p == pytest.approx(1.0 / 3.0, abs=1e-10)
+    # the 4x1024 weights leave float range (about 2^2574); the ratio does not
+    for lat in (build_lattice(2, 4), build_lattice(4, 1024)):
+        for axis in AXES:
+            p = pattern_probability(lat, None, {(1, 2): axis})
+            assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_probability_is_rejected(bad):
+    with pytest.raises(contraction.ProbabilityConsistencyError):
+        contraction._clamp_probability(bad)
 
 
 def test_chain_rule_product_matches_joint():
@@ -79,9 +85,22 @@ def test_reduced_density_properties():
 
 
 def test_reduced_density_traced_maximally_mixed():
-    lat = build_lattice(2, 3)
-    rho = reduced_density(lat, None, (1, 1))
-    np.testing.assert_allclose(rho, np.eye(4) / 4.0, atol=1e-10)
+    for lat in (build_lattice(2, 3), build_lattice(4, 1024)):
+        rho = reduced_density(lat, None, (1, 1))
+        np.testing.assert_allclose(rho, np.eye(4) / 4.0, rtol=0, atol=1e-12)
+
+
+def test_long_strip_correlation_equals_shorter_interior():
+    # correlations decay exponentially along the strip (criterion 10), so
+    # the middle bond of a 4x1024 strip sees the middle of a 4x64 one
+    long = two_point_correlation(
+        build_lattice(4, 1024), None, (1, 511), (1, 512), "z"
+    )
+    short = two_point_correlation(
+        build_lattice(4, 64), None, (1, 31), (1, 32), "z"
+    )
+    assert math.isfinite(long)
+    assert long == pytest.approx(short, rel=0, abs=1e-12)
 
 
 def test_chain_rule_deterministic():
@@ -223,7 +242,69 @@ def test_pinned_layer_matches_dense_reference(axis):
             assert got == pytest.approx(want, abs=1e-12)
 
 
-# -- cached layer environments against the one-shot contraction ---------------
+# -- the layer engine against the one-shot contraction ------------------------
+
+
+def _layer_value(lattice, term, effects, open_site=None):
+    """Contract <psi| prod effects |psi> on the double layer, in one pass
+    of the generic sweep, without environments or rescaling.
+
+    With ``open_site`` set, that site's bra/ket physical indices are left
+    open and the (4, 4) result T satisfies <psi|E|psi> = sum E[a,b] T[a,b].
+    """
+    acc, keys = contraction._contract_sweep(
+        lattice,
+        contraction._layer_tensors(lattice, effects, open_site),
+        contraction._layer_closure(lattice, term),
+    )
+    if open_site is None:
+        assert not keys
+        return contraction._real(acc)
+    assert [k[0] for k in keys] == ["ra", "rb"]
+    return acc
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 6), (3, 4)])
+def test_traced_statistics_match_one_shot_contraction(rows, cols):
+    # probabilities, densities and correlations read the layer engine;
+    # the one-shot sweep is their reference on patches it can contract
+    lat = build_lattice(rows, cols)
+    z = _layer_value(lat, None, {})
+    sites = list(lat.sites())
+
+    def effect(a):
+        m = povm_element(a)
+        return m.conj().T @ m
+
+    patterns = [{s: a} for s in sites for a in AXES]
+    patterns += [{b.a: a, b.b: a} for b in lat.bonds() for a in AXES]
+    patterns.append({s: AXES[i % 3] for i, s in enumerate(sites)})
+    for pat in patterns:
+        want = _layer_value(lat, None, {s: effect(a) for s, a in pat.items()})
+        assert pattern_probability(lat, None, pat) == pytest.approx(
+            want / z, rel=0, abs=1e-12
+        )
+
+    for site in sites:
+        want = _layer_value(lat, None, {}, open_site=site).T
+        want = want / np.trace(want).real
+        np.testing.assert_allclose(
+            reduced_density(lat, None, site), want, rtol=0, atol=1e-12
+        )
+
+    def mean(ops):
+        return _layer_value(lat, None, ops) / z
+
+    spins = dict(zip(AXES, spin_operators()))
+    pairs = [(sites[1], sites[1]), (sites[1], sites[2]), (sites[0], sites[-1])]
+    for a, s in spins.items():
+        for i, j in pairs:
+            if i == j:
+                want = mean({i: s @ s}) - mean({i: s}) ** 2
+            else:
+                want = mean({i: s, j: s}) - mean({i: s}) * mean({j: s})
+            got = two_point_correlation(lat, None, i, j, a)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class _LayerReference:
