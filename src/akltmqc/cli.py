@@ -216,10 +216,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     samples = []
     for idx, child in enumerate(children):
-        try:
-            assignment = stage1_sample(lattice, term, cfg.mode, child)
-        except LatticeSizeError as exc:
-            return _fail("validation", "lattice-size", str(exc))
+        assignment = stage1_sample(lattice, term, cfg.mode, child)
         bonds = sorted(
             [list(b.a), list(b.b)] for b in matched_bonds(lattice, assignment)
         )
@@ -249,10 +246,7 @@ def cmd_route(cfg: RunConfig) -> int:
     lattice = build_lattice(cfg.rows, cfg.cols)
     term = _term_object(cfg.term)
     circuit = _load_circuit(cfg.circuit_path)
-    try:
-        assignment = stage1_sample(lattice, term, cfg.mode, cfg.seed)
-    except LatticeSizeError as exc:
-        return _fail("validation", "lattice-size", str(exc))
+    assignment = stage1_sample(lattice, term, cfg.mode, cfg.seed)
     matched = matched_mask(lattice, assignment)
     clusters = find_clusters(lattice, matched, assignment)
     pairs = flag_off_limits(lattice, clusters)
@@ -310,8 +304,6 @@ def cmd_run(cfg: RunConfig) -> int:
         )
     except ProtocolError as exc:
         return _fail("protocol", "no-embedding", str(exc))
-    except LatticeSizeError as exc:
-        return _fail("validation", "lattice-size", str(exc))
     artifact = {"kind": "run", "term": cfg.term, **result.to_json(lattice)}
     _write_out(_json_text(artifact), cfg.out)
     return EXIT_OK
@@ -908,6 +900,8 @@ def main(argv=None) -> int:
         return _DISPATCH[cfg.subcommand](cfg)
     except UsageError as exc:
         return _fail("validation", "bad-arguments", str(exc))
+    except LatticeSizeError as exc:
+        return _fail("validation", "lattice-size", str(exc))
 
 
 if __name__ == "__main__":

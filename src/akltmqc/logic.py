@@ -52,10 +52,10 @@ from .router import (
     DEFAULT_SPACING,
     Backbone,
     RoutingFailure,
-    _backbone_adjacency,
     disabled_ids,
     find_clusters,
     flag_off_limits,
+    index_view,
     route_backbone,
     spacing_failure,
 )
@@ -251,13 +251,6 @@ def rotation_flip(frame: ByproductFrame, axis: str, wire: int = 0):
     raise ValueError(f"rotations along {axis!r} are not adapted")
 
 
-def adapt_angle(
-    theta: float, frame: ByproductFrame, axis: str, wire: int = 0
-) -> float:
-    """Sign-adapt a rotation angle to the accumulated frame."""
-    return -theta if rotation_flip(frame, axis, wire) else theta
-
-
 # -- cluster renormalization ----------------------------------------------------
 
 
@@ -430,92 +423,97 @@ def compile_plan(
     becomes a fiducial identity widget; everything off the protocol stays
     standard. Failures are values, the caller resamples.
 
-    A hanging branch is folded here, once, on GF(2) forms: site ``x``'s
-    outcome is the int ``2 << site_index(x)`` and bit 0 holds the constant,
-    so the fold's xors return the widget's reference as one parity. The
-    fold walks the branch as a tree: the audited backbone guarantees that
-    no hanging branch closes a matched loop.
+    The walk runs on site indices, ``lattice.neighbor_table()``, the axis
+    codes and the backbone's ``index_view``; sites become ``Site`` tuples
+    only where the plan or a failure stores them. Every site is measured
+    along its sampled axis (the audit holds the junctions to z and x).
+
+    A hanging branch is folded here, once, on GF(2) forms: site index
+    ``i``'s outcome is the int ``2 << i`` and bit 0 holds the constant, so
+    the fold's xors return the widget's reference as one parity. The fold
+    walks the branch as a tree: the audited backbone guarantees that no
+    hanging branch closes a matched loop.
     """
     try:
         circuit.validate()
     except ValueError as exc:
         return CompileFailure("bad-circuit", str(exc))
 
-    wires = backbone.wires
-    junctions = {s for j in backbone.junctions for s in (j.control, j.target)}
-    adj = _backbone_adjacency(list(wires), list(backbone.junctions))
+    cols = lattice.cols
+    table = lattice.neighbor_table()
+    code = assignment.codes(lattice).tolist()
+    paths, links, adj = index_view(lattice, backbone)
+    junctions = {i for top, _, bot in links for i in (top, bot)}
 
-    placed: set[Site] = set()
+    placed: set[int] = set()
     emitted: list[PlanSite] = []
     finalize: list[int | None] = []
     events: list[FrameEvent] = []
     reference: dict[Site, Reference] = {}
     readout_sites: dict[int, Site] = {}
 
-    def emit(ps: PlanSite, fin: int | None = None) -> None:
-        if ps.site in placed:
+    def site_at(i: int) -> Site:
+        return divmod(i, cols)
+
+    def emit(
+        i: int,
+        kind: str = "standard",
+        partner_axis: str | None = None,
+        theta: float = 0.0,
+        wire: int | None = None,
+        fin: int | None = None,
+    ) -> None:
+        if i in placed:
             if fin is not None:
-                raise ProtocolError(f"{ps.site} measured twice")
+                raise ProtocolError(f"{site_at(i)} measured twice")
             return
-        placed.add(ps.site)
-        emitted.append(ps)
+        placed.add(i)
+        axis = AXES[code[i]]
+        emitted.append(
+            PlanSite(site_at(i), kind, axis, partner_axis, theta, wire)
+        )
         finalize.append(fin)
 
     def form_bit(i: int) -> int:
         return 2 << i
 
-    def site_at(i: int) -> Site:
-        return divmod(i, lattice.cols)
-
-    def resolve(s: Site) -> Reference | CompileFailure:
-        """Record the reference feeding widget ``s`` and emit its sources."""
-        free = [
-            leg
-            for leg in Leg
-            if (n := lattice.neighbor(s, leg)) is None
-            or n not in adj.get(s, set())
-        ]
+    def resolve(i: int) -> Reference | CompileFailure:
+        """Record the reference feeding widget ``i`` and emit its sources."""
+        s = site_at(i)
+        on_path = adj.get(i, ())
+        free = [(leg, n) for leg, n in zip(Leg, table[i]) if n not in on_path]
         if len(free) != 1:
             return CompileFailure(
                 "widget-legs", f"{s} has {len(free)} free legs"
             )
-        mu = assignment[s]
-        n = lattice.neighbor(s, free[0])
-        if n is None:
+        leg, n = free[0]
+        mu = AXES[code[i]]
+        if n < 0:
             if term is None:
                 return CompileFailure(
                     "unpinned-boundary", f"{s} needs a pinned boundary"
                 )
-            axis, bit = _termination_reference(lattice, term, s, free[0])
+            axis, bit = _termination_reference(lattice, term, s, leg)
             if axis == mu:
                 return CompileFailure(
                     "rank-deficient",
                     f"boundary frame at {s} matches its axis {mu}",
                 )
             ref = Reference(axis, bit)
-        elif assignment[n] != mu:
-            emit(PlanSite(n, "standard", assignment[n]))
-            ref = Reference(assignment[n], 0, (n,))
+        elif code[n] != code[i]:
+            emit(n)
+            ref = Reference(AXES[code[n]], 0, (site_at(n),))
         else:
             try:
                 nu, form, members, assocs, nu_map = _fold_branch(
-                    lattice,
-                    assignment,
-                    lattice.site_index(n),
-                    lattice.site_index(s),
-                    term,
-                    form_bit,
+                    lattice, assignment, n, i, term, form_bit
                 )
             except ProtocolError as exc:
                 return CompileFailure("branch-fold", str(exc))
-            for a in map(site_at, assocs):
-                emit(PlanSite(a, "standard", assignment[a]))
+            for a in assocs:
+                emit(a)
             for e in members:
-                emit(
-                    PlanSite(
-                        site_at(e), "complementary", mu, partner_axis=nu_map[e]
-                    )
-                )
+                emit(e, "complementary", nu_map[e])
             sources = dict.fromkeys(members + assocs)
             ref = Reference(
                 nu,
@@ -526,24 +524,14 @@ def compile_plan(
         return ref
 
     def emit_widget(
-        s: Site, w: int, theta: float = 0.0
+        i: int, w: int, theta: float = 0.0
     ) -> CompileFailure | None:
-        ref = resolve(s)
+        ref = resolve(i)
         if isinstance(ref, CompileFailure):
             return ref
         ev = len(events)
-        events.append(FrameEvent("widget", (s,), wire=w))
-        emit(
-            PlanSite(
-                s,
-                "complementary",
-                assignment[s],
-                partner_axis=ref.axis,
-                theta=theta,
-                wire=w,
-            ),
-            fin=ev,
-        )
+        events.append(FrameEvent("widget", (site_at(i),), wire=w))
+        emit(i, "complementary", ref.axis, theta, w, fin=ev)
         return None
 
     pos = [0] * circuit.wires
@@ -556,26 +544,28 @@ def compile_plan(
         Every site passed on the way is handed to ``fill`` (a fiducial
         identity widget by default). Passing a junction fails: the wire
         meets it before the gate that the walk serves, out of circuit
-        order. Returns the stop site's index on the wire.
+        order. Returns the stop site's position on the wire.
         """
-        path = wires[w]
-        for i in range(pos[w], len(path)):
-            s = path[i]
-            if stop(s):
-                pos[w] = i + 1
-                return i
-            if s in junctions:
+        path = paths[w]
+        for k in range(pos[w], len(path)):
+            i = path[k]
+            if stop(i):
+                pos[w] = k + 1
+                return k
+            if i in junctions:
                 return CompileFailure(
                     "junction-misordered",
-                    f"wire {w} meets junction {s} out of circuit order",
+                    f"wire {w} meets junction {site_at(i)} out of "
+                    "circuit order",
                 )
-            bad = emit_widget(s, w) if fill is None else fill(s)
+            bad = emit_widget(i, w) if fill is None else fill(i)
             if bad is not None:
                 return bad
         return missing
 
     def axis_site(axis: str):
-        return lambda s: s not in junctions and assignment[s] == axis
+        want = AXES.index(axis)
+        return lambda i: i not in junctions and code[i] == want
 
     jcount = 0
     for gidx, gate in enumerate(circuit.gates):
@@ -585,14 +575,14 @@ def compile_plan(
                 w,
                 axis_site("z"),
                 CompileFailure("no-input-site", f"wire {w}"),
-                fill=lambda s: emit(PlanSite(s, "standard", assignment[s])),
+                fill=emit,
             )
             if isinstance(found, CompileFailure):
                 return found
-            s = wires[w][found]
+            i = paths[w][found]
             ev = len(events)
-            events.append(FrameEvent("init", (s,), wire=w))
-            emit(PlanSite(s, "standard", "z"), fin=ev)
+            events.append(FrameEvent("init", (site_at(i),), wire=w))
+            emit(i, fin=ev)
         elif isinstance(gate, (Rz, Rx)):
             w = gate.wire
             axis = "z" if isinstance(gate, Rz) else "x"
@@ -605,49 +595,38 @@ def compile_plan(
             )
             if isinstance(found, CompileFailure):
                 return found
-            bad = emit_widget(wires[w][found], w, theta=gate.theta)
+            bad = emit_widget(paths[w][found], w, theta=gate.theta)
             if bad is not None:
                 return bad
         elif isinstance(gate, CNOT):
-            jp = backbone.junctions[jcount]
+            top, link, bot = links[jcount]
             jcount += 1
-            for w, stop in (
-                (gate.control, jp.control),
-                (gate.target, jp.target),
-            ):
+            for w, stop in ((gate.control, top), (gate.target, bot)):
                 found = walk(
                     w,
-                    lambda s: s == stop,
+                    lambda i: i == stop,
                     CompileFailure(
                         "junction-misordered",
-                        f"junction {stop} not ahead on wire {w}",
+                        f"junction {site_at(stop)} not ahead on wire {w}",
                     ),
                 )
                 if isinstance(found, CompileFailure):
                     return found
-            link_sites: list[PlanSite] = []
-            for k in jp.link:
+            partners: list[str] = []
+            for k in link:
                 ref = resolve(k)
                 if isinstance(ref, CompileFailure):
                     return ref
-                link_sites.append(
-                    PlanSite(k, "complementary", assignment[k], ref.axis)
-                )
+                partners.append(ref.axis)
             ev = len(events)
-            events.append(
-                FrameEvent(
-                    "cnot", (jp.control, *jp.link, jp.target), gate=gidx
-                )
-            )
-            emit(PlanSite(jp.control, "complementary", "z", partner_axis="x"))
-            for ps in link_sites:
-                emit(ps)
-            emit(
-                PlanSite(jp.target, "complementary", "x", partner_axis="z"),
-                fin=ev,
-            )
+            chain = tuple(map(site_at, (top, *link, bot)))
+            events.append(FrameEvent("cnot", chain, gate=gidx))
+            emit(top, "complementary", "x")
+            for k, partner in zip(link, partners):
+                emit(k, "complementary", partner)
+            emit(bot, "complementary", "z", fin=ev)
         else:  # Readout
-            w, path = gate.wire, wires[gate.wire]
+            w, path = gate.wire, paths[gate.wire]
             found = walk(
                 w,
                 axis_site("z"),
@@ -655,37 +634,36 @@ def compile_plan(
             )
             if isinstance(found, CompileFailure):
                 return found
-            s = path[found]
+            i, s = path[found], site_at(path[found])
             # the readout outcome must stay free: a z-axis neighbour or a
             # z-pinned dangling leg copies or forces it, collapsing the
             # conditional readout distribution
             prev = path[found - 1]
-            for leg in Leg:
-                n = lattice.neighbor(s, leg)
+            for leg, n in zip(Leg, table[i]):
                 if n == prev:
                     continue
-                if n is None:
+                if n < 0:
                     if term is None or term.vec_for(lattice, s, leg).axis == "z":
                         return CompileFailure(
                             "readout-pinned",
                             f"wire {w} readout {s} pinned through {leg.value}",
                         )
-                elif assignment[n] == "z":
+                elif AXES[code[n]] == "z":
                     return CompileFailure(
                         "readout-pinned",
-                        f"wire {w} readout {s} copies into {n}",
+                        f"wire {w} readout {s} copies into {site_at(n)}",
                     )
             ev = len(events)
             events.append(FrameEvent("readout", (s,), wire=w))
-            emit(PlanSite(s, "standard", "z"), fin=ev)
+            emit(i, fin=ev)
             readout_sites[w] = s
             for t in path[found + 1 :]:
-                emit(PlanSite(t, "standard", assignment[t]))
+                emit(t)
 
     sea = [
-        PlanSite(s, "standard", assignment[s])
-        for s in lattice.sites()
-        if s not in placed
+        PlanSite(site_at(i), "standard", AXES[code[i]])
+        for i in range(lattice.n_sites)
+        if i not in placed
     ]
     return MeasurementPlan(
         order=tuple(sea) + tuple(emitted),

@@ -448,7 +448,7 @@ def route_backbone(
             )
         wires.append(path)
 
-    junctions: list[tuple[int, int, list[int]]] = []
+    junctions: list[tuple[int, list[int], int]] = []
     forbidden = blocked.copy()  # links avoid blocked, wire and link sites
     for path in wires:
         for i in path:
@@ -489,14 +489,14 @@ def route_backbone(
                 window,
             )
             if hit is not None:
-                placed = (s, hit[1], hit[0])
+                placed = (s, hit[0], hit[1])
                 break
         if placed is None:
             return RoutingFailure(
                 "no-junction-column",
                 f"no junction pair for CNOT {ctl}->{tgt}",
             )
-        top, bot, link = placed
+        top, link, bot = placed
         junctions.append(placed)
         claimed.update((top, bot))
         for i in link:
@@ -515,59 +515,63 @@ def route_backbone(
     return backbone
 
 
-def _adjacency(edges) -> dict[Site, set[Site]]:
-    """Neighbour sets of the graph on the given (a, b) edges."""
-    adj: dict[Site, set[Site]] = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+def _adjacency(paths, links) -> dict[int, set[int]]:
+    """Neighbour sets along wire paths and (control, link, target) junction
+    chains, the junction stem bonds included, on site indices."""
+    adj: dict[int, set[int]] = {}
+    for chain in [*paths, *([top, *link, bot] for top, link, bot in links)]:
+        for a, b in zip(chain, chain[1:]):
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
     return adj
 
 
-def _backbone_adjacency(
-    wires: list[tuple[Site, ...]], junctions: list[JunctionPair]
-) -> dict[Site, set[Site]]:
-    """Neighbours along wire paths, links and junction stem bonds."""
-    chains = [*wires, *((j.control, *j.link, j.target) for j in junctions)]
-    return _adjacency(e for chain in chains for e in zip(chain, chain[1:]))
+def index_view(lattice: HexLattice, backbone: Backbone) -> tuple:
+    """``backbone`` on site indices: its wire paths, its (control, link,
+    target) junction chains in circuit order, and their ``_adjacency``."""
+    index = lattice.site_index
+    paths = [[index(s) for s in path] for path in backbone.wires]
+    links = [
+        (index(j.control), [index(s) for s in j.link], index(j.target))
+        for j in backbone.junctions
+    ]
+    return paths, links, _adjacency(paths, links)
 
 
 def _assemble(
     lattice: HexLattice,
     code: list[int],
     wires: list[list[int]],
-    junctions: list[tuple[int, int, list[int]]],
+    junctions: list[tuple[int, list[int], int]],
     spacing: int,
 ) -> Backbone | RoutingFailure:
     """Attach roles (wire, junction, associate, extension) or report why not.
 
-    Takes the routed site indices: wire paths and (control, target, link)
-    junctions. A neighbour with the same axis code is a matched neighbour.
-    A hanging branch needs no size check: its stem bond is matched, so it
-    lies in its root's cluster, and ``route_backbone`` keeps every cluster
-    larger than ``RENORM_SITE_CAP`` off the backbone. A stem's far end
-    needs no check either: it is never interior (phase one returns
-    ``backbone-adjacency`` first, phase two ``cluster-loop``), and every
-    matched neighbour of an interior site is interior, so it shares no
-    cluster with one.
+    Takes the routed site indices: wire paths and (control, link, target)
+    junction chains. A neighbour with the same axis code is a matched
+    neighbour. A hanging branch needs no size check: its stem bond is
+    matched, so it lies in its root's cluster, and ``route_backbone`` keeps
+    every cluster larger than ``RENORM_SITE_CAP`` off the backbone. A
+    stem's far end needs no check either: it is never interior (phase one
+    returns ``backbone-adjacency`` first, phase two ``cluster-loop``), and
+    every matched neighbour of an interior site is interior, so it shares
+    no cluster with one.
     """
     table = lattice.neighbor_table()
     cols = lattice.cols
     roles: dict[Site, Role] = {}
-    junction_sites = {top for top, _, _ in junctions}
-    junction_sites.update(bot for _, bot, _ in junctions)
+    junction_sites = {i for top, _, bot in junctions for i in (top, bot)}
     for w, path in enumerate(wires):
         for i in path:
             roles[divmod(i, cols)] = (
                 Degree3Junction(w) if i in junction_sites else Degree2Wire(w)
             )
-    for top, _, link in junctions:
+    for top, link, _ in junctions:
         ctl_wire = roles[divmod(top, cols)].wire
         for i in link:
             roles[divmod(i, cols)] = Degree2Wire(ctl_wire)
 
-    chains = [*wires, *([top, *link, bot] for top, bot, link in junctions)]
-    adj = _adjacency(e for chain in chains for e in zip(chain, chain[1:]))
+    adj = _adjacency(wires, junctions)
 
     # phase one: resolve every matched stem into a hanging branch
     extensions: set[int] = set()
@@ -623,7 +627,7 @@ def _assemble(
         wires=tuple(sites(path) for path in wires),
         junctions=tuple(
             JunctionPair(divmod(top, cols), divmod(bot, cols), sites(link))
-            for top, bot, link in junctions
+            for top, link, bot in junctions
         ),
         spacing=spacing,
     )
@@ -696,11 +700,7 @@ def audit_backbone(
     def site(i: int) -> Site:
         return divmod(i, cols)
 
-    paths = [[index(s) for s in path] for path in wires]
-    links = [
-        (index(j.control), [index(s) for s in j.link], index(j.target))
-        for j in backbone.junctions
-    ]
+    paths, links, adj = index_view(lattice, backbone)
     roles = {index(s): role for s, role in backbone.roles.items()}
 
     seen: set[int] = set()
@@ -761,8 +761,6 @@ def audit_backbone(
             if table[link[-1]][2] != bot:
                 problems.append(f"link does not land on {j.target}")
 
-    chains = [*paths, *([top, *link, bot] for top, link, bot in links)]
-    adj = _adjacency(e for chain in chains for e in zip(chain, chain[1:]))
     junction_sites = {i for top, _, bot in links for i in (top, bot)}
     extensions = {
         i for i, role in roles.items() if isinstance(role, ClusterExtension)

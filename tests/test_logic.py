@@ -29,23 +29,23 @@ from akltmqc.logic import (
     Rx,
     Rz,
     _fold_branch,
-    adapt_angle,
     auto_spacing,
     byproduct_indices,
     compile_plan,
     conditional_logical_table,
     prepare_protocol,
     protocol_branches,
+    rotation_flip,
     run_protocol,
 )
 from akltmqc.oracle import reference_circuit_sim, tv_distance
 from akltmqc.router import (
     ClusterExtension,
     RoutingFailure,
-    _backbone_adjacency,
     disabled_ids,
     find_clusters,
     flag_off_limits,
+    index_view,
     route_backbone,
 )
 from akltmqc.sampler import AxisAssignment, matched_mask, stage1_sample
@@ -91,13 +91,14 @@ def test_byproduct_depends_only_on_xor():
 
 
 def test_adapt_angle_flips():
+    # a rotation's angle changes sign exactly when its flip bit is set
     frame = ByproductFrame([1], [0])
-    assert adapt_angle(0.5, frame, "z") == -0.5  # z rotation rides ax
-    assert adapt_angle(0.5, frame, "x") == 0.5
+    assert rotation_flip(frame, "z") == 1  # z rotation rides ax
+    assert rotation_flip(frame, "x") == 0
     frame = ByproductFrame([0], [1])
-    assert adapt_angle(0.5, frame, "x") == -0.5
+    assert rotation_flip(frame, "x") == 1
     with pytest.raises(ValueError):
-        adapt_angle(0.5, frame, "y")
+        rotation_flip(frame, "y")
 
 
 def test_circuit_validation():
@@ -163,6 +164,10 @@ ROTATIONS = CircuitSpec(1, (Init(0), Rz(0, 0.3), Rx(0, 0.5), Readout(0)))
         ("no-readout-site", 0, "z", IDENTITY, "wire 0"),
         ("widget-legs", 1, "z", ROTATIONS, "(0, 0) has 2 free legs"),
         ("wire-exhausted", 0, "z", ROTATIONS, "wire 0 lacks a free z site"),
+        ("readout-pinned", 2, "z", IDENTITY,
+         "wire 0 readout (0, 0) pinned through left"),
+        ("readout-pinned", 5, "z", IDENTITY,
+         "wire 0 readout (0, 1) copies into (0, 0)"),
     ],
 )
 def test_compile_failure_reasons_are_reached(
@@ -241,16 +246,14 @@ def _fold_entries(lat, asg, backbone, plan):
     """{widget: entry site} for every reference fed by a fold: the entry is
     the widget's neighbour on its free leg, when it shares the widget's
     axis."""
-    adj = _backbone_adjacency(list(backbone.wires), list(backbone.junctions))
+    _, _, adj = index_view(lat, backbone)
+    table, codes = lat.neighbor_table(), asg.codes(lat)
     out = {}
     for s in plan.reference:
-        [n] = [
-            lat.neighbor(s, leg)
-            for leg in Leg
-            if lat.neighbor(s, leg) not in adj[s]
-        ]
-        if n is not None and asg[n] == asg[s]:
-            out[s] = n
+        i = lat.site_index(s)
+        [n] = [n for n in table[i] if n not in adj[i]]
+        if n >= 0 and codes[n] == codes[i]:
+            out[s] = divmod(n, lat.cols)
     return out
 
 
@@ -293,6 +296,17 @@ def test_compile_invariants_held_by_routing():
                     and backbone.roles[x] == ClusterExtension(root=s)
                 )
     assert len(plans) > 150 and folds > 50
+
+
+def test_plan_sites_measure_their_sampled_axis():
+    # compile_plan reads every plan site's axis off its axis code, junctions
+    # included: the audit holds controls to z and targets to x
+    junctions = 0
+    for _, asg, _, backbone, plan in _census():
+        for ps in plan.order:
+            assert ps.axis == asg[ps.site]
+        junctions += 2 * len(backbone.junctions)
+    assert junctions > 0
 
 
 def _parity(ref, outcomes):

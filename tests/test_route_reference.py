@@ -2,9 +2,10 @@
 
 The reference below is the routing the index path replaced: breadth-first
 searches over ``Site`` tuples with ``HexLattice.neighbor``, frozenset and
-dict membership, the matched-bond graph as a dict of sets, a per-bond
-union-find for the cluster labels, and the audit with ``leg_between``,
-per-cluster site sets and a dict union-find for the loop rank.
+dict membership, the matched-bond graph and the backbone adjacency as
+dicts of sets, a per-bond union-find for the cluster labels, and the audit
+with ``leg_between``, per-cluster site sets and a dict union-find for the
+loop rank.
 ``route_backbone`` must return the same backbone (``to_json``) or the same
 failure reason and detail, and ``find_clusters`` the same labels, on iid
 patterns of three sizes and on exact patterns under x and z pins;
@@ -31,7 +32,6 @@ from akltmqc.router import (
     Degree3Junction,
     JunctionPair,
     RoutingFailure,
-    _backbone_adjacency,
     _band,
     audit_backbone,
     disabled_ids,
@@ -75,6 +75,18 @@ def _ref_labels(lattice, matched):
         ids[_ref_find(parent, i)] if i in clustered else -1
         for i in range(lattice.n_sites)
     ]
+
+
+def _ref_backbone_adjacency(wires, junctions):
+    """Neighbour sets of ``Site``s along wire paths, links and junction stem
+    bonds."""
+    chains = [*wires, *((j.control, *j.link, j.target) for j in junctions)]
+    adj = {}
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    return adj
 
 
 def _ref_matched_adjacency(lattice, assignment):
@@ -203,7 +215,7 @@ def _ref_assemble(lattice, assignment, clusters, wires, junctions, spacing):
         for s in j.link:
             roles[s] = Degree2Wire(ctl_wire)
 
-    adj = _backbone_adjacency(wires, junctions)
+    adj = _ref_backbone_adjacency(wires, junctions)
     backbone_sites = set(adj)
     cluster_adj = _ref_matched_adjacency(lattice, assignment)
 
@@ -440,7 +452,7 @@ def _ref_audit(lattice, assignment, backbone, circuit, clusters, disabled):
             if lattice.neighbor(j.link[-1], Leg.VERT) != j.target:
                 problems.append(f"link does not land on {j.target}")
 
-    adj = _backbone_adjacency(list(wires), list(backbone.junctions))
+    adj = _ref_backbone_adjacency(wires, backbone.junctions)
     backbone_sites = set(adj)
     junction_sites = {j.control for j in backbone.junctions} | {
         j.target for j in backbone.junctions
