@@ -614,12 +614,13 @@ def e2e_fixtures():
     def pinned(rows_axes):
         rows, cols = len(rows_axes), len(rows_axes[0])
         lattice = build_lattice(rows, cols)
-        assignment = AxisAssignment(
+        assignment = AxisAssignment.from_axes(
+            lattice,
             {
                 (r, c): rows_axes[r][c]
                 for r in range(rows)
                 for c in range(cols)
-            }
+            },
         )
         return lattice, assignment
 

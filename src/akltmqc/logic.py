@@ -52,10 +52,10 @@ from .router import (
     DEFAULT_SPACING,
     Backbone,
     RoutingFailure,
+    chain_adjacency,
     disabled_ids,
     find_clusters,
     flag_off_limits,
-    index_view,
     route_backbone,
     spacing_failure,
 )
@@ -128,8 +128,10 @@ class CircuitSpec:
     def validate(self) -> None:
         if self.wires < 1:
             raise ValueError("circuit needs at least one wire")
+        seqs: dict[int, list[Gate]] = {}  # each wire's gates, in order
         for g in self.gates:
-            for w in _gate_wires(g):
+            touched = _gate_wires(g)
+            for w in touched:
                 if not 0 <= w < self.wires:
                     raise ValueError(f"gate {g} touches missing wire {w}")
             if isinstance(g, (Rz, Rx)) and not math.isfinite(g.theta):
@@ -138,8 +140,10 @@ class CircuitSpec:
                 raise ValueError(
                     "CNOT control must ride the wire above its target"
                 )
+            for w in touched:
+                seqs.setdefault(w, []).append(g)
         for w in range(self.wires):
-            seq = [g for g in self.gates if w in _gate_wires(g)]
+            seq = seqs.get(w)
             if not seq or not isinstance(seq[0], Init):
                 raise ValueError(f"wire {w} must open with Init")
             if not isinstance(seq[-1], Readout):
@@ -172,24 +176,40 @@ class CircuitSpec:
 
     @staticmethod
     def from_json(data: dict) -> "CircuitSpec":
+        """The circuit of a parsed JSON file. ``wires``, ``wire``,
+        ``control`` and ``target`` must be JSON integers and ``theta`` a
+        JSON number; a bool, a string or a fraction is refused, not cast."""
+
+        def integer(entry: dict, key: str) -> int:
+            value = entry[key]
+            if type(value) is not int:  # bool subclasses int
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            return value
+
+        def number(entry: dict, key: str) -> float:
+            value = entry[key]
+            if type(value) not in (int, float):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+            return float(value)
+
         gates: list[Gate] = []
         for entry in data["gates"]:
             name = entry["gate"]
             if name == "init":
-                gates.append(Init(int(entry["wire"])))
-            elif name == "rz":
-                gates.append(Rz(int(entry["wire"]), float(entry["theta"])))
-            elif name == "rx":
-                gates.append(Rx(int(entry["wire"]), float(entry["theta"])))
+                gates.append(Init(integer(entry, "wire")))
+            elif name in ("rz", "rx"):
+                rotation = Rz if name == "rz" else Rx
+                wire, theta = integer(entry, "wire"), number(entry, "theta")
+                gates.append(rotation(wire, theta))
             elif name == "cnot":
                 gates.append(
-                    CNOT(int(entry["control"]), int(entry["target"]))
+                    CNOT(integer(entry, "control"), integer(entry, "target"))
                 )
             elif name == "readout":
-                gates.append(Readout(int(entry["wire"])))
+                gates.append(Readout(integer(entry, "wire")))
             else:
                 raise ValueError(f"unknown gate {name!r}")
-        spec = CircuitSpec(int(data["wires"]), tuple(gates))
+        spec = CircuitSpec(integer(data, "wires"), tuple(gates))
         spec.validate()
         return spec
 
@@ -424,8 +444,9 @@ def compile_plan(
     standard. Failures are values, the caller resamples.
 
     The walk runs on site indices, ``lattice.neighbor_table()``, the axis
-    codes and the backbone's ``index_view``; sites become ``Site`` tuples
-    only where the plan or a failure stores them. Every site is measured
+    codes, the backbone's wire paths and junction chains and their
+    ``chain_adjacency``; sites become ``Site`` tuples only where the plan
+    or a failure stores them. Every site is measured
     along its sampled axis (the audit holds the junctions to z and x).
 
     A hanging branch is folded here, once, on GF(2) forms: site index
@@ -442,7 +463,8 @@ def compile_plan(
     cols = lattice.cols
     table = lattice.neighbor_table()
     code = assignment.codes(lattice).tolist()
-    paths, links, adj = index_view(lattice, backbone)
+    paths, links = backbone.wires, backbone.junctions
+    adj = chain_adjacency(paths, links)
     junctions = {i for top, _, bot in links for i in (top, bot)}
 
     placed: set[int] = set()

@@ -10,9 +10,10 @@ band, a vertical staircase link for every CNOT, and per-site bookkeeping
 roles naming where each interior widget gets its reference bit (a standard
 neighbour, the boundary, or a renormalized cluster hanging off the site).
 
-Clustering, routing and the independent audit of each routed backbone run
-on integer site indices and ``lattice.neighbor_table()``; sites become
-``Site`` tuples only in the returned Backbone. Routing failure is an
+Clustering, routing, the returned Backbone and the independent audit of
+each routed backbone are all on integer site indices and
+``lattice.neighbor_table()``; sites become ``Site`` tuples only in the
+backbone's JSON and in failure and audit messages. Routing failure is an
 ordinary return value carrying a diagnostic; the normal remedy is a fresh
 stage-one sample, not an exception.
 """
@@ -209,50 +210,45 @@ class Degree3Junction:
 
 @dataclass(frozen=True)
 class Associate:
-    partner: Site
+    partner: int
 
 
 @dataclass(frozen=True)
 class ClusterExtension:
-    root: Site
+    root: int
 
 
-@dataclass(frozen=True)
-class Unused:
-    pass
-
-
-Role = Degree2Wire | Degree3Junction | Associate | ClusterExtension | Unused
-
-
-@dataclass(frozen=True)
-class JunctionPair:
-    """CNOT plumbing: the degree-3 site on each wire plus the link between.
-
-    ``control`` is the Top-kind z-axis site on the upper (control) wire,
-    ``target`` the Bot-kind x-axis site on the lower (target) wire, and
-    ``link`` the staircase of interior sites walking from control to
-    target. The control site's stem bond reaches link[0]; link[-1]'s stem
-    reaches the target site.
-    """
-
-    control: Site
-    target: Site
-    link: tuple[Site, ...]
+Role = Degree2Wire | Degree3Junction | Associate | ClusterExtension
 
 
 @dataclass
 class Backbone:
-    """Routed embedding of a circuit onto one sampled axis pattern."""
+    """Routed embedding of a circuit onto one sampled axis pattern, on site
+    indices.
 
-    roles: dict[Site, Role]
-    wires: tuple[tuple[Site, ...], ...]  # each ordered right edge -> left edge
-    junctions: tuple[JunctionPair, ...]  # circuit order
+    ``wires`` holds each wire's path, ordered right edge -> left edge.
+    ``junctions`` holds each CNOT's plumbing, in circuit order, as a
+    (control, link, target) chain: ``control`` is the Top-kind z-axis site
+    on the upper (control) wire, ``target`` the Bot-kind x-axis site on the
+    lower (target) wire, and ``link`` the staircase of interior sites
+    walking from control to target. The control site's stem bond reaches
+    link[0]; link[-1]'s stem reaches the target site. ``roles`` gives every
+    site that has a role; the rest are unused.
+    """
+
+    roles: dict[int, Role]
+    wires: tuple[tuple[int, ...], ...]
+    junctions: tuple[tuple[int, tuple[int, ...], int], ...]
     spacing: int
 
     def to_json(self, lattice: HexLattice) -> dict:
-        def code(site: Site) -> str:
-            role = self.roles.get(site, Unused())
+        cols = lattice.cols
+
+        def site(i: int) -> list[int]:
+            return list(divmod(i, cols))
+
+        def code(i: int) -> str:
+            role = self.roles.get(i)
             if isinstance(role, Degree2Wire):
                 return f"w{role.wire}"
             if isinstance(role, Degree3Junction):
@@ -269,17 +265,17 @@ class Backbone:
             "cols": lattice.cols,
             "spacing": self.spacing,
             "grid": [
-                [code((r, c)) for c in range(lattice.cols)]
-                for r in range(lattice.rows)
+                [code(i) for i in range(lo, lo + cols)]
+                for lo in range(0, lattice.n_sites, cols)
             ],
-            "wires": [[list(s) for s in path] for path in self.wires],
+            "wires": [[site(i) for i in path] for path in self.wires],
             "junctions": [
                 {
-                    "control": list(j.control),
-                    "target": list(j.target),
-                    "link": [list(s) for s in j.link],
+                    "control": site(top),
+                    "target": site(bot),
+                    "link": [site(i) for i in link],
                 }
-                for j in self.junctions
+                for top, link, bot in self.junctions
             ],
         }
 
@@ -299,7 +295,7 @@ def _band(wire: int, spacing: int, rows: int) -> range:
 
 def _wire_path(
     lattice: HexLattice, band: range, blocked: list[bool]
-) -> list[int] | None:
+) -> tuple[int, ...] | None:
     """Breadth-first right-to-left path inside the band, or None.
 
     Walks site indices on ``lattice.neighbor_table()`` and never enters a
@@ -325,17 +321,16 @@ def _wire_path(
     return None
 
 
-def _trace_back(prev: dict[int, int], end: int) -> list[int]:
+def _trace_back(prev: dict[int, int], end: int) -> tuple[int, ...]:
     """The breadth-first path from its start (marked -1) to ``end``."""
     path = [end]
     while prev[path[-1]] >= 0:
         path.append(prev[path[-1]])
-    path.reverse()
-    return path
+    return tuple(reversed(path))
 
 
 def _free_z_span(
-    path: list[int], claimed: set[int], code: list[int], cols: int
+    path: tuple[int, ...], claimed: set[int], code: list[int], cols: int
 ) -> tuple[int, int]:
     """Columns of the leftmost and rightmost unclaimed z-axis path sites.
 
@@ -351,10 +346,10 @@ def _link_path(
     code: list[int],
     start: int,
     forbidden: list[bool],
-    tgt_path: list[int],
+    tgt_path: tuple[int, ...],
     claimed: set[int],
     window: tuple[int, int],
-) -> tuple[list[int], int] | None:
+) -> tuple[tuple[int, ...], int] | None:
     """Staircase from below a control junction down to a usable target site.
 
     Walks interior site indices (``forbidden`` masks wire, link and
@@ -420,13 +415,13 @@ def route_backbone(
     junction on the wires it touches. Sites of disabled clusters are
     obstacles. Every search walks site indices on the lattice's cached
     ``neighbor_table()``, with the axis codes and the blocked, wire and
-    claimed sites as index masks; sites become ``Site`` tuples only in the
-    returned Backbone. The result is audited before it is returned, so a
-    Backbone that comes back satisfies the layout invariants.
+    claimed sites as index masks, and the Backbone holds the same indices.
+    The result is audited before it is returned, so a Backbone that comes
+    back satisfies the layout invariants.
     """
     from .logic import CNOT  # deferred: logic builds on this module
 
-    codes = assignment.codes(lattice)  # validates the assignment
+    codes = assignment.codes(lattice)  # checks the patch shape
     unfit = spacing_failure(lattice, circuit.wires, spacing)
     if unfit is not None:
         return unfit
@@ -439,7 +434,7 @@ def route_backbone(
     gone[:-1] |= clusters.sizes > RENORM_SITE_CAP
     blocked = gone[clusters.labels].tolist()
 
-    wires: list[list[int]] = []
+    wires: list[tuple[int, ...]] = []
     for w in range(n_wires):
         path = _wire_path(lattice, _band(w, spacing, lattice.rows), blocked)
         if path is None:
@@ -448,7 +443,7 @@ def route_backbone(
             )
         wires.append(path)
 
-    junctions: list[tuple[int, list[int], int]] = []
+    junctions: list[tuple[int, tuple[int, ...], int]] = []
     forbidden = blocked.copy()  # links avoid blocked, wire and link sites
     for path in wires:
         for i in path:
@@ -515,7 +510,7 @@ def route_backbone(
     return backbone
 
 
-def _adjacency(paths, links) -> dict[int, set[int]]:
+def chain_adjacency(paths, links) -> dict[int, set[int]]:
     """Neighbour sets along wire paths and (control, link, target) junction
     chains, the junction stem bonds included, on site indices."""
     adj: dict[int, set[int]] = {}
@@ -526,23 +521,11 @@ def _adjacency(paths, links) -> dict[int, set[int]]:
     return adj
 
 
-def index_view(lattice: HexLattice, backbone: Backbone) -> tuple:
-    """``backbone`` on site indices: its wire paths, its (control, link,
-    target) junction chains in circuit order, and their ``_adjacency``."""
-    index = lattice.site_index
-    paths = [[index(s) for s in path] for path in backbone.wires]
-    links = [
-        (index(j.control), [index(s) for s in j.link], index(j.target))
-        for j in backbone.junctions
-    ]
-    return paths, links, _adjacency(paths, links)
-
-
 def _assemble(
     lattice: HexLattice,
     code: list[int],
-    wires: list[list[int]],
-    junctions: list[tuple[int, list[int], int]],
+    wires: list[tuple[int, ...]],
+    junctions: list[tuple[int, tuple[int, ...], int]],
     spacing: int,
 ) -> Backbone | RoutingFailure:
     """Attach roles (wire, junction, associate, extension) or report why not.
@@ -559,19 +542,19 @@ def _assemble(
     """
     table = lattice.neighbor_table()
     cols = lattice.cols
-    roles: dict[Site, Role] = {}
+    roles: dict[int, Role] = {}
     junction_sites = {i for top, _, bot in junctions for i in (top, bot)}
     for w, path in enumerate(wires):
         for i in path:
-            roles[divmod(i, cols)] = (
+            roles[i] = (
                 Degree3Junction(w) if i in junction_sites else Degree2Wire(w)
             )
     for top, link, _ in junctions:
-        ctl_wire = roles[divmod(top, cols)].wire
+        ctl_wire = roles[top].wire
         for i in link:
-            roles[divmod(i, cols)] = Degree2Wire(ctl_wire)
+            roles[i] = Degree2Wire(ctl_wire)
 
-    adj = _adjacency(wires, junctions)
+    adj = chain_adjacency(wires, junctions)
 
     # phase one: resolve every matched stem into a hanging branch
     extensions: set[int] = set()
@@ -599,9 +582,9 @@ def _assemble(
                     "backbone",
                 )
             extensions.update(branch)
-            role = ClusterExtension(root=divmod(s, cols))
+            role = ClusterExtension(root=s)
             for e in branch:
-                roles.setdefault(divmod(e, cols), role)
+                roles.setdefault(e, role)
 
     # phase two: standard associates, for backbone and extension sites alike
     interior = adj.keys() | extensions
@@ -617,20 +600,8 @@ def _assemble(
                 )
             stems.append((s, n))
     for s, n in stems:
-        roles.setdefault(divmod(n, cols), Associate(partner=divmod(s, cols)))
-
-    def sites(indices) -> tuple[Site, ...]:
-        return tuple(divmod(i, cols) for i in indices)
-
-    return Backbone(
-        roles=roles,
-        wires=tuple(sites(path) for path in wires),
-        junctions=tuple(
-            JunctionPair(divmod(top, cols), divmod(bot, cols), sites(link))
-            for top, link, bot in junctions
-        ),
-        spacing=spacing,
-    )
+        roles.setdefault(n, Associate(partner=s))
+    return Backbone(roles, tuple(wires), tuple(junctions), spacing)
 
 
 def _hanging_branch(
@@ -679,29 +650,28 @@ def audit_backbone(
     role consistency, reference bits for every interior and branch site,
     whole hanging branches, cluster containment, and that the interior
     region closes no loop the circuit does not call for. It reads only the
-    Backbone, the axis codes, ``clusters.labels`` and ``disabled``, on site
-    indices and ``lattice.neighbor_table()``; sites print as (r, c).
+    Backbone's fields and their ``chain_adjacency``, the axis codes,
+    ``clusters.labels`` and ``disabled``, on site indices and
+    ``lattice.neighbor_table()``; sites print as (r, c).
     """
     from .logic import CNOT
 
     problems: list[str] = []
-    wires = backbone.wires
-    if len(wires) != circuit.wires:
+    paths, links, roles = backbone.wires, backbone.junctions, backbone.roles
+    if len(paths) != circuit.wires:
         problems.append(
-            f"{len(wires)} wires routed, circuit wants {circuit.wires}"
+            f"{len(paths)} wires routed, circuit wants {circuit.wires}"
         )
         return problems
 
     cols = lattice.cols
     table = lattice.neighbor_table()
     code = assignment.codes(lattice).tolist()
-    index = lattice.site_index
 
     def site(i: int) -> Site:
         return divmod(i, cols)
 
-    paths, links, adj = index_view(lattice, backbone)
-    roles = {index(s): role for s, role in backbone.roles.items()}
+    adj = chain_adjacency(paths, links)
 
     seen: set[int] = set()
     for w, path in enumerate(paths):
@@ -724,32 +694,31 @@ def audit_backbone(
         seen.update(path)
 
     cnots = [g for g in circuit.gates if isinstance(g, CNOT)]
-    if len(backbone.junctions) != len(cnots):
-        problems.append(
-            f"{len(backbone.junctions)} junction pairs for {len(cnots)} CNOTs"
-        )
+    if len(links) != len(cnots):
+        problems.append(f"{len(links)} junction pairs for {len(cnots)} CNOTs")
         return problems
-    frontier = {w: lattice.cols for w in range(len(wires))}
-    for gate, j, (top, link, bot) in zip(cnots, backbone.junctions, links):
+    frontier = {w: lattice.cols for w in range(len(paths))}
+    for gate, (top, link, bot) in zip(cnots, links):
         ctl, tgt = gate.control, gate.target
+        control, target = site(top), site(bot)
         if top not in paths[ctl]:
-            problems.append(f"junction {j.control} not on wire {ctl}")
+            problems.append(f"junction {control} not on wire {ctl}")
         if bot not in paths[tgt]:
-            problems.append(f"junction {j.target} not on wire {tgt}")
-        if sum(j.control) % 2:  # Top kind: r + c even
-            problems.append(f"control junction {j.control} is not Top-kind")
-        if sum(j.target) % 2 == 0:
-            problems.append(f"target junction {j.target} is not Bot-kind")
+            problems.append(f"junction {target} not on wire {tgt}")
+        if sum(control) % 2:  # Top kind: r + c even
+            problems.append(f"control junction {control} is not Top-kind")
+        if sum(target) % 2 == 0:
+            problems.append(f"target junction {target} is not Bot-kind")
         if code[top] != _Z:
-            problems.append(f"control junction {j.control} is not z-axis")
+            problems.append(f"control junction {control} is not z-axis")
         if code[bot] != _X:
-            problems.append(f"target junction {j.target} is not x-axis")
-        if j.control[1] >= frontier[ctl] or j.target[1] >= frontier[tgt]:
+            problems.append(f"target junction {target} is not x-axis")
+        if control[1] >= frontier[ctl] or target[1] >= frontier[tgt]:
             problems.append(
                 f"junction for CNOT {ctl}->{tgt} is right of an earlier one"
             )
-        frontier[ctl] = min(frontier[ctl], j.control[1])
-        frontier[tgt] = min(frontier[tgt], j.target[1])
+        frontier[ctl] = min(frontier[ctl], control[1])
+        frontier[tgt] = min(frontier[tgt], target[1])
         chain = [top, *link, bot]
         for a, b in zip(chain, chain[1:]):
             if b not in table[a]:
@@ -757,9 +726,9 @@ def audit_backbone(
                 break
         if link:
             if table[top][2] != link[0]:
-                problems.append(f"link does not hang from {j.control}")
+                problems.append(f"link does not hang from {control}")
             if table[link[-1]][2] != bot:
-                problems.append(f"link does not land on {j.target}")
+                problems.append(f"link does not land on {target}")
 
     junction_sites = {i for top, _, bot in links for i in (top, bot)}
     extensions = {
@@ -798,7 +767,7 @@ def audit_backbone(
         s, role = site(i), roles[i]
         for leg, n in zip(Leg, table[i]):
             if n >= 0 and code[n] == code[i]:
-                if roles.get(n) != role and n != index(role.root):
+                if roles.get(n) != role and n != role.root:
                     problems.append(
                         f"extension {s} matches {site(n)} outside its branch"
                     )
@@ -827,7 +796,7 @@ def audit_backbone(
         )
     touched: dict[int, set[int]] = {}
     for w, path in enumerate(paths):
-        for cid in labels[path].tolist():
+        for cid in labels[list(path)].tolist():
             if cid >= 0:
                 touched.setdefault(cid, set()).add(w)
     for cid, ws in sorted(touched.items()):

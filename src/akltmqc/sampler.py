@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
 
 import numpy as np
 
@@ -29,88 +28,63 @@ class SampleMode(str, Enum):
     IID = "iid"
 
 
-class _CodedAxes(Mapping):
-    """Read-only site -> axis view of a row-major list of ``AXES`` indices."""
-
-    def __init__(self, rows: int, cols: int, codes: list[int]):
-        self._rows, self._cols, self._codes = rows, cols, codes
-
-    def __getitem__(self, site: Site) -> str:
-        r, c = site
-        if not (0 <= r < self._rows and 0 <= c < self._cols):
-            raise KeyError(site)
-        return AXES[self._codes[r * self._cols + c]]
-
-    def __iter__(self):
-        return product(range(self._rows), range(self._cols))
-
-    def __len__(self) -> int:
-        return self._rows * self._cols
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxisAssignment:
-    """The polarizing axis of every site."""
+    """The polarizing axis of every site of a ``rows`` x ``cols`` patch.
 
-    axes: Mapping[Site, str]
-    _codes: dict[tuple[int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    ``code_array`` holds each site's index into ``AXES``, in row-major
+    order, as a read-only int8 array; it is the whole assignment.
+    """
+
+    rows: int
+    cols: int
+    code_array: np.ndarray = field(repr=False)
 
     @classmethod
     def from_codes(
         cls, lattice: HexLattice, codes: np.ndarray
     ) -> AxisAssignment:
-        """The assignment whose row-major ``AXES`` indices are ``codes``.
-
-        ``codes`` (one entry 0, 1 or 2 per site) becomes the cached code
-        array for the lattice's shape, and ``axes`` reads each site's axis
-        off it, so neither is rebuilt from the other.
-        """
-        codes = codes.astype(np.int8)
+        """The assignment whose row-major ``AXES`` indices are ``codes``."""
+        codes = np.array(codes, dtype=np.int8)
         codes.flags.writeable = False
-        shape = (lattice.rows, lattice.cols)
-        out = cls(_CodedAxes(*shape, codes.tolist()))
-        out._codes[shape] = codes
-        return out
+        return cls(lattice.rows, lattice.cols, codes)
+
+    @classmethod
+    def from_axes(
+        cls, lattice: HexLattice, axes: Mapping[Site, str]
+    ) -> AxisAssignment:
+        """The assignment of ``axes`` (site -> axis), which must give every
+        site of ``lattice`` one of ``AXES``."""
+        sites = list(lattice.sites())
+        missing = [s for s in sites if s not in axes]
+        if missing:
+            raise ValueError(f"assignment missing sites {missing[:4]}")
+        bad = set(axes.values()).difference(AXES)
+        if bad:
+            raise ValueError(f"unknown axes {bad}")
+        return cls.from_codes(lattice, [_AXIS_CODE[axes[s]] for s in sites])
 
     def __getitem__(self, site: Site) -> str:
-        return self.axes[site]
+        r, c = site
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise KeyError(site)
+        return AXES[self.code_array[r * self.cols + c]]
 
     def codes(self, lattice: HexLattice) -> np.ndarray:
-        """Index into ``AXES`` of every site's axis, in row-major order.
-
-        Validates the assignment on the first call for a lattice shape and
-        keeps the read-only int8 array for later calls.
-        """
-        shape = (lattice.rows, lattice.cols)
-        codes = self._codes.get(shape)
-        if codes is None:
-            sites = list(lattice.sites())
-            missing = [s for s in sites if s not in self.axes]
-            if missing:
-                raise ValueError(f"assignment missing sites {missing[:4]}")
-            bad = set(self.axes.values()).difference(AXES)
-            if bad:
-                raise ValueError(f"unknown axes {bad}")
-            axes = map(self.axes.__getitem__, sites)
-            codes = np.fromiter(map(_AXIS_CODE.__getitem__, axes), np.int8)
-            codes.flags.writeable = False
-            self._codes[shape] = codes
-        return codes
-
-    def validate(self, lattice: HexLattice) -> None:
-        self.codes(lattice)
+        """``code_array``, once ``lattice`` is checked to be this patch."""
+        if (lattice.rows, lattice.cols) != (self.rows, self.cols):
+            raise ValueError(
+                f"assignment of a {self.rows}x{self.cols} patch on a "
+                f"{lattice.rows}x{lattice.cols} lattice"
+            )
+        return self.code_array
 
     def to_json(self, lattice: HexLattice) -> dict:
-        self.validate(lattice)
+        grid = self.codes(lattice).reshape(self.rows, self.cols).tolist()
         return {
             "rows": lattice.rows,
             "cols": lattice.cols,
-            "axes": [
-                [self.axes[(r, c)] for c in range(lattice.cols)]
-                for r in range(lattice.rows)
-            ],
+            "axes": [[AXES[k] for k in row] for row in grid],
         }
 
 
@@ -126,8 +100,9 @@ def stage1_sample(
         rng = np.random.default_rng(rng_seed)
         draws = rng.integers(0, 3, size=lattice.n_sites)
         return AxisAssignment.from_codes(lattice, draws)
-    steps = chain_rule_sample(lattice, term, rng_seed)
-    return AxisAssignment({s.site: s.outcome for s in steps})
+    steps = chain_rule_sample(lattice, term, rng_seed)  # row-major
+    codes = [_AXIS_CODE[s.outcome] for s in steps]
+    return AxisAssignment.from_codes(lattice, codes)
 
 
 def matched_mask(

@@ -133,6 +133,42 @@ def test_bad_circuit_file(capsys, tmp_path):
     assert code == 1
 
 
+_INIT0 = {"gate": "init", "wire": 0}
+_READ0 = {"gate": "readout", "wire": 0}
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        {"wires": 1.9, "gates": [
+            {"gate": "init", "wire": 0.7}, {"gate": "readout", "wire": "0"},
+        ]},
+        {"wires": True, "gates": [_INIT0, _READ0]},
+        {"wires": 1, "gates": [
+            _INIT0, {"gate": "rz", "wire": 0, "theta": "0.5"}, _READ0,
+        ]},
+        {"wires": 1, "gates": [
+            _INIT0, {"gate": "rx", "wire": 0, "theta": True}, _READ0,
+        ]},
+        {"wires": 2, "gates": [
+            _INIT0, {"gate": "init", "wire": 1},
+            {"gate": "cnot", "control": 0, "target": 1.0},
+            _READ0, {"gate": "readout", "wire": 1},
+        ]},
+    ],
+    ids=["fractions", "bool-wires", "string-theta", "bool-theta", "float-target"],
+)
+def test_circuit_fields_are_not_cast(capsys, tmp_path, circuit):
+    # a circuit file is not cast: int() would run 1.9 wires as one
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(circuit))
+    code = cli.main(["run", "--mode", "iid", "--lattice", "4x8", "--seed",
+                     "1", "--circuit", str(path)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["reason"]) == ("validation", "bad-arguments")
+
+
 def test_unroutable_circuit_is_protocol_error(capsys, cnot_circuit):
     code = cli.main(
         ["run", "--lattice", "2x3", "--circuit", cnot_circuit,
@@ -313,12 +349,17 @@ def test_iid_run_matches_parent_digest(
 # sha256 of `route --mode iid` as written by the parent of the change that
 # moved the backbone audit onto site indices (commit f5949f3): the routed
 # 8x16 CNOT artifact on stdout (31 clusters, 7 off-limits pairs) and the
-# 20x40 identity routing failure (cluster-loop) on stderr.
+# 20x40 identity routing failure (cluster-loop) on stderr. The 20x40 seed 13
+# identity artifact is a routed 40-column grid (41 wire, 23 extension and 53
+# associate sites), written by the parent of the change that keeps the
+# backbone on site indices (commit 975543a).
 PARENT_ROUTE_DIGESTS = [
     ("8x16", "6", "cnot", "out",
      "b8f687b4260a0b801c5221f530be6a3350dd19b9b798fa1da3e8b53f076b7905"),
     ("20x40", "11", "identity", "err",
      "78de366b302bab5c1264f22d2cbb6aa8096250c3f5f633511874331905b470b3"),
+    ("20x40", "13", "identity", "out",
+     "5d75626a6e27a68bfe0638e2177b8836036e34c8c58dfbc728a74271cca14500"),
 ]
 
 

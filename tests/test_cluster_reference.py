@@ -99,8 +99,8 @@ def _bonds(lattice, joins):
 
 
 def _assignment(lattice, codes):
-    return AxisAssignment(
-        {s: AXES[int(k)] for s, k in zip(lattice.sites(), codes)}
+    return AxisAssignment.from_axes(
+        lattice, {s: AXES[int(k)] for s, k in zip(lattice.sites(), codes)}
     )
 
 
@@ -154,8 +154,9 @@ def test_chain_of_clusters_reuses_disabled_member():
     # B-C pair reuses B instead of disabling C too.
     rows = ("zzzz", "zxxy", "yxxy")
     lat = build_lattice(3, 4)
-    asg = AxisAssignment(
-        {(r, c): a for r, line in enumerate(rows) for c, a in enumerate(line)}
+    asg = AxisAssignment.from_axes(
+        lat,
+        {(r, c): a for r, line in enumerate(rows) for c, a in enumerate(line)},
     )
     clusters, pairs = _check_against_reference(lat, asg)
     members = [
@@ -183,6 +184,8 @@ def test_chain_of_clusters_reuses_disabled_member():
 def test_mixed_axis_mask_is_rejected():
     # a mask that matches a z-x bond puts two axes in one cluster
     lat = build_lattice(1, 3)
-    asg = AxisAssignment({(0, 0): "z", (0, 1): "z", (0, 2): "x"})
+    asg = AxisAssignment.from_axes(
+        lat, {(0, 0): "z", (0, 1): "z", (0, 2): "x"}
+    )
     with pytest.raises(ValueError, match="cluster at \\(0, 0\\) mixes axes"):
         find_clusters(lat, np.ones(2, dtype=bool), asg)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,10 +43,10 @@ from akltmqc.oracle import reference_circuit_sim, tv_distance
 from akltmqc.router import (
     ClusterExtension,
     RoutingFailure,
+    chain_adjacency,
     disabled_ids,
     find_clusters,
     flag_off_limits,
-    index_view,
     route_backbone,
 )
 from akltmqc.sampler import AxisAssignment, matched_mask, stage1_sample
@@ -60,8 +61,9 @@ from akltmqc.tensors import (
 def _fixture(rows_axes):
     rows, cols = len(rows_axes), len(rows_axes[0])
     lat = build_lattice(rows, cols)
-    asg = AxisAssignment(
-        {(r, c): rows_axes[r][c] for r in range(rows) for c in range(cols)}
+    asg = AxisAssignment.from_axes(
+        lat,
+        {(r, c): rows_axes[r][c] for r in range(rows) for c in range(cols)},
     )
     return lat, asg
 
@@ -114,6 +116,82 @@ def test_circuit_validation():
         CircuitSpec(1, (Init(0), Rz(5, 0.1), Readout(0))).validate()
 
 
+def _quadratic_validate(circuit):
+    """The wire-by-wire scan ``CircuitSpec.validate`` replaced: the first
+    problem's message, or None."""
+    for g in circuit.gates:
+        for w in logic._gate_wires(g):
+            if not 0 <= w < circuit.wires:
+                return f"gate {g} touches missing wire {w}"
+        if isinstance(g, (Rz, Rx)) and not math.isfinite(g.theta):
+            return f"gate {g} has a non-finite angle"
+        if isinstance(g, CNOT) and g.control >= g.target:
+            return "CNOT control must ride the wire above its target"
+    for w in range(circuit.wires):
+        seq = [g for g in circuit.gates if w in logic._gate_wires(g)]
+        if not seq or not isinstance(seq[0], Init):
+            return f"wire {w} must open with Init"
+        if not isinstance(seq[-1], Readout):
+            return f"wire {w} must close with Readout"
+        if sum(isinstance(g, Init) for g in seq) != 1:
+            return f"wire {w} has a stray Init"
+        if sum(isinstance(g, Readout) for g in seq) != 1:
+            return f"wire {w} has a stray Readout"
+    return None
+
+
+def test_circuit_validation_messages_match_the_wire_scan():
+    # the one-pass check finds the same first problem, message and all:
+    # valid circuits with up to two extra gates, one gate moved at times
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(2000):
+        wires = int(rng.integers(1, 4))
+        pool = [
+            Init(0), Readout(wires - 1), Rz(0, 0.5), Rx(wires - 1, math.inf),
+            Init(wires), Readout(-1),
+            *(CNOT(a, b) for a in range(wires) for b in range(wires)),
+        ]
+        middle = rng.integers(0, len(pool), int(rng.integers(0, 3)))
+        gates = [
+            *map(Init, range(wires)),
+            *(pool[k] for k in middle),
+            *map(Readout, range(wires)),
+        ]
+        if rng.random() < 0.3:
+            gates.insert(int(rng.integers(0, len(gates))), gates.pop())
+        circuit = CircuitSpec(wires, tuple(gates))
+        want = _quadratic_validate(circuit)
+        try:
+            circuit.validate()
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, circuit
+        seen.add(want and re.sub(r"\(.*\)|-?\d+", "", want))
+    assert len(seen) == 9  # every message, and valid circuits
+
+
+def test_circuit_validation_reads_each_gate_once(monkeypatch):
+    wires = 2000
+    gates = (
+        [Init(w) for w in range(wires)]
+        + [CNOT(w, w + 1) for w in range(0, wires, 2)]
+        + [Readout(w) for w in range(wires)]
+    )
+    calls = 0
+    gate_wires = logic._gate_wires
+
+    def counted(gate):
+        nonlocal calls
+        calls += 1
+        return gate_wires(gate)
+
+    monkeypatch.setattr(logic, "_gate_wires", counted)
+    CircuitSpec(wires, tuple(gates)).validate()
+    assert 0 < calls <= 2 * len(gates)
+
+
 def test_circuit_json_roundtrip():
     circ = CircuitSpec(
         2,
@@ -130,6 +208,10 @@ def test_circuit_json_roundtrip():
     circ.validate()
     again = CircuitSpec.from_json(json.loads(json.dumps(circ.to_json())))
     assert again == circ
+    # an integral angle is a JSON number too
+    data = circ.to_json()
+    data["gates"][2]["theta"] = 1
+    assert CircuitSpec.from_json(data).gates[2] == Rz(0, 1.0)
 
 
 def test_auto_spacing():
@@ -246,7 +328,7 @@ def _fold_entries(lat, asg, backbone, plan):
     """{widget: entry site} for every reference fed by a fold: the entry is
     the widget's neighbour on its free leg, when it shares the widget's
     axis."""
-    _, _, adj = index_view(lat, backbone)
+    adj = chain_adjacency(backbone.wires, backbone.junctions)
     table, codes = lat.neighbor_table(), asg.codes(lat)
     out = {}
     for s in plan.reference:
@@ -287,13 +369,14 @@ def test_compile_invariants_held_by_routing():
         kind = {ps.site: ps.kind for ps in plan.order}
         entries = _fold_entries(lat, asg, backbone, plan)
         folds += len(entries)
+        index = lat.site_index
         for s, n in entries.items():
-            assert backbone.roles[n] == ClusterExtension(root=s)
+            assert backbone.roles[index(n)] == ClusterExtension(index(s))
         for s, ref in plan.reference.items():
             for x in ref.sites:
                 assert kind[x] == "standard" or (
                     s in entries
-                    and backbone.roles[x] == ClusterExtension(root=s)
+                    and backbone.roles[index(x)] == ClusterExtension(index(s))
                 )
     assert len(plans) > 150 and folds > 50
 
@@ -358,9 +441,9 @@ def test_audit_rejects_looped_hanging_branches(monkeypatch, seed):
     spacing = auto_spacing(lat, IDENTITY)
     backbone = route_backbone(lat, asg, clusters, disabled, IDENTITY, spacing)
     branch = {
-        x
+        divmod(x, lat.cols)
         for x, role in backbone.roles.items()
-        if role == ClusterExtension(root=(0, 6))
+        if role == ClusterExtension(root=lat.site_index((0, 6)))
     }
     # a tree on k sites has k - 1 bonds
     bonds = sum(a in branch and b in branch for a, b in lat.bond_sites())
@@ -745,7 +828,7 @@ def test_exact_run_matches_dense_reference(monkeypatch, circuit, seed):
     built = _use_reference(monkeypatch)
     slow = run_protocol(lat, term, circuit, rng_seed=seed)
     assert built == ["layer"] * (slow.attempts + 1)
-    assert fast.assignment == slow.assignment
+    assert fast.assignment.to_json(lat) == slow.assignment.to_json(lat)
     assert fast.frames == slow.frames
     assert fast.outcome == slow.outcome
     for a, b in zip(fast.record.steps, slow.record.steps, strict=True):

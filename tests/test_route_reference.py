@@ -6,6 +6,9 @@ dict membership, the matched-bond graph and the backbone adjacency as
 dicts of sets, a per-bond union-find for the cluster labels, and the audit
 with ``leg_between``, per-cluster site sets and a dict union-find for the
 loop rank.
+The reference keeps its backbones in ``Site`` tuples (``_RefBackbone``);
+``_indexed`` and ``_sited`` convert between it and the router's
+``Backbone`` on site indices where the two are compared.
 ``route_backbone`` must return the same backbone (``to_json``) or the same
 failure reason and detail, and ``find_clusters`` the same labels, on iid
 patterns of three sizes and on exact patterns under x and z pins;
@@ -30,7 +33,6 @@ from akltmqc.router import (
     ClusterExtension,
     Degree2Wire,
     Degree3Junction,
-    JunctionPair,
     RoutingFailure,
     _band,
     audit_backbone,
@@ -49,6 +51,66 @@ ONE_CNOT = CircuitSpec(
 
 
 # -- reference ------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefJunction:
+    """One CNOT's plumbing in ``Site`` tuples: its control and target
+    junction sites and the link between them."""
+
+    control: tuple
+    target: tuple
+    link: tuple
+
+
+@dataclasses.dataclass
+class _RefBackbone:
+    """A backbone in ``Site`` tuples: roles keyed by site, associate
+    partners and extension roots as sites, ``_RefJunction`` plumbing."""
+
+    roles: dict
+    wires: tuple
+    junctions: tuple
+    spacing: int
+
+
+def _convert_role(role, convert):
+    if isinstance(role, Associate):
+        return Associate(convert(role.partner))
+    if isinstance(role, ClusterExtension):
+        return ClusterExtension(convert(role.root))
+    return role
+
+
+def _indexed(lattice, backbone):
+    """The router's ``Backbone`` on site indices for a ``_RefBackbone``."""
+    index = lattice.site_index
+    return Backbone(
+        {index(s): _convert_role(r, index) for s, r in backbone.roles.items()},
+        tuple(tuple(map(index, path)) for path in backbone.wires),
+        tuple(
+            (index(j.control), tuple(map(index, j.link)), index(j.target))
+            for j in backbone.junctions
+        ),
+        backbone.spacing,
+    )
+
+
+def _sited(lattice, backbone):
+    """The ``_RefBackbone`` of a router ``Backbone``."""
+
+    def site(i):
+        return divmod(i, lattice.cols)
+
+    return _RefBackbone(
+        {site(i): _convert_role(r, site) for i, r in backbone.roles.items()},
+        tuple(tuple(map(site, path)) for path in backbone.wires),
+        tuple(
+            _RefJunction(site(top), site(bot), tuple(map(site, link)))
+            for top, link, bot in backbone.junctions
+        ),
+        backbone.spacing,
+    )
 
 
 def _ref_find(parent, x):
@@ -280,7 +342,7 @@ def _ref_assemble(lattice, assignment, clusters, wires, junctions, spacing):
             )
         roles.setdefault(n, Associate(partner=s))
 
-    return Backbone(
+    return _RefBackbone(
         roles=roles,
         wires=tuple(wires),
         junctions=tuple(junctions),
@@ -350,7 +412,7 @@ def _ref_layout(lattice, assignment, clusters, disabled, circuit, spacing):
                 f"no junction pair for CNOT {ctl}->{tgt}",
             )
         top, bot, link = placed
-        junctions.append(JunctionPair(top, bot, link))
+        junctions.append(_RefJunction(top, bot, link))
         used.add(top)
         used.add(bot)
         used.update(link)
@@ -563,6 +625,8 @@ def _check(lattice, assignment, circuit) -> str:
         lattice, assignment, clusters, disabled, circuit, spacing
     )
     want = _ref_route(lattice, assignment, clusters, disabled, circuit, spacing)
+    if isinstance(want, _RefBackbone):
+        want = _indexed(lattice, want)
     assert _outcome(lattice, got) == _outcome(lattice, want)
     if not isinstance(want, RoutingFailure):
         assert got == want  # roles included
@@ -686,7 +750,9 @@ def _compare_audits(
     """Both audits on every mutation; counts (compared, non-empty, jumps)."""
     compared = nonempty = jumps = 0
     for name, bb, dis in _mutations(lattice, clusters, disabled, backbone):
-        got = audit_backbone(lattice, assignment, bb, circuit, clusters, dis)
+        got = audit_backbone(
+            lattice, assignment, _indexed(lattice, bb), circuit, clusters, dis
+        )
         try:
             want = _ref_audit(lattice, assignment, bb, circuit, clusters, dis)
         except ValueError as exc:  # leg_between across the gap
@@ -743,17 +809,21 @@ def test_audit_reports_a_jumping_wire_and_link():
     )
     assert not isinstance(backbone, RoutingFailure)
     wire = backbone.wires[0]
-    (pair,) = backbone.junctions
+    ((top, link, bot),) = backbone.junctions
     jumpy = dataclasses.replace(
         backbone,
         wires=((wire[0], *wire[2:]), backbone.wires[1]),
-        junctions=(dataclasses.replace(pair, link=pair.link[1:]),),
+        junctions=((top, link[1:], bot),),
     )
     problems = audit_backbone(
         lattice, assignment, jumpy, circuit, clusters, frozenset()
     )
-    assert f"wire 0 jumps {wire[0]}->{wire[2]}" in problems
-    assert f"junction link jumps {pair.control}->{pair.link[1]}" in problems
+
+    def site(i):
+        return divmod(i, lattice.cols)
+
+    assert f"wire 0 jumps {site(wire[0])}->{site(wire[2])}" in problems
+    assert f"junction link jumps {site(top)}->{site(link[1])}" in problems
 
 
 def test_audit_sees_roles_dropped_inside_a_hanging_branch():
@@ -773,15 +843,21 @@ def test_audit_sees_roles_dropped_inside_a_hanging_branch():
         )
         if isinstance(backbone, RoutingFailure):
             continue
+        sited = _sited(lattice, backbone)
         cases = dict(
             (name, bb)
-            for name, bb, _ in _mutations(lattice, clusters, disabled, backbone)
+            for name, bb, _ in _mutations(lattice, clusters, disabled, sited)
         )
         if "branch roles dropped" not in cases:
             continue
-        args = (assignment, cases["branch roles dropped"], IDENTITY, clusters)
-        got = audit_backbone(lattice, *args, disabled)
-        assert got == _ref_audit(lattice, *args, disabled)
+        cut = cases["branch roles dropped"]
+        got = audit_backbone(
+            lattice, assignment, _indexed(lattice, cut), IDENTITY, clusters,
+            disabled,
+        )
+        assert got == _ref_audit(
+            lattice, assignment, cut, IDENTITY, clusters, disabled
+        )
         assert all(p.startswith("extension ") for p in got), got
         assert any(" outside its branch" in p for p in got), got
         assert any(" has no associate " in p for p in got), got

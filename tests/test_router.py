@@ -26,8 +26,9 @@ from akltmqc.tensors import AXES
 def _assignment(rows_axes):
     rows, cols = len(rows_axes), len(rows_axes[0])
     lat = build_lattice(rows, cols)
-    asg = AxisAssignment(
-        {(r, c): rows_axes[r][c] for r in range(rows) for c in range(cols)}
+    asg = AxisAssignment.from_axes(
+        lat,
+        {(r, c): rows_axes[r][c] for r in range(rows) for c in range(cols)},
     )
     return lat, asg
 
@@ -79,18 +80,22 @@ def test_single_join_not_flagged():
     ],
 )
 def test_bad_assignment_rejected_at_every_entry(axes, message):
+    # an invalid assignment cannot be built, and one of another patch
+    # shape is refused wherever its codes are read
     lat, good = _assignment(["zx", "yz"])
-    bad = AxisAssignment(axes)
+    with pytest.raises(ValueError, match=message):
+        AxisAssignment.from_axes(lat, axes)
+    other = stage1_sample(build_lattice(2, 3), None, "iid", 0)
     matched = matched_mask(lat, good)
     clusters = find_clusters(lat, matched, good)
     circuit = CircuitSpec(1, (Init(0), Readout(0)))
-    for _ in range(2):  # a failed check is not cached as a pass
-        with pytest.raises(ValueError, match=message):
-            matched_mask(lat, bad)
-        with pytest.raises(ValueError, match=message):
-            find_clusters(lat, matched, bad)
-        with pytest.raises(ValueError, match=message):
-            route_backbone(lat, bad, clusters, frozenset(), circuit, spacing=1)
+    shape = "2x3 patch on a 2x2 lattice"
+    with pytest.raises(ValueError, match=shape):
+        matched_mask(lat, other)
+    with pytest.raises(ValueError, match=shape):
+        find_clusters(lat, matched, other)
+    with pytest.raises(ValueError, match=shape):
+        route_backbone(lat, other, clusters, frozenset(), circuit, spacing=1)
 
 
 def test_route_single_wire():
@@ -104,7 +109,7 @@ def test_route_single_wire():
     assert len(bb.wires) == 1
     assert not bb.junctions
     # the wire occupies row 0 end to end
-    assert all(s[0] == 0 for s in bb.wires[0])
+    assert all(i // lat.cols == 0 for i in bb.wires[0])
     assert len(bb.wires[0]) == 5
 
 
@@ -119,9 +124,9 @@ def test_route_cnot_pair():
     assert not isinstance(bb, RoutingFailure)
     assert len(bb.wires) == 2
     assert len(bb.junctions) == 1
-    pair = bb.junctions[0]
-    assert pair.control[0] < pair.target[0]
-    assert pair.link  # vertical chain between the two junction sites
+    control, link, target = bb.junctions[0]
+    assert control // lat.cols < target // lat.cols
+    assert link  # vertical chain between the two junction sites
 
 
 def test_route_failure_reports_reason():
@@ -162,13 +167,12 @@ def test_hanging_branches_lie_in_small_root_clusters():
                     continue
                 routed += 1
                 label = clusters.labels
-                for site, role in bb.roles.items():
-                    i = lat.site_index(site)
+                for i, role in bb.roles.items():
                     if isinstance(role, Associate):
                         continue
                     if isinstance(role, ClusterExtension):
                         extensions += 1
-                        root = label[lat.site_index(role.root)]
+                        root = label[role.root]
                         assert label[i] == root >= 0
                         assert clusters.sizes[root] <= RENORM_SITE_CAP
                     elif label[i] >= 0:  # a wire or junction site
@@ -222,23 +226,22 @@ def test_stems_end_on_free_sites_outside_interior_clusters():
             routed += 1
             labels = clusters.labels
             interior = np.zeros(lat.n_sites, dtype=bool)
-            for site, role in bb.roles.items():
+            for i, role in bb.roles.items():
                 if not isinstance(role, Associate):
-                    interior[lat.site_index(site)] = True
+                    interior[i] = True
             tied = np.unique(labels[interior & (labels >= 0)])
             assert interior[np.isin(labels, tied)].all()
             # the audit checks the stems of backbone sites; those of
             # extension sites end on associates too
             code, table = asg.codes(lat), lat.neighbor_table()
-            for site, role in bb.roles.items():
+            for i, role in bb.roles.items():
                 if not isinstance(role, ClusterExtension):
                     continue
-                i = lat.site_index(site)
                 for n in table[i]:
                     if n >= 0 and code[n] != code[i]:
                         associates += 1
                         assert not interior[n]
-                        far = bb.roles[divmod(n, lat.cols)]
+                        far = bb.roles[n]
                         assert isinstance(far, Associate)
     assert routed > 50 and associates > 0
 
@@ -251,16 +254,17 @@ def test_audit_rejects_wrong_junction_axes():
     )
     clusters = find_clusters(lat, matched_mask(lat, asg), asg)
     bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=2)
-    (pair,) = bb.junctions
-    flipped = AxisAssignment(
-        {**asg.axes, pair.control: "y", pair.target: "z"}
-    )
+    ((top, _, bot),) = bb.junctions
+    codes = asg.codes(lat).copy()
+    codes[[top, bot]] = AXES.index("y"), AXES.index("z")
+    flipped = AxisAssignment.from_codes(lat, codes)
     problems = audit_backbone(
         lat, flipped, bb, circuit,
         find_clusters(lat, matched_mask(lat, flipped), flipped), frozenset(),
     )
-    assert f"control junction {pair.control} is not z-axis" in problems
-    assert f"target junction {pair.target} is not x-axis" in problems
+    control, target = divmod(top, lat.cols), divmod(bot, lat.cols)
+    assert f"control junction {control} is not z-axis" in problems
+    assert f"target junction {target} is not x-axis" in problems
 
 
 def test_backbone_json_grid():

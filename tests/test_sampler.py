@@ -49,8 +49,8 @@ def test_string_and_enum_modes_agree():
 
 def test_matched_bonds_hand_pattern():
     lat = build_lattice(2, 2)
-    asg = AxisAssignment(
-        {(0, 0): "z", (0, 1): "z", (1, 0): "x", (1, 1): "x"}
+    asg = AxisAssignment.from_axes(
+        lat, {(0, 0): "z", (0, 1): "z", (1, 0): "x", (1, 1): "x"}
     )
     got = {frozenset((b.a, b.b)) for b in matched_bonds(lat, asg)}
     assert got == {
@@ -61,8 +61,8 @@ def test_matched_bonds_hand_pattern():
 
 def test_matched_bonds_reject_partial_assignment():
     lat = build_lattice(2, 2)
-    with pytest.raises(Exception):
-        matched_bonds(lat, AxisAssignment({(0, 0): "z"}))
+    with pytest.raises(ValueError, match="missing sites"):
+        matched_bonds(lat, AxisAssignment.from_axes(lat, {(0, 0): "z"}))
 
 
 def test_assignment_json_roundtrip():
@@ -79,12 +79,11 @@ def test_iid_assignment_keeps_its_draws_as_codes():
     asg = stage1_sample(lat, None, "iid", 8)
     codes = asg.codes(lat)
     assert not codes.flags.writeable
-    plain = AxisAssignment({s: asg[s] for s in lat.sites()})
-    assert plain == asg and asg == plain
+    plain = AxisAssignment.from_axes(lat, {s: asg[s] for s in lat.sites()})
     assert plain.codes(lat).tolist() == codes.tolist()
-    assert list(asg.axes) == list(lat.sites())
-    assert len(asg.axes) == lat.n_sites
+    assert plain.to_json(lat) == asg.to_json(lat)
     for outside in ((3, 0), (0, 5), (-1, 0)):
-        assert outside not in asg.axes
-    with pytest.raises(ValueError, match="missing sites"):
-        asg.validate(build_lattice(4, 5))
+        with pytest.raises(KeyError):
+            asg[outside]
+    with pytest.raises(ValueError, match="3x5 patch on a 4x5 lattice"):
+        asg.codes(build_lattice(4, 5))
