@@ -178,7 +178,10 @@ class CircuitSpec:
     def from_json(data: dict) -> "CircuitSpec":
         """The circuit of a parsed JSON file. ``wires``, ``wire``,
         ``control`` and ``target`` must be JSON integers and ``theta`` a
-        JSON number; a bool, a string or a fraction is refused, not cast."""
+        JSON number; a bool, a string or a fraction is refused, not cast.
+        ``format_version``, when present, must be the integer 1, and a key
+        the format does not define, at the top level or in a gate, is
+        refused."""
 
         def integer(entry: dict, key: str) -> int:
             value = entry[key]
@@ -192,26 +195,42 @@ class CircuitSpec:
                 raise ValueError(f"{key} must be a number, got {value!r}")
             return float(value)
 
+        def known(entry: dict, keys: tuple[str, ...]) -> None:
+            unknown = sorted(set(entry) - set(keys))
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}")
+
+        version = data["format_version"] if "format_version" in data else 1
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version!r}")
+        known(data, ("format_version", "wires", "gates"))
         gates: list[Gate] = []
         for entry in data["gates"]:
             name = entry["gate"]
-            if name == "init":
-                gates.append(Init(integer(entry, "wire")))
-            elif name in ("rz", "rx"):
-                rotation = Rz if name == "rz" else Rx
-                wire, theta = integer(entry, "wire"), number(entry, "theta")
-                gates.append(rotation(wire, theta))
-            elif name == "cnot":
-                gates.append(
-                    CNOT(integer(entry, "control"), integer(entry, "target"))
-                )
-            elif name == "readout":
-                gates.append(Readout(integer(entry, "wire")))
-            else:
+            if name not in _GATE_FIELDS:
                 raise ValueError(f"unknown gate {name!r}")
+            kind, keys = _GATE_FIELDS[name]
+            known(entry, ("gate", *keys))
+            gates.append(
+                kind(*(
+                    number(entry, key) if key == "theta"
+                    else integer(entry, key)
+                    for key in keys
+                ))
+            )
         spec = CircuitSpec(integer(data, "wires"), tuple(gates))
         spec.validate()
         return spec
+
+
+# Each gate name of the circuit format, its class and its fields in order.
+_GATE_FIELDS = {
+    "init": (Init, ("wire",)),
+    "rz": (Rz, ("wire", "theta")),
+    "rx": (Rx, ("wire", "theta")),
+    "cnot": (CNOT, ("control", "target")),
+    "readout": (Readout, ("wire",)),
+}
 
 
 # -- byproduct frame ----------------------------------------------------------

@@ -59,14 +59,6 @@ class Clusters:
         return len(self.axes)
 
 
-def _find(parent, x):
-    """Root of ``x`` in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _component_roots(n: int, ends_a, ends_b) -> np.ndarray:
     """Smallest node of each node's component, for nodes 0..n-1 and the
     edges (ends_a[k], ends_b[k]).
@@ -809,50 +801,83 @@ def audit_backbone(
 
 
 def _span_thresholds(
-    rows: int, cols: int, trials: int, rng_seed, p_max: float
+    rows: int, cols: int, trials: int, rng_seed, p_min: float, p_max: float
 ) -> np.ndarray:
-    """Per-trial spanning thresholds of the brick-wall patch.
+    """Per-trial spanning thresholds of the brick-wall patch, exact on the
+    window ``[p_min, p_max)``.
 
     Each trial draws one uniform ``u`` per bond from its own spawned seed;
-    the bond is occupied at ``p`` when ``u < p``. Bonds are added in
-    increasing ``u`` until occupied bonds connect the left and right
-    columns, and the ``u`` of the bond that joined them is the threshold:
-    the trial spans at ``p`` exactly when its threshold is below ``p``
-    (Newman & Ziff, PRL 85, 4104, 2000). The sweep stops at ``p_max``,
-    leaving +inf for trials that have not spanned below it; a one-column
-    patch spans before any bond is added and gets -inf.
+    the bond is occupied at ``p`` when ``u < p``. The threshold is the
+    ``u`` of the bond whose addition, in increasing ``u``, first connects
+    the left and right columns (Newman & Ziff, PRL 85, 4104, 2000): the
+    trial spans at ``p`` exactly when its threshold is below ``p``.
+
+    The bonds below ``p_min`` go in without sorting. One
+    ``np.maximum.accumulate`` points every site at the first site of its
+    row run of occupied horizontal bonds (as in Hoshen & Kopelman, PRB 14,
+    3438, 1976), the left-edge column hangs off site 0 and the right-edge
+    column off its smallest root; union-find then joins the occupied
+    vertical bonds in any order. A trial that spans by then gets -inf.
+    Only the bonds in the window are added in increasing ``u``, which gives
+    the exact threshold, or +inf when the trial does not span below
+    ``p_max``. A one-column patch spans before any bond is added (-inf).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     lat = build_lattice(rows, cols)
     if cols == 1:
         return np.full(trials, -np.inf)
-    bond_a, bond_b = (ends.tolist() for ends in lat.bond_table())
-    # Each edge column starts as one tree rooted at its top site. The
-    # smaller root wins every union, so site 0 stays the left edge's root;
-    # ``right`` follows the right edge's root, and the edges meet when it
-    # reaches 0.
-    base = list(range(rows * cols))
-    for r in range(1, rows):
-        base[r * cols] = 0
-        base[r * cols + cols - 1] = cols - 1
+    bond_a, bond_b = lat.bond_table()
+    horizontal = bond_b == bond_a + 1
+    flat, steep = np.flatnonzero(horizontal), np.flatnonzero(~horizontal)
+    # an occupied horizontal bond continues its left end's run to bond_b
+    continues = bond_b[flat]
+    index = np.arange(lat.n_sites)
+    left_edge = index[::cols]
+    right_edge = left_edge + (cols - 1)
     out = np.full(trials, np.inf)
     for t, child in enumerate(np.random.SeedSequence(rng_seed).spawn(trials)):
         u = np.random.default_rng(child).random(len(bond_a))
-        below = np.flatnonzero(u < p_max)
-        parent = base.copy()
-        right = cols - 1
-        for k in below[np.argsort(u[below])].tolist():
-            ra, rb = _find(parent, bond_a[k]), _find(parent, bond_b[k])
-            if ra == rb:
+        occupied = u < p_min
+        # a site starts a run unless an occupied bond joins it to its left
+        # neighbour; the running maximum carries each run's first site on
+        first = index.copy()
+        first[continues[occupied[flat]]] = 0
+        parent = np.maximum.accumulate(first)
+        parent[left_edge] = 0
+        # The smaller root wins every union, so site 0 stays the left
+        # edge's root; ``right`` follows the right edge's root, and the
+        # edges meet when it reaches 0.
+        ends = parent[parent[right_edge]]
+        right = int(ends.min())
+        if right == 0:
+            out[t] = -np.inf
+            continue
+        parent[ends] = right
+        parent = parent.tolist()
+        window = np.flatnonzero(~occupied & (u < p_max))
+        # the occupied vertical bonds first, then the window in increasing u
+        bonds = np.concatenate(
+            [steep[occupied[steep]], window[np.argsort(u[window])]]
+        )
+        for i, (a, b) in enumerate(
+            zip(bond_a[bonds].tolist(), bond_b[bonds].tolist())
+        ):
+            while parent[a] != a:  # path halving
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
                 continue
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-            if hi == right:
-                right = lo
-            if right == 0:
-                out[t] = u[k]
-                break
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            if b == right:
+                right = a
+                if right == 0:
+                    level = u[bonds[i]]
+                    out[t] = level if level >= p_min else -np.inf
+                    break
     return out
 
 
@@ -882,11 +907,12 @@ def spanning_probability(
     probability ``p``; a trial spans when occupied bonds connect the left
     and right columns. Each trial draws its bonds from its own spawned
     seed, so the estimate is reproducible. ``rng_seed`` may be an int or a
-    sequence of ints.
+    sequence of ints. The window of ``_span_thresholds`` is empty here
+    (``p_min = p_max = p``), so every occupied bond is joined unsorted.
     """
     _check_occupation(p)
     return _span_fraction(
-        _span_thresholds(rows, cols, trials, rng_seed, p), p
+        _span_thresholds(rows, cols, trials, rng_seed, p, p), p
     )
 
 
@@ -899,14 +925,17 @@ def spanning_sweep(
     """Fractions over a (size, p) grid; rows ready for CSV emission.
 
     Every p of one size is read off the same trials, seeded
-    ``[rng_seed, size index]``, so the fractions never decrease in p.
+    ``[rng_seed, size index]``, so the fractions never decrease in p. The
+    trials join the bonds below ``min(ps)`` unsorted and sort only those
+    in ``[min(ps), max(ps))``, which is where each threshold is read.
     """
     for p in ps:
         _check_occupation(p)
     out = []
     for si, (rows, cols) in enumerate(sizes):
         thresholds = _span_thresholds(
-            rows, cols, trials, [rng_seed, si], max(ps, default=0.0)
+            rows, cols, trials, [rng_seed, si], min(ps, default=0.0),
+            max(ps, default=0.0),
         )
         for p in ps:
             frac, err = _span_fraction(thresholds, p)

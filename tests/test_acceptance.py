@@ -18,6 +18,7 @@ def _run(criterion):
     line = f"{flag} {criterion:2d} {name}: {result['detail']}"
     print(line)
     assert result["passed"], line
+    return result
 
 
 def test_criterion_01_measurement_completeness():
@@ -49,7 +50,11 @@ def test_criterion_07_stage1_statistics():
 
 
 def test_criterion_08_percolation_transition():
-    _run(8)
+    # the detail of commit 4514503, before the spanning trials took row runs
+    assert _run(8)["detail"] == (
+        "spanning at p=2/3: 12x24 0.5575 -> 24x48 0.6150 (3.7 sigma); "
+        "crossing 0.6551"
+    )
 
 
 def test_criterion_09_parent_hamiltonian():

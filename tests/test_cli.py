@@ -169,6 +169,42 @@ def test_circuit_fields_are_not_cast(capsys, tmp_path, circuit):
     assert (err["error"], err["reason"]) == ("validation", "bad-arguments")
 
 
+_IDENTITY = {"format_version": 1, "wires": 1, "gates": [_INIT0, _READ0]}
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        {**_IDENTITY, "format_version": 99},
+        {**_IDENTITY, "format_version": "1"},
+        {**_IDENTITY, "format_version": True},
+        {**_IDENTITY, "bogus": 1},
+        {**_IDENTITY, "gates": [{**_INIT0, "bogus": 1}, _READ0]},
+        {**_IDENTITY, "gates": [_INIT0, {**_READ0, "theta": 0.5}]},
+    ],
+    ids=["version-99", "string-version", "bool-version", "top-level-key",
+         "init-key", "readout-theta"],
+)
+def test_circuit_format_is_checked(capsys, tmp_path, circuit):
+    # a file written for another format must not run under format 1 rules
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(circuit))
+    code = cli.main(["route", "--mode", "iid", "--lattice", "4x8", "--seed",
+                     "2", "--circuit", str(path)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["reason"]) == ("validation", "bad-arguments")
+
+
+def test_circuit_without_format_version_reads_as_format_1(capsys, tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"wires": 1, "gates": [_INIT0, _READ0]}))
+    code = cli.main(["route", "--mode", "iid", "--lattice", "4x8", "--seed",
+                     "2", "--circuit", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "route"
+
+
 def test_unroutable_circuit_is_protocol_error(capsys, cnot_circuit):
     code = cli.main(
         ["run", "--lattice", "2x3", "--circuit", cnot_circuit,
@@ -443,6 +479,28 @@ SAMPLE_DIGESTS = [
 def test_exact_sample_matches_pinned_digest(capsys, size, term, digest):
     code = cli.main(["sample", "--mode", "exact", "--lattice", size,
                      "--seed", "3", "--term", term])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of `percolate` stdout, recorded at commit 4514503, when every
+# trial was one sorted union-find over all bonds below the largest p:
+# criterion 8's grid (p 0.60..0.70, the benchmark's argv) and one p.
+PERCOLATE_DIGESTS = [
+    (",".join(f"{0.60 + 0.01 * k:.2f}" for k in range(11)), "0",
+     "fd93b94522ac119918ae968f22feb36d9b796f8f95659cce99fccdb72dc94810"),
+    ("0.6667", "3",
+     "c1bdc093b5c4a77bc09dd6ef7c54d6837fea48d4be01998fedbd2678a8c43cbd"),
+]
+
+
+@pytest.mark.parametrize(
+    "ps,seed,digest", PERCOLATE_DIGESTS, ids=["criterion-8-grid", "one-p"]
+)
+def test_percolate_matches_pinned_digest(capsys, ps, seed, digest):
+    code = cli.main(["percolate", "--p", ps, "--size", "12x24,24x48",
+                     "--trials", "200", "--seed", seed])
     assert code == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == digest

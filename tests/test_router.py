@@ -7,6 +7,7 @@ from akltmqc.lattice import build_lattice
 from akltmqc.logic import CNOT, CircuitSpec, Init, Readout, auto_spacing
 from akltmqc.router import (
     RENORM_SITE_CAP,
+    _span_thresholds,
     Associate,
     ClusterExtension,
     RoutingFailure,
@@ -332,6 +333,68 @@ def test_span_counts_match_direct_occupancy(rows, cols):
         assert frac == hits / trials
         assert err == np.sqrt(frac * (1.0 - frac) / trials)
         assert (row["fraction"], row["stderr"]) == (frac, err)
+
+
+def _ref_find(parent, x):
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _ref_span_thresholds(rows, cols, trials, rng_seed, p_max):
+    """Spanning thresholds by one sorted union-find per trial: every bond
+    below ``p_max`` is added in increasing ``u`` until the edge columns
+    meet (the sweep ``_span_thresholds`` replaced)."""
+    lat = build_lattice(rows, cols)
+    if cols == 1:
+        return np.full(trials, -np.inf)
+    bond_a, bond_b = (ends.tolist() for ends in lat.bond_table())
+    base = list(range(rows * cols))
+    for r in range(1, rows):
+        base[r * cols] = 0
+        base[r * cols + cols - 1] = cols - 1
+    out = np.full(trials, np.inf)
+    for t, child in enumerate(np.random.SeedSequence(rng_seed).spawn(trials)):
+        u = np.random.default_rng(child).random(len(bond_a))
+        below = np.flatnonzero(u < p_max)
+        parent = base.copy()
+        right = cols - 1
+        for k in below[np.argsort(u[below])].tolist():
+            ra = _ref_find(parent, bond_a[k])
+            rb = _ref_find(parent, bond_b[k])
+            if ra == rb:
+                continue
+            lo, hi = (ra, rb) if ra < rb else (rb, ra)
+            parent[hi] = lo
+            if hi == right:
+                right = lo
+            if right == 0:
+                out[t] = u[k]
+                break
+    return out
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [[2.0 / 3.0], [0.0], [1.0], [0.3, 0.35],
+     [0.60 + 0.01 * k for k in range(11)]],
+    ids=["two-thirds", "zero", "one", "low-window", "criterion-8"],
+)
+@pytest.mark.parametrize(
+    "rows,cols", [(1, 5), (3, 1), (5, 2), (2, 3), (3, 6), (4, 8), (12, 24)]
+)
+def test_span_thresholds_match_sorted_reference(rows, cols, ps):
+    p_min, p_max = min(ps), max(ps)
+    seed = [rows, cols, len(ps)]
+    fast = _span_thresholds(rows, cols, 40, seed, p_min, p_max)
+    ref = _ref_span_thresholds(rows, cols, 40, seed, p_max)
+    window = (p_min <= ref) & (ref < p_max)
+    assert fast[window].tobytes() == ref[window].tobytes()
+    assert np.array_equal(fast < p_min, ref < p_min)
+    assert np.array_equal(fast >= p_max, ref >= p_max)
+    assert set(fast[~window].tolist()) <= {-np.inf, np.inf}
 
 
 def test_sweep_fractions_monotone_in_p():
