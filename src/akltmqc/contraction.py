@@ -25,14 +25,15 @@ reads its open site tensor, and sequential measurement applies one
 operator at a time. It builds each closed double tensor once per site
 class and effect, shared by every engine, and caches the left and right
 environments of every line (rescaled by powers of two, so that strips of
-any length stay in float range), and a chain-rule step contracts a few
-lines instead of the whole strip. It contracts a line by replaying a
+any length stay in float range). It contracts a line by replaying a
 recorded :class:`_Plan`: the sweep's joins, worked out once per line
 class and role by ``_join``'s own axis matching and kept as transposes,
 reshapes and matrix products (:class:`_Step`). Stage 1 is axes in, axes
-out: :func:`chain_rule_sample` polarizes every site in
-``lattice.sites()`` order on that engine, drawing each axis from its
-exact conditional, read off the engine's ``relative_weights``.
+out: :func:`chain_rule_sample` polarizes every site in ``lattice.sites()``
+order by :meth:`TracedEngine.polarize`, which weighs the three axes in one
+stacked line contraction (role ``("polarize", r)``) and keeps the drawn
+slice as the next left environment; its probabilities agree with
+``relative_weights`` within round-off, and its draws are the open path's.
 
 Stage 2 samples on that engine too. Its branch enumeration runs on
 :class:`DenseEngine`, the pinned state with every site polarized onto the
@@ -449,15 +450,20 @@ def _layer_tensors(
     lattice: HexLattice,
     effects: dict[Site, np.ndarray],
     open_site: Site | None = None,
+    stacked_site: Site | None = None,
 ):
     """tensor_for of the double layer: each site carries its effect (the
     identity where it has none); ``open_site`` keeps its bra/ket physical
-    indices open as the extra axes ("ra", "rb")."""
+    indices open as the extra axes ("ra", "rb"); ``stacked_site`` stacks
+    the three polarizer effects on the extra axis "pol"."""
 
     def tensor_for(site):
         kind = lattice.kind(site)
         if site == open_site:
             return _open_layer(kind), ("ra", "rb")
+        if site == stacked_site:
+            t = np.stack([_double_tensor(kind, e) for e in _polarizers()[1]])
+            return t, ("pol",)
         if site in effects:
             return _double_tensor(kind, effects[site]), ()
         return _unmeasured_layer(kind), ()
@@ -485,28 +491,30 @@ class _Plan:
     (first, last, pair, step), the line positions of the group's first and
     last site, the step joining a pair (None for a lone site) and the step
     joining the group onto the accumulator.
-    ``tail`` joins an open line with the right environment. ``keys`` are
-    the result's keys with their sites moved to line 0.
+    ``tail`` joins an open or stacked line with the right environment.
+    ``keys`` are the legs left open before it, sites moved to line 0;
+    ``stack`` is the position of a stacked line's axis "pol".
     """
 
     program: tuple
     tail: _Step | None
     keys: tuple
+    stack: int | None = None
 
     @classmethod
-    def from_steps(cls, groups, steps, keys) -> "_Plan":
+    def from_steps(cls, groups, steps, keys, stack=None) -> "_Plan":
         """Group the steps ``_contract_sweep`` recorded, in its order."""
         it = iter(steps)
         program = []
         for group in groups:
             pair = next(it) if len(group) == 2 else None
             program.append((group[0], group[-1], pair, next(it)))
-        return cls(tuple(program), next(it, None), tuple(keys))
+        return cls(tuple(program), next(it, None), tuple(keys), stack)
 
-    def run(self, acc, tensors, right=None) -> np.ndarray:
-        """Replay onto ``acc``; ``tensors`` are the line's site tensors,
-        values of ``_SITE_TENSORS``. Each group's operand (a vertical pair
-        joined, then made the step's matrix) comes from ``_OPERANDS``."""
+    def run(self, acc, tensors) -> np.ndarray:
+        """Replay onto ``acc``, not the tail; ``tensors`` are the line's site
+        tensors, values of ``_SITE_TENSORS``. Each group's operand (a vertical
+        pair joined, then made the step's matrix) comes from ``_OPERANDS``."""
         for first, last, pair, step in self.program:
             key = (step, id(tensors[first]), id(tensors[last]))
             b = _OPERANDS.get(key)
@@ -517,8 +525,6 @@ class _Plan:
                 b = _OPERANDS[key] = step.operand(t)
                 b.setflags(write=False)
             acc = step.apply(acc, b)
-        if self.tail is not None:
-            acc = self.tail(acc, right)
         return acc
 
 
@@ -719,6 +725,8 @@ class TracedEngine:
     the site's line once, with the site's bra/ket indices open, between its
     two environments, and reads every alternative off the resulting (4, 4)
     tensor, so a step costs that line and the environments it invalidated.
+    :meth:`polarize` stacks the three polarized tensors there instead (3,
+    not 16, times the width) and keeps the drawn slice as ``_left[k + 1]``.
 
     Four caches keep a line contraction down to its numpy calls:
 
@@ -739,10 +747,11 @@ class TracedEngine:
     * the recorded :class:`_Plan` of each line class and role in
       ``_PLANS``: a line's class is its family (orientation and length),
       its distance from either end (0, 1 or more) and the parity of its
-      index; its role is building the left or the right environment, or
-      opening the site at one position. The first contraction of a class
-      runs ``_join``'s axis matching and records the joins; later ones
-      replay them, bit-identical to the generic sweep;
+      index; its role is building the left or the right environment,
+      opening the site at one position r, or stacking the polarizers there
+      (``("polarize", r)``). The first contraction of a class runs
+      ``_join``'s axis matching and records the joins; later ones replay
+      them, bit-identical to the generic sweep;
     * every cached environment is stored as (array, keys, exp), the array
       rescaled by a power of two (:func:`_rescaled`) and the exponent
       tracked, so long strips neither underflow nor overflow.
@@ -792,20 +801,26 @@ class TracedEngine:
 
     # -- site tensors and line contractions -----------------------------------
 
-    def _layer(self, site: Site, effect=None, opened=False) -> np.ndarray:
+    def _layer(self, site: Site, effect=None, form=None) -> np.ndarray:
         """The closed double tensor of the site's class carrying ``effect``
-        (None: unmeasured), or with its bra/ket indices open (axes "ra",
-        "rb" first); built once per class and effect, shared read-only."""
+        (None: unmeasured), or of form "open" (bra/ket axes "ra", "rb" first)
+        or "polarize" (three polarized, stacked on an axis "pol" first);
+        built once per class and effect or form, shared read-only."""
         tag = None if effect is None else effect.tobytes()
-        key = (self._site_class[site], "open" if opened else tag)
+        key = (self._site_class[site], form or tag)
         t = _SITE_TENSORS.get(key)
         if t is None:
-            tensor_for = _layer_tensors(
-                self.lattice,
-                {} if effect is None else {site: effect},
-                site if opened else None,
-            )
-            t, _ = _closed_tensor(self.lattice, site, tensor_for, self._close)
+            if form == "polarize":
+                t = np.stack([self._layer(site, e) for e in _polarizers()[1]])
+            else:
+                tensor_for = _layer_tensors(
+                    self.lattice,
+                    {} if effect is None else {site: effect},
+                    site if form else None,
+                )
+                t, _ = _closed_tensor(
+                    self.lattice, site, tensor_for, self._close
+                )
             t.setflags(write=False)
             _SITE_TENSORS[key] = t
         return t
@@ -830,36 +845,43 @@ class TracedEngine:
         stand in for measured ones."""
         line = self._lines[k]
         opened = line[role] if isinstance(role, int) else None
+        stacked = line[role[1]] if isinstance(role, tuple) else None
         steps: list[_Step] = []
         acc, keys = _contract_sweep(
             self.lattice,
-            _layer_tensors(self.lattice, {}, opened),
+            _layer_tensors(self.lattice, {}, opened, stacked),
             self._close,
             line,
             env[:2],
             steps,
         )
+        stack = keys.index(("pol", stacked)) if stacked is not None else None
         if right is not None:
-            _, keys = _join(self.lattice, acc, keys, *right[:2], steps)
-            assert [key[0] for key in keys] == ["ra", "rb"]
-            keys = []
+            _, out = _join(self.lattice, acc, keys, *right[:2], steps)
+            assert all(key[0] != "v" for key in out)  # the tail closes all
+            keys = [key for key in keys if key[0] == "v"]
         groups = _sweep_groups(self.lattice, line)
-        return _Plan.from_steps(groups, steps, self._shifted(keys, -k))
+        return _Plan.from_steps(groups, steps, self._shifted(keys, -k), stack)
+
+    def _plan(self, k: int, role, env: tuple, right=None) -> _Plan:
+        """The plan of line k's class for ``role``, recorded on first use."""
+        key = (self._class[k], role)
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = _PLANS[key] = self._record(k, role, env, right)
+        return plan
 
     def _contract_line(self, k: int, role, env: tuple, right=None) -> tuple:
         """(array, keys) of line k contracted onto ``env`` for ``role``:
         "left" or "right" builds the next environment on that side; a line
         position r opens the site there and joins the ``right``
         environment, leaving the (4, 4) tensor and no keys."""
-        key = (self._class[k], role)
-        plan = _PLANS.get(key)
-        if plan is None:
-            plan = _PLANS[key] = self._record(k, role, env, right)
+        plan = self._plan(k, role, env, right)
         tensors = [self._site(s) for s in self._lines[k]]
-        if right is not None:
-            tensors[role] = self._layer(self._lines[k][role], opened=True)
-            return plan.run(env[0], tensors, right[0]), []
-        return plan.run(env[0], tensors), self._shifted(plan.keys, k)
+        if right is None:
+            return plan.run(env[0], tensors), self._shifted(plan.keys, k)
+        tensors[role] = self._layer(self._lines[k][role], form="open")
+        return plan.tail(plan.run(env[0], tensors), right[0]), []
 
     def _absorb(self, k: int, env: tuple, role: str) -> tuple:
         """``env`` with line k contracted onto it, rescaled."""
@@ -905,13 +927,8 @@ class TracedEngine:
         T from ``_open_tensor`` and O the site's accumulated operator,
         action A weighs sum((M^dagger M) * T) for M = A O."""
         t, exp = self._open_tensor(site)
-        o = self._ops.get(site)
-        povms, effects = _polarizers()
-        if o is None and actions is povms:
-            products = effects * t  # O = I: one product for all three
-        else:
-            o = _ID4 if o is None else o
-            products = [_effect(_as_op(a) @ o) * t for a in actions]
+        o = self._ops.get(site, _ID4)
+        products = [_effect(_as_op(a) @ o) * t for a in actions]
         return [_real(p.sum()) for p in products], exp
 
     def relative_weights(
@@ -929,10 +946,35 @@ class TracedEngine:
         weights, exp = self._scaled_weights(site, actions)
         return [_ldexp(w, exp) for w in weights]
 
+    def polarize(self, site: Site, choose) -> int:
+        """Polarize the unmeasured ``site`` along ``AXES[pick]``, pick =
+        ``choose(weights)`` (weights as ``relative_weights`` gives them),
+        from one line contraction with the three polarized tensors stacked,
+        whose slice pick before the right join is the next left one."""
+        if site in self._ops:
+            raise ValueError(f"site {site} already measured")
+        k, r = self._place[site]
+        left, right = self._left_env(k), self._right_env(k)
+        plan = self._plan(k, ("polarize", r), left, right)
+        tensors = [self._site(s) for s in self._lines[k]]
+        tensors[r] = self._layer(site, form="polarize")
+        acc = plan.run(left[0], tensors)
+        pick = choose([_real(w) for w in plan.tail(acc, right[0])])
+        povms, effects = _polarizers()
+        self._set(site, povms[pick], self._layer(site, effects[pick]))
+        env, exp = _rescaled(np.take(acc, pick, axis=plan.stack), left[2])
+        env.setflags(write=False)
+        self._left[k + 1] = env, self._shifted(plan.keys, k), exp
+        self._left_end = k + 2
+        return pick
+
     def apply_op(self, site: Site, op: np.ndarray) -> None:
         o = op @ self._ops.get(site, _ID4)
-        self._ops[site] = o
-        self._closed[site] = self._layer(site, o.conj().T @ o)
+        self._set(site, o, self._layer(site, o.conj().T @ o))
+
+    def _set(self, site: Site, o: np.ndarray, closed: np.ndarray) -> None:
+        """Set the site's operator and tensor; drop environments holding it."""
+        self._ops[site], self._closed[site] = o, closed
         k = self._place[site][0]
         for j in range(k + 1, self._left_end):
             del self._left[j]
@@ -1016,10 +1058,9 @@ def chain_rule_sample(
     """
     rng = np.random.default_rng(rng_seed)
     engine = TracedEngine(lattice, term)
-    povms, _ = _polarizers()
-    steps = []
-    for site in lattice.sites():
-        weights = engine.relative_weights(site, povms)
+    drawn = []
+
+    def choose(weights):
         # the POVM is complete, so the weights sum to the state weight
         total = sum(weights)
         if not math.isfinite(total):
@@ -1031,6 +1072,11 @@ def chain_rule_sample(
         if norm <= 0.0:
             raise ProbabilityConsistencyError("no outcome has weight")
         pick = int(rng.choice(len(AXES), p=[p / norm for p in probs]))
-        engine.apply_op(site, povms[pick])
-        steps.append(StepOutcome(site, "polarize", AXES[pick], probs[pick]))
+        drawn.append(probs[pick])
+        return pick
+
+    steps = []
+    for site in lattice.sites():
+        pick = engine.polarize(site, choose)
+        steps.append(StepOutcome(site, "polarize", AXES[pick], drawn[-1]))
     return steps

@@ -464,7 +464,10 @@ def test_exact_run_matches_pinned_digest(
 
 # sha256 of exact `sample` stdout (stage 1 on the layer engine), recorded
 # at commit d273925, before the engine memoized its site tensors: traced
-# 4x32, x-pinned 4x8, and x-pinned 16x4, whose sweep lines are rows.
+# 4x32, x-pinned 4x8, and x-pinned 16x4, whose sweep lines are rows. Traced
+# 4x320 was recorded at commit f1a0caa, before stage 1 kept a slice of its
+# stacked line contraction as the next left environment: 320 slices, each
+# rescaled, draw what the absorbed environments drew.
 SAMPLE_DIGESTS = [
     ("4x32", "traced",
      "507dc579eeaba14c0a192ab8b1ac29c7c4a7970317b0596f49881d1dd7c59ca2"),
@@ -472,6 +475,8 @@ SAMPLE_DIGESTS = [
      "19f02ca8538129353b508d42ed843097db5afbd760f666f2a590eb7c39c8f9d7"),
     ("16x4", "x",
      "32fa3960b79e2e3f77a67dabf9fd8e02994bce1203ce0736cab43d64f8462500"),
+    ("4x320", "traced",
+     "576574ee8766a2a18962d0bf906e62bfb9577ff44a2d5a1f4814bd493205da2e"),
 ]
 
 

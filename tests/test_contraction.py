@@ -332,6 +332,12 @@ class _LayerReference:
 
     relative_weights = effect_weights
 
+    def polarize(self, site, choose):
+        povms, _ = contraction._polarizers()
+        pick = choose(self.relative_weights(site, povms))
+        self.apply_op(site, povms[pick])
+        return pick
+
     def apply_op(self, site, op):
         self.ops[site] = op @ self.ops.get(site, np.eye(4))
 
@@ -571,7 +577,7 @@ def test_plan_count_does_not_grow_with_strip_length(monkeypatch):
     monkeypatch.setattr(contraction, "_PLANS", {})
     chain_rule_sample(build_lattice(4, 16), None, 1)
     count = len(contraction._PLANS)
-    # three roles at least (left, right, an open site) per line class
+    # three roles at least (left, right, a stacked site) per line class
     assert count >= 3
     chain_rule_sample(build_lattice(4, 64), None, 1)
     assert len(contraction._PLANS) == count
@@ -654,10 +660,8 @@ def _periodic_walk(lattice):
     """Stage 1's steps with each axis fixed by the site's diagonal: weigh
     the three polarizations, then apply one."""
     engine = TracedEngine(lattice)
-    povms, _ = contraction._polarizers()
     for r, c in lattice.sites():
-        engine.relative_weights((r, c), povms)
-        engine.apply_op((r, c), povms[(r + c) % 3])
+        engine.polarize((r, c), lambda weights: (r + c) % 3)
 
 
 def test_memos_do_not_grow_with_strip_length(fresh_memos):
@@ -673,7 +677,7 @@ def test_memos_do_not_grow_with_strip_length(fresh_memos):
 
     # a sampled strip meets each edge class at a few sites, so which axes
     # land there depends on the draws; each class has at most five tensors
-    # (unmeasured, bra/ket open, three axes)
+    # (unmeasured, three polarizers stacked, three axes)
     for cols in (32, 320):
         chain_rule_sample(build_lattice(4, cols), None, 3)
         engine = TracedEngine(build_lattice(4, cols))
@@ -728,13 +732,76 @@ def test_relative_weights_scale_to_effect_weights():
     polarizers, _ = contraction._polarizers()
     for site in [(0, 0), (2, 5), (3, 11)]:
         rel = engine.relative_weights(site, povms)
-        # stage 1's three polarizations, weighed in one product, bit for bit
+        # stage 1's three polarizers, passed as one tuple, bit for bit
         assert engine.relative_weights(site, polarizers) == rel
         absolute = engine.effect_weights(site, povms)
         ratio = absolute[0] / rel[0]
         assert math.frexp(ratio)[0] == 0.5  # a power of two
         assert absolute == [w * ratio for w in rel]
         engine.apply_op(site, povms[0])
+
+
+STACKED_CASES = [
+    (4, 8, None),
+    (4, 8, BoundaryTermination(axis="x")),
+    (16, 4, BoundaryTermination(axis="x")),  # row lines
+    (2, 6, BoundaryTermination(axis="x")),
+]
+
+
+@pytest.mark.parametrize("rows,cols,term", STACKED_CASES, ids=_case_id)
+def test_polarize_agrees_with_open_path(rows, cols, term):
+    # the stacked contraction weighs the three polarizers as the open site
+    # does, and its kept slice is the left environment a fresh absorb of
+    # the site's line builds once the drawn polarizer is applied
+    lat = build_lattice(rows, cols)
+    engine = TracedEngine(lat, term)
+    povms, _ = contraction._polarizers()
+    rng = np.random.default_rng(rows * cols)
+    for site in lat.sites():
+        want = engine.relative_weights(site, povms)
+        got = []
+
+        def choose(weights):
+            got.extend(weights)
+            p = np.maximum(weights, 0.0)
+            return int(rng.choice(3, p=p / p.sum()))
+
+        engine.polarize(site, choose)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * sum(want))
+        k = engine._place[site][0]
+        sliced = engine._left[k + 1]
+        fresh = engine._absorb(k, engine._left[k], "left")
+        assert sliced[1:] == fresh[1:]  # keys and exponent
+        scale = np.abs(fresh[0]).max()
+        np.testing.assert_allclose(
+            sliced[0], fresh[0], rtol=0, atol=1e-12 * scale
+        )
+    with pytest.raises(ValueError, match="already measured"):
+        engine.polarize(site, choose)  # the stacked tensors assume none
+
+
+def test_stage1_contracts_two_lines_per_site(fresh_memos, monkeypatch):
+    # a step runs its stacked line and, amortized over the row, one right
+    # environment; the kept slice leaves no left absorb, and no site is
+    # opened, so no 16-times-wider open-site operand enters the memo
+    monkeypatch.setattr(contraction, "_PLANS", {})
+    runs = []
+    replay = contraction._Plan.run
+
+    def counted(plan, acc, tensors):
+        runs.append(plan)
+        return replay(plan, acc, tensors)
+
+    monkeypatch.setattr(contraction._Plan, "run", counted)
+    lat = build_lattice(4, 64)
+    chain_rule_sample(lat, None, 1)
+    assert len(runs) <= 2.0 * lat.n_sites
+    assert not any(isinstance(role, int) for _, role in contraction._PLANS)
+    tensors = contraction._SITE_TENSORS
+    assert not any(form == "open" for _, form in tensors)
+    ids = {id(t) for t in tensors.values()}
+    assert all(a in ids and b in ids for _, a, b in contraction._OPERANDS)
 
 
 @pytest.mark.parametrize(
@@ -766,6 +833,9 @@ def test_non_finite_weights_raise_before_drawing(bad, monkeypatch):
 
         def relative_weights(self, site, actions):
             return [bad, 1.0, 1.0]
+
+        def polarize(self, site, choose):
+            return choose(self.relative_weights(site, None))
 
     monkeypatch.setattr(contraction, "TracedEngine", _Broken)
     with pytest.raises(contraction.ProbabilityConsistencyError):

@@ -765,6 +765,12 @@ class _DenseReference:
 
     relative_weights = effect_weights
 
+    def polarize(self, site, choose):
+        povms, _ = contraction._polarizers()
+        pick = choose(self.relative_weights(site, povms))
+        self.apply_op(site, povms[pick])
+        return pick
+
     def apply_op(self, site, op):
         self.psi, self.sites = self._acted(site, op)
 
