@@ -1071,7 +1071,13 @@ def chain_rule_sample(
         norm = sum(probs)
         if norm <= 0.0:
             raise ProbabilityConsistencyError("no outcome has weight")
-        pick = int(rng.choice(len(AXES), p=[p / norm for p in probs]))
+        # Generator.choice(3, p=probs / norm) bit for bit: searchsorted of
+        # one rng.random() in the cumsum over its last entry, side="right"
+        c0 = probs[0] / norm
+        c1 = c0 + probs[1] / norm
+        c2 = c1 + probs[2] / norm
+        u = rng.random()
+        pick = (u >= c0 / c2) + (u >= c1 / c2)
         drawn.append(probs[pick])
         return pick
 

@@ -52,18 +52,20 @@ from .router import (
     DEFAULT_SPACING,
     Backbone,
     RoutingFailure,
+    analyse_patterns,
     chain_adjacency,
-    disabled_ids,
-    find_clusters,
-    flag_off_limits,
     route_backbone,
     spacing_failure,
 )
-from .sampler import AxisAssignment, SampleMode, matched_mask, stage1_sample
+# the benchmark tracer wraps these by name, here
+from .router import find_clusters, flag_off_limits  # noqa: F401
+from .sampler import AxisAssignment, SampleMode, stage1_sample
 from .tensors import AXES, comp_covector, povm_element, standard_covector
 
 FORMAT_VERSION = 1
 MAX_ROUTE_ATTEMPTS = 256
+# Most sites one block of iid routing attempts analyses at once.
+BLOCK_SITES = 4096
 
 
 class ProtocolError(RuntimeError):
@@ -1066,18 +1068,28 @@ def prepare_protocol(
     """
     if spacing is None:
         spacing = auto_spacing(lattice, circuit)
-    matched = matched_mask(lattice, assignment)
-    clusters = find_clusters(lattice, matched, assignment)
-    pairs = flag_off_limits(lattice, clusters)
-    backbone = route_backbone(
-        lattice, assignment, clusters, disabled_ids(pairs), circuit, spacing
+    (analysed,) = analyse_patterns(lattice, assignment.codes(lattice)[None])
+    return _route_and_compile(
+        lattice, assignment, analysed, circuit, term, spacing
     )
+
+
+def _route_and_compile(lattice, assignment, analysed, circuit, term, spacing):
+    """Route and compile one pattern, given its (clusters, disabled ids):
+    (backbone, plan) or the failure value of the stage that declined."""
+    backbone = route_backbone(lattice, assignment, *analysed, circuit, spacing)
     if isinstance(backbone, RoutingFailure):
         return backbone
     plan = compile_plan(lattice, backbone, assignment, circuit, term)
     if isinstance(plan, CompileFailure):
         return plan
     return backbone, plan
+
+
+def _child_seed(ss: np.random.SeedSequence) -> int:
+    """The seed of the next child spawned from ``ss``."""
+    (child,) = ss.spawn(1)
+    return int(child.generate_state(1, np.uint64)[0])
 
 
 def run_protocol(
@@ -1093,8 +1105,12 @@ def run_protocol(
 
     Each attempt draws a fresh stage-one sample from its own child seed, so
     results are reproducible from ``rng_seed`` alone; every rejected
-    attempt counts its failure reason. In exact mode both stages run on
-    the pinned double layer: stage 2 on the routed axes, every site
+    attempt counts its failure reason. Each block of patterns is analysed
+    at once (``analyse_patterns``), then routed in order up to the first
+    success: iid blocks hold 1, 2, 4, ... attempts, up to
+    ``BLOCK_SITES // n_sites`` and the retries left; an exact pattern costs
+    milliseconds, so exact blocks hold one. In exact mode both stages run
+    on the pinned double layer: stage 2 on the routed axes, every site
     polarized. A ``term`` of None pins the boundary to the default z
     frame. An exact run over the strip cap, and wires that cannot fit the
     patch at ``spacing``, fail before any sample is drawn.
@@ -1112,46 +1128,58 @@ def run_protocol(
         raise ProtocolError(
             f"no embedding fits the patch: {unfit.reason}: {unfit.detail}"
         )
+    iid = mode is SampleMode.IID
+    cap = max(1, BLOCK_SITES // lattice.n_sites) if iid else 1
     root_ss = np.random.SeedSequence(rng_seed)
     last = "no attempt ran"
     failures: Counter[str] = Counter()
-    for attempt in range(1, retries + 1):
-        # Children are spawned one at a time, as needed. That yields the same
-        # children as spawning them all at once, so every attempt keeps its
-        # stage-1 seed and a routed attempt its stage-2 seed.
-        (child,) = root_ss.spawn(1)
-        (s1,) = child.spawn(1)
-        seed1 = int(s1.generate_state(1, np.uint64)[0])
-        assignment = stage1_sample(lattice, term, mode, seed1)
-        prepared = prepare_protocol(lattice, assignment, circuit, term, spacing)
-        if isinstance(prepared, (RoutingFailure, CompileFailure)):
-            last = f"{prepared.reason}: {prepared.detail}"
-            failures[prepared.reason] += 1
-            continue
-        backbone, plan = prepared
-        (s2,) = child.spawn(1)
-        seed2 = int(s2.generate_state(1, np.uint64)[0])
-        engine = None
-        if mode is SampleMode.EXACT:  # stage 2 on the polarized layers
-            engine = TracedEngine(lattice, term)
-            for site in lattice.sites():
-                engine.apply_op(site, povm_element(assignment[site]))
-        record, frame, snaps = _drive(
-            assignment, plan, circuit, engine, np.random.default_rng(seed2)
+    attempt, block = 0, 1
+    while attempt < retries:
+        # Spawning a block's children at once yields the same children as
+        # spawning them one at a time, so every attempt keeps its stage-1
+        # seed (its child's first spawn) and a routed attempt its stage-2
+        # seed (the second).
+        children = root_ss.spawn(min(block, cap, retries - attempt))
+        block *= 2
+        assignments = [
+            stage1_sample(lattice, term, mode, _child_seed(child))
+            for child in children
+        ]
+        analysed = analyse_patterns(
+            lattice, np.stack([asg.code_array for asg in assignments])
         )
-        return ProtocolResult(
-            outcome=interpret_readout(record.readouts, frame),
-            record=record,
-            frames=snaps,
-            frame=frame,
-            assignment=assignment,
-            backbone=backbone,
-            plan=plan,
-            attempts=attempt,
-            attempt_failures=dict(failures),
-            seed=rng_seed,
-            mode=mode,
-        )
+        for child, assignment, pattern in zip(children, assignments, analysed):
+            attempt += 1
+            prepared = _route_and_compile(
+                lattice, assignment, pattern, circuit, term, spacing
+            )
+            if isinstance(prepared, (RoutingFailure, CompileFailure)):
+                last = f"{prepared.reason}: {prepared.detail}"
+                failures[prepared.reason] += 1
+                continue
+            backbone, plan = prepared
+            engine = None
+            if mode is SampleMode.EXACT:  # stage 2 on the polarized layers
+                engine = TracedEngine(lattice, term)
+                for site in lattice.sites():
+                    engine.apply_op(site, povm_element(assignment[site]))
+            rng = np.random.default_rng(_child_seed(child))
+            record, frame, snaps = _drive(
+                assignment, plan, circuit, engine, rng
+            )
+            return ProtocolResult(
+                outcome=interpret_readout(record.readouts, frame),
+                record=record,
+                frames=snaps,
+                frame=frame,
+                assignment=assignment,
+                backbone=backbone,
+                plan=plan,
+                attempts=attempt,
+                attempt_failures=dict(failures),
+                seed=rng_seed,
+                mode=mode,
+            )
     histogram = ", ".join(f"{r} {n}" for r, n in sorted(failures.items()))
     histogram = histogram or "none"
     raise ProtocolError(

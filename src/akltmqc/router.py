@@ -10,6 +10,9 @@ band, a vertical staircase link for every CNOT, and per-site bookkeeping
 roles naming where each interior widget gets its reference bit (a standard
 neighbour, the boundary, or a renormalized cluster hanging off the site).
 
+``analyse_patterns`` does both for a whole block of patterns in one numpy
+pass and one greedy pass; ``find_clusters`` is its one-pattern case.
+
 Clustering, routing, the returned Backbone and the independent audit of
 each routed backbone are all on integer site indices and
 ``lattice.neighbor_table()``; sites become ``Site`` tuples only in the
@@ -59,28 +62,28 @@ class Clusters:
         return len(self.axes)
 
 
-def _component_roots(n: int, ends_a, ends_b) -> np.ndarray:
-    """Smallest node of each node's component, for nodes 0..n-1 and the
-    edges (ends_a[k], ends_b[k]).
+def _component_roots(root: np.ndarray, ends_a, ends_b) -> np.ndarray:
+    """Smallest node of each node's component, for the edges
+    (ends_a[k], ends_b[k]), from ``root`` (updated in place): every node
+    pointing straight at the smallest node of its tree (``np.arange`` for
+    no trees yet).
 
-    Every node starts as its own root; each round hooks the roots at both
-    ends of every edge onto the smaller of the two (``np.minimum.at``),
-    then points every node straight at its root by pointer jumping, until
-    each edge joins equal roots. Roots only ever move to smaller indices,
-    so every root is the smallest node of its component (as in Hoshen &
-    Kopelman, PRB 14, 3438, 1976).
+    Each round hooks the roots at both ends of every edge onto the smaller
+    of the two (``np.minimum.at``), then points every node straight at its
+    root by pointer jumping, until each edge joins equal roots. Roots only
+    ever move to smaller indices, so every root is the smallest node of its
+    component (as in Hoshen & Kopelman, PRB 14, 3438, 1976).
     """
-    root = np.arange(n, dtype=np.intp)
     while True:
         root_a, root_b = root[ends_a], root[ends_b]
-        if np.array_equal(root_a, root_b):
+        if (root_a == root_b).all():
             return root
         lower = np.minimum(root_a, root_b)
         np.minimum.at(root, root_a, lower)
         np.minimum.at(root, root_b, lower)
         while True:  # point every node straight at its root
             up = root[root]
-            if np.array_equal(up, root):
+            if (up == root).all():
                 break
             root = up
 
@@ -90,35 +93,78 @@ def find_clusters(
     matched: np.ndarray,
     assignment: AxisAssignment,
 ) -> Clusters:
-    """Label the components of the matched bonds, id'd in row-major order.
+    """Label the components of the matched bonds, id'd in row-major order:
+    the one-row ``analyse_patterns``.
 
     ``matched`` masks ``lattice.bond_table()``. Sites without a matched
     bond belong to no cluster. Each component's root is its smallest site
-    index (``_component_roots``), so ids count up from 0 following the
-    row-major position of each cluster's first site and the labelling is
-    reproducible.
+    index, so ids count up from 0 following the row-major position of each
+    cluster's first site and the labelling is reproducible.
     """
     codes = assignment.codes(lattice)
+    ((clusters, _),) = analyse_patterns(lattice, codes[None], matched[None])
+    return clusters
+
+
+def analyse_patterns(
+    lattice: HexLattice, codes: np.ndarray, matched: np.ndarray | None = None
+) -> list[tuple[Clusters, frozenset[int]]]:
+    """Each pattern's clusters and disabled cluster ids, in one pass.
+
+    ``codes`` holds one pattern per row; ``matched`` masks each row's
+    ``lattice.bond_table()`` (by default, the bonds joining equal codes).
+    Site ``i`` of row ``k`` is node ``k * n_sites + i``. A matched
+    horizontal bond continues its left end's row run, so one
+    ``np.maximum.accumulate`` points every node at its run's first node;
+    ``_component_roots`` hooks the matched vertical bonds. One ``cumsum``
+    numbers the roots, so global ids count up row by row; a row's ids are
+    its global ids less its first. They never clash across rows, so one
+    ``_off_limits`` pass picks every row's disabled members.
+    """
+    rows, n = codes.shape
     a, b = lattice.bond_table()
-    ends_a, ends_b = a[matched], b[matched]
-    n = lattice.n_sites
-    root = _component_roots(n, ends_a, ends_b)
-    clustered = np.zeros(n, dtype=bool)
+    if matched is None:
+        matched = np.take(codes, a, axis=1) == np.take(codes, b, axis=1)
+    k, bond = np.divmod(np.flatnonzero(matched), len(a))
+    ends_a, ends_b = a[bond] + k * n, b[bond] + k * n
+    flat = ends_b == ends_a + 1
+    root = np.arange(rows * n)
+    root[ends_b[flat]] = 0
+    np.maximum.accumulate(root, out=root)
+    root = _component_roots(root, ends_a[~flat], ends_b[~flat])
+    clustered = np.zeros(rows * n, dtype=bool)
     clustered[ends_a] = True
     clustered[ends_b] = True
-    first = np.flatnonzero(clustered & (root == np.arange(n)))
-    ids = np.full(n, -1, dtype=np.intp)
-    ids[first] = np.arange(len(first))
-    labels = np.where(clustered, ids[root], -1)
-    mixed = clustered & (codes != codes[root])
+    leads = clustered & (root == np.arange(rows * n))
+    labels = np.cumsum(leads) - 1  # each root's id
+    base = np.append(0, labels[n - 1::n] + 1)  # each row's first id
+    labels = np.where(clustered, labels[root], -1)
+    code = codes.ravel()
+    mixed = clustered & (code != code[root])
     if mixed.any():
         cid = int(labels[mixed].min())
-        axes = sorted({AXES[k] for k in codes[labels == cid].tolist()})
-        site = divmod(int(first[cid]), lattice.cols)
+        axes = sorted({AXES[k] for k in code[labels == cid].tolist()})
+        site = divmod(int(np.flatnonzero(leads)[cid]) % n, lattice.cols)
         raise ValueError(f"cluster at {site} mixes axes {axes}")
+    axes = code[leads]
+    sizes = np.bincount(labels[clustered], minlength=len(axes))
+    labels = labels.reshape(rows, n)
+    la, lb = np.take(labels, a, axis=1), np.take(labels, b, axis=1)
+    *_, pairs = _off_limits(
+        la.ravel(), lb.ravel(), matched.ravel(), axes, sizes
+    )
+    labels = np.where(labels >= 0, labels - base[:-1, None], -1)
     labels.flags.writeable = False
-    sizes = np.bincount(labels[clustered], minlength=len(first))
-    return Clusters(matched, labels, codes[first], sizes)
+    off = np.zeros(len(axes), dtype=bool)
+    off[[gone for *_, gone in pairs]] = True
+    base = base.tolist()
+    return [
+        (
+            Clusters(m, row, axes[lo:hi], sizes[lo:hi]),
+            frozenset(np.flatnonzero(off[lo:hi]).tolist()),
+        )
+        for m, row, lo, hi in zip(matched, labels, base, base[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -135,10 +181,14 @@ class OffLimitsPair:
     disabled: int
 
 
-def flag_off_limits(
-    lattice: HexLattice, clusters: Clusters
-) -> list[OffLimitsPair]:
+def _off_limits(la, lb, matched, axes, sizes):
     """Flag loop-inducing cluster pairs and pick a member of each to disable.
+
+    Takes the cluster ids at both ends of every bond (-1 for none), the
+    matched mask, and each cluster's axis and size. Returns the unmatched
+    bonds joining different-axis clusters, sorted by pair; the start and
+    length of each flagged pair's run of them (two or more); and each
+    flagged pair as (first, second, disabled member).
 
     Greedy in ascending (first, second) id order: a pair whose member is
     already disabled needs nothing more; otherwise the smaller cluster goes
@@ -146,41 +196,53 @@ def flag_off_limits(
     every flagged pair ends up with at least one disabled member -- though
     the selection is not guaranteed minimal.
     """
-    n_clusters = len(clusters)
-    labels, axis = clusters.labels, clusters.axes
-    size = clusters.sizes.tolist()
-    a, b = lattice.bond_table()
-    la, lb = labels[a], labels[b]
-    joins = np.flatnonzero(~clusters.matched & (la >= 0) & (lb >= 0))
+    joins = np.flatnonzero(~matched & (la >= 0) & (lb >= 0))
     lo = np.minimum(la[joins], lb[joins])
     hi = np.maximum(la[joins], lb[joins])
-    apart = axis[lo] != axis[hi]  # also rules out lo == hi
+    apart = axes[lo] != axes[hi]  # also rules out lo == hi
     # one code per (first, second) pair, ascending in (first, second)
-    joins, key = joins[apart], (lo * n_clusters + hi)[apart]
+    joins, key = joins[apart], (lo * len(axes) + hi)[apart]
     order = np.argsort(key, kind="stable")
-    joins, key = joins[order].tolist(), key[order]
-    pair_codes, starts, counts = np.unique(
-        key, return_index=True, return_counts=True
-    )
-    flagged = counts >= 2
-    out: list[OffLimitsPair] = []
+    joins, key = joins[order], key[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))  # each pair's first
+    count = np.diff(start, append=len(key))
+    start, count = start[count >= 2], count[count >= 2]
+    firsts, seconds = np.divmod(key[start], len(axes))
+    pairs: list[tuple[int, int, int]] = []
     down: set[int] = set()
-    for code, start, count in zip(
-        pair_codes[flagged].tolist(),
-        starts[flagged].tolist(),
-        counts[flagged].tolist(),
+    for first, second, first_size, second_size in zip(
+        firsts.tolist(),
+        seconds.tolist(),
+        sizes[firsts].tolist(),
+        sizes[seconds].tolist(),
     ):
-        first, second = divmod(code, n_clusters)
         if first in down:
             gone = first
         elif second in down:
             gone = second
         else:
-            gone = second if size[second] < size[first] else first
+            gone = second if second_size < first_size else first
             down.add(gone)
-        pair_joins = tuple(joins[start:start + count])
-        out.append(OffLimitsPair(first, second, pair_joins, gone))
-    return out
+        pairs.append((first, second, gone))
+    return joins, start, count, pairs
+
+
+def flag_off_limits(
+    lattice: HexLattice, clusters: Clusters
+) -> list[OffLimitsPair]:
+    """The off-limits pairs of one pattern's clusters (``_off_limits``)."""
+    a, b = lattice.bond_table()
+    labels = clusters.labels
+    joins, start, count, pairs = _off_limits(
+        labels[a], labels[b], clusters.matched, clusters.axes, clusters.sizes
+    )
+    joins = joins.tolist()
+    return [
+        OffLimitsPair(first, second, tuple(joins[i:i + n]), gone)
+        for (first, second, gone), i, n in zip(
+            pairs, start.tolist(), count.tolist()
+        )
+    ]
 
 
 def disabled_ids(pairs: list[OffLimitsPair]) -> frozenset[int]:
@@ -774,11 +836,11 @@ def audit_backbone(
     inside[list(adj.keys() | extensions)] = True
     a, b = lattice.bond_table()
     edges = inside[a] & inside[b]
-    root = _component_roots(lattice.n_sites, a[edges], b[edges])
+    root = _component_roots(np.arange(lattice.n_sites), a[edges], b[edges])
     rooted = inside & (root == np.arange(lattice.n_sites))
     region_rank = int(edges.sum() - inside.sum() + rooted.sum())
     ends = np.array([(g.control, g.target) for g in cnots], dtype=np.intp)
-    root = _component_roots(circuit.wires, *ends.reshape(-1, 2).T)
+    root = _component_roots(np.arange(circuit.wires), *ends.reshape(-1, 2).T)
     rooted = root == np.arange(circuit.wires)
     circuit_rank = int(len(cnots) - circuit.wires + rooted.sum())
     if region_rank != circuit_rank:

@@ -437,6 +437,35 @@ def test_iid_folded_run_matches_parent_digest(
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of `run --mode iid` as written at commit bcf30c3, before iid
+# attempts were drawn and analysed in blocks of 1, 2, 4, ... (at most 4096
+# sites each): the 4x8 CNOT run's JSON error on stderr, which spends all
+# 256 attempts, and identity runs that route inside a block, on attempt 5
+# and 8 at 4x8 and on attempt 26 at 20x40 (blocks of at most 5 there).
+BLOCK_DIGESTS = [
+    ("4x8", "0", "cnot", "err",
+     "c1f124707d830963f391e18684bd4da4db60c3b4a167422dfd8ba345e33f104b"),
+    ("4x8", "2", "identity", "out",
+     "6ff4ce66f0697917c4f9f9e53fc5da677f7af95c8af0557b2fd6bd072ba38f4d"),
+    ("4x8", "10", "identity", "out",
+     "9f0eb49851b32c0779708d7de6b55b11d2e73788a48dd018308a0000f1717e00"),
+    ("20x40", "5", "identity", "out",
+     "6de7a924f72a5ffdf061118b6ed58a981a6a9cae78eb4cf0a5f67802a612eda7"),
+]
+
+
+@pytest.mark.parametrize("size,seed,circuit,stream,digest", BLOCK_DIGESTS)
+def test_iid_run_in_blocks_matches_parent_digest(
+    capsys, request, size, seed, circuit, stream, digest
+):
+    path = request.getfixturevalue(f"{circuit}_circuit")
+    code = cli.main(["run", "--mode", "iid", "--lattice", size, "--seed",
+                     seed, "--circuit", path])
+    assert code == (0 if stream == "out" else 2)
+    text = getattr(capsys.readouterr(), stream)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # sha256 of `run --mode exact` stdout with the identity circuit, stage 2
 # on the polarized layer engine. The qubit walk of commit d00fdeb drew the
 # same outcome sequences for these seeds, with step probabilities within

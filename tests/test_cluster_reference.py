@@ -11,9 +11,20 @@ import itertools
 import numpy as np
 import pytest
 
+from akltmqc.contraction import BoundaryTermination
 from akltmqc.lattice import Bond, build_lattice
-from akltmqc.router import find_clusters, flag_off_limits
-from akltmqc.sampler import AxisAssignment, matched_bonds, matched_mask
+from akltmqc.router import (
+    analyse_patterns,
+    disabled_ids,
+    find_clusters,
+    flag_off_limits,
+)
+from akltmqc.sampler import (
+    AxisAssignment,
+    matched_bonds,
+    matched_mask,
+    stage1_sample,
+)
 from akltmqc.tensors import AXES
 
 
@@ -189,3 +200,53 @@ def test_mixed_axis_mask_is_rejected():
     )
     with pytest.raises(ValueError, match="cluster at \\(0, 0\\) mixes axes"):
         find_clusters(lat, np.ones(2, dtype=bool), asg)
+
+
+def _check_block(lattice, codes):
+    """``analyse_patterns`` on a stack of patterns against each pattern
+    alone: ``find_clusters`` and ``flag_off_limits``, which must in turn
+    agree with the reference."""
+    block = analyse_patterns(lattice, np.asarray(codes, dtype=np.int8))
+    assert len(block) == len(codes)
+    for row, (clusters, disabled) in zip(codes, block):
+        alone, pairs = _check_against_reference(
+            lattice, _assignment(lattice, row)
+        )
+        assert clusters.matched.tolist() == alone.matched.tolist()
+        assert clusters.labels.tolist() == alone.labels.tolist()
+        assert clusters.axes.tolist() == alone.axes.tolist()
+        assert clusters.sizes.tolist() == alone.sizes.tolist()
+        assert not clusters.labels.flags.writeable
+        assert disabled == disabled_ids(pairs)
+    return block
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (4, 8), (8, 16), (20, 40)])
+@pytest.mark.parametrize("k", [1, 2, 7, 32])
+def test_block_analysis_matches_each_pattern_alone(rows, cols, k):
+    lat = build_lattice(rows, cols)
+    codes = np.random.default_rng([rows, cols, k]).integers(
+        0, 3, (k, lat.n_sites)
+    )
+    if k > 1:
+        # the brick wall is bipartite: a two-colouring leaves no cluster;
+        # one axis everywhere makes one cluster, with no pair to flag
+        r, c = np.divmod(np.arange(lat.n_sites), cols)
+        codes[0] = (r + c) % 2
+        codes[-1] = 2
+    block = _check_block(lat, codes)
+    if k > 1:
+        assert len(block[0][0]) == 0
+        assert len(block[-1][0]) == 1 and block[-1][1] == frozenset()
+    if rows >= 8 and k >= 7:  # the greedy pass ran across rows
+        assert sum(len(disabled) > 0 for _, disabled in block) > 1
+
+
+def test_block_analysis_of_exact_patterns():
+    lat = build_lattice(2, 4)
+    term = BoundaryTermination(axis="x")
+    _check_block(
+        lat,
+        [stage1_sample(lat, term, "exact", seed).code_array
+         for seed in range(12)],
+    )

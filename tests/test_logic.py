@@ -570,6 +570,19 @@ def test_run_protocol_exhausts_retries():
                      rng_seed=1, mode="iid", retries=8)
 
 
+def test_retries_cut_the_last_block_short():
+    # five attempts are blocks of 1, 2 and then 2 of 4; the message was
+    # recorded at commit bcf30c3, which drew one attempt at a time
+    with pytest.raises(ProtocolError) as err:
+        run_protocol(build_lattice(4, 8), None, CNOT_CIRCUIT, rng_seed=0,
+                     mode="iid", retries=5)
+    assert str(err.value) == (
+        "no working embedding in 5 attempts; last failure no-junction-column:"
+        " no junction pair for CNOT 0->1; failures by reason: "
+        "no-junction-column 3, no-percolating-path 2"
+    )
+
+
 def test_result_json_shape():
     lat = build_lattice(2, 4)
     res = run_protocol(lat, BoundaryTermination(axis="x"), IDENTITY, rng_seed=1)
