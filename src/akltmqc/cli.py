@@ -34,6 +34,7 @@ from .logic import (
     Readout,
     Rx,
     Rz,
+    _running_flip,
     auto_spacing,
     byproduct_indices,
     conditional_logical_table,
@@ -416,10 +417,25 @@ _CNOT4 = np.array(
 )
 
 
-def _assemble_junction(b_top, b_bot, chain):
-    cmat = np.eye(2, dtype=complex)
+_BOT_TOP = (SiteKind.BOT, SiteKind.TOP)  # site kinds alternate along a chain
+_ID2 = np.eye(2, dtype=complex)
+_ID2.setflags(write=False)
+
+
+def _fold_chain(chain):
+    """(product, sx, sz) of a chain of (kind, mu, nu, b, c) widgets: their
+    angle-0 widget matrices multiplied in chain order, and the xor of their
+    byproduct exponents."""
+    prod, sx, sz = _ID2, 0, 0
     for kind, mu, nu, b, c in chain:
-        cmat = cmat @ _widget_matrix(kind, mu, nu, 0.0, b, c)
+        ax, az = byproduct_indices(mu, b, c)
+        sx ^= ax
+        sz ^= az
+        prod = prod @ _widget_matrix(kind, mu, nu, 0.0, b, c)
+    return prod, sx, sz
+
+
+def _assemble_junction(b_top, b_bot, cmat):
     jt = measured_tensor(SiteKind.TOP, comp_covector("z", "x", 0.0, b_top))
     jb = measured_tensor(SiteKind.BOT, comp_covector("x", "z", 0.0, b_bot))
     return np.einsum("lri,ij,LRj->lLrR", jt, cmat, jb).reshape(4, 4)
@@ -438,20 +454,14 @@ def check_cnot_assembly() -> dict:
     cases = 0
     for n in range(4):
         for combo in itertools.product(range(len(profiles)), repeat=n):
-            kinds = [
-                SiteKind.BOT if i % 2 == 0 else SiteKind.TOP for i in range(n)
-            ]
             for bits in itertools.product((0, 1), repeat=2 + 2 * n):
                 b_top, b_bot = bits[0], bits[1]
-                chain, sx, sz = [], 0, 0
-                for i in range(n):
-                    mu, nu = profiles[combo[i]]
-                    b, c = bits[2 + 2 * i], bits[3 + 2 * i]
-                    ax, az = byproduct_indices(mu, b, c)
-                    sx ^= ax
-                    sz ^= az
-                    chain.append((kinds[i], mu, nu, b, c))
-                got = _assemble_junction(b_top, b_bot, chain)
+                links = zip(combo, bits[2::2], bits[3::2])
+                cmat, sx, sz = _fold_chain(
+                    (_BOT_TOP[i % 2], *profiles[p], b, c)
+                    for i, (p, b, c) in enumerate(links)
+                )
+                got = _assemble_junction(b_top, b_bot, cmat)
                 want = _expected_cnot(b_top, b_bot, sx, sz)
                 worst = max(worst, residual_up_to_scale(got, want))
                 cases += 1
@@ -463,14 +473,6 @@ def check_cnot_assembly() -> dict:
             f"worst residual {worst:.3e}"
         ),
     }
-
-
-def _folded_bit(nu0, c0, sx, sz):
-    if nu0 == "x":
-        return c0 ^ sz
-    if nu0 == "y":
-        return c0 ^ sx ^ sz
-    return c0 ^ sx
 
 
 def check_renormalization() -> dict:
@@ -488,17 +490,11 @@ def check_renormalization() -> dict:
                 for nu0 in others:
                     for bits in itertools.product((0, 1), repeat=2 * n + 1):
                         c0 = bits[-1]
-                        sx = sz = 0
-                        prod = np.eye(2, dtype=complex)
-                        for i in range(n):
-                            b, c = bits[2 * i], bits[2 * i + 1]
-                            ax, az = byproduct_indices(mu, b, c)
-                            sx ^= ax
-                            sz ^= az
-                            prod = prod @ _widget_matrix(
-                                kinds[i], mu, nus[i], 0.0, b, c
-                            )
-                        cb = _folded_bit(nu0, c0, sx, sz)
+                        prod, sx, sz = _fold_chain(
+                            (kinds[i], mu, nus[i], *bits[2 * i : 2 * i + 2])
+                            for i in range(n)
+                        )
+                        cb = c0 ^ _running_flip(nu0, sx, sz)
                         got = prod @ virtual_ket(nu0, c0).vector
                         worst = max(
                             worst,
@@ -521,16 +517,14 @@ def check_renormalization() -> dict:
         nu0, nu_s0 = others[1], others[0]
         for bits in itertools.product((0, 1), repeat=13):
             (b1, c1, b2, b3, c3, b4, c4, c0, bt1, ct1, bt2, ct2, cs0) = bits
-            side = _widget_matrix(
-                SiteKind.BOT, mu, nu_t1, 0.0, bt1, ct1
-            ) @ _widget_matrix(SiteKind.TOP, mu, nu_t2, 0.0, bt2, ct2)
+            side, sxs, szs = _fold_chain(
+                [
+                    (SiteKind.BOT, mu, nu_t1, bt1, ct1),
+                    (SiteKind.TOP, mu, nu_t2, bt2, ct2),
+                ]
+            )
             side_vec = side @ virtual_ket(nu_s0, cs0).vector
-            sxs = szs = 0
-            for b, c in ((bt1, ct1), (bt2, ct2)):
-                ax, az = byproduct_indices(mu, b, c)
-                sxs ^= ax
-                szs ^= az
-            cbar_side = _folded_bit(nu_s0, cs0, sxs, szs)
+            cbar_side = cs0 ^ _running_flip(nu_s0, sxs, szs)
             t2m = np.einsum(
                 "lrv,v->lr",
                 measured_tensor(
@@ -545,12 +539,16 @@ def check_renormalization() -> dict:
                 @ _widget_matrix(SiteKind.TOP, mu, nu4, 0.0, b4, c4)
                 @ virtual_ket(nu0, c0).vector
             )
-            sx = sz = 0
-            for b, c in ((b1, c1), (b2, cbar_side), (b3, c3), (b4, c4)):
-                ax, az = byproduct_indices(mu, b, c)
-                sx ^= ax
-                sz ^= az
-            want = virtual_ket(nu0, _folded_bit(nu0, c0, sx, sz)).vector
+            # the main line's exponents, b2 read with the side's folded bit
+            _, sx, sz = _fold_chain(
+                [
+                    (SiteKind.BOT, mu, nu1, b1, c1),
+                    (SiteKind.TOP, mu, nu_s0, b2, cbar_side),
+                    (SiteKind.BOT, mu, nu3, b3, c3),
+                    (SiteKind.TOP, mu, nu4, b4, c4),
+                ]
+            )
+            want = virtual_ket(nu0, c0 ^ _running_flip(nu0, sx, sz)).vector
             worst = max(worst, residual_up_to_scale(direct, want))
     # hexagon loop: delivered label depends only on the one matching
     # byproduct sum; the other exponent cancels over the six sites
@@ -562,17 +560,12 @@ def check_renormalization() -> dict:
         for bits in itertools.product((0, 1), repeat=11):
             b0 = bits[0]
             t0 = measured_tensor(SiteKind.TOP, comp_covector(mu, nu0, 0.0, b0))
-            cmat = np.eye(2, dtype=complex)
-            sx = sz = 0
-            cancel = 1  # the loop head's transverse exponent is identically 1
-            for i in range(5):
-                b, c = bits[1 + 2 * i], bits[2 + 2 * i]
-                kind = SiteKind.BOT if i % 2 == 0 else SiteKind.TOP
-                cmat = cmat @ _widget_matrix(kind, mu, nus[i], 0.0, b, c)
-                ax, az = byproduct_indices(mu, b, c)
-                sx ^= ax
-                sz ^= az
-                cancel ^= ax if mu == "z" else az
+            cmat, sx, sz = _fold_chain(
+                (_BOT_TOP[i % 2], mu, nus[i], *bits[1 + 2 * i : 3 + 2 * i])
+                for i in range(5)
+            )
+            # the loop head's transverse exponent is identically 1
+            cancel = 1 ^ (sx if mu == "z" else sz)
             out = np.einsum("lrv,rl->v", t0, cmat)
             cb = (b0 ^ sz) if mu == "z" else (b0 ^ sx)
             want = virtual_bra(nu0, cb).vector
@@ -584,13 +577,11 @@ def check_renormalization() -> dict:
         bt, bb = bits[0], bits[1]
         t_in = measured_tensor(SiteKind.TOP, comp_covector("x", "y", 0.0, bt))
         t_out = measured_tensor(SiteKind.BOT, comp_covector("z", "x", 0.0, bb))
-        mats = []
-        for i in range(4):
-            b, c = bits[2 + 2 * i], bits[3 + 2 * i]
-            kind = SiteKind.BOT if i % 2 == 0 else SiteKind.TOP
-            mats.append(_widget_matrix(kind, "z", ("x", "y")[i % 2], 0.0, b, c))
-        ca = mats[0] @ mats[1]
-        cb2 = mats[2] @ mats[3]
+        widgets = [
+            (_BOT_TOP[i % 2], "z", "xy"[i % 2], *bits[2 + 2 * i : 4 + 2 * i])
+            for i in range(4)
+        ]
+        ca, cb2 = (_fold_chain(widgets[j : j + 2])[0] for j in (0, 2))
         got = np.einsum("abv,bc,cdV,da->Vv", t_in, ca, t_out, cb2)
         s = np.linalg.svd(got, compute_uv=False)
         worst_rank = max(worst_rank, float(s[1] / s[0]))

@@ -28,12 +28,16 @@ environments of every line (rescaled by powers of two, so that strips of
 any length stay in float range). It contracts a line by replaying a
 recorded :class:`_Plan`: the sweep's joins, worked out once per line
 class and role by ``_join``'s own axis matching and kept as transposes,
-reshapes and matrix products (:class:`_Step`). Stage 1 is axes in, axes
-out: :func:`chain_rule_sample` polarizes every site in ``lattice.sites()``
-order by :meth:`TracedEngine.polarize`, which weighs the three axes in one
-stacked line contraction (role ``("polarize", r)``) and keeps the drawn
-slice as the next left environment; its probabilities agree with
-``relative_weights`` within round-off, and its draws are the open path's.
+reshapes and matrix products (:class:`_Step`). Every weight at a site is
+one stacked line contraction (role ``(stack, r)``): the site carries a
+stack of effects, their closed tensors stacked on one axis. The "open"
+stack holds the 16 matrix units |a><b|, whose weights are the site's open
+tensor, read by ``relative_weights``, densities, correlations and stage 2.
+Stage 1 is axes in, axes out: :func:`chain_rule_sample` polarizes every
+site in ``lattice.sites()`` order by :meth:`TracedEngine.polarize`, which
+weighs the "polarize" stack of three polarizers and keeps the drawn slice
+as the next left environment; its probabilities agree with
+``relative_weights`` within round-off.
 
 Stage 2 samples on that engine too. Its branch enumeration runs on
 :class:`DenseEngine`, the pinned state with every site polarized onto the
@@ -169,6 +173,18 @@ def _polarizers() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     effects = np.stack([_effect(p) for p in povms])
     effects.setflags(write=False)
     return povms, effects
+
+
+@lru_cache(maxsize=None)
+def _stack_effects(stack: str) -> np.ndarray:
+    """The effects a stacked site carries, read-only: stage 1's three
+    polarizers for "polarize"; for "open" the 16 matrix units |a><b| (index
+    4a + b), whose weights are the entries of the site's open tensor."""
+    if stack == "polarize":
+        return _polarizers()[1]
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    units.setflags(write=False)
+    return units
 
 
 def _as_op(action: np.ndarray) -> np.ndarray:
@@ -418,15 +434,6 @@ def _unmeasured_layer(kind) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _open_layer(kind) -> np.ndarray:
-    """Double tensor with the bra/ket physical indices left open."""
-    a = site_tensor(kind)
-    d = np.einsum("aLRV,blrv->abLlRrVv", np.conj(a), a).reshape(4, 4, 4, 4, 4)
-    d.setflags(write=False)  # cached: shared by every contraction
-    return d
-
-
-@lru_cache(maxsize=None)
 def _pair_vec(vec: VirtualVec) -> np.ndarray:
     v = vec.vector
     pair = np.kron(np.conj(v), v)
@@ -446,27 +453,20 @@ def _layer_closure(lattice: HexLattice, term: BoundaryTermination | None):
     return close
 
 
-def _layer_tensors(
-    lattice: HexLattice,
-    effects: dict[Site, np.ndarray],
-    open_site: Site | None = None,
-    stacked_site: Site | None = None,
-):
+def _layer_tensors(lattice: HexLattice, effects: dict[Site, np.ndarray]):
     """tensor_for of the double layer: each site carries its effect (the
-    identity where it has none); ``open_site`` keeps its bra/ket physical
-    indices open as the extra axes ("ra", "rb"); ``stacked_site`` stacks
-    the three polarizer effects on the extra axis "pol"."""
+    identity where it has none); a stack of S effects, shape (S, 4, 4),
+    puts their S tensors on the extra axis "pol"."""
 
     def tensor_for(site):
         kind = lattice.kind(site)
-        if site == open_site:
-            return _open_layer(kind), ("ra", "rb")
-        if site == stacked_site:
-            t = np.stack([_double_tensor(kind, e) for e in _polarizers()[1]])
+        if site not in effects:
+            return _unmeasured_layer(kind), ()
+        effect = effects[site]
+        if np.ndim(effect) == 3:
+            t = np.stack([_double_tensor(kind, e) for e in effect])
             return t, ("pol",)
-        if site in effects:
-            return _double_tensor(kind, effects[site]), ()
-        return _unmeasured_layer(kind), ()
+        return _double_tensor(kind, effect), ()
 
     return tensor_for
 
@@ -491,7 +491,7 @@ class _Plan:
     (first, last, pair, step), the line positions of the group's first and
     last site, the step joining a pair (None for a lone site) and the step
     joining the group onto the accumulator.
-    ``tail`` joins an open or stacked line with the right environment.
+    ``tail`` joins a stacked line with the right environment.
     ``keys`` are the legs left open before it, sites moved to line 0;
     ``stack`` is the position of a stacked line's axis "pol".
     """
@@ -722,11 +722,12 @@ class TracedEngine:
     ``_right_start`` on; ``apply_op`` drops only the environments that
     contain the site's line, and a missing one is rebuilt, one line at a
     time, from the nearest one still cached. A weight at a site contracts
-    the site's line once, with the site's bra/ket indices open, between its
-    two environments, and reads every alternative off the resulting (4, 4)
-    tensor, so a step costs that line and the environments it invalidated.
-    :meth:`polarize` stacks the three polarized tensors there instead (3,
-    not 16, times the width) and keeps the drawn slice as ``_left[k + 1]``.
+    the site's line once between its two environments, the site carrying a
+    stack of effects (``_stacked_line``), so a step costs that line and the
+    environments it invalidated. The "open" stack, the 16 matrix units,
+    gives the (4, 4) open tensor every alternative is read off;
+    :meth:`polarize` stacks the three polarizers instead (3, not 16, times
+    the width) and keeps the drawn slice as ``_left[k + 1]``.
 
     Four caches keep a line contraction down to its numpy calls:
 
@@ -737,7 +738,7 @@ class TracedEngine:
       the kind alone would not do, since ``term.overrides`` pins single
       legs. Each site points at the tensor of its class and current effect
       (unmeasured, or its accumulated operator's); ``apply_op`` repoints
-      only that site;
+      only that site. A stack is one entry, its slices are not memoized;
     * each line group's operand in ``_OPERANDS``: a vertical pair joined,
       then made the matrix its step multiplies by, keyed by the step and
       the ids of its (never evicted) site tensors. Neither memo grows
@@ -747,9 +748,9 @@ class TracedEngine:
     * the recorded :class:`_Plan` of each line class and role in
       ``_PLANS``: a line's class is its family (orientation and length),
       its distance from either end (0, 1 or more) and the parity of its
-      index; its role is building the left or the right environment,
-      opening the site at one position r, or stacking the polarizers there
-      (``("polarize", r)``). The first contraction of a class runs
+      index; its role is building the left or the right environment
+      (``"left"``, ``"right"``), or stacking the effects of ``stack`` at
+      one position r (``(stack, r)``). The first contraction of a class runs
       ``_join``'s axis matching and records the joins; later ones replay
       them, bit-identical to the generic sweep;
     * every cached environment is stored as (array, keys, exp), the array
@@ -801,29 +802,29 @@ class TracedEngine:
 
     # -- site tensors and line contractions -----------------------------------
 
-    def _layer(self, site: Site, effect=None, form=None) -> np.ndarray:
+    def _layer(self, site: Site, effect=None, stack=None) -> np.ndarray:
         """The closed double tensor of the site's class carrying ``effect``
-        (None: unmeasured), or of form "open" (bra/ket axes "ra", "rb" first)
-        or "polarize" (three polarized, stacked on an axis "pol" first);
-        built once per class and effect or form, shared read-only."""
+        (None: unmeasured), or the closed tensors of ``stack``'s effects
+        stacked on a first axis; built once per class and effect or stack,
+        shared read-only. A stack's slices are not memoized."""
         tag = None if effect is None else effect.tobytes()
-        key = (self._site_class[site], form or tag)
+        key = (self._site_class[site], stack or tag)
         t = _SITE_TENSORS.get(key)
         if t is None:
-            if form == "polarize":
-                t = np.stack([self._layer(site, e) for e in _polarizers()[1]])
+            if stack is None:
+                t = self._closed_layer(site, effect)
             else:
-                tensor_for = _layer_tensors(
-                    self.lattice,
-                    {} if effect is None else {site: effect},
-                    site if form else None,
-                )
-                t, _ = _closed_tensor(
-                    self.lattice, site, tensor_for, self._close
-                )
+                effects = _stack_effects(stack)
+                t = np.stack([self._closed_layer(site, e) for e in effects])
             t.setflags(write=False)
             _SITE_TENSORS[key] = t
         return t
+
+    def _closed_layer(self, site: Site, effect) -> np.ndarray:
+        """The site's double tensor carrying ``effect``, legs closed."""
+        effects = {} if effect is None else {site: effect}
+        tensor_for = _layer_tensors(self.lattice, effects)
+        return _closed_tensor(self.lattice, site, tensor_for, self._close)[0]
 
     def _site(self, site: Site) -> np.ndarray:
         """The site's closed double tensor."""
@@ -841,15 +842,15 @@ class TracedEngine:
     def _record(self, k: int, role, env: tuple, right) -> _Plan:
         """Run the generic sweep of line k onto ``env`` once, recording its
         joins: ``_join`` does the axis matching, here as everywhere. The
-        joins depend on the tensors' keys alone, so unmeasured sites
-        stand in for measured ones."""
+        joins depend on the tensors' keys and shapes alone, so unmeasured
+        sites stand in for measured ones."""
         line = self._lines[k]
-        opened = line[role] if isinstance(role, int) else None
-        stacked = line[role[1]] if isinstance(role, tuple) else None
+        stacked = None if isinstance(role, str) else line[role[1]]
+        effects = {} if stacked is None else {stacked: _stack_effects(role[0])}
         steps: list[_Step] = []
         acc, keys = _contract_sweep(
             self.lattice,
-            _layer_tensors(self.lattice, {}, opened, stacked),
+            _layer_tensors(self.lattice, effects),
             self._close,
             line,
             env[:2],
@@ -871,24 +872,14 @@ class TracedEngine:
             plan = _PLANS[key] = self._record(k, role, env, right)
         return plan
 
-    def _contract_line(self, k: int, role, env: tuple, right=None) -> tuple:
-        """(array, keys) of line k contracted onto ``env`` for ``role``:
-        "left" or "right" builds the next environment on that side; a line
-        position r opens the site there and joins the ``right``
-        environment, leaving the (4, 4) tensor and no keys."""
-        plan = self._plan(k, role, env, right)
-        tensors = [self._site(s) for s in self._lines[k]]
-        if right is None:
-            return plan.run(env[0], tensors), self._shifted(plan.keys, k)
-        tensors[role] = self._layer(self._lines[k][role], form="open")
-        return plan.tail(plan.run(env[0], tensors), right[0]), []
-
     def _absorb(self, k: int, env: tuple, role: str) -> tuple:
-        """``env`` with line k contracted onto it, rescaled."""
-        acc, keys = self._contract_line(k, role, env)
+        """``env`` with line k contracted onto it for ``role`` ("left" or
+        "right": the next environment on that side), rescaled."""
+        plan = self._plan(k, role, env)
+        acc = plan.run(env[0], [self._site(s) for s in self._lines[k]])
         acc, exp = _rescaled(acc, env[2])
         acc.setflags(write=False)  # environments are shared by branches
-        return acc, keys, exp
+        return acc, self._shifted(plan.keys, k), exp
 
     def _left_env(self, k: int) -> tuple:
         while self._left_end <= k:
@@ -904,13 +895,25 @@ class TracedEngine:
             self._right_start -= 1
         return self._right[k]
 
-    def _open_tensor(self, site: Site) -> tuple[np.ndarray, int]:
-        """(T, exp) with <psi|E_site|psi> = 2^exp sum E[a,b] T[a,b], the
-        site's own operator left out."""
+    def _stacked_line(self, site: Site, stack: str) -> tuple:
+        """(plan, acc, left, right): the site's line contracted onto its
+        left environment with the closed tensors of ``stack``'s effects
+        stacked at the site (role ``(stack, r)``), the site's own operator
+        left out, and the line's two environments. ``plan.tail(acc,
+        right[0])`` holds the stack's weights, times 2^-(left[2] +
+        right[2]); ``acc`` keeps the stack's axis at ``plan.stack``."""
         k, r = self._place[site]
         left, right = self._left_env(k), self._right_env(k)
-        t, _ = self._contract_line(k, r, left, right)
-        return t, left[2] + right[2]
+        plan = self._plan(k, (stack, r), left, right)
+        tensors = [self._site(s) for s in self._lines[k]]
+        tensors[r] = self._layer(site, stack=stack)
+        return plan, plan.run(left[0], tensors), left, right
+
+    def _open_tensor(self, site: Site) -> tuple[np.ndarray, int]:
+        """(T, exp) with <psi|E_site|psi> = 2^exp sum E[a,b] T[a,b], the
+        site's own operator left out: the weights of the "open" stack."""
+        plan, acc, left, right = self._stacked_line(site, "open")
+        return plan.tail(acc, right[0]).reshape(4, 4), left[2] + right[2]
 
     # -- the engine interface -------------------------------------------------
 
@@ -953,17 +956,13 @@ class TracedEngine:
         whose slice pick before the right join is the next left one."""
         if site in self._ops:
             raise ValueError(f"site {site} already measured")
-        k, r = self._place[site]
-        left, right = self._left_env(k), self._right_env(k)
-        plan = self._plan(k, ("polarize", r), left, right)
-        tensors = [self._site(s) for s in self._lines[k]]
-        tensors[r] = self._layer(site, form="polarize")
-        acc = plan.run(left[0], tensors)
+        plan, acc, left, right = self._stacked_line(site, "polarize")
         pick = choose([_real(w) for w in plan.tail(acc, right[0])])
         povms, effects = _polarizers()
         self._set(site, povms[pick], self._layer(site, effects[pick]))
         env, exp = _rescaled(np.take(acc, pick, axis=plan.stack), left[2])
         env.setflags(write=False)
+        k = self._place[site][0]
         self._left[k + 1] = env, self._shifted(plan.keys, k), exp
         self._left_end = k + 2
         return pick

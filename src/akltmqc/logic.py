@@ -158,18 +158,9 @@ class CircuitSpec:
     def to_json(self) -> dict:
         out = []
         for g in self.gates:
-            if isinstance(g, Init):
-                out.append({"gate": "init", "wire": g.wire})
-            elif isinstance(g, Rz):
-                out.append({"gate": "rz", "wire": g.wire, "theta": g.theta})
-            elif isinstance(g, Rx):
-                out.append({"gate": "rx", "wire": g.wire, "theta": g.theta})
-            elif isinstance(g, CNOT):
-                out.append(
-                    {"gate": "cnot", "control": g.control, "target": g.target}
-                )
-            else:
-                out.append({"gate": "readout", "wire": g.wire})
+            name = _GATE_NAMES[type(g)]
+            keys = _GATE_FIELDS[name][1]
+            out.append({"gate": name, **{k: getattr(g, k) for k in keys}})
         return {
             "format_version": FORMAT_VERSION,
             "wires": self.wires,
@@ -225,7 +216,8 @@ class CircuitSpec:
         return spec
 
 
-# Each gate name of the circuit format, its class and its fields in order.
+# Each gate name of the circuit format, its class and its fields in order:
+# the one definition the format has, read by to_json and from_json.
 _GATE_FIELDS = {
     "init": (Init, ("wire",)),
     "rz": (Rz, ("wire", "theta")),
@@ -233,6 +225,7 @@ _GATE_FIELDS = {
     "cnot": (CNOT, ("control", "target")),
     "readout": (Readout, ("wire",)),
 }
+_GATE_NAMES = {kind: name for name, (kind, _) in _GATE_FIELDS.items()}
 
 
 # -- byproduct frame ----------------------------------------------------------

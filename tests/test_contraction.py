@@ -23,6 +23,7 @@ from akltmqc.sampler import stage1_sample
 from akltmqc.tensors import (
     AXES,
     povm_element,
+    site_tensor,
     standard_covector,
     virtual_bra,
     virtual_ket,
@@ -245,6 +246,22 @@ def test_pinned_layer_matches_dense_reference(axis):
 # -- the layer engine against the one-shot contraction ------------------------
 
 
+def _open_layer_tensors(lattice, effects, open_site=None):
+    """The double layer's tensor_for, with ``open_site``'s bra/ket physical
+    indices left open as the extra axes ("ra", "rb"): its tensor is built
+    here from the site tensor, independently of the engine's stacks."""
+    layer = contraction._layer_tensors(lattice, effects)
+
+    def tensor_for(site):
+        if site != open_site:
+            return layer(site)
+        a = site_tensor(lattice.kind(site))
+        d = np.einsum("aLRV,blrv->abLlRrVv", np.conj(a), a)
+        return d.reshape(4, 4, 4, 4, 4), ("ra", "rb")
+
+    return tensor_for
+
+
 def _layer_value(lattice, term, effects, open_site=None):
     """Contract <psi| prod effects |psi> on the double layer, in one pass
     of the generic sweep, without environments or rescaling.
@@ -254,7 +271,7 @@ def _layer_value(lattice, term, effects, open_site=None):
     """
     acc, keys = contraction._contract_sweep(
         lattice,
-        contraction._layer_tensors(lattice, effects, open_site),
+        _open_layer_tensors(lattice, effects, open_site),
         contraction._layer_closure(lattice, term),
     )
     if open_site is None:
@@ -373,7 +390,8 @@ LAYER_CASES = [
 
 def _case_id(value):
     if isinstance(value, BoundaryTermination):
-        return f"pinned-{value.axis}"
+        suffix = "-override" if value.overrides else ""
+        return f"pinned-{value.axis}{suffix}"
     return "traced" if value is None else str(value)
 
 
@@ -502,12 +520,13 @@ def test_qubit_build_peaks_near_two_states():
 
 def _generic_line(lat, term, effects, k, role, env, right=None):
     """Line k of the layer engine by the generic sweep: ``_join``'s own
-    axis matching and tensordot, on freshly built site tensors."""
+    axis matching and tensordot, on freshly built site tensors; role
+    ("open", r) opens the site at line position r."""
     line = contraction._sweep_lines(lat)[k]
-    opened = line[role] if isinstance(role, int) else None
+    opened = None if isinstance(role, str) else line[role[1]]
     acc, keys = contraction._contract_sweep(
         lat,
-        contraction._layer_tensors(lat, effects, opened),
+        _open_layer_tensors(lat, effects, opened),
         contraction._layer_closure(lat, term),
         line,
         env[:2],
@@ -524,14 +543,26 @@ def _lines_and_roles(engine):
         yield k, "left", left, None
         yield k, "right", right, None
         for r in range(len(line)):
-            yield k, r, left, right
+            yield k, ("open", r), left, right
 
 
+def _replayed_line(engine, k, role, env):
+    """Line k as the engine contracts it for ``role``: the environment
+    ``_absorb`` builds, or the open tensor of the site at ("open", r)."""
+    if isinstance(role, str):
+        return engine._absorb(k, env, role)
+    return engine._open_tensor(engine._lines[k][role[1]])
+
+
+_ROT_STEM = ((0, 5), Leg.VERT)
 PLAN_CASES = [
     (4, 12, None),
     (3, 10, None),
     (12, 4, BoundaryTermination(axis="x")),
     (2, 6, BoundaryTermination(axis="x")),
+    (4, 10, BoundaryTermination()),
+    # criterion 6's rot fixture: one dangling stem pinned along x
+    (2, 6, BoundaryTermination(overrides={_ROT_STEM: virtual_bra("x", 0)})),
 ]
 
 
@@ -546,8 +577,8 @@ def test_replayed_plans_equal_generic_sweep(rows, cols, term, monkeypatch):
         build_lattice(*((rows, 3 * cols) if by_column else (3 * rows, cols))),
         term,
     )
-    for k, role, env, right in _lines_and_roles(longer):
-        longer._contract_line(k, role, env, right)
+    for k, role, env, _ in _lines_and_roles(longer):
+        _replayed_line(longer, k, role, env)
     recorded = len(contraction._PLANS)
 
     lat = build_lattice(rows, cols)
@@ -563,12 +594,15 @@ def test_replayed_plans_equal_generic_sweep(rows, cols, term, monkeypatch):
     effects = {s: o.conj().T @ o for s, o in ops.items()}
 
     for k, role, env, right in _lines_and_roles(engine):
-        got, got_keys = engine._contract_line(k, role, env, right)
+        got = _replayed_line(engine, k, role, env)
         want, keys = _generic_line(lat, term, effects, k, role, env, right)
-        assert np.array_equal(got, want)
         if right is None:
-            assert got_keys == keys
+            # rescaling by a power of two is exact
+            want, exp = contraction._rescaled(want, env[2])
+            assert np.array_equal(got[0], want)
+            assert got[1:] == (keys, exp)
         else:
+            assert np.array_equal(got[0], want)
             assert [key[0] for key in keys] == ["ra", "rb"]
     assert len(contraction._PLANS) == recorded
 
@@ -797,9 +831,10 @@ def test_stage1_contracts_two_lines_per_site(fresh_memos, monkeypatch):
     lat = build_lattice(4, 64)
     chain_rule_sample(lat, None, 1)
     assert len(runs) <= 2.0 * lat.n_sites
-    assert not any(isinstance(role, int) for _, role in contraction._PLANS)
+    roles = {role for _, role in contraction._PLANS}
+    assert all(r in ("left", "right") or r[0] == "polarize" for r in roles)
     tensors = contraction._SITE_TENSORS
-    assert not any(form == "open" for _, form in tensors)
+    assert not any(stack == "open" for _, stack in tensors)
     ids = {id(t) for t in tensors.values()}
     assert all(a in ids and b in ids for _, a, b in contraction._OPERANDS)
 
