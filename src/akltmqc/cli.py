@@ -58,7 +58,7 @@ from .router import (
     spanning_probability,
     spanning_sweep,
 )
-from .sampler import AxisAssignment, matched_bonds, matched_mask, stage1_sample
+from .sampler import AxisAssignment, matched_bonds, stage1_sample
 from .tensors import (
     AXES,
     comp_covector,
@@ -248,8 +248,7 @@ def cmd_route(cfg: RunConfig) -> int:
     term = _term_object(cfg.term)
     circuit = _load_circuit(cfg.circuit_path)
     assignment = stage1_sample(lattice, term, cfg.mode, cfg.seed)
-    matched = matched_mask(lattice, assignment)
-    clusters = find_clusters(lattice, matched, assignment)
+    clusters = find_clusters(lattice, assignment)
     pairs = flag_off_limits(lattice, clusters)
     disabled = disabled_ids(pairs)
     spacing = cfg.spacing if cfg.spacing is not None else auto_spacing(

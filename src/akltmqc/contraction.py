@@ -49,10 +49,10 @@ axis per site in sweep order, index values 0 and 1 being +3/2 and -3/2
 along the site's axis. It is capped at ``QUBIT_SITE_CAP`` sites.
 :class:`BranchStack` stacks many branches of that state in one array and
 measures a site on all of them in one contraction. :func:`build_state` is
-the 4^n oracle the tests compare against, capped at ``DENSE_SITE_CAP``;
-its amplitudes have one axis of dimension 4 per site, ordered by
-``lattice.site_index``, index values 0..3 being the physical basis states
-[+3/2, +1/2, -1/2, -3/2] along z.
+the dense 4^n state that criterion 9's Hamiltonian check and the tests
+read, capped at ``DENSE_SITE_CAP``: a tensor with one axis of dimension 4
+per site, ordered by ``lattice.site_index``, index values 0..3 being the
+physical basis states [+3/2, +1/2, -1/2, -3/2] along z.
 
 Both engines take the same *actions* on a site: a Kraus operator (shape
 (4, 4); the site stays) or a projective row (shape (4,)). A Kraus
@@ -130,14 +130,13 @@ def _clamp_probability(p: float) -> float:
 class BoundaryTermination:
     """Fixed virtual vectors pinning every dangling edge.
 
-    The default pins each boundary edge state to |bit^axis>; ket-role legs
+    The default pins each boundary edge state to |0^axis>; ket-role legs
     are closed by the matching bra and bra-role legs by the ket. Individual
     (site, leg) entries can be overridden, e.g. to check ground-state
     degeneracy. Override roles must complement the leg role.
     """
 
     axis: str = "z"
-    bit: int = 0
     overrides: dict[tuple[Site, Leg], VirtualVec] = field(default_factory=dict)
 
     def vec_for(self, lattice: HexLattice, site: Site, leg: Leg) -> VirtualVec:
@@ -145,8 +144,8 @@ class BoundaryTermination:
         vec = self.overrides.get((site, leg))
         if vec is None:
             if want == "bra":
-                return virtual_bra(self.axis, self.bit)
-            return virtual_ket(self.axis, self.bit)
+                return virtual_bra(self.axis, 0)
+            return virtual_ket(self.axis, 0)
         if vec.role != want:
             raise ValueError(
                 f"termination for {site}/{leg.value} must be a {want}"
@@ -375,27 +374,16 @@ def _contract_sweep(
 # -- pinned dense state -------------------------------------------------------
 
 
-@dataclass
-class StateVector:
-    lattice: HexLattice
-    amplitudes: np.ndarray  # flat, 4**n_sites
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((4,) * self.lattice.n_sites)
-
-
 def build_state(
     lattice: HexLattice, term: BoundaryTermination | None = None
-) -> StateVector:
-    """Contract the network into the dense 4^n state with pinned edges.
+) -> np.ndarray:
+    """Contract the network into the dense state with pinned edges: a
+    contiguous (4,) * n_sites tensor, one axis per site in row-major order.
 
     The result is an (unnormalized) ground state for any termination
     choice; it is NOT the state the measurement statistics refer to (see
-    the module docstring). Only oracles and tests use it.
+    the module docstring). Criterion 9's Hamiltonian check and the tests
+    use it.
     """
     check_site_cap(lattice, DENSE_SITE_CAP, "dense")
     term = term or BoundaryTermination()
@@ -408,11 +396,10 @@ def build_state(
     )
     assert all(k[0] == "p" for k in keys)
     perm = sorted(range(len(keys)), key=lambda i: lattice.site_index(keys[i][1]))
-    amps = np.transpose(acc, axes=perm).reshape(-1)
-    sv = StateVector(lattice, amps)
-    if sv.norm == 0.0:
+    psi = np.ascontiguousarray(np.transpose(acc, axes=perm))
+    if np.linalg.norm(psi) == 0.0:
         raise ValueError("termination annihilates the state")
-    return sv
+    return psi
 
 
 # -- double-layer (traced or pinned) -----------------------------------------

@@ -161,15 +161,6 @@ class HexLattice:
     def bonds(self) -> list[Bond]:
         return [Bond(a, b) for a, b in self.bond_sites()]
 
-    def dangling(self) -> list[tuple[Site, Leg]]:
-        """All (site, leg) pairs whose leg leaves the patch."""
-        out = []
-        for site in self.sites():
-            for leg in Leg:
-                if self.neighbor(site, leg) is None:
-                    out.append((site, leg))
-        return out
-
     def __repr__(self) -> str:
         return f"HexLattice({self.rows}x{self.cols})"
 

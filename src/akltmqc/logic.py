@@ -155,18 +155,6 @@ class CircuitSpec:
             if sum(isinstance(g, Readout) for g in seq) != 1:
                 raise ValueError(f"wire {w} has a stray Readout")
 
-    def to_json(self) -> dict:
-        out = []
-        for g in self.gates:
-            name = _GATE_NAMES[type(g)]
-            keys = _GATE_FIELDS[name][1]
-            out.append({"gate": name, **{k: getattr(g, k) for k in keys}})
-        return {
-            "format_version": FORMAT_VERSION,
-            "wires": self.wires,
-            "gates": out,
-        }
-
     @staticmethod
     def from_json(data: dict) -> "CircuitSpec":
         """The circuit of a parsed JSON file. ``wires``, ``wire``,
@@ -217,7 +205,7 @@ class CircuitSpec:
 
 
 # Each gate name of the circuit format, its class and its fields in order:
-# the one definition the format has, read by to_json and from_json.
+# the one definition the format has, read by from_json.
 _GATE_FIELDS = {
     "init": (Init, ("wire",)),
     "rz": (Rz, ("wire", "theta")),
@@ -225,7 +213,6 @@ _GATE_FIELDS = {
     "cnot": (CNOT, ("control", "target")),
     "readout": (Readout, ("wire",)),
 }
-_GATE_NAMES = {kind: name for name, (kind, _) in _GATE_FIELDS.items()}
 
 
 # -- byproduct frame ----------------------------------------------------------
@@ -241,9 +228,6 @@ class ByproductFrame:
     @staticmethod
     def zero(wires: int) -> "ByproductFrame":
         return ByproductFrame([0] * wires, [0] * wires)
-
-    def copy(self) -> "ByproductFrame":
-        return ByproductFrame(list(self.ax), list(self.az))
 
     def indices(self, wire: int) -> tuple[int, int]:
         return self.ax[wire], self.az[wire]

@@ -1,10 +1,10 @@
-"""Ground truths for the test suite.
+"""Ground truths the acceptance checks compare against.
 
-``vbs_state``, the spin algebra and ``reference_circuit_sim`` are built
-from first principles (explicit singlets, ladder operators, dense circuit
-simulation), not from the site tensors, so agreement with the main
-modules is evidence, not tautology. ``brute_force_joint`` and
-``two_point_correlation`` read the layer engine through its public
+The spin algebra and ``reference_circuit_sim`` are built from first
+principles (ladder operators, dense circuit simulation), not from the site
+tensors, so agreement with the main modules is evidence, not tautology.
+``hamiltonian_pair_check`` reads ``build_state`` and
+``two_point_correlation`` the layer engine, each through its public
 interface.
 """
 
@@ -15,78 +15,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .contraction import (
-    BoundaryTermination,
-    LatticeSizeError,
-    TracedEngine,
-    build_state,
-)
-from .lattice import HexLattice, Leg, Site, ket_role
-from .tensors import AXES, _sym_isometry, povm_element, rotation
+from .contraction import BoundaryTermination, TracedEngine, build_state
+from .lattice import HexLattice, Site
+from .tensors import AXES, rotation
 
 if TYPE_CHECKING:
     from .logic import CircuitSpec
-
-VBS_SITE_CAP = 7  # 3 qubits per site, dense
-
-_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex).reshape(2, 2)
-_SINGLET /= np.sqrt(2.0)
-
-
-# -- valence-bond construction ------------------------------------------------
-
-
-def vbs_state(lattice: HexLattice, term: BoundaryTermination | None = None):
-    """The state built from explicit singlets and on-site symmetrization.
-
-    Three virtual qubits per site (left, right, vertical); every bond
-    carries a singlet between the qubits of its endpoints; each site's
-    triple is then symmetrized into the spin-3/2 space. Dangling bra-role
-    qubits absorb the singlet matrix of their missing bond before meeting
-    the termination vector; ket-role qubits meet it directly. Returns flat
-    amplitudes (4^n, site-major) comparable to build_state up to one
-    global complex scale.
-    """
-    if lattice.n_sites > VBS_SITE_CAP:
-        raise LatticeSizeError(
-            f"{lattice.n_sites} sites exceeds VBS oracle cap {VBS_SITE_CAP}"
-        )
-    term = term or BoundaryTermination()
-    qubit = {
-        (site, leg): 3 * lattice.site_index(site) + k
-        for site in lattice.sites()
-        for k, leg in enumerate((Leg.LEFT, Leg.RIGHT, Leg.VERT))
-    }
-    n_q = 3 * lattice.n_sites
-
-    factors = []  # (array, qubit index list)
-    for bond in lattice.bonds():
-        la = lattice.leg_between(bond.a, bond.b)
-        lb = lattice.leg_between(bond.b, bond.a)
-        ket_end = (bond.a, la) if ket_role(lattice.kind(bond.a), la) else (bond.b, lb)
-        bra_end = (bond.b, lb) if ket_end == (bond.a, la) else (bond.a, la)
-        # singlet row index on the bra-role qubit, column on the ket-role one
-        factors.append((_SINGLET, [qubit[bra_end], qubit[ket_end]]))
-    for site, leg in lattice.dangling():
-        w = term.vec_for(lattice, site, leg).vector
-        if ket_role(lattice.kind(site), leg):
-            factors.append((w, [qubit[(site, leg)]]))
-        else:
-            factors.append((_SINGLET @ w, [qubit[(site, leg)]]))
-
-    acc = np.ones((), dtype=complex)
-    order: list[int] = []
-    for arr, idx in factors:
-        acc = np.tensordot(acc, arr, axes=0)
-        order.extend(idx)
-    acc = np.transpose(acc, np.argsort(order)).reshape((2,) * n_q)
-
-    w_sym = _sym_isometry().reshape(4, 2, 2, 2)
-    for i in range(lattice.n_sites):
-        # qubits of site i occupy axes n_phys .. n_phys+2 after i symmetrizations
-        acc = np.tensordot(w_sym, acc, axes=([1, 2, 3], [i, i + 1, i + 2]))
-        acc = np.moveaxis(acc, 0, i)
-    return acc.reshape(-1)
 
 
 # -- spin-3/2 pair Hamiltonian -----------------------------------------------
@@ -162,14 +96,14 @@ def hamiltonian_pair_check(
     lattice: HexLattice, term: BoundaryTermination | None = None
 ) -> float:
     """Max over bonds of |P3(pair) |G>| / |G| for the pinned state."""
-    state = build_state(lattice, term)
-    psi = state.tensor()
+    psi = build_state(lattice, term)
+    norm = np.linalg.norm(psi)
     p3 = spin3_projector().reshape(4, 4, 4, 4)  # (a', b', a, b)
     worst = 0.0
     for bond in lattice.bonds():
         ia, ib = lattice.site_index(bond.a), lattice.site_index(bond.b)
         proj = np.tensordot(p3, psi, axes=([2, 3], [ia, ib]))
-        worst = max(worst, float(np.linalg.norm(proj) / state.norm))
+        worst = max(worst, float(np.linalg.norm(proj) / norm))
     return worst
 
 
@@ -217,48 +151,6 @@ def reference_circuit_sim(circuit: "CircuitSpec") -> dict[tuple[int, ...], float
     for bits in np.ndindex(*probs.shape):
         out[tuple(int(b) for b in bits)] = float(probs[bits])
     return out
-
-
-# -- exhaustive enumeration ---------------------------------------------------
-
-BRANCH_CAP = 10**6
-
-
-def brute_force_joint(
-    lattice: HexLattice, term: BoundaryTermination | None
-) -> dict[tuple[str, ...], float]:
-    """Full joint distribution of the stage-1 axes, keyed by axis tuples in
-    ``lattice.sites()`` order.
-
-    Every branch is enumerated; probabilities come from exact double-layer
-    weights, so the values sum to 1 up to round-off.
-    """
-    sites = list(lattice.sites())
-    if 3 ** len(sites) > BRANCH_CAP:
-        raise ValueError(f"branch count exceeds cap {BRANCH_CAP}")
-    engine = TracedEngine(lattice, term)
-    total = engine.weight()
-    povms = [povm_element(ax) for ax in AXES]
-    out: dict[tuple[str, ...], float] = {}
-
-    def recurse(eng, depth: int, prefix: tuple):
-        if depth == len(sites):
-            out[prefix] = max(eng.weight() / total, 0.0)
-            return
-        for ax, povm in zip(AXES, povms):
-            recurse(eng.branch(sites[depth], povm), depth + 1, prefix + (ax,))
-
-    recurse(engine, 0, ())
-    return out
-
-
-def tv_distance(p: dict, q: dict) -> float:
-    """Total variation distance, half the L1 over the union alphabet."""
-    keys = set(p) | set(q)
-    kinds = {type(k) for k in keys}
-    if len(kinds) > 1:
-        raise ValueError(f"mismatched outcome alphabets: {kinds}")
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 # -- correlations --------------------------------------------------------------

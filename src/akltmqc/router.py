@@ -88,34 +88,32 @@ def _component_roots(root: np.ndarray, ends_a, ends_b) -> np.ndarray:
             root = up
 
 
-def find_clusters(
-    lattice: HexLattice,
-    matched: np.ndarray,
-    assignment: AxisAssignment,
-) -> Clusters:
-    """Label the components of the matched bonds, id'd in row-major order:
-    the one-row ``analyse_patterns``.
+def find_clusters(lattice: HexLattice, assignment: AxisAssignment) -> Clusters:
+    """Label the components of the matched bonds (those joining two sites
+    of equal axis), id'd in row-major order: the one-row
+    ``analyse_patterns``.
 
-    ``matched`` masks ``lattice.bond_table()``. Sites without a matched
-    bond belong to no cluster. Each component's root is its smallest site
-    index, so ids count up from 0 following the row-major position of each
-    cluster's first site and the labelling is reproducible.
+    Sites without a matched bond belong to no cluster. Each component's
+    root is its smallest site index, so ids count up from 0 following the
+    row-major position of each cluster's first site and the labelling is
+    reproducible.
     """
     codes = assignment.codes(lattice)
-    ((clusters, _),) = analyse_patterns(lattice, codes[None], matched[None])
+    ((clusters, _),) = analyse_patterns(lattice, codes[None])
     return clusters
 
 
 def analyse_patterns(
-    lattice: HexLattice, codes: np.ndarray, matched: np.ndarray | None = None
+    lattice: HexLattice, codes: np.ndarray
 ) -> list[tuple[Clusters, frozenset[int]]]:
     """Each pattern's clusters and disabled cluster ids, in one pass.
 
-    ``codes`` holds one pattern per row; ``matched`` masks each row's
-    ``lattice.bond_table()`` (by default, the bonds joining equal codes).
-    Site ``i`` of row ``k`` is node ``k * n_sites + i``. A matched
-    horizontal bond continues its left end's row run, so one
-    ``np.maximum.accumulate`` points every node at its run's first node;
+    ``codes`` holds one pattern per row; a bond of ``lattice.bond_table()``
+    is matched in a row when it joins two equal codes there, so every
+    cluster has one axis. Site ``i`` of row ``k`` is node
+    ``k * n_sites + i``. A matched horizontal bond continues its left end's
+    row run, so one ``np.maximum.accumulate`` points every node at its
+    run's first node;
     ``_component_roots`` hooks the matched vertical bonds. One ``cumsum``
     numbers the roots, so global ids count up row by row; a row's ids are
     its global ids less its first. They never clash across rows, so one
@@ -123,8 +121,7 @@ def analyse_patterns(
     """
     rows, n = codes.shape
     a, b = lattice.bond_table()
-    if matched is None:
-        matched = np.take(codes, a, axis=1) == np.take(codes, b, axis=1)
+    matched = np.take(codes, a, axis=1) == np.take(codes, b, axis=1)
     k, bond = np.divmod(np.flatnonzero(matched), len(a))
     ends_a, ends_b = a[bond] + k * n, b[bond] + k * n
     flat = ends_b == ends_a + 1
@@ -139,14 +136,7 @@ def analyse_patterns(
     labels = np.cumsum(leads) - 1  # each root's id
     base = np.append(0, labels[n - 1::n] + 1)  # each row's first id
     labels = np.where(clustered, labels[root], -1)
-    code = codes.ravel()
-    mixed = clustered & (code != code[root])
-    if mixed.any():
-        cid = int(labels[mixed].min())
-        axes = sorted({AXES[k] for k in code[labels == cid].tolist()})
-        site = divmod(int(np.flatnonzero(leads)[cid]) % n, lattice.cols)
-        raise ValueError(f"cluster at {site} mixes axes {axes}")
-    axes = code[leads]
+    axes = codes.ravel()[leads]
     sizes = np.bincount(labels[clustered], minlength=len(axes))
     labels = labels.reshape(rows, n)
     la, lb = np.take(labels, a, axis=1), np.take(labels, b, axis=1)

@@ -12,7 +12,8 @@ Axis bases for the virtual qubit:
     |0/1 y> = (|0 z> +- i |1 z>)/sqrt(2)
 The physical axis bases are the spin-3/2 lift of the same rotations, which
 keeps the site tensors covariant under the basis change up to a fixed
-kind- and axis-dependent phase (asserted in the test suite).
+kind- and axis-dependent phase (the test suite builds the rotated family
+both ways and compares them).
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ _U2 = {
     "z": np.eye(2, dtype=complex),
     "x": np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2,
     "y": np.array([[1, 1], [1j, -1j]], dtype=complex) / _SQ2,
-}
-
-# Overall phase of the site tensor family in each axis basis, per site kind.
-_FAMILY_PHASE = {
-    (SiteKind.TOP, "z"): 1.0,
-    (SiteKind.BOT, "z"): 1.0,
-    (SiteKind.TOP, "x"): 1.0,
-    (SiteKind.BOT, "x"): -1.0,
-    (SiteKind.TOP, "y"): -1.0j,
-    (SiteKind.BOT, "y"): 1.0,
 }
 
 # Relative phase on the +3/2 component of the complementary covector
@@ -119,10 +110,11 @@ def lift_qubit(u: np.ndarray) -> np.ndarray:
 def physical_basis(axis: str) -> np.ndarray:
     """Columns are z-components of [+3/2, +1/2, -1/2, -3/2] along ``axis``.
 
-    The y columns carry the phase and direction convention that makes the
-    virtual substitution in site_family exact (the labels run against the
-    S_y eigenvalues; only the labeling, not the measured subspace, depends
-    on this choice).
+    The y columns carry the phase and direction convention that makes
+    rotating a site tensor's virtual legs into the ``axis`` basis equal,
+    up to a fixed phase, to contracting its physical index with these
+    columns (the labels run against the S_y eigenvalues; only the labeling,
+    not the measured subspace, depends on this choice).
     """
     if axis == "y":
         return -1j * lift_qubit(PAULI_Z @ _U2["y"])
@@ -132,7 +124,9 @@ def physical_basis(axis: str) -> np.ndarray:
 # -- site tensors ---------------------------------------------------------
 
 
-def _site_tensor_z(kind: SiteKind) -> np.ndarray:
+@lru_cache(maxsize=None)
+def site_tensor(kind: SiteKind) -> np.ndarray:
+    """Site tensor (physical, left, right, vert) in z components."""
     t = np.zeros((4, 2, 2, 2), dtype=complex)
     r3 = 1.0 / _SQ3
     if kind is SiteKind.TOP:
@@ -154,40 +148,6 @@ def _site_tensor_z(kind: SiteKind) -> np.ndarray:
         t[2, 1, 1, 1] = -r3
         t[3, 1, 0, 1] = 1.0
     return t
-
-
-@lru_cache(maxsize=None)
-def site_tensor(kind: SiteKind) -> np.ndarray:
-    """Site tensor (physical, left, right, vert) in z components."""
-    return _site_tensor_z(kind)
-
-
-@lru_cache(maxsize=None)
-def site_family(kind: SiteKind, axis: str) -> np.ndarray:
-    """Tensor family A[alpha along ``axis``], virtual legs in z components.
-
-    Built by rotating the virtual legs of the z tensor and applying the
-    fixed family phase; equal to rotating the physical index (tested).
-    """
-    t = _site_tensor_z(kind)
-    u = _U2[axis]
-    uc = np.conj(u)
-    # left: ket -> u @ ket ; right: bra -> conj(u) @ bra
-    out = np.einsum("ij,ajkv->aikv", u, t)
-    out = np.einsum("kj,aijv->aikv", uc, out)
-    if kind is SiteKind.BOT:
-        out = np.einsum("vw,aikw->aikv", u, out)
-    else:
-        out = np.einsum("vw,aikw->aikv", uc, out)
-    return _FAMILY_PHASE[(kind, axis)] * out
-
-
-@lru_cache(maxsize=None)
-def site_family_rotated(kind: SiteKind, axis: str) -> np.ndarray:
-    """Same family obtained by contracting the physical index instead."""
-    t = _site_tensor_z(kind)
-    u4 = physical_basis(axis)
-    return np.einsum("ba,blrv->alrv", np.conj(u4), t)
 
 
 # -- measurements ---------------------------------------------------------

@@ -121,8 +121,9 @@ def _check_against_reference(lattice, assignment):
     ref_pairs = _ref_flag_off_limits(lattice, ref_clusters, ref_matched)
 
     assert matched_bonds(lattice, assignment) == ref_matched
+    clusters = find_clusters(lattice, assignment)
     mask = matched_mask(lattice, assignment)
-    clusters = find_clusters(lattice, mask, assignment)
+    assert clusters.matched.tolist() == mask.tolist()
     axes = [AXES[k] for k in clusters.axes.tolist()]
     assert list(enumerate(axes)) == [(cid, ax) for cid, ax, _ in ref_clusters]
     labels = np.full(lattice.n_sites, -1)
@@ -190,16 +191,6 @@ def test_chain_of_clusters_reuses_disabled_member():
         [((0, 2), (1, 2)), ((1, 0), (1, 1))],
         [((1, 2), (1, 3)), ((2, 2), (2, 3))],
     ]
-
-
-def test_mixed_axis_mask_is_rejected():
-    # a mask that matches a z-x bond puts two axes in one cluster
-    lat = build_lattice(1, 3)
-    asg = AxisAssignment.from_axes(
-        lat, {(0, 0): "z", (0, 1): "z", (0, 2): "x"}
-    )
-    with pytest.raises(ValueError, match="cluster at \\(0, 0\\) mixes axes"):
-        find_clusters(lat, np.ones(2, dtype=bool), asg)
 
 
 def _check_block(lattice, codes):

@@ -201,7 +201,7 @@ def test_pinned_layer_matches_dense_reference(axis):
     # pinned state, computed here from the amplitudes of build_state
     lat = build_lattice(2, 3)
     term = BoundaryTermination(axis=axis)
-    psi = build_state(lat, term).tensor()
+    psi = build_state(lat, term)
     sites = list(lat.sites())
 
     def effect(a):

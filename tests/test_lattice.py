@@ -42,7 +42,10 @@ def test_bonds_pair_bra_with_ket():
 def test_leg_count_partition(rows, cols):
     # every site has 3 legs; each bond consumes 2, the rest dangle
     lat = build_lattice(rows, cols)
-    assert 2 * len(lat.bonds()) + len(lat.dangling()) == 3 * lat.n_sites
+    dangling = sum(
+        lat.neighbor(site, leg) is None for site in lat.sites() for leg in Leg
+    )
+    assert 2 * len(lat.bonds()) + dangling == 3 * lat.n_sites
     degrees = [sum(n >= 0 for n in legs) for legs in lat.neighbor_table()]
     assert sum(degrees) == 2 * len(lat.bonds())
     assert all(0 <= d <= 3 for d in degrees)

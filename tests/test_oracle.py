@@ -10,23 +10,23 @@ from akltmqc.contraction import (
     build_state,
     chain_rule_sample,
     pattern_probability,
+    reduced_density,
 )
 from akltmqc.lattice import build_lattice
 from akltmqc.logic import CNOT, CircuitSpec, Init, Readout, Rx, Rz
 from akltmqc.oracle import (
     affine_constants,
-    brute_force_joint,
     coupling_polynomial,
     hamiltonian_pair_check,
     pair_coupling,
     reference_circuit_sim,
     spin3_projector,
     spin_operators,
-    tv_distance,
     two_point_correlation,
-    vbs_state,
 )
 from akltmqc.tensors import AXES, residual_up_to_scale
+
+from reference import brute_force_joint, tv_distance, vbs_state
 
 
 def test_spin_commutators():
@@ -92,7 +92,7 @@ def test_vbs_state_matches_contraction(rows, cols, axis):
     lattice = build_lattice(rows, cols)
     term = BoundaryTermination(axis=axis)
     found = vbs_state(lattice, term)
-    target = build_state(lattice, term).amplitudes
+    target = build_state(lattice, term).reshape(-1)
     assert residual_up_to_scale(found, target) < 1e-12
 
 
@@ -184,3 +184,31 @@ def test_brute_force_joint_checks_branch_cap():
     # 3^15 axis tuples exceed BRANCH_CAP; nothing is enumerated
     with pytest.raises(ValueError):
         brute_force_joint(build_lattice(3, 5), None)
+
+
+FOUR_WIRES = CircuitSpec(
+    4, tuple(Init(w) for w in range(4)) + tuple(Readout(w) for w in range(4))
+)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda lat: reduced_density(lat, None, (2, 0)),
+            r"site \(2, 0\) not on lattice",
+        ),
+        (
+            lambda lat: two_point_correlation(lat, None, (0, 0), (0, 1), "w"),
+            "unknown axis 'w'",
+        ),
+        (
+            lambda lat: reference_circuit_sim(FOUR_WIRES),
+            "supports at most 3 wires",
+        ),
+    ],
+    ids=["off-lattice-site", "unknown-axis", "four-wires"],
+)
+def test_entry_checks_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(build_lattice(2, 3))

