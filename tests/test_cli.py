@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -486,6 +487,48 @@ def test_exact_run_matches_pinned_digest(
 ):
     code = cli.main(["run", "--mode", "exact", "--lattice", size, "--seed",
                      seed, "--circuit", identity_circuit])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.fixture
+def rzrx_circuit(tmp_path):
+    path = tmp_path / "rzrx.json"
+    gates = [
+        {"gate": "init", "wire": 0},
+        {"gate": "rz", "wire": 0, "theta": math.pi / 4},
+        {"gate": "rx", "wire": 0, "theta": math.pi / 3},
+        {"gate": "readout", "wire": 0},
+    ]
+    path.write_text(
+        json.dumps({"format_version": 1, "wires": 1, "gates": gates})
+    )
+    return str(path)
+
+
+# sha256 of exact `run` stdout with the Rz(pi/4) Rx(pi/3) circuit, x pin,
+# recorded at commit a020be6, when stage 2 applied the frame rules event
+# by event. Both rotation sites read a frame bit, so these pin the
+# frame-adapted angles that the identity runs above never read.
+ROTATION_DIGESTS = [
+    ("2x6", "1",
+     "e5c738e0bc5a13d1f3c4ea0fb04652326625824c256aff4472b6ac09297711b7"),
+    ("2x6", "2",
+     "ee3ba410dc5047396571758ca015e3b22b5ea628a8790719ac272bd57930261e"),
+    ("4x16", "3",
+     "db8ee569d73b6be27ae02e1cd13b6885485c3dd4f0fd6cf969204a86ff3f50de"),
+    ("4x32", "1",
+     "81f135d67ffddcb5792623c56a9e66f8c2dec987acd34667e4e2e35c303c1b8c"),
+]
+
+
+@pytest.mark.parametrize("size,seed,digest", ROTATION_DIGESTS)
+def test_exact_rotation_run_matches_pinned_digest(
+    capsys, rzrx_circuit, size, seed, digest
+):
+    code = cli.main(["run", "--mode", "exact", "--lattice", size, "--seed",
+                     seed, "--circuit", rzrx_circuit])
     assert code == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == digest
