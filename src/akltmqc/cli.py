@@ -660,7 +660,7 @@ def check_end_to_end() -> dict:
                 "detail": f"{name} fixture failed to prepare: {prep}",
             }
         _, plan = prep
-        branches = protocol_branches(lattice, assignment, plan, circuit, term)
+        branches = protocol_branches(lattice, assignment, plan, term)
         reference = reference_circuit_sim(circuit)
         want = [reference[k] for k in np.ndindex((2,) * circuit.wires)]
         _, dist = conditional_logical_table(branches, plan)

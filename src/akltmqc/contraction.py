@@ -290,8 +290,6 @@ def _join(lattice, a, a_keys, b, b_keys, steps=None):
             continue
         _, site, leg = key
         nb = lattice.neighbor(site, leg)
-        if nb is None:
-            continue
         nb_key = ("v", nb, lattice.leg_between(nb, site))
         if nb_key in a_keys:
             a_pos.append(a_keys.index(nb_key))
@@ -313,11 +311,8 @@ def _closed_tensor(lattice, site, tensor_for, close_for):
     keys += [("v", site, leg) for leg in Leg]
     for leg in Leg:
         if lattice.neighbor(site, leg) is None:
-            vec = close_for(site, leg)
-            if vec is None:
-                continue
             pos = keys.index(("v", site, leg))
-            t = np.tensordot(t, vec, axes=([pos], [0]))
+            t = np.tensordot(t, close_for(site, leg), axes=([pos], [0]))
             keys.pop(pos)
     return t, keys
 
@@ -346,15 +341,14 @@ def _contract_sweep(
 
     ``tensor_for(site)`` returns (tensor, extra_names); the tensor's axes
     are the named extra site-local axes first, then (left, right, vert).
-    ``close_for(site, leg)`` returns the vector closing a dangling leg, or
-    None to keep it as an open output axis. ``sites`` (default: every site,
-    line by line) are absorbed in order onto ``start``, an (array, keys)
-    pair from an earlier sweep (default: the empty network), so a sweep can
-    resume from a stored environment. A site whose vertical partner comes
-    next is first contracted with it, so the pair meets the accumulator as
-    one tensor and no intermediate outgrows the final result on the last
-    line. ``steps`` records the joins (see :func:`_join`). Returns
-    (array, keys).
+    ``close_for(site, leg)`` returns the vector closing a dangling leg.
+    ``sites`` (default: every site, line by line) are absorbed in order
+    onto ``start``, an (array, keys) pair from an earlier sweep (default:
+    the empty network), so a sweep can resume from a stored environment. A
+    site whose vertical partner comes next is first contracted with it, so
+    the pair meets the accumulator as one tensor and no intermediate
+    outgrows the final result on the last line. ``steps`` records the joins
+    (see :func:`_join`). Returns (array, keys).
     """
     acc, keys = start or (np.ones((), dtype=complex), [])
     if sites is None:

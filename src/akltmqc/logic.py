@@ -18,17 +18,16 @@ the outcomes of a fixed tuple of sites. The fold handles trees only; the
 routing audit rejects every backbone whose hanging branch closes a
 matched loop, so a tree is all it ever sees.
 
-Stage 2 has one runtime. ``_Runtime`` holds what a walk over a plan
-reads: it gives each site's two outcome rows, sign-adapted to the frame,
-and settles each completed event into the frame from the stored parities.
-``_drive`` samples one path on the pinned layer engine with every site
-polarized (:class:`TracedEngine`, as in stage 1): ``_step`` turns one
-site's two effect weights into outcome probabilities. Only
-``protocol_branches`` builds the qubit state (:class:`DenseEngine`): it
-enumerates every path level by level, the live branches share one stacked
-amplitude array (:class:`BranchStack`), each plan site is one batched
-step, and outcomes and frames are bit columns over the branches, settled
-once per level; :class:`ProtocolBranches` holds the leaves as arrays.
+The Pauli frame is compiled too: ``compile_plan`` applies the frame rules
+once, on the same forms, so stage 2 knows no byproduct rule and reads
+every frame bit as a stored parity. ``_drive`` samples one path on the
+pinned layer engine with every site polarized (:class:`TracedEngine`, as
+in stage 1): ``_step`` turns one site's two effect weights into outcome
+probabilities. Only ``protocol_branches`` builds the qubit state
+(:class:`DenseEngine`): it enumerates every path level by level, the live
+branches share one stacked amplitude array (:class:`BranchStack`), each
+plan site is one batched step, and outcomes are bit rows over the
+branches; :class:`ProtocolBranches` holds the leaves as arrays.
 """
 
 from __future__ import annotations
@@ -66,6 +65,8 @@ FORMAT_VERSION = 1
 MAX_ROUTE_ATTEMPTS = 256
 # Most sites one block of iid routing attempts analyses at once.
 BLOCK_SITES = 4096
+# Branches lighter than this are dropped by protocol_branches.
+MIN_BRANCH_PROBABILITY = 1e-12
 
 
 class ProtocolError(RuntimeError):
@@ -225,20 +226,6 @@ class ByproductFrame:
     ax: list[int]
     az: list[int]
 
-    @staticmethod
-    def zero(wires: int) -> "ByproductFrame":
-        return ByproductFrame([0] * wires, [0] * wires)
-
-    def indices(self, wire: int) -> tuple[int, int]:
-        return self.ax[wire], self.az[wire]
-
-    def update(self, wire: int, dax: int, daz: int) -> None:
-        self.ax[wire] ^= dax & 1
-        self.az[wire] ^= daz & 1
-
-    def snapshot(self) -> dict:
-        return {"ax": list(self.ax), "az": list(self.az)}
-
 
 def byproduct_indices(mu: str, b: int, c: int) -> tuple[int, int]:
     """X and Z exponents contributed by one interior widget.
@@ -256,17 +243,6 @@ def byproduct_indices(mu: str, b: int, c: int) -> tuple[int, int]:
     if mu == "z":
         return 1, s
     raise ValueError(f"unknown axis {mu!r}")
-
-
-def rotation_flip(frame: ByproductFrame, axis: str, wire: int = 0):
-    """The frame exponent a rotation along ``axis`` changes sign with: X for
-    z, Z for x; no other axis is adapted. Bit columns give a column."""
-    ax, az = frame.indices(wire)
-    if axis == "z":
-        return ax
-    if axis == "x":
-        return az
-    raise ValueError(f"rotations along {axis!r} are not adapted")
 
 
 # -- cluster renormalization ----------------------------------------------------
@@ -408,13 +384,18 @@ class CompileFailure:
 
 @dataclass
 class MeasurementPlan:
-    """Ordered per-site bases plus the frame bookkeeping schedule.
+    """Ordered per-site bases plus the Pauli frame, compiled.
 
     ``order`` covers every lattice site exactly once; ``finalize[i]`` names
     the frame event completed by measuring ``order[i]``. ``reference``
     gives each interior widget (backbone and link sites, not extensions)
     the parity its reference bit is read from; every site of that parity
     is measured before the widget's event completes.
+
+    Frame bits are GF(2) forms (see ``compile_plan``): ``frames[e]`` holds
+    each wire's (X, Z) exponents once event ``e`` completes, and
+    ``flips[i]`` the bit the rotation at ``order[i]`` changes sign with (X
+    for z, Z for x), which reads only sites measured before it.
     """
 
     order: tuple[PlanSite, ...]
@@ -423,6 +404,8 @@ class MeasurementPlan:
     reference: dict[Site, Reference]
     readout_sites: dict[int, Site]
     wires: int
+    frames: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    flips: dict[int, int]
 
 
 def compile_plan(
@@ -452,6 +435,10 @@ def compile_plan(
     the fold's xors return the widget's reference as one parity. The fold
     walks the branch as a tree: the audited backbone guarantees that no
     hanging branch closes a matched loop.
+
+    The frame rules (init, widget, CNOT propagation) run here too, on the
+    same forms, as each event is laid down; the plan stores the frame after
+    every event and each rotation's flip, taken before its own event.
     """
     try:
         circuit.validate()
@@ -471,6 +458,11 @@ def compile_plan(
     events: list[FrameEvent] = []
     reference: dict[Site, Reference] = {}
     readout_sites: dict[int, Site] = {}
+    # each wire's X and Z exponents as forms, the frame after each event,
+    # and each rotation's flip form keyed by its position in ``emitted``
+    fax, faz = [0] * circuit.wires, [0] * circuit.wires
+    frames: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    flips: dict[int, int] = {}
 
     def site_at(i: int) -> Site:
         return divmod(i, cols)
@@ -497,8 +489,15 @@ def compile_plan(
     def form_bit(i: int) -> int:
         return 2 << i
 
-    def resolve(i: int) -> Reference | CompileFailure:
-        """Record the reference feeding widget ``i`` and emit its sources."""
+    def complete(ev: FrameEvent) -> int:
+        """Record ``ev``, whose rule the forms already hold; its index."""
+        events.append(ev)
+        frames.append((tuple(fax), tuple(faz)))
+        return len(events) - 1
+
+    def resolve(i: int) -> tuple[str, int, int] | CompileFailure:
+        """Record the reference feeding widget ``i`` and emit its sources;
+        return its frame axis and the widget's X and Z exponent forms."""
         s = site_at(i)
         on_path = adj.get(i, ())
         free = [(leg, n) for leg, n in zip(Leg, table[i]) if n not in on_path]
@@ -519,10 +518,11 @@ def compile_plan(
                     "rank-deficient",
                     f"boundary frame at {s} matches its axis {mu}",
                 )
-            ref = Reference(axis, bit)
+            ref, form = Reference(axis, bit), bit
         elif code[n] != code[i]:
             emit(n)
             ref = Reference(AXES[code[n]], 0, (site_at(n),))
+            form = form_bit(n)
         else:
             try:
                 nu, form, members, assocs, nu_map = _fold_branch(
@@ -541,17 +541,21 @@ def compile_plan(
                 tuple(site_at(x) for x in sources if form & form_bit(x)),
             )
         reference[s] = ref
-        return ref
+        return (ref.axis, *byproduct_indices(mu, form_bit(i), form))
 
     def emit_widget(
         i: int, w: int, theta: float = 0.0
     ) -> CompileFailure | None:
-        ref = resolve(i)
-        if isinstance(ref, CompileFailure):
-            return ref
-        ev = len(events)
-        events.append(FrameEvent("widget", (site_at(i),), wire=w))
-        emit(i, "complementary", ref.axis, theta, w, fin=ev)
+        found = resolve(i)
+        if isinstance(found, CompileFailure):
+            return found
+        axis, dax, daz = found
+        if theta:  # the rotation adapts to the frame before its own event
+            flips[len(emitted)] = fax[w] if AXES[code[i]] == "z" else faz[w]
+        fax[w] ^= dax
+        faz[w] ^= daz
+        ev = complete(FrameEvent("widget", (site_at(i),), wire=w))
+        emit(i, "complementary", axis, theta, w, fin=ev)
         return None
 
     pos = [0] * circuit.wires
@@ -600,9 +604,8 @@ def compile_plan(
             if isinstance(found, CompileFailure):
                 return found
             i = paths[w][found]
-            ev = len(events)
-            events.append(FrameEvent("init", (site_at(i),), wire=w))
-            emit(i, fin=ev)
+            fax[w], faz[w] = form_bit(i), 0
+            emit(i, fin=complete(FrameEvent("init", (site_at(i),), wire=w)))
         elif isinstance(gate, (Rz, Rx)):
             w = gate.wire
             axis = "z" if isinstance(gate, Rz) else "x"
@@ -633,14 +636,26 @@ def compile_plan(
                 if isinstance(found, CompileFailure):
                     return found
             partners: list[str] = []
+            sx = sz = 0
             for k in link:
-                ref = resolve(k)
-                if isinstance(ref, CompileFailure):
-                    return ref
-                partners.append(ref.axis)
-            ev = len(events)
+                found = resolve(k)
+                if isinstance(found, CompileFailure):
+                    return found
+                axis, dax, daz = found
+                partners.append(axis)
+                sx ^= dax
+                sz ^= daz
+            c, t = gate.control, gate.target
+            # propagate the running frame through the new CNOT, then compose
+            # the junction's own byproduct
+            faz[c] ^= faz[t]
+            fax[t] ^= fax[c]
+            fax[c] ^= 1
+            faz[c] ^= form_bit(top) ^ sz ^ 1
+            fax[t] ^= form_bit(bot) ^ sx ^ 1
+            faz[t] ^= 1
             chain = tuple(map(site_at, (top, *link, bot)))
-            events.append(FrameEvent("cnot", chain, gate=gidx))
+            ev = complete(FrameEvent("cnot", chain, gate=gidx))
             emit(top, "complementary", "x")
             for k, partner in zip(link, partners):
                 emit(k, "complementary", partner)
@@ -673,9 +688,7 @@ def compile_plan(
                         "readout-pinned",
                         f"wire {w} readout {s} copies into {site_at(n)}",
                     )
-            ev = len(events)
-            events.append(FrameEvent("readout", (s,), wire=w))
-            emit(i, fin=ev)
+            emit(i, fin=complete(FrameEvent("readout", (s,), wire=w)))
             readout_sites[w] = s
             for t in path[found + 1 :]:
                 emit(t)
@@ -692,6 +705,8 @@ def compile_plan(
         reference=reference,
         readout_sites=readout_sites,
         wires=circuit.wires,
+        frames=tuple(frames),
+        flips={len(sea) + k: form for k, form in flips.items()},
     )
 
 
@@ -727,83 +742,32 @@ def interpret_readout(
     return LogicalOutcome(tuple(raw), tuple(corrected))
 
 
-@dataclass(frozen=True)
-class _Runtime:
-    """What stage 2 reads while it walks a plan: the plan, its circuit and
-    the widget axes. It folds nothing: every reference is a stored parity.
+def _parity(form: int, mask: int) -> int:
+    """The value of GF(2) ``form`` on the outcomes ``mask``, whose bit
+    i + 1 is site index i's outcome (bit 0 clear)."""
+    return (form ^ (form & mask).bit_count()) & 1
+
+
+def _rows(ps: PlanSite, flip):
+    """The two outcome rows of ``ps``; a rotation's angle changes sign
+    where ``flip`` is set.
+
+    A column of flips over branches (:func:`protocol_branches`) that differ
+    gives a (B, 2, 4) stack: the two adapted pairs, indexed by each
+    branch's bit.
     """
+    if ps.kind == "standard":
+        return [standard_covector(ps.axis, b) for b in (0, 1)]
+    if np.ndim(flip):
+        if flip.min() != flip.max():
+            pairs = [_comp_rows(ps, a) for a in (ps.theta, -ps.theta)]
+            return np.array(pairs)[flip]
+        flip = flip[0]
+    return _comp_rows(ps, -ps.theta if flip else ps.theta or 0.0)
 
-    assignment: AxisAssignment
-    plan: MeasurementPlan
-    circuit: CircuitSpec
 
-    def rows(self, ps: PlanSite, frame: ByproductFrame):
-        """The two outcome rows of ``ps``; rotations adapt to ``frame``.
-
-        On a frame of bit columns (:func:`protocol_branches`) whose flip
-        bits differ, the rows are a (B, 2, 4) stack: the two adapted pairs,
-        indexed by each branch's bit.
-        """
-        if ps.kind == "standard":
-            return [standard_covector(ps.axis, b) for b in (0, 1)]
-        flip = rotation_flip(frame, ps.axis, ps.wire) if ps.theta else 0
-        if np.ndim(flip):
-            if flip.min() != flip.max():
-                pairs = [self._comp_rows(ps, a) for a in (ps.theta, -ps.theta)]
-                return np.array(pairs)[flip]
-            flip = flip[0]
-        return self._comp_rows(ps, -ps.theta if flip else ps.theta or 0.0)
-
-    @staticmethod
-    def _comp_rows(ps: PlanSite, angle: float) -> list[np.ndarray]:
-        return [
-            comp_covector(ps.axis, ps.partner_axis, angle, b) for b in (0, 1)
-        ]
-
-    def settle(
-        self, idx: int, outcomes: dict[Site, int], frame: ByproductFrame
-    ) -> int | None:
-        """Fold the event completed by ``plan.order[idx]`` into ``frame``.
-
-        Returns that event's index, or None when the site completes none.
-        """
-        fin = self.plan.finalize[idx]
-        if fin is None:
-            return None
-        ev = self.plan.events[fin]
-
-        def exponents(s: Site) -> tuple[int, int]:
-            ref = self.plan.reference[s]
-            c = ref.bit
-            for x in ref.sites:
-                c ^= outcomes[x]
-            return byproduct_indices(self.assignment[s], outcomes[s], c)
-
-        if ev.kind == "init":
-            frame.ax[ev.wire] = outcomes[ev.sites[0]] & 1
-            frame.az[ev.wire] = 0
-        elif ev.kind == "widget":
-            frame.update(ev.wire, *exponents(ev.sites[0]))
-        elif ev.kind == "cnot":
-            top, bot = ev.sites[0], ev.sites[-1]
-            sx = sz = 0
-            for k in ev.sites[1:-1]:
-                dax, daz = exponents(k)
-                sx ^= dax
-                sz ^= daz
-            gate = self.circuit.gates[ev.gate]
-            q1 = outcomes[top] ^ sz ^ 1
-            q2 = outcomes[bot] ^ sx ^ 1
-            # propagate the running frame through the new CNOT, then compose
-            # the junction's own byproduct
-            frame.az[gate.control] ^= frame.az[gate.target]
-            frame.ax[gate.target] ^= frame.ax[gate.control]
-            frame.ax[gate.control] ^= 1
-            frame.az[gate.control] ^= q1
-            frame.ax[gate.target] ^= q2
-            frame.az[gate.target] ^= 1
-        # readout events leave the frame alone
-        return fin
+def _comp_rows(ps: PlanSite, angle: float) -> list[np.ndarray]:
+    return [comp_covector(ps.axis, ps.partner_axis, angle, b) for b in (0, 1)]
 
 
 def _step(
@@ -825,41 +789,53 @@ def _step(
 def _drive(
     assignment: AxisAssignment,
     plan: MeasurementPlan,
-    circuit: CircuitSpec,
     engine: TracedEngine | None,
     rng: np.random.Generator,
 ) -> tuple[RunRecord, ByproductFrame, list[dict]]:
-    """Measure every site in plan order, tracking the frame event by event.
+    """Measure every site in plan order, reading the frame off its forms.
 
     With an ``engine`` (exact mode: ``assignment``'s polarized state) each
     outcome is drawn from the true conditional distribution, so the
     corrected readouts follow the logical circuit. Without one (iid mode)
     fair coins decide instead: they exercise the full control flow at any
     lattice size, but carry no circuit information, so only the
-    bookkeeping, not the logical statistics, is faithful.
+    bookkeeping, not the logical statistics, is faithful. The outcomes are
+    one int mask, bit i + 1 for site index i, on which every stored form
+    (flips, frames) is one parity.
     """
-    rt = _Runtime(assignment, plan, circuit)
-    frame = ByproductFrame.zero(plan.wires)
-    outcomes: dict[Site, int] = {}
+    cols = assignment.cols
+    mask = 0
     steps: list[StepOutcome] = []
     snapshots: list[dict] = []
+
+    def frame(forms) -> ByproductFrame:
+        ax, az = ([_parity(f, mask) for f in fs] for fs in forms)
+        return ByproductFrame(ax, az)
+
     for idx, ps in enumerate(plan.order):
         if engine is None:
             b, p = int(rng.integers(0, 2)), 0.5
         else:
-            rows = rt.rows(ps, frame)
+            rows = _rows(ps, _parity(plan.flips.get(idx, 0), mask))
             probs = _step(engine, ps.site, rows)
             b = 0 if rng.random() < probs[0] else 1
             p = probs[b]
             engine.project(ps.site, rows[b])
-        outcomes[ps.site] = b
+        r, c = ps.site
+        mask |= b << (1 + r * cols + c)
         steps.append(StepOutcome(ps.site, ps.kind, b, p))
-        fin = rt.settle(idx, outcomes, frame)
+        fin = plan.finalize[idx]
         if fin is not None:
+            now = frame(plan.frames[fin])
             kind = plan.events[fin].kind
-            snapshots.append({"event": fin, "kind": kind, **frame.snapshot()})
-    readouts = {w: outcomes[s] for w, s in plan.readout_sites.items()}
-    return RunRecord(steps, readouts), frame, snapshots
+            snapshots.append(
+                {"event": fin, "kind": kind, "ax": now.ax, "az": now.az}
+            )
+    readouts = {
+        w: (mask >> (1 + r * cols + c)) & 1
+        for w, (r, c) in plan.readout_sites.items()
+    }
+    return RunRecord(steps, readouts), frame(plan.frames[-1]), snapshots
 
 
 @dataclass(frozen=True)
@@ -891,61 +867,62 @@ def protocol_branches(
     lattice: HexLattice,
     assignment: AxisAssignment,
     plan: MeasurementPlan,
-    circuit: CircuitSpec,
     term: BoundaryTermination,
-    min_probability: float = 1e-12,
 ) -> ProtocolBranches:
     """Enumerate every outcome branch of the plan with exact probabilities.
 
     Probabilities are conditioned on the given axis assignment. Branches
-    lighter than ``min_probability`` are dropped; the survivors' weights
-    still sum to 1 up to that cutoff.
+    lighter than ``MIN_BRANCH_PROBABILITY`` are dropped; the survivors'
+    weights still sum to 1 up to that cutoff.
 
     The walk goes level by level: every live branch sits in one
     :class:`BranchStack` and each site of ``plan.order`` is one batched
     step. Children keep (branch, outcome) order, so the leaves come out in
-    depth-first order. Outcomes and frames are bit columns over the live
-    branches (a frame bit no event has set yet is a scalar), so each level
-    reindexes them once and settles its event once, on whole columns.
+    depth-first order. Outcomes are bit rows over the live branches, one
+    per site index, reindexed once a level; a stored form (a flip, the
+    final frame) is the xor of its sites' rows.
     """
-    rt = _Runtime(assignment, plan, circuit)
     stack = BranchStack(DenseEngine(lattice, assignment, term))
-    order = [ps.site for ps in plan.order]
     probs = np.ones(1)
-    bits = np.zeros((len(order), 1), np.uint8)  # row j: order[j]'s outcomes
-    frame = ByproductFrame.zero(plan.wires)
+    bits = np.zeros((lattice.n_sites, 1), np.uint8)  # row i: site index i
+
+    def column(form: int):
+        """``form`` on every live branch; a scalar if it reads no site."""
+        value, form = form & 1, form >> 1
+        while form:
+            low = form & -form
+            value = value ^ bits[low.bit_length() - 1]
+            form ^= low
+        return value
+
     for idx, ps in enumerate(plan.order):
-        weights = stack.split(ps.site, rt.rows(ps, frame))
+        rows = _rows(ps, column(plan.flips.get(idx, 0)))
+        weights = stack.split(ps.site, rows)
         total = weights.sum(axis=1)
         if not np.all((total > 0.0) & np.isfinite(total)):
             raise ProtocolError(f"degenerate weights at {ps.site}")
         p0 = weights[:, 0] / total
         child = (probs[:, np.newaxis] * np.stack([p0, 1.0 - p0], 1)).ravel()
-        picks = np.flatnonzero(child > min_probability)
+        picks = np.flatnonzero(child > MIN_BRANCH_PROBABILITY)
         stack.keep(picks)
         probs = child[picks]
-        parent = picks >> 1
-        bits = bits[:, parent]
-        bits[idx] = picks & 1
-        # fresh columns each level: settle xors them in place
-        frame = ByproductFrame(
-            *([c[parent] if np.ndim(c) else c for c in cols]
-              for cols in (frame.ax, frame.az))
-        )
+        bits = bits[:, picks >> 1]
+        bits[lattice.site_index(ps.site)] = picks & 1
         if not picks.size:
             break
-        rt.settle(idx, dict(zip(order, bits)), frame)
-    seen = dict(zip(order, bits))
-    readouts = {w: seen[s] for w, s in plan.readout_sites.items()}
-    perm = sorted(range(len(order)), key=order.__getitem__)
+    ax, az = ([column(f) for f in fs] for fs in plan.frames[-1])
+    readouts = {
+        w: bits[lattice.site_index(s)] for w, s in plan.readout_sites.items()
+    }
+    corrected = interpret_readout(readouts, ByproductFrame(ax, az)).corrected
     n = len(probs)
     return ProtocolBranches(
-        tuple(order[j] for j in perm),
-        bits[perm].T,
+        tuple(lattice.sites()),
+        bits.T,
         probs,
-        _bit_columns(frame.ax, n),
-        _bit_columns(frame.az, n),
-        _bit_columns(interpret_readout(readouts, frame).corrected, n),
+        _bit_columns(ax, n),
+        _bit_columns(az, n),
+        _bit_columns(corrected, n),
     )
 
 
@@ -1141,9 +1118,7 @@ def run_protocol(
                 for site in lattice.sites():
                     engine.apply_op(site, povm_element(assignment[site]))
             rng = np.random.default_rng(_child_seed(child))
-            record, frame, snaps = _drive(
-                assignment, plan, circuit, engine, rng
-            )
+            record, frame, snaps = _drive(assignment, plan, engine, rng)
             return ProtocolResult(
                 outcome=interpret_readout(record.readouts, frame),
                 record=record,

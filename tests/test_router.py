@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -10,6 +11,7 @@ from akltmqc.router import (
     _span_thresholds,
     Associate,
     ClusterExtension,
+    Degree2Wire,
     RoutingFailure,
     audit_backbone,
     crossing_estimate,
@@ -260,6 +262,67 @@ def test_audit_rejects_wrong_junction_axes():
     control, target = divmod(top, lat.cols), divmod(bot, lat.cols)
     assert f"control junction {control} is not z-axis" in problems
     assert f"target junction {target} is not x-axis" in problems
+
+
+_ONE_CNOT = CircuitSpec(
+    2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
+)
+_TWO_CNOTS = CircuitSpec(
+    2, (Init(0), Init(1), CNOT(0, 1), CNOT(0, 1), Readout(0), Readout(1))
+)
+
+
+# Each mutation of the routed backbone on ["yzzz", "xzzx", "zxzz"]: wires
+# (0, 3)..(0, 0) and (2, 3)..(2, 0), junction chain (0, 2), (1, 2), (1, 1),
+# (2, 1). It takes (wires, (top, link, bot), roles) and returns the fields
+# it replaces, and the circuit audited.
+@pytest.mark.parametrize(
+    "mutate,problem",
+    [
+        (lambda w, j, roles: ({"wires": w[:1]}, _ONE_CNOT),
+         "1 wires routed, circuit wants 2"),
+        (lambda w, j, roles: (
+            {"wires": ((*w[0][:3], *w[0][1:]), w[1])}, _ONE_CNOT),
+         "wire 0 revisits a site"),
+        (lambda w, j, roles: ({"wires": (w[0], w[0])}, _ONE_CNOT),
+         "wire 1 overlaps another wire"),
+        (lambda w, j, roles: ({"junctions": ()}, _ONE_CNOT),
+         "0 junction pairs for 1 CNOTs"),
+        (lambda w, j, roles: ({"junctions": ((j[0], j[1], 7),)}, _ONE_CNOT),
+         "junction (1, 3) not on wire 1"),
+        (lambda w, j, roles: ({"junctions": ((1, *j[1:]),)}, _ONE_CNOT),
+         "control junction (0, 1) is not Top-kind"),
+        (lambda w, j, roles: ({"junctions": ((*j[:2], 10),)}, _ONE_CNOT),
+         "target junction (2, 2) is not Bot-kind"),
+        (lambda w, j, roles: ({"junctions": (j, j)}, _TWO_CNOTS),
+         "junction for CNOT 0->1 is right of an earlier one"),
+        (lambda w, j, roles: (
+            {"junctions": ((j[0], j[1][:1], j[2]),)}, _ONE_CNOT),
+         "link does not land on (2, 1)"),
+        (lambda w, j, roles: (
+            {"roles": {**roles, j[0]: Degree2Wire(0)}}, _ONE_CNOT),
+         "junction (0, 2) carries role Degree2Wire(wire=0)"),
+        (lambda w, j, roles: ({"wires": (w[0], (7, 6, 5, 4))}, _ONE_CNOT),
+         "cluster 0 touches wires [0, 1]"),
+    ],
+    ids=[
+        "wire-count", "revisit", "overlap", "junction-count", "off-wire",
+        "top-kind", "bot-kind", "order", "landing", "junction-role",
+        "cluster-wires",
+    ],
+)
+def test_audit_reports_each_mutation(mutate, problem):
+    lat, asg = _assignment(["yzzz", "xzzx", "zxzz"])
+    clusters = find_clusters(lat, asg)
+    bb = route_backbone(lat, asg, clusters, frozenset(), _ONE_CNOT, 2)
+    assert audit_backbone(lat, asg, bb, _ONE_CNOT, clusters, frozenset()) == []
+    ((top, link, bot),) = bb.junctions
+    assert bb.wires == ((3, 2, 1, 0), (11, 10, 9, 8))
+    assert (top, link, bot) == (2, (6, 5), 9)
+    fields, circuit = mutate(bb.wires, (top, link, bot), bb.roles)
+    broken = dataclasses.replace(bb, **fields)
+    problems = audit_backbone(lat, asg, broken, circuit, clusters, frozenset())
+    assert problem in problems
 
 
 def test_backbone_json_grid():
