@@ -928,7 +928,7 @@ class _RefBranch:
 
 def _ref_rotation_flip(frame, ps):
     """The frame bit the rotation at ``ps`` changes sign with: X for z, Z
-    for x; no other axis is adapted. Bit columns give a column."""
+    for x; no other axis is adapted."""
     if not ps.theta:
         return 0
     if ps.axis == "z":
