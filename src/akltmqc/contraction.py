@@ -46,9 +46,10 @@ site tensors: site s is stored in the columns of the (4, 2) isometry B_s =
 ``physical_basis(axis)[:, [0, 3]]``, with tensor sqrt(2/3) B_s^dagger A_s
 (the factor of ``povm_element``), so the state has 2^n amplitudes, one
 axis per site in sweep order, index values 0 and 1 being +3/2 and -3/2
-along the site's axis. It is capped at ``QUBIT_SITE_CAP`` sites.
-:class:`BranchStack` stacks many branches of that state in one array and
-measures a site on all of them in one contraction. :func:`build_state` is
+along the site's axis. It is capped at ``QUBIT_SITE_CAP`` sites. The
+engine holds many branches of that state in one array, one leading axis
+over them, and measures a site on all of them in one contraction
+(:meth:`DenseEngine.split`). :func:`build_state` is
 the dense 4^n state that criterion 9's Hamiltonian check and the tests
 read, capped at ``DENSE_SITE_CAP``: a tensor with one axis of dimension 4
 per site, ordered by ``lattice.site_index``, index values 0..3 being the
@@ -551,9 +552,11 @@ class DenseEngine:
 
     Built from ``assignment`` (site -> axis): each site keeps the (4, 2)
     isometry B_s of its axis pair, every action is compressed to that
-    pair, and every projection removes the site's index. Stage 2's branch
-    enumeration stacks the engine's state in a :class:`BranchStack`; the
-    tests walk it as the sampling walk's reference.
+    pair, and every projection removes the site's index. The amplitudes
+    are ``(B, 2, ..., 2)``: B branches (one at construction) by the live
+    sites. Branch enumeration grows B by :meth:`split` and :meth:`keep`,
+    one array step per site; the tests walk one branch as the sampling
+    walk's reference.
     """
 
     def __init__(
@@ -577,7 +580,8 @@ class DenseEngine:
         def close(site, leg):
             return term.vec_for(lattice, site, leg).vector
 
-        self._amps, keys = _contract_sweep(lattice, tensor_for, close)
+        amps, keys = _contract_sweep(lattice, tensor_for, close)
+        self._amps = amps[np.newaxis]
         self._sites: list[Site] = [k[1] for k in keys]
 
     @property
@@ -585,9 +589,10 @@ class DenseEngine:
         return tuple(self._sites)
 
     def _split(self, site: Site) -> tuple[int, np.ndarray]:
-        """(axis, amplitudes viewed as (before, site, after))."""
+        """(axis, amplitudes viewed as (before, site, after)); the branch
+        axis, axis 0, is before every site."""
         try:
-            ax = self._sites.index(site)
+            ax = self._sites.index(site) + 1
         except ValueError:
             raise KeyError(f"site {site} already projected out") from None
         shape = self._amps.shape
@@ -600,7 +605,7 @@ class DenseEngine:
         basis = self._bases[site]
         if np.ndim(action) == 1:
             del shape[ax]
-            sites = self._sites[:ax] + self._sites[ax + 1 :]
+            sites = self._sites[: ax - 1] + self._sites[ax:]
             return (np.asarray(action) @ basis @ amps).reshape(shape), sites
         op = basis.conj().T @ action @ basis
         return np.matmul(op, amps).reshape(shape), self._sites
@@ -644,30 +649,14 @@ class DenseEngine:
         new._amps, new._sites = self._acted(site, action)
         return new
 
-
-class BranchStack:
-    """Every live branch of a :class:`DenseEngine` state, in one array.
-
-    The B branches' amplitudes are stacked as ``(B, 2, ..., 2)``: axis 0
-    is the branch, the rest are the live sites in the engine's order.
-    :meth:`split` measures one site on every branch in one contraction and
-    :meth:`keep` makes the chosen children the new branches, so a walk over
-    a plan takes one array step per site instead of one copy per branch.
-    """
-
-    def __init__(self, engine: DenseEngine):
-        self._bases = engine._bases
-        self._sites = list(engine._sites)
-        self._amps = engine._amps[np.newaxis]
-        self._children: np.ndarray | None = None
-
     def split(self, site: Site, rows: np.ndarray) -> np.ndarray:
         """Measure ``site`` on every branch; the (B, 2) child weights.
 
         ``rows`` is the site's pair of outcome rows: one (2, 4) pair shared
         by every branch, or a (B, 2, 4) stack, a pair per branch. Each row
-        r acts as r B_s; a child's weight is its squared norm. The children
-        wait, flattened in (branch, outcome) order, for :meth:`keep`.
+        r acts as r B_s; a child's weight is its squared norm. The 2B
+        children become the branches, in (branch, outcome) order, until
+        :meth:`keep` picks among them.
         """
         ax = self._sites.index(site) + 1
         shape = self._amps.shape
@@ -677,17 +666,15 @@ class BranchStack:
         children = np.einsum(f"{spec},iakc->ijac", pairs, amps)
         flat = children.reshape(shape[0], 2, -1)
         weights = np.einsum("ijk,ijk->ij", flat.conj(), flat).real
-        self._children = children.reshape(-1, *shape[1:ax], *shape[ax + 1 :])
-        self._sites.remove(site)
+        self._amps = children.reshape(-1, *shape[1:ax], *shape[ax + 1 :])
+        self._sites = self._sites[: ax - 1] + self._sites[ax:]
         return weights
 
     def keep(self, picks: np.ndarray) -> None:
-        """Keep the children at flat indices ``picks`` (2 * branch + outcome),
-        in that order, as the new branches."""
-        children, self._children = self._children, None
-        if len(picks) < len(children):
-            children = children[picks]
-        self._amps = children
+        """Keep the branches at indices ``picks``, in that order; after
+        :meth:`split`, index 2 * branch + outcome."""
+        if len(picks) < len(self._amps):
+            self._amps = self._amps[picks]
 
 
 class TracedEngine:

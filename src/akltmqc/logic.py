@@ -20,14 +20,15 @@ matched loop, so a tree is all it ever sees.
 
 The Pauli frame is compiled too: ``compile_plan`` applies the frame rules
 once, on the same forms, so stage 2 knows no byproduct rule and reads
-every frame bit as a stored parity. ``_drive`` samples one path on the
-pinned layer engine with every site polarized (:class:`TracedEngine`, as
-in stage 1): ``_step`` turns one site's two effect weights into outcome
-probabilities. Only ``protocol_branches`` builds the qubit state
-(:class:`DenseEngine`): it enumerates every path level by level, the live
-branches share one stacked amplitude array (:class:`BranchStack`), each
-plan site is one batched step, and outcomes are bit rows over the
-branches; :class:`ProtocolBranches` holds the leaves as arrays.
+every frame bit as a stored parity; the plan keeps no other record of
+the frame. ``_drive`` samples one path on the pinned layer engine with
+every site polarized (:class:`TracedEngine`, as in stage 1): ``_step``
+turns one site's two effect weights into outcome probabilities. Only
+``protocol_branches`` builds the qubit state (:class:`DenseEngine`): it
+enumerates every path level by level, the live branches stacked in the
+engine's one amplitude array, each plan site is one batched step, and
+outcomes are bit rows over the branches; :class:`ProtocolBranches` holds
+the leaves as arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 
 from .contraction import (
     BoundaryTermination,
-    BranchStack,
     DenseEngine,
     StepOutcome,
     TracedEngine,
@@ -254,7 +254,7 @@ def _termination_reference(
     site: Site,
     leg: Leg,
 ) -> tuple[str, int]:
-    """Reference (axis, bit) the pinned boundary feeds a widget leg.
+    """The reference (axis, bit) the pinned boundary feeds a widget leg.
 
     A ket put on a bra-role leg labels the bit directly; a bra put on a
     ket-role leg labels its complement.
@@ -344,21 +344,6 @@ def _fold_branch(
 
 
 @dataclass(frozen=True)
-class Reference:
-    """The reference bit an interior widget reads on its third leg.
-
-    The bit is a parity fixed at compile time: ``bit`` xor the stage-2
-    outcomes of ``sites``, in the frame ``axis``. A pinned boundary leg
-    gives a constant (no sites), a standard associate its own outcome, and
-    a hanging branch the affine form its fold reduces to.
-    """
-
-    axis: str
-    bit: int
-    sites: tuple[Site, ...] = ()
-
-
-@dataclass(frozen=True)
 class PlanSite:
     site: Site
     kind: str  # "standard" | "complementary"
@@ -366,14 +351,6 @@ class PlanSite:
     partner_axis: str | None = None
     theta: float = 0.0
     wire: int | None = None
-
-
-@dataclass(frozen=True)
-class FrameEvent:
-    kind: str  # "init" | "widget" | "cnot" | "readout"
-    sites: tuple[Site, ...]
-    wire: int | None = None
-    gate: int | None = None  # circuit index of a "cnot" event
 
 
 @dataclass(frozen=True)
@@ -387,23 +364,22 @@ class MeasurementPlan:
     """Ordered per-site bases plus the Pauli frame, compiled.
 
     ``order`` covers every lattice site exactly once; ``finalize[i]`` names
-    the frame event completed by measuring ``order[i]``. ``reference``
-    gives each interior widget (backbone and link sites, not extensions)
-    the parity its reference bit is read from; every site of that parity
-    is measured before the widget's event completes.
+    the frame event completed by measuring ``order[i]``, and ``events[e]``
+    is that event's kind: "init", "widget", "cnot" or "readout".
+    ``readout_sites`` maps each wire to the site its readout measures.
 
     Frame bits are GF(2) forms (see ``compile_plan``): ``frames[e]`` holds
     each wire's (X, Z) exponents once event ``e`` completes, and
     ``flips[i]`` the bit the rotation at ``order[i]`` changes sign with (X
-    for z, Z for x), which reads only sites measured before it.
+    for z, Z for x), which reads only sites measured before it. Every
+    widget's reference bit is folded into these forms; the plan keeps no
+    separate record of it.
     """
 
     order: tuple[PlanSite, ...]
     finalize: tuple[int | None, ...]
-    events: tuple[FrameEvent, ...]
-    reference: dict[Site, Reference]
+    events: tuple[str, ...]
     readout_sites: dict[int, Site]
-    wires: int
     frames: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     flips: dict[int, int]
 
@@ -426,9 +402,10 @@ def compile_plan(
 
     The walk runs on site indices, ``lattice.neighbor_table()``, the axis
     codes, the backbone's wire paths and junction chains and their
-    ``chain_adjacency``; sites become ``Site`` tuples only where the plan
-    or a failure stores them. Every site is measured
-    along its sampled axis (the audit holds the junctions to z and x).
+    ``chain_adjacency``; sites become ``Site`` tuples only for the plan's
+    sites and readouts, a pinned boundary leg and a failure's detail. Every
+    site is measured along its sampled axis (the audit holds the junctions
+    to z and x).
 
     A hanging branch is folded here, once, on GF(2) forms: site index
     ``i``'s outcome is the int ``2 << i`` and bit 0 holds the constant, so
@@ -455,8 +432,7 @@ def compile_plan(
     placed: set[int] = set()
     emitted: list[PlanSite] = []
     finalize: list[int | None] = []
-    events: list[FrameEvent] = []
-    reference: dict[Site, Reference] = {}
+    events: list[str] = []
     readout_sites: dict[int, Site] = {}
     # each wire's X and Z exponents as forms, the frame after each event,
     # and each rotation's flip form keyed by its position in ``emitted``
@@ -489,43 +465,41 @@ def compile_plan(
     def form_bit(i: int) -> int:
         return 2 << i
 
-    def complete(ev: FrameEvent) -> int:
-        """Record ``ev``, whose rule the forms already hold; its index."""
-        events.append(ev)
+    def complete(kind: str) -> int:
+        """Record an event of ``kind`` (the forms hold its rule); its index."""
+        events.append(kind)
         frames.append((tuple(fax), tuple(faz)))
         return len(events) - 1
 
     def resolve(i: int) -> tuple[str, int, int] | CompileFailure:
-        """Record the reference feeding widget ``i`` and emit its sources;
-        return its frame axis and the widget's X and Z exponent forms."""
-        s = site_at(i)
+        """Emit the sources of the reference feeding widget ``i``; return
+        its frame axis and the widget's X and Z exponent forms."""
         on_path = adj.get(i, ())
         free = [(leg, n) for leg, n in zip(Leg, table[i]) if n not in on_path]
         if len(free) != 1:
             return CompileFailure(
-                "widget-legs", f"{s} has {len(free)} free legs"
+                "widget-legs", f"{site_at(i)} has {len(free)} free legs"
             )
         leg, n = free[0]
         mu = AXES[code[i]]
         if n < 0:
+            s = site_at(i)
             if term is None:
                 return CompileFailure(
                     "unpinned-boundary", f"{s} needs a pinned boundary"
                 )
-            axis, bit = _termination_reference(lattice, term, s, leg)
+            axis, form = _termination_reference(lattice, term, s, leg)
             if axis == mu:
                 return CompileFailure(
                     "rank-deficient",
                     f"boundary frame at {s} matches its axis {mu}",
                 )
-            ref, form = Reference(axis, bit), bit
         elif code[n] != code[i]:
             emit(n)
-            ref = Reference(AXES[code[n]], 0, (site_at(n),))
-            form = form_bit(n)
+            axis, form = AXES[code[n]], form_bit(n)
         else:
             try:
-                nu, form, members, assocs, nu_map = _fold_branch(
+                axis, form, members, assocs, nu_map = _fold_branch(
                     lattice, assignment, n, i, term, form_bit
                 )
             except ProtocolError as exc:
@@ -534,14 +508,7 @@ def compile_plan(
                 emit(a)
             for e in members:
                 emit(e, "complementary", nu_map[e])
-            sources = dict.fromkeys(members + assocs)
-            ref = Reference(
-                nu,
-                form & 1,
-                tuple(site_at(x) for x in sources if form & form_bit(x)),
-            )
-        reference[s] = ref
-        return (ref.axis, *byproduct_indices(mu, form_bit(i), form))
+        return (axis, *byproduct_indices(mu, form_bit(i), form))
 
     def emit_widget(
         i: int, w: int, theta: float = 0.0
@@ -554,8 +521,7 @@ def compile_plan(
             flips[len(emitted)] = fax[w] if AXES[code[i]] == "z" else faz[w]
         fax[w] ^= dax
         faz[w] ^= daz
-        ev = complete(FrameEvent("widget", (site_at(i),), wire=w))
-        emit(i, "complementary", axis, theta, w, fin=ev)
+        emit(i, "complementary", axis, theta, w, fin=complete("widget"))
         return None
 
     pos = [0] * circuit.wires
@@ -592,7 +558,7 @@ def compile_plan(
         return lambda i: i not in junctions and code[i] == want
 
     jcount = 0
-    for gidx, gate in enumerate(circuit.gates):
+    for gate in circuit.gates:
         if isinstance(gate, Init):
             w = gate.wire
             found = walk(
@@ -605,7 +571,7 @@ def compile_plan(
                 return found
             i = paths[w][found]
             fax[w], faz[w] = form_bit(i), 0
-            emit(i, fin=complete(FrameEvent("init", (site_at(i),), wire=w)))
+            emit(i, fin=complete("init"))
         elif isinstance(gate, (Rz, Rx)):
             w = gate.wire
             axis = "z" if isinstance(gate, Rz) else "x"
@@ -654,8 +620,7 @@ def compile_plan(
             faz[c] ^= form_bit(top) ^ sz ^ 1
             fax[t] ^= form_bit(bot) ^ sx ^ 1
             faz[t] ^= 1
-            chain = tuple(map(site_at, (top, *link, bot)))
-            ev = complete(FrameEvent("cnot", chain, gate=gidx))
+            ev = complete("cnot")
             emit(top, "complementary", "x")
             for k, partner in zip(link, partners):
                 emit(k, "complementary", partner)
@@ -688,7 +653,7 @@ def compile_plan(
                         "readout-pinned",
                         f"wire {w} readout {s} copies into {site_at(n)}",
                     )
-            emit(i, fin=complete(FrameEvent("readout", (s,), wire=w)))
+            emit(i, fin=complete("readout"))
             readout_sites[w] = s
             for t in path[found + 1 :]:
                 emit(t)
@@ -702,9 +667,7 @@ def compile_plan(
         order=tuple(sea) + tuple(emitted),
         finalize=tuple([None] * len(sea)) + tuple(finalize),
         events=tuple(events),
-        reference=reference,
         readout_sites=readout_sites,
-        wires=circuit.wires,
         frames=tuple(frames),
         flips={len(sea) + k: form for k, form in flips.items()},
     )
@@ -827,7 +790,7 @@ def _drive(
         fin = plan.finalize[idx]
         if fin is not None:
             now = frame(plan.frames[fin])
-            kind = plan.events[fin].kind
+            kind = plan.events[fin]
             snapshots.append(
                 {"event": fin, "kind": kind, "ax": now.ax, "az": now.az}
             )
@@ -875,14 +838,15 @@ def protocol_branches(
     lighter than ``MIN_BRANCH_PROBABILITY`` are dropped; the survivors'
     weights still sum to 1 up to that cutoff.
 
-    The walk goes level by level: every live branch sits in one
-    :class:`BranchStack` and each site of ``plan.order`` is one batched
-    step. Children keep (branch, outcome) order, so the leaves come out in
-    depth-first order. Outcomes are bit rows over the live branches, one
-    per site index, reindexed once a level; a stored form (a flip, the
-    final frame) is the xor of its sites' rows.
+    The walk goes level by level: every live branch is stacked in one
+    :class:`DenseEngine` and each site of ``plan.order`` is one batched
+    step (``split``, then ``keep``). Children keep (branch, outcome)
+    order, so the leaves come out in depth-first order. Outcomes are bit
+    rows over the live branches, one per site index, reindexed once a
+    level; a stored form (a flip, the final frame) is the xor of its
+    sites' rows.
     """
-    stack = BranchStack(DenseEngine(lattice, assignment, term))
+    engine = DenseEngine(lattice, assignment, term)
     probs = np.ones(1)
     bits = np.zeros((lattice.n_sites, 1), np.uint8)  # row i: site index i
 
@@ -897,14 +861,14 @@ def protocol_branches(
 
     for idx, ps in enumerate(plan.order):
         rows = _rows(ps, column(plan.flips.get(idx, 0)))
-        weights = stack.split(ps.site, rows)
+        weights = engine.split(ps.site, rows)
         total = weights.sum(axis=1)
         if not np.all((total > 0.0) & np.isfinite(total)):
             raise ProtocolError(f"degenerate weights at {ps.site}")
         p0 = weights[:, 0] / total
         child = (probs[:, np.newaxis] * np.stack([p0, 1.0 - p0], 1)).ravel()
         picks = np.flatnonzero(child > MIN_BRANCH_PROBABILITY)
-        stack.keep(picks)
+        engine.keep(picks)
         probs = child[picks]
         bits = bits[:, picks >> 1]
         bits[lattice.site_index(ps.site)] = picks & 1
@@ -1053,21 +1017,21 @@ def run_protocol(
     rng_seed: int,
     mode: SampleMode | str = SampleMode.EXACT,
     spacing: int | None = None,
-    retries: int = MAX_ROUTE_ATTEMPTS,
 ) -> ProtocolResult:
     """Sample axis patterns until one routes, then run the full protocol.
 
     Each attempt draws a fresh stage-one sample from its own child seed, so
     results are reproducible from ``rng_seed`` alone; every rejected
-    attempt counts its failure reason. Each block of patterns is analysed
-    at once (``analyse_patterns``), then routed in order up to the first
-    success: iid blocks hold 1, 2, 4, ... attempts, up to
-    ``BLOCK_SITES // n_sites`` and the retries left; an exact pattern costs
-    milliseconds, so exact blocks hold one. In exact mode both stages run
-    on the pinned double layer: stage 2 on the routed axes, every site
-    polarized. A ``term`` of None pins the boundary to the default z
-    frame. An exact run over the strip cap, and wires that cannot fit the
-    patch at ``spacing``, fail before any sample is drawn.
+    attempt counts its failure reason, up to ``MAX_ROUTE_ATTEMPTS``
+    attempts. Each block of patterns is analysed at once
+    (``analyse_patterns``), then routed in order up to the first success:
+    iid blocks hold 1, 2, 4, ... attempts, up to ``BLOCK_SITES // n_sites``
+    and the attempts left; an exact pattern costs milliseconds, so exact
+    blocks hold one. In exact mode both stages run on the pinned double
+    layer: stage 2 on the routed axes, every site polarized. A ``term`` of
+    None pins the boundary to the default z frame. An exact run over the
+    strip cap, and wires that cannot fit the patch at ``spacing``, fail
+    before any sample is drawn.
     """
     mode = SampleMode(mode)
     circuit.validate()
@@ -1088,12 +1052,12 @@ def run_protocol(
     last = "no attempt ran"
     failures: Counter[str] = Counter()
     attempt, block = 0, 1
-    while attempt < retries:
+    while attempt < MAX_ROUTE_ATTEMPTS:
         # Spawning a block's children at once yields the same children as
         # spawning them one at a time, so every attempt keeps its stage-1
         # seed (its child's first spawn) and a routed attempt its stage-2
         # seed (the second).
-        children = root_ss.spawn(min(block, cap, retries - attempt))
+        children = root_ss.spawn(min(block, cap, MAX_ROUTE_ATTEMPTS - attempt))
         block *= 2
         assignments = [
             stage1_sample(lattice, term, mode, _child_seed(child))
@@ -1135,6 +1099,6 @@ def run_protocol(
     histogram = ", ".join(f"{r} {n}" for r, n in sorted(failures.items()))
     histogram = histogram or "none"
     raise ProtocolError(
-        f"no working embedding in {retries} attempts; last failure {last}; "
-        f"failures by reason: {histogram}"
+        f"no working embedding in {MAX_ROUTE_ATTEMPTS} attempts; last failure "
+        f"{last}; failures by reason: {histogram}"
     )

@@ -309,10 +309,10 @@ CNOT_CIRCUIT = CircuitSpec(
 
 @functools.cache
 def _census():
-    """(lattice, assignment, term, backbone, plan) of every routed plan in a
-    census: iid seeds 0-79 on 2x6 to 20x40 with z and x pins, for the
-    identity and rotation circuits; the one-CNOT 8x16 runs of root seeds
-    4, 5 and 11; and the criterion-6 fixtures."""
+    """(lattice, assignment, term, backbone, plan, ``_ref_plan``) of every
+    routed plan in a census: iid seeds 0-79 on 2x6 to 20x40 with z and x
+    pins, for the identity and rotation circuits; the one-CNOT 8x16 runs of
+    root seeds 4, 5 and 11; and the criterion-6 fixtures."""
     out = []
     for rows, cols in ((2, 6), (3, 6), (4, 8), (8, 16), (20, 40)):
         lat = build_lattice(rows, cols)
@@ -323,30 +323,76 @@ def _census():
                 for circuit in (IDENTITY, ROTATIONS):
                     prep = prepare_protocol(lat, asg, circuit, term)
                     if not isinstance(prep, (RoutingFailure, CompileFailure)):
-                        out.append((lat, asg, term, *prep))
+                        out.append((lat, asg, term, *prep, circuit))
     lat, term = build_lattice(8, 16), BoundaryTermination(axis="x")
     for seed in (4, 5, 11):
         res = run_protocol(lat, term, CNOT_CIRCUIT, seed, mode="iid")
-        out.append((lat, res.assignment, term, res.backbone, res.plan))
+        prep = res.backbone, res.plan
+        out.append((lat, res.assignment, term, *prep, CNOT_CIRCUIT))
     for _, lat, asg, term, circuit, spacing in e2e_fixtures():
         prep = prepare_protocol(lat, asg, circuit, term, spacing)
-        out.append((lat, asg, term, *prep))
-    return out
+        out.append((lat, asg, term, *prep, circuit))
+    return [(*case[:5], _ref_plan(*case)) for case in out]
 
 
-def _fold_entries(lat, asg, backbone, plan):
-    """{widget: entry site} for every reference fed by a fold: the entry is
-    the widget's neighbour on its free leg, when it shares the widget's
-    axis."""
+def _ref_plan(lat, asg, term, backbone, plan, circuit):
+    """(events, free legs, reference forms) of ``plan``, derived from the
+    circuit and the backbone, not read off the plan. An event is (kind,
+    wire, sites, gate): an event completed on a wire is its widget, the
+    others follow the circuit's Init, CNOT and Readout gates, a CNOT's
+    sites being its junction chain. Each widget (a widget event's site, a
+    link site) maps to its one free leg, (leg, neighbour index or -1), and
+    to its reference (axis, GF(2) form), site index i's outcome 2 << i."""
+    gates = iter([g for g in circuit.gates if not isinstance(g, (Rz, Rx))])
+    chains = iter(backbone.junctions)
+    events, widgets = [], []
+    done = [ps for ps, f in zip(plan.order, plan.finalize) if f is not None]
+    for ps in done:
+        gate = None if ps.wire is not None else next(gates)
+        if gate is None:
+            events.append(("widget", ps.wire, (ps.site,), None))
+            widgets.append(ps.site)
+        elif isinstance(gate, CNOT):
+            top, link, bot = next(chains)
+            chain = tuple(divmod(i, lat.cols) for i in (top, *link, bot))
+            events.append(("cnot", None, chain, gate))
+            widgets += chain[1:-1]
+        else:
+            kind = "init" if isinstance(gate, Init) else "readout"
+            events.append((kind, gate.wire, (ps.site,), gate))
+    assert tuple(ev[0] for ev in events) == plan.events
     adj = chain_adjacency(backbone.wires, backbone.junctions)
-    table, codes = lat.neighbor_table(), asg.codes(lat)
-    out = {}
-    for s in plan.reference:
-        i = lat.site_index(s)
-        [n] = [n for n in table[i] if n not in adj[i]]
-        if n >= 0 and codes[n] == codes[i]:
-            out[s] = divmod(n, lat.cols)
-    return out
+    table, free = lat.neighbor_table(), {}
+    for s, i in zip(widgets, map(lat.site_index, widgets)):
+        [free[s]] = [(g, n) for g, n in zip(Leg, table[i]) if n not in adj[i]]
+    forms = {
+        s: _ref_reference(lat, asg, term, s, leg, (2).__lshift__)
+        for s, leg in free.items()
+    }
+    return events, free, forms
+
+
+def _ref_reference(lat, asg, term, site, free, bit_of):
+    """The (axis, bit) widget ``site`` reads on its free leg: the pinned
+    boundary, a standard neighbour's outcome, or its hanging branch folded,
+    ``bit_of`` giving each site index's outcome (a bit, or a form)."""
+    (leg, n), codes, i = free, asg.codes(lat), lat.site_index(site)
+    if n < 0:
+        return logic._termination_reference(lat, term, site, leg)
+    if codes[n] != codes[i]:
+        return asg[divmod(n, lat.cols)], bit_of(n)
+    return _fold_branch(lat, asg, n, i, term, bit_of)[:2]
+
+
+def _fold_entries(lat, asg, free):
+    """{widget: entry site} for every reference fed by a fold: the widget's
+    neighbour on its free leg, when it shares the widget's axis."""
+    codes = asg.codes(lat)
+    return {
+        s: divmod(n, lat.cols)
+        for s, (_, n) in free.items()
+        if n >= 0 and codes[n] == codes[lat.site_index(s)]
+    }
 
 
 def test_compile_invariants_held_by_routing():
@@ -374,16 +420,16 @@ def test_compile_invariants_held_by_routing():
     # z-axis" / "is not x-axis" (tests/test_router.py).
     plans = _census()
     folds = 0
-    for lat, asg, _, backbone, plan in plans:
+    for lat, asg, _, backbone, plan, (_, free, forms) in plans:
         assert sorted(ps.site for ps in plan.order) == list(lat.sites())
         kind = {ps.site: ps.kind for ps in plan.order}
-        entries = _fold_entries(lat, asg, backbone, plan)
+        entries = _fold_entries(lat, asg, free)
         folds += len(entries)
         index = lat.site_index
         for s, n in entries.items():
             assert backbone.roles[index(n)] == ClusterExtension(index(s))
-        for s, ref in plan.reference.items():
-            for x in ref.sites:
+        for s, (_, form) in forms.items():
+            for x in _form_sites(lat, form):
                 assert kind[x] == "standard" or (
                     s in entries
                     and backbone.roles[index(x)] == ClusterExtension(index(s))
@@ -395,40 +441,29 @@ def test_plan_sites_measure_their_sampled_axis():
     # compile_plan reads every plan site's axis off its axis code, junctions
     # included: the audit holds controls to z and targets to x
     junctions = 0
-    for _, asg, _, backbone, plan in _census():
+    for _, asg, _, backbone, plan, _ in _census():
         for ps in plan.order:
             assert ps.axis == asg[ps.site]
         junctions += 2 * len(backbone.junctions)
     assert junctions > 0
 
 
-def _parity(ref, outcomes):
-    c = ref.bit
-    for x in ref.sites:
-        c ^= outcomes[x]
-    return c
-
-
 def test_fold_references_are_parities():
-    # the parity compile_plan stores for a hanging branch is the fold that
-    # stage 2 would compute on the outcomes, for any outcomes
+    # the fold compile_plan runs on GF(2) forms for a hanging branch is a
+    # parity: for any outcomes it evaluates to the fold that stage 2 would
+    # compute on the bits, in the frame the widget's partner axis names
     rng = np.random.default_rng(13)
     checked = 0
-    for lat, asg, term, backbone, plan in _census():
-        for s, n in _fold_entries(lat, asg, backbone, plan).items():
-            ref = plan.reference[s]
+    for lat, asg, term, _, plan, (_, free, forms) in _census():
+        partner = {ps.site: ps.partner_axis for ps in plan.order}
+        for s in _fold_entries(lat, asg, free):
+            (nu, form), leg = forms[s], free[s]
+            assert nu == partner[s]
             for _ in range(8):
                 bits = rng.integers(0, 2, lat.n_sites).tolist()
-                outcomes = dict(zip(lat.sites(), bits))
-                nu, c, *_ = _fold_branch(
-                    lat,
-                    asg,
-                    lat.site_index(n),
-                    lat.site_index(s),
-                    term,
-                    bits.__getitem__,
-                )
-                assert (ref.axis, _parity(ref, outcomes)) == (nu, c)
+                mask = sum(b << (1 + i) for i, b in enumerate(bits))
+                got = _ref_reference(lat, asg, term, s, leg, bits.__getitem__)
+                assert (nu, logic._parity(form, mask)) == got
             checked += 1
     assert checked > 50
 
@@ -476,35 +511,36 @@ def test_events_read_only_earlier_non_readout_sites():
     # before it, and no reference reads a readout, so the readouts can be
     # measured last. A form that read a later site would read 0 silently.
     flips = 0
-    for lat, _, _, _, plan in _census():
+    for lat, _, _, _, plan, (events, _, forms) in _census():
         position = {ps.site: i for i, ps in enumerate(plan.order)}
         readouts = set(plan.readout_sites.values())
+        refs = {s: _form_sites(lat, form) for s, (_, form) in forms.items()}
         for idx, fin in enumerate(plan.finalize):
             if fin is None:
                 continue
-            ev = plan.events[fin]
-            reads = set(ev.sites)
-            for s in ev.sites:
-                if s in plan.reference:
-                    reads.update(plan.reference[s].sites)
+            _, _, sites, _ = events[fin]
+            reads = set(sites)
+            for s in sites:
+                reads.update(refs.get(s, ()))
             for form in (*plan.frames[fin][0], *plan.frames[fin][1]):
                 reads.update(_form_sites(lat, form))
             assert max(position[x] for x in reads) <= idx
         for idx, form in plan.flips.items():
             assert all(position[x] < idx for x in _form_sites(lat, form))
             flips += 1
-        for ref in plan.reference.values():
-            assert not readouts & set(ref.sites)
+        for ref in refs.values():
+            assert not readouts & set(ref)
     assert flips > 50
 
 
 def test_identity_plan_layout():
     lat, asg = _fixture(["yxzxz", "xyxyx"])
-    prep = prepare_protocol(lat, asg, IDENTITY, BoundaryTermination())
-    backbone, plan = prep
+    term = BoundaryTermination()
+    backbone, plan = prepare_protocol(lat, asg, IDENTITY, term)
     assert plan.readout_sites == {0: (0, 2)}
-    [init] = [ev for ev in plan.events if ev.kind == "init"]
-    assert (init.wire, init.sites) == (0, ((0, 4),))
+    events, _, _ = _ref_plan(lat, asg, term, backbone, plan, IDENTITY)
+    [init] = [ev for ev in events if ev[0] == "init"]
+    assert init[1:3] == (0, ((0, 4),))
     kinds = {ps.site: ps.kind for ps in plan.order}
     assert kinds[(0, 4)] == "standard"
     assert kinds[(0, 3)] == "complementary"
@@ -516,7 +552,8 @@ def _folded_identity_case(rows, cols, seed):
     lat, term = build_lattice(rows, cols), BoundaryTermination(axis="x")
     asg = stage1_sample(lat, None, "iid", seed)
     backbone, plan = prepare_protocol(lat, asg, IDENTITY, term)
-    assert _fold_entries(lat, asg, backbone, plan)
+    _, free, _ = _ref_plan(lat, asg, term, backbone, plan, IDENTITY)
+    assert _fold_entries(lat, asg, free)
     return lat, asg, term, plan
 
 
@@ -524,7 +561,7 @@ def _group_dists(branches, plan):
     """Each group's corrected-outcome distribution, keyed like
     ``reference_circuit_sim``."""
     _, dist = conditional_logical_table(branches, plan)
-    keys = list(np.ndindex((2,) * plan.wires))
+    keys = list(np.ndindex((2,) * len(plan.readout_sites)))
     return [dict(zip(keys, row.tolist())) for row in dist]
 
 
@@ -588,22 +625,24 @@ def test_run_protocol_iid_any_size():
     assert res.attempts == 3
 
 
-def test_run_protocol_exhausts_retries():
+def test_run_protocol_exhausts_retries(monkeypatch):
     lat = build_lattice(2, 3)
     circ = CircuitSpec(
         2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
     )
+    monkeypatch.setattr(logic, "MAX_ROUTE_ATTEMPTS", 8)
     with pytest.raises(ProtocolError):
         run_protocol(lat, BoundaryTermination(axis="x"), circ,
-                     rng_seed=1, mode="iid", retries=8)
+                     rng_seed=1, mode="iid")
 
 
-def test_retries_cut_the_last_block_short():
+def test_retries_cut_the_last_block_short(monkeypatch):
     # five attempts are blocks of 1, 2 and then 2 of 4; the message was
     # recorded at commit bcf30c3, which drew one attempt at a time
+    monkeypatch.setattr(logic, "MAX_ROUTE_ATTEMPTS", 5)
     with pytest.raises(ProtocolError) as err:
         run_protocol(build_lattice(4, 8), None, CNOT_CIRCUIT, rng_seed=0,
-                     mode="iid", retries=5)
+                     mode="iid")
     assert str(err.value) == (
         "no working embedding in 5 attempts; last failure no-junction-column:"
         " no junction pair for CNOT 0->1; failures by reason: "
@@ -670,14 +709,15 @@ def test_attempt_histogram_counts_rejected_attempts():
     assert sum(hist.values()) == res.attempts - 1 > 1
 
 
-def test_exhausted_retries_report_the_histogram():
+def test_exhausted_retries_report_the_histogram(monkeypatch):
     lat = build_lattice(2, 3)
     circ = CircuitSpec(
         2, (Init(0), Init(1), CNOT(0, 1), Readout(0), Readout(1))
     )
+    monkeypatch.setattr(logic, "MAX_ROUTE_ATTEMPTS", 8)
     with pytest.raises(ProtocolError) as err:
         run_protocol(lat, BoundaryTermination(axis="x"), circ,
-                     rng_seed=1, mode="iid", retries=8)
+                     rng_seed=1, mode="iid")
     detail = str(err.value)
     assert detail.startswith("no working embedding in 8 attempts; last failure ")
     assert detail.endswith("; failures by reason: no-junction-column 8")
@@ -938,56 +978,56 @@ def _ref_rotation_flip(frame, ps):
     raise ValueError(f"rotations along {ps.axis!r} are not adapted")
 
 
-def _ref_settle(assignment, plan, circuit, idx, outcomes, frame):
-    """Fold the event completed by ``plan.order[idx]`` into ``frame`` by the
-    run-time frame rules, on the outcomes ``{site: bit}``: the reference
-    for the forms ``compile_plan`` stores. Returns the event's index, or
-    None when the site completes none."""
-    fin = plan.finalize[idx]
-    if fin is None:
-        return None
-    ev = plan.events[fin]
+def _ref_settler(lat, asg, term, backbone, circuit, plan):
+    """``settle(idx, outcomes, frame)`` folds the event ``plan.order[idx]``
+    completes into ``frame`` by the run-time frame rules, on the outcomes
+    ``{site: bit}``, each reference bit folded from them, and returns its
+    index (None: no event): the reference for ``compile_plan``'s forms."""
+    events, free, _ = _ref_plan(lat, asg, term, backbone, plan, circuit)
 
-    def exponents(s):
-        c = _parity(plan.reference[s], outcomes)
-        return byproduct_indices(assignment[s], outcomes[s], c)
+    def settle(idx, outcomes, frame):
+        fin = plan.finalize[idx]
+        if fin is None:
+            return None
+        kind, wire, sites, gate = events[fin]
 
-    if ev.kind == "init":
-        frame.ax[ev.wire] = outcomes[ev.sites[0]] & 1
-        frame.az[ev.wire] = 0
-    elif ev.kind == "widget":
-        dax, daz = exponents(ev.sites[0])
-        frame.ax[ev.wire] ^= dax
-        frame.az[ev.wire] ^= daz
-    elif ev.kind == "cnot":
-        top, bot = ev.sites[0], ev.sites[-1]
-        sx = sz = 0
-        for k in ev.sites[1:-1]:
-            dax, daz = exponents(k)
-            sx ^= dax
-            sz ^= daz
-        gate = circuit.gates[ev.gate]
-        q1 = outcomes[top] ^ sz ^ 1
-        q2 = outcomes[bot] ^ sx ^ 1
-        # propagate the running frame through the new CNOT, then compose
-        # the junction's own byproduct
-        frame.az[gate.control] ^= frame.az[gate.target]
-        frame.ax[gate.target] ^= frame.ax[gate.control]
-        frame.ax[gate.control] ^= 1
-        frame.az[gate.control] ^= q1
-        frame.ax[gate.target] ^= q2
-        frame.az[gate.target] ^= 1
-    # readout events leave the frame alone
-    return fin
+        def bit_of(x):
+            return outcomes[divmod(x, lat.cols)]
+
+        sx = sz = 0  # the widgets' exponents: the event's, or its link's
+        for s in sites if kind == "widget" else sites[1:-1]:
+            ref = _ref_reference(lat, asg, term, s, free[s], bit_of)[1]
+            dax, daz = byproduct_indices(asg[s], outcomes[s], ref)
+            sx, sz = sx ^ dax, sz ^ daz
+        if kind == "init":
+            frame.ax[wire], frame.az[wire] = outcomes[sites[0]], 0
+        elif kind == "widget":
+            frame.ax[wire] ^= sx
+            frame.az[wire] ^= sz
+        elif kind == "cnot":
+            c, t = gate.control, gate.target
+            # propagate the running frame through the new CNOT, then
+            # compose the junction's own byproduct
+            frame.az[c] ^= frame.az[t]
+            frame.ax[t] ^= frame.ax[c]
+            frame.ax[c] ^= 1
+            frame.az[c] ^= outcomes[sites[0]] ^ sz ^ 1
+            frame.ax[t] ^= outcomes[sites[-1]] ^ sx ^ 1
+            frame.az[t] ^= 1
+        # readout events leave the frame alone
+        return fin
+
+    return settle
 
 
 def _ref_protocol_branches(
-    engine_cls, circuit, lattice, assignment, plan, term, min_probability=1e-12
+    engine_cls, circuit, backbone, lat, asg, plan, term, min_probability=1e-12
 ):
     """Depth-first enumeration, one engine copy per tree node and one
     record per leaf, applying the frame rules as it goes: the reference for
     the level-by-level, columnar ``protocol_branches``."""
     out = []
+    settle = _ref_settler(lat, asg, term, backbone, circuit, plan)
 
     def descend(engine, idx, frame, outcomes, prob):
         if idx == len(plan.order):
@@ -1009,12 +1049,12 @@ def _ref_protocol_branches(
                 continue
             sub_out = {**outcomes, ps.site: b}
             sub_frame = ByproductFrame(list(frame.ax), list(frame.az))
-            _ref_settle(assignment, plan, circuit, idx, sub_out, sub_frame)
+            settle(idx, sub_out, sub_frame)
             descend(engine.branch(ps.site, rows[b]), idx + 1, sub_frame,
                     sub_out, p)
 
-    zero = ByproductFrame([0] * plan.wires, [0] * plan.wires)
-    descend(engine_cls(lattice, assignment, term), 0, zero, {}, 1.0)
+    zero = ByproductFrame([0] * circuit.wires, [0] * circuit.wires)
+    descend(engine_cls(lat, asg, term), 0, zero, {}, 1.0)
     return out
 
 
@@ -1030,9 +1070,10 @@ _CNOT_SEEDS = {
 
 @functools.cache
 def _frame_cases():
-    """(lattice, assignment, plan, circuit) of x-pinned iid runs at 4x8,
-    8x16 and 20x40: the identity and Rz Rx circuits at root seeds 0-39 (all
-    route), one CNOT at ``_CNOT_SEEDS``; and the criterion-6 fixtures."""
+    """(lattice, assignment, term, backbone, plan, circuit) of x-pinned iid
+    runs at 4x8, 8x16 and 20x40: the identity and Rz Rx circuits at root
+    seeds 0-39 (all route), one CNOT at ``_CNOT_SEEDS``; and the
+    criterion-6 fixtures."""
     term = BoundaryTermination(axis="x")
     out = []
     for (rows, cols), cnot_seeds in _CNOT_SEEDS.items():
@@ -1041,10 +1082,11 @@ def _frame_cases():
         runs += [(CNOT_CIRCUIT, seed) for seed in cnot_seeds]
         for circuit, seed in runs:
             res = run_protocol(lat, term, circuit, seed, mode="iid")
-            out.append((lat, res.assignment, res.plan, circuit))
+            prep = res.backbone, res.plan
+            out.append((lat, res.assignment, term, *prep, circuit))
     for _, lat, asg, term, circuit, spacing in e2e_fixtures():
-        _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
-        out.append((lat, asg, plan, circuit))
+        prep = prepare_protocol(lat, asg, circuit, term, spacing)
+        out.append((lat, asg, term, *prep, circuit))
     return out
 
 
@@ -1054,19 +1096,20 @@ def test_compiled_frame_matches_runtime_rules():
     # rotation's flip form to the bit it adapts to: X for z, Z for x
     rng = np.random.default_rng(32)
     flips = cnots = 0
-    for lat, asg, plan, circuit in _frame_cases():
+    for lat, asg, term, backbone, plan, circuit in _frame_cases():
         rotations = [i for i, ps in enumerate(plan.order) if ps.theta]
         assert sorted(plan.flips) == rotations
+        settle = _ref_settler(lat, asg, term, backbone, circuit, plan)
         for _ in range(4):
             bits = rng.integers(0, 2, lat.n_sites).tolist()
             outcomes = dict(zip(lat.sites(), bits))
             mask = sum(b << (1 + i) for i, b in enumerate(bits))
-            frame = ByproductFrame([0] * plan.wires, [0] * plan.wires)
+            frame = ByproductFrame([0] * circuit.wires, [0] * circuit.wires)
             for idx, ps in enumerate(plan.order):
                 if idx in plan.flips:
                     flip = logic._parity(plan.flips[idx], mask)
                     assert flip == _ref_rotation_flip(frame, ps)
-                fin = _ref_settle(asg, plan, circuit, idx, outcomes, frame)
+                fin = settle(idx, outcomes, frame)
                 if fin is not None:
                     got = [
                         [logic._parity(f, mask) for f in forms]
@@ -1074,7 +1117,7 @@ def test_compiled_frame_matches_runtime_rules():
                     ]
                     assert got == [frame.ax, frame.az]
         flips += len(rotations)
-        cnots += sum(ev.kind == "cnot" for ev in plan.events)
+        cnots += plan.events.count("cnot")
     assert flips >= 240 and cnots >= 30
 
 
@@ -1116,51 +1159,51 @@ def test_branch_tables_match_dense_reference(monkeypatch):
     monkeypatch.setattr(_DenseReference, "built", [])
     cases = _branch_cases()
     for lat, asg, term, circuit, spacing in cases:
-        _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
+        backbone, plan = prepare_protocol(lat, asg, circuit, term, spacing)
         fast = protocol_branches(lat, asg, plan, term)
         slow = _ref_protocol_branches(
-            _DenseReference, circuit, lat, asg, plan, term
+            _DenseReference, circuit, backbone, lat, asg, plan, term
         )
         _assert_same_branches(fast, slow)
     assert _DenseReference.built == ["qubit"] * len(cases)
 
 
 def _rot_case():
-    """criterion 6's rot fixture as (lattice, assignment, plan, term); its
-    circuit is ROT_RX."""
+    """criterion 6's rot fixture as its backbone and (lattice, assignment,
+    plan, term); its circuit is ROT_RX."""
     name, lat, asg, term, circuit, spacing = e2e_fixtures()[1]
     assert (name, circuit) == ("rot", ROT_RX)
-    _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
-    return lat, asg, plan, term
+    backbone, plan = prepare_protocol(lat, asg, circuit, term, spacing)
+    return backbone, (lat, asg, plan, term)
 
 
 def test_rotation_branches_match_reference(monkeypatch):
     # the adapted angles differ across branches, so some steps stack one
     # pair of rows per branch
     ranks = []
-    split = contraction.BranchStack.split
+    split = contraction.DenseEngine.split
 
     def logged(self, site, rows):
         ranks.append(np.ndim(rows))
         return split(self, site, rows)
 
-    monkeypatch.setattr(contraction.BranchStack, "split", logged)
-    case = _rot_case()
+    monkeypatch.setattr(contraction.DenseEngine, "split", logged)
+    backbone, case = _rot_case()
     fast = protocol_branches(*case)
     assert len(fast) == 2048
     assert {2, 3} <= set(ranks)
-    slow = _ref_protocol_branches(DenseEngine, ROT_RX, *case)
+    slow = _ref_protocol_branches(DenseEngine, ROT_RX, backbone, *case)
     _assert_same_branches(fast, slow)
 
 
 @pytest.mark.parametrize("cutoff,survivors", [(5e-4, 1024), (1e-3, 0)])
 def test_pruned_branches_match_reference(monkeypatch, cutoff, survivors):
     # rot's leaves weigh 1/4096 or 3/4096, so 5e-4 keeps the heavy half
-    case = _rot_case()
+    backbone, case = _rot_case()
     monkeypatch.setattr(logic, "MIN_BRANCH_PROBABILITY", cutoff)
     fast = protocol_branches(*case)
     slow = _ref_protocol_branches(
-        DenseEngine, ROT_RX, *case, min_probability=cutoff
+        DenseEngine, ROT_RX, backbone, *case, min_probability=cutoff
     )
     assert len(fast) == survivors
     _assert_same_branches(fast, slow)
@@ -1170,12 +1213,14 @@ def test_degenerate_weights_raise_at_the_first_site():
     # an all-z pin annihilates rot's polarized state (its Bot-kind init
     # site has no standard outcome left), so the first site in plan
     # order, (1, 0), already has no weight
-    lat, asg, plan, _ = _rot_case()
+    backbone, (lat, asg, plan, _) = _rot_case()
     assert plan.order[0].site == (1, 0)
     z_pin = BoundaryTermination()
     for enumerate_branches in (
         protocol_branches,
-        functools.partial(_ref_protocol_branches, DenseEngine, ROT_RX),
+        functools.partial(
+            _ref_protocol_branches, DenseEngine, ROT_RX, backbone
+        ),
     ):
         with pytest.raises(
             ProtocolError, match=r"^degenerate weights at \(1, 0\)$"
@@ -1227,9 +1272,10 @@ def test_cnot_branches_match_reference():
     # reads only the corrected bits, so the frames are compared here
     name, lat, asg, term, circuit, spacing = e2e_fixtures()[2]
     assert name == "cnot"
-    _, plan = prepare_protocol(lat, asg, circuit, term, spacing)
-    fast = protocol_branches(lat, asg, plan, term)
-    slow = _ref_protocol_branches(DenseEngine, circuit, lat, asg, plan, term)
+    backbone, plan = prepare_protocol(lat, asg, circuit, term, spacing)
+    case = lat, asg, plan, term
+    fast = protocol_branches(*case)
+    slow = _ref_protocol_branches(DenseEngine, circuit, backbone, *case)
     assert fast.ax.shape == fast.az.shape == (len(slow), 2)
     _assert_same_branches(fast, slow)
     frames = np.concatenate([fast.ax, fast.az], axis=1)
